@@ -3,7 +3,7 @@
 "Systolic Computing on GPUs" motivates grouping homogeneous computations
 into dense batched execution; the vector engine's seed batching is this
 codebase's instance of that idea.  Benchmark VII pinned the S=8 case;
-this file pins the scale the sweep scheduler actually dispatches —
+this file pins the scale a sweep's ``verify_seeds`` actually dispatches —
 S=64 seeded instances verified in **one** ``(S, nodes)`` vector pass —
 against verifying the same 64 seeds one at a time through the warm
 vector engine.

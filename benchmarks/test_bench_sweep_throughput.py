@@ -1,18 +1,17 @@
-"""Benchmark T — sweep scheduling throughput, warm and cold.
+"""Benchmark T — sweep throughput, warm and cold.
 
-The PR that introduced the work-stealing scheduler also rebuilt the warm
-path: jobs are keyed once per distinct system builder (fingerprint memo)
-instead of rebuilding and re-hashing the system per job, and warm jobs
-resolve in the parent with no worker round-trip.  This file pins
+The warm path keys jobs once per distinct system builder (fingerprint
+memo) instead of rebuilding and re-hashing the system per job, and warm
+jobs resolve in the parent with no worker round-trip.  This file pins
 sweep-jobs/sec for both temperatures and holds the acceptance bar:
 
 * **warm** — a fully cached sweep must clear at least 2x the jobs/sec of
   the pre-PR probe loop (vendored below verbatim: per-job ``builder()``
   + ``cache_key`` + ``load``), measured on the identical workload;
-* **cold** — every job reaches the solvers through the chunking
-  scheduler; pinned for the trajectory, shape-checked here.
+* **cold** — every job reaches the solvers through the process pool;
+  pinned for the trajectory, shape-checked here.
 
-``warm_s`` is the gated metric — it measures pure scheduling and cache
+``warm_s`` is the gated metric — it measures pure keying and cache
 machinery, no solver noise.
 """
 
@@ -97,12 +96,15 @@ class TestSweepThroughput:
         benchmark(lambda: run_sweep(SPEC, workers=0, cache_dir=tmp_path,
                                     cross_check=False))
 
-    def test_cold_scheduler_shape(self, tmp_path):
-        from repro.util.instrument import STATS
-
-        before = STATS.metrics.counter("sweep.chunks").value
-        report = run_sweep(SPEC, workers=2, cache_dir=tmp_path,
+    def test_cold_pool_shape(self, tmp_path):
+        report = run_sweep(SPEC, workers=2, cache_dir=tmp_path / "pool",
                            cross_check=False)
         assert len(report.results) == 12
+        assert report.cache_misses == 12
         assert report.ok_results and report.failures
-        assert STATS.metrics.counter("sweep.chunks").value > before
+        assert all(r.cells > 0 and r.design_payload is not None
+                   for r in report.ok_results)
+        assert all(r.error_type for r in report.failures)
+        serial = run_sweep(SPEC, workers=0, cache_dir=tmp_path / "serial",
+                           cross_check=False)
+        assert sweep_table(report.results) == sweep_table(serial.results)

@@ -35,13 +35,11 @@ Surface groups:
   partial lowerings with access to intermediate state, and the rewrite
   layer under it — :class:`RewritePattern`, :func:`apply_patterns`,
   :func:`system_to_ir` / :func:`ir_to_system` / :func:`print_ir`;
-* batch sweeps — :class:`SweepSpec`, :func:`run_sweep` (with
-  ``manifest=`` resume and a ``scheduler=`` chunking-policy override),
-  :class:`SweepReport`, :data:`PROBLEM_BUILDERS`,
-  :func:`default_workers` (honours ``$REPRO_WORKERS``), the
-  work-stealing :class:`SchedulerConfig`, and resumable manifests
-  (:class:`SweepManifest`, :func:`read_manifest`,
-  :class:`ManifestError`);
+* batch sweeps — :class:`SweepSpec`, :func:`run_sweep` (cache misses
+  on one process pool, with ``manifest=`` resume), :class:`SweepReport`,
+  :data:`PROBLEM_BUILDERS`, :func:`default_workers` (honours
+  ``$REPRO_WORKERS``), and resumable manifests (:class:`SweepManifest`,
+  :func:`read_manifest`, :class:`ManifestError`);
 * persistent cache — :class:`DesignCache` (sharded ``ab/cd/<key>.json``
   store with an index and :meth:`~DesignCache.prune`),
   :class:`PruneReport`, :func:`cache_key`,
@@ -95,7 +93,6 @@ from repro.core.manifest import (
     SweepManifest,
     read_manifest,
 )
-from repro.core.scheduler import SchedulerConfig
 from repro.core.errors import (
     NoScheduleExists,
     NoSpaceMapExists,
@@ -207,7 +204,6 @@ __all__ = [
     "RewritePattern",
     "RunRecord",
     "STOCK_INTERCONNECTS",
-    "SchedulerConfig",
     "SweepJob",
     "SweepManifest",
     "SweepReport",

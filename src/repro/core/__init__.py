@@ -20,7 +20,6 @@ from repro.core.cache import (
     system_fingerprint,
 )
 from repro.core.manifest import ManifestError, SweepManifest, read_manifest
-from repro.core.scheduler import SchedulerConfig, WorkStealingScheduler
 from repro.core.coarse import CoarseTiming, coarse_timing
 from repro.core.design import Design
 from repro.core.errors import (
@@ -52,7 +51,6 @@ __all__ = [
     "PROBLEM_BUILDERS",
     "PruneReport",
     "RestructureError",
-    "SchedulerConfig",
     "SweepJob",
     "SweepManifest",
     "SweepReport",
@@ -61,7 +59,6 @@ __all__ = [
     "SynthesisError",
     "SynthesisOptions",
     "VerificationReport",
-    "WorkStealingScheduler",
     "cache_key",
     "cache_key_from_fingerprint",
     "coarse_timing",

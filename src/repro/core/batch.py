@@ -28,12 +28,11 @@ Execution model:
   died;
 * the parent probes the :class:`~repro.core.cache.DesignCache` for the
   rest — hits (including cached *failures*) never reach a worker;
-* misses go to the
-  :class:`~repro.core.scheduler.WorkStealingScheduler` (``workers``
-  processes, default ``os.cpu_count() - 1``, min 1, overridable via
-  ``$REPRO_WORKERS``) which dispatches adaptive homogeneous chunks and
-  steals on idle; ``workers=0`` forces the serial in-process path — the
-  debug route with no pickling or process boundaries;
+* misses go to one process pool (``workers`` processes, default
+  ``os.cpu_count() - 1``, min 1, overridable via ``$REPRO_WORKERS``), one
+  task per job, results taken as they complete; ``workers=0`` forces the
+  serial in-process path — the debug route with no pickling or process
+  boundaries;
 * a failed job records its :class:`~repro.util.errors.SynthesisError`
   in its :class:`SweepResult` instead of killing the sweep;
 * per-job wall time and the solver's :mod:`repro.util.instrument` counters
@@ -47,6 +46,8 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -62,7 +63,6 @@ from repro.core.globals import link_constraints
 from repro.core.manifest import SweepManifest
 from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
-from repro.core.scheduler import SchedulerConfig, WorkStealingScheduler
 from repro.core.verify import verify_design
 from repro.ir.program import RecurrenceSystem
 from repro.obs.progress import ProgressSink, SweepProgress
@@ -206,8 +206,7 @@ class SweepResult:
         The cache key deliberately excludes the engine (it does not change
         the synthesized design), so two jobs differing only in engine share
         ``key``.  Anything that must treat them as distinct jobs — manifest
-        journaling, stats dedup, cross-check attribution — keys by this
-        instead.
+        journaling, cross-check attribution — keys by this instead.
         """
         return f"{self.key}::{self.engine}"
 
@@ -475,22 +474,10 @@ def _result_from_payload(job: SweepJob, key: str,
         error_module=payload.get("error_module"))
 
 
-def _merge_stats(delta: dict, *, job_key: "str | None" = None,
-                 merged: "set[str] | None" = None) -> None:
+def _merge_stats(delta: dict) -> None:
     """Fold a worker's counter/timer deltas — span subtree and typed
     telemetry included — into the parent registry (the serial path needs
-    no merge: it accrued directly).
-
-    ``job_key``/``merged`` deduplicate by job identity: a job that reaches
-    the parent twice (a worker result salvaged after a pool break *and*
-    its serial retry) must charge the registry once, not twice.  The
-    serial-retry path pre-marks its key for the same reason.
-    """
-    if merged is not None and job_key is not None:
-        if job_key in merged:
-            STATS.count("sweep.merge_deduped")
-            return
-        merged.add(job_key)
+    no merge: it accrued directly)."""
     for name, value in delta.get("counters", {}).items():
         STATS.count(name, value)
     for name, value in delta.get("timers", {}).items():
@@ -501,6 +488,56 @@ def _merge_stats(delta: dict, *, job_key: "str | None" = None,
     telemetry = delta.get("telemetry")
     if telemetry:
         STATS.metrics.merge_wire(telemetry)
+
+
+def _pool_job(job: SweepJob, cache_root: "str | None", use_cache: bool,
+              tracing: bool) -> SweepResult:
+    """Pool-worker entry point.  ``_execute_job`` is looked up on every
+    call, so a wrapper installed on this module before the pool forks runs
+    in the workers too."""
+    return _execute_job(job, cache_root, use_cache, tracing, in_worker=True)
+
+
+def _run_pool(jobs: Sequence[SweepJob], nworkers: int,
+              cache_root: "str | None", use_cache: bool,
+              on_result: Callable[[SweepResult], None]
+              ) -> list[SweepResult]:
+    """Run cache misses on one process pool: one task per job, results
+    taken as they complete and returned in job order.
+
+    Each job index is accepted exactly once (``by_index``), so its stats
+    delta merges once and ``on_result`` sees it once.  A worker that dies
+    (segfault, OOM kill) breaks the pool: every completed future is
+    salvaged, and the jobs without a result retry serially in-process.
+    """
+    by_index: dict[int, SweepResult] = {}
+
+    def accept(idx: int, result: SweepResult, *, merge: bool = True) -> None:
+        by_index[idx] = result
+        if merge:
+            _merge_stats(result.stats)
+        on_result(result)
+
+    futures: dict = {}                       # future -> job index
+    try:
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            for idx, job in enumerate(jobs):
+                futures[pool.submit(_pool_job, job, cache_root, use_cache,
+                                    STATS.enabled)] = idx
+            for fut in as_completed(futures):
+                accept(futures[fut], fut.result())
+    except BrokenProcessPool:
+        for fut, idx in futures.items():
+            if idx not in by_index and fut.done() and not fut.cancelled() \
+                    and fut.exception() is None:
+                accept(idx, fut.result())
+        retry = [idx for idx in range(len(jobs)) if idx not in by_index]
+        STATS.count("sweep.worker_retries", len(retry))
+        for idx in retry:
+            # The serial path accrues stats straight into this registry.
+            accept(idx, _execute_job(jobs[idx], cache_root, use_cache),
+                   merge=False)
+    return [by_index[idx] for idx in range(len(jobs))]
 
 
 def _cross_check(results: Sequence[SweepResult],
@@ -563,8 +600,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
               cross_check: bool = True,
               progress: "ProgressSink | Iterable[ProgressSink] | None"
               = None,
-              manifest: "str | os.PathLike | None" = None,
-              scheduler: "SchedulerConfig | None" = None) -> SweepReport:
+              manifest: "str | os.PathLike | None" = None) -> SweepReport:
     """Run every job of ``spec``; never raises on per-job infeasibility.
 
     ``workers=None`` uses :func:`default_workers` (which honours
@@ -579,8 +615,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
     journal file: completions already recorded there are restored without
     re-executing anything, every fresh completion is appended as it lands,
     and the resulting report renders byte-identically to the uninterrupted
-    run's.  ``scheduler`` overrides the
-    :class:`~repro.core.scheduler.SchedulerConfig` chunking policy.
+    run's.
 
     ``progress`` takes one sink or an iterable of sinks (see
     :mod:`repro.obs.progress`): a structured event is emitted when totals
@@ -632,6 +667,9 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
     def _finished(result: SweepResult) -> None:
         if journal is not None:
             journal.record(result)
+        if tracker is not None:
+            tracker.job_done(ok=result.ok, cache_hit=result.cache_hit,
+                             label=result.label())
 
     hits = 0
     try:
@@ -653,9 +691,6 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
                                    result)
                 results.append(result)
                 _finished(result)
-                if tracker is not None:
-                    tracker.job_done(ok=result.ok, cache_hit=True,
-                                     label=result.label())
 
         with STATS.stage("sweep.solve"):
             if not pending:
@@ -665,14 +700,10 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
                     result = _execute_job(job, cache_root, use_cache)
                     results.append(result)
                     _finished(result)
-                    if tracker is not None:
-                        tracker.job_done(ok=result.ok, cache_hit=False,
-                                         label=result.label())
             else:
-                results.extend(WorkStealingScheduler(
+                results.extend(_run_pool(
                     pending, min(nworkers, len(pending)), cache_root,
-                    use_cache, tracker, config=scheduler,
-                    on_result=_finished).run())
+                    use_cache, _finished))
     finally:
         if journal is not None:
             journal.close()

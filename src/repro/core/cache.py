@@ -70,6 +70,7 @@ from repro.core.globals import link_constraints
 from repro.core.options import SynthesisOptions
 from repro.ir.program import RecurrenceSystem
 from repro.util.instrument import STATS
+from repro.util.journal import append_record, encode_record, read_records
 
 #: Typed handles into the process metrics registry.  Incrementing through
 #: them still routes via ``STATS.count`` (span attribution), but the names
@@ -361,31 +362,18 @@ class DesignCache:
     # -- the index -----------------------------------------------------------
 
     def _index_append(self, record: dict) -> None:
-        """One JSON line, one ``write`` — POSIX appends of a line this
-        size are atomic, so concurrent workers interleave whole records."""
-        line = json.dumps(record, sort_keys=True,
-                          separators=(",", ":")) + "\n"
         self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.index_path, "a", encoding="utf-8") as fh:
-            fh.write(line)
+        append_record(self.index_path, record)
 
     def _read_index(self) -> "dict[str, dict] | None":
         """Live records by key (last writer wins, deletions applied), or
         ``None`` when no index exists yet."""
         try:
-            with open(self.index_path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            records = read_records(self.index_path)
         except FileNotFoundError:
             return None
         live: dict[str, dict] = {}
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue                      # torn tail of a dead writer
+        for record in records:
             key = record.get("key")
             if not key:
                 continue
@@ -423,9 +411,7 @@ class DesignCache:
                                 "completion_time"),
                             "bytes": stat.st_size,
                             "ts": stat.st_mtime})
-        body = "".join(json.dumps(r, sort_keys=True,
-                                  separators=(",", ":")) + "\n"
-                       for r in records)
+        body = "".join(encode_record(r) for r in records)
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:

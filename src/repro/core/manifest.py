@@ -33,12 +33,12 @@ Safety properties:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.util.instrument import STATS
+from repro.util.journal import encode_record, read_records
 
 if TYPE_CHECKING:                                       # pragma: no cover
     from repro.core.batch import SweepResult
@@ -117,19 +117,9 @@ class SweepManifest:
     def _parse_existing(self, valid_keys: set[str]) -> bool:
         """Load a pre-existing journal; ``False`` when absent or empty."""
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            records = read_records(self.path)
         except FileNotFoundError:
             return False
-        records = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue            # torn tail: the writer died mid-append
         if not records:
             return False
         header = records[0]
@@ -186,8 +176,7 @@ class SweepManifest:
     def _append(self, record: Mapping) -> None:
         if self._fh is None:
             raise ValueError(f"{self.path}: manifest is not open")
-        self._fh.write(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
+        self._fh.write(encode_record(record))
         self._fh.flush()
 
     def _fsync(self) -> None:
@@ -218,19 +207,11 @@ def read_manifest(path: "str | os.PathLike") -> dict:
     to size the remaining work.  Tolerates a torn final line."""
     header: dict = {}
     completed: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if record.get("kind") == "header" and not header:
-                header = record
-            elif record.get("kind") == "done":
-                completed.append(record.get("key"))
+    for record in read_records(path):
+        if record.get("kind") == "header" and not header:
+            header = record
+        elif record.get("kind") == "done":
+            completed.append(record.get("key"))
     return {"version": header.get("version"),
             "fingerprint": header.get("fingerprint"),
             "total": header.get("total", 0),

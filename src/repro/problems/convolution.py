@@ -143,4 +143,4 @@ def convolution_inputs(x: Sequence[float], w: Sequence[float]) -> dict:
     def w_in(k: int) -> float:
         return ws[k - 1]
 
-    return {"x": x_in, "w": w_in, "zero": lambda: 0.0}
+    return {"x": x_in, "w": w_in, "zero": lambda: 0}

@@ -309,42 +309,46 @@ class TestWorkerCrashRecovery:
         assert after - before == expected
 
 
-class TestMergeDedup:
-    def _delta(self):
-        return {"counters": {"sentinel.merge": 5},
-                "timers": {"sentinel.timer": 0.25}}
+class TestPooledExecution:
+    GRID = SweepSpec(
+        problems=("dp", "conv-backward"),
+        interconnects=("fig1", "linear"),
+        param_grid=({"n": 5, "s": 3}, {"n": 6, "s": 3}, {"n": 7, "s": 3}),
+    )
 
-    def test_duplicate_job_key_merges_once(self):
-        from repro.core.batch import _merge_stats
+    def test_matches_serial_results(self):
+        serial = run_sweep(self.GRID, workers=0, use_cache=False,
+                           cross_check=False)
+        pooled = run_sweep(self.GRID, workers=3, use_cache=False,
+                           cross_check=False)
+        assert sweep_table(pooled.results) == sweep_table(serial.results)
 
-        merged = set()
-        before = STATS.snapshot()["counters"]
-        try:
-            _merge_stats(self._delta(), job_key="job-a", merged=merged)
-            _merge_stats(self._delta(), job_key="job-a", merged=merged)
-            after = STATS.snapshot()["counters"]
-            assert after["sentinel.merge"] \
-                - before.get("sentinel.merge", 0) == 5
-            assert after.get("sweep.merge_deduped", 0) \
-                - before.get("sweep.merge_deduped", 0) == 1
-        finally:
-            STATS.counters.pop("sentinel.merge", None)
-            STATS.timers.pop("sentinel.timer", None)
+    def test_same_params_two_engines_both_charge_stats(self):
+        """Regression: the cache key excludes the engine, so two jobs
+        differing only in engine share it — each must still be accepted
+        and charge its own stats delta."""
+        jobs = [job
+                for engine in ("compiled", "vector")
+                for job in SweepSpec(
+                    problems=("dp",), interconnects=("fig1",),
+                    param_grid=({"n": 5},),
+                    options=SynthesisOptions(engine=engine),
+                    verify_seeds=2).jobs()]
+        counter = "space.assignments_examined"
+        before = STATS.snapshot()["counters"].get(counter, 0)
+        report = run_sweep(jobs, workers=2, use_cache=False,
+                           cross_check=False)
+        after = STATS.snapshot()["counters"].get(counter, 0)
+        assert len(report.results) == 2
+        assert report.results[0].key == report.results[1].key
+        assert {r.engine for r in report.results} == {"compiled", "vector"}
+        deltas = [r.stats["counters"].get(counter, 0)
+                  for r in report.results]
+        assert all(deltas)
+        assert after - before == sum(deltas)     # both merged, once each
 
-    def test_distinct_keys_both_merge(self):
-        from repro.core.batch import _merge_stats
 
-        merged = set()
-        before = STATS.snapshot()["counters"].get("sentinel.merge", 0)
-        try:
-            _merge_stats(self._delta(), job_key="job-a", merged=merged)
-            _merge_stats(self._delta(), job_key="job-b", merged=merged)
-            after = STATS.snapshot()["counters"]["sentinel.merge"]
-            assert after - before == 10
-        finally:
-            STATS.counters.pop("sentinel.merge", None)
-            STATS.timers.pop("sentinel.timer", None)
-
+class TestMergeStats:
     def test_telemetry_wire_merges_into_registry(self):
         from repro.core.batch import _merge_stats
         from repro.obs import Histogram
@@ -356,7 +360,7 @@ class TestMergeDedup:
                                "histograms": {"sentinel.stage":
                                               hist.to_wire()}}}
         try:
-            _merge_stats(delta, job_key="job-t", merged=set())
+            _merge_stats(delta)
             assert STATS.metrics.gauges["sentinel.gauge"] == 2.5
             assert STATS.metrics.histograms["sentinel.stage"].count == 1
         finally:

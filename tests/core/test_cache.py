@@ -213,6 +213,19 @@ class TestShardedLayout:
         cache.rebuild_index()
         assert len(cache) == 4            # orphan has no format field
 
+    def test_index_tolerates_torn_tail(self, tmp_path):
+        cache = DesignCache(tmp_path)
+        cache.store("abcd" + "0" * 6, {"status": "ok"})
+        intact = cache.index_path.read_bytes()
+        with open(cache.index_path, "a", encoding="utf-8") as fh:
+            fh.write('\n{"key":"abce000000","sta')   # writer died here
+        assert len(cache) == 1
+        assert [r["key"] for r in cache.entries()] == ["abcd" + "0" * 6]
+        # The intact record is one canonical line: sorted keys, compact.
+        record = json.loads(intact)
+        assert intact.decode() == json.dumps(
+            record, sort_keys=True, separators=(",", ":")) + "\n"
+
     def test_rebuild_index_after_loss(self, tmp_path):
         cache = DesignCache(tmp_path)
         cache.store("abcd" + "0" * 6, {"status": "ok", "cells": 3,
@@ -306,3 +319,50 @@ class TestPrune:
         before = STATS.metrics.counter("cache.evictions").value
         cache.prune(max_age_days=0)
         assert STATS.metrics.counter("cache.evictions").value == before + 1
+
+
+def _store_keys(root, keys, writer, start):
+    """One concurrent writer: wait for the shared start, then store."""
+    start.wait()
+    cache = DesignCache(root)
+    for key in keys:
+        cache.store(key, {"status": "ok", "cells": 1, "completion_time": 1,
+                          "writer": writer})
+
+
+class TestConcurrentWriters:
+    def test_two_processes_share_one_shard(self, tmp_path):
+        """Two processes store interleaved keys of one shard, one key from
+        both: the per-shard lock and single-write index appends keep every
+        entry and index record whole."""
+        import multiprocessing
+
+        from repro.util.journal import read_records
+
+        shared = "abcd" + "shared"
+        keys = {w: [f"abcd{w}{i:04d}" for i in range(200)] for w in "xy"}
+        for w in "xy":
+            keys[w].insert(100, shared)
+        start = multiprocessing.Barrier(2)
+        procs = [multiprocessing.Process(target=_store_keys,
+                                         args=(str(tmp_path), keys[w], w,
+                                               start))
+                 for w in "xy"]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+
+        cache = DesignCache(tmp_path)
+        distinct = set(keys["x"]) | set(keys["y"])
+        for key in distinct:
+            payload = cache.load(key)
+            assert payload is not None and payload["key"] == key
+            assert payload["status"] == "ok"
+        assert cache.load(shared)["writer"] in ("x", "y")
+        records = read_records(cache.index_path)
+        assert len(records) == len(keys["x"]) + len(keys["y"])
+        assert {r["key"] for r in records} == distinct
+        assert len(cache) == len(distinct)
+        assert not list(tmp_path.glob("ab/cd/*.tmp"))

@@ -17,6 +17,11 @@ from repro.fuzz import (
 )
 from repro.fuzz.runner import descriptors
 
+#: Fuzz value pools hold Fractions and bignums on purpose, so the exact
+#: int64 fast path falling back to object arrays is expected here.
+EXPECTED_FALLBACK = pytest.mark.filterwarnings(
+    "ignore:exact int64 fast path:RuntimeWarning")
+
 TWO_CHAIN = ((1, (0, 0)), (0, (0, 0)))
 DESC = CaseDescriptor(n=5, lo=1, hi=1, args=TWO_CHAIN, body="min_plus",
                       combine="min", pool=(3, -1), interconnect="fig1")
@@ -63,6 +68,7 @@ class TestCorpusStore:
 
 
 class TestFuzzLoop:
+    @EXPECTED_FALLBACK
     def test_short_run_is_clean_and_budgeted(self, tmp_path):
         report = fuzz(max_examples=8, budget=120.0, seed=11,
                       corpus_dir=tmp_path)
@@ -101,6 +107,7 @@ class TestFuzzLoop:
 
 
 class TestGeneratorLive:
+    @EXPECTED_FALLBACK
     @settings(max_examples=12, deadline=None,
               suppress_health_check=list(HealthCheck))
     @given(descriptors())
