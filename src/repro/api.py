@@ -26,8 +26,7 @@ Surface groups:
   subclasses, so plain strings keep working everywhere),
   :func:`coerce_engine`, :data:`ENGINES`,
   :data:`ENGINE_DESCRIPTIONS` (the one-line help table the CLI renders),
-  plus the native backend's feature gate :func:`native_available` and
-  the artifact-cache identity :func:`design_token`;
+  plus the native backend's feature gate :func:`native_available`;
 * pass pipeline — :class:`Pass`, :class:`PassPipeline`,
   :class:`PipelineState`, :func:`default_pipeline` (the exact lowering
   :func:`synthesize` runs), :func:`make_pass` / :func:`available_passes`
@@ -106,7 +105,7 @@ from repro.core.explore import (
 )
 from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
-from repro.core.verify import VerificationReport, design_token, verify_design
+from repro.core.verify import VerificationReport, verify_design
 from repro.codegen.toolchain import native_available
 from repro.machine.engines import (
     ENGINE_DESCRIPTIONS,
@@ -223,7 +222,6 @@ __all__ = [
     "default_cache_dir",
     "default_pipeline",
     "default_workers",
-    "design_token",
     "engine_help",
     "explore_interconnects",
     "explore_uniform",

@@ -731,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the pass-pipeline fourth comparison point "
                         "of each case (faster, less coverage)")
     p.add_argument("--native", action="store_true",
-                   help="add the native C-kernel engine as a comparison "
+                   help="add the native C-executor engine as a comparison "
                         "point of each case (skipped with a note when no "
                         "C toolchain is available)")
     p.set_defaults(fn=cmd_fuzz)

@@ -1,24 +1,24 @@
-"""Native code generation: C kernels emitted from level-grouped programs.
+"""Native execution: one precompiled C executor for every design.
 
-The pipeline is ``emit`` (VectorProgram → C translation unit), ``toolchain``
-(system compiler discovery + cache fingerprint) and ``build`` (compile,
-content-address and load the shared objects).  :mod:`repro.machine.native`
-wires the three into the ``engine="native"`` execution path.
+The pipeline is ``executor`` (the fixed C source plus
+:func:`encode_program`, VectorProgram → ``int32`` instruction stream),
+``toolchain`` (system compiler discovery + cache fingerprint) and
+``build`` (compile the executor once per toolchain, content-address and
+load the shared object).  :mod:`repro.machine.native` wires the three
+into the ``engine="native"`` execution path.
 """
 
 from repro.codegen.build import (
     NATIVE_FORMAT_VERSION,
-    NativeKernel,
+    NativeExecutor,
     kernel_key,
     load_or_build,
     native_cache_dir,
 )
-from repro.codegen.emit import (
-    EMITTER_VERSION,
-    KERNEL_SYMBOL,
-    CKernelSource,
+from repro.codegen.executor import (
+    EXECUTOR_SOURCE,
     UnsupportedForNative,
-    emit_kernel,
+    encode_program,
 )
 from repro.codegen.toolchain import (
     CC_ENV_VAR,
@@ -30,15 +30,13 @@ from repro.codegen.toolchain import (
 
 __all__ = [
     "CC_ENV_VAR",
-    "CKernelSource",
     "DISABLE_ENV_VAR",
-    "EMITTER_VERSION",
-    "KERNEL_SYMBOL",
+    "EXECUTOR_SOURCE",
     "NATIVE_FORMAT_VERSION",
-    "NativeKernel",
+    "NativeExecutor",
     "Toolchain",
     "UnsupportedForNative",
-    "emit_kernel",
+    "encode_program",
     "find_toolchain",
     "kernel_key",
     "load_or_build",

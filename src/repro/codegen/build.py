@@ -1,4 +1,4 @@
-"""Compile generated kernels and content-address the shared objects.
+"""Compile the native executor once per toolchain and cache the artifact.
 
 The native artifact cache extends the persistent design cache: it lives in
 a ``native/`` subdirectory of the same root (``$REPRO_DESIGN_CACHE`` or
@@ -7,21 +7,18 @@ over canonical JSON, atomic writes (concurrent sweep workers share the
 directory), negative entries so a failing compile is diagnosed once, not
 re-attempted on every run.
 
-**Key scheme.**  ``sha256({format, emitter, toolchain fingerprint,
-material})`` where ``material`` is either
-
-* the **design token** (canonical JSON of the design's structure) when the
-  caller has a design in hand — a warm run then skips *both* codegen and
-  the compiler, loading ``<key>.so`` straight away; or
-* the full generated C source, when lowering from bare microcode — codegen
-  reruns (it is milliseconds) but the compiler is still skipped.
+**Key scheme.**  ``sha256({format, toolchain fingerprint, source})``.
+There is one source, :data:`~repro.codegen.executor.EXECUTOR_SOURCE`, so
+there is one artifact per toolchain: every design runs on it with its
+program passed in as data (:func:`~repro.codegen.encode_program`).  A
+loaded executor is memoised per process, so only the first design of a
+process touches the disk.
 
 Per key the cache holds ``<key>.c`` (the source, for debugging),
-``<key>.so`` (the loadable artifact) and ``<key>.json`` (metadata: status,
-compile time, node count — or the compiler's stderr for a negative
-entry).  Hit/miss/negative counters and the ``native.emit`` /
-``native.cc`` / ``native.load`` spans make warm-vs-cold behaviour visible
-in ``--stats``.
+``<key>.so`` (the loadable artifact) and ``<key>.json`` (metadata: status
+and compile time — or the compiler's stderr for a negative entry).
+Hit/miss/negative counters and the ``native.cc`` / ``native.load`` spans
+make warm-vs-cold behaviour visible in ``--stats``.
 """
 
 from __future__ import annotations
@@ -39,11 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.codegen.emit import (
-    EMITTER_VERSION,
-    CKernelSource,
-    UnsupportedForNative,
-)
+from repro.codegen.executor import EXECUTOR_SOURCE, EXECUTOR_SYMBOL
 from repro.codegen.toolchain import Toolchain, find_toolchain
 from repro.util.instrument import STATS
 
@@ -64,7 +57,7 @@ _COMPILE_SECONDS = STATS.metrics.histogram("native.compile_s")
 CACHE_ENV_VAR = "REPRO_DESIGN_CACHE"
 
 #: Bump when the key layout or metadata schema changes incompatibly.
-NATIVE_FORMAT_VERSION = 1
+NATIVE_FORMAT_VERSION = 2
 
 
 def native_cache_dir(root: "str | os.PathLike | None" = None) -> Path:
@@ -77,32 +70,37 @@ def native_cache_dir(root: "str | os.PathLike | None" = None) -> Path:
     return base / "native"
 
 
-def kernel_key(material: str, toolchain: Toolchain) -> str:
-    """Canonical SHA-256 key of one (kernel, toolchain) pair."""
+def kernel_key(source: str, toolchain: Toolchain) -> str:
+    """Canonical SHA-256 key of one (source, toolchain) pair."""
     payload = json.dumps({
         "format": NATIVE_FORMAT_VERSION,
-        "emitter": EMITTER_VERSION,
         "toolchain": toolchain.fingerprint,
-        "material": material,
+        "material": source,
     }, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass
-class NativeKernel:
-    """A loaded shared object ready to run value passes."""
+class NativeExecutor:
+    """The loaded executor, ready to run encoded programs."""
 
     path: Path
-    symbol: str
-    node_count: int
     _fn: Callable
 
-    def run(self, values: np.ndarray) -> int:
-        """Execute the kernel over a C-contiguous int64 ``(rows, stride)``
-        matrix in place; returns 0 on success, nonzero on overflow."""
+    def run(self, values: np.ndarray, code: np.ndarray) -> int:
+        """Execute ``code`` over a C-contiguous int64 ``(rows, stride)``
+        matrix in place; returns 0 on success, 1 on overflow and 2 for a
+        malformed code stream."""
+        if (values.dtype != np.int64 or values.ndim != 2
+                or not values.flags.c_contiguous or not values.flags.writeable
+                or code.dtype != np.int32 or code.ndim != 1
+                or not code.flags.c_contiguous):
+            raise ValueError("the executor needs a writable C-contiguous "
+                             "int64 matrix and a contiguous int32 code "
+                             "stream")
         rows, stride = values.shape
-        ptr = values.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-        return self._fn(ptr, rows, stride)
+        return self._fn(values.ctypes.data, rows, stride, code.ctypes.data,
+                        len(code))
 
 
 def _atomic_write(path: Path, body: bytes) -> None:
@@ -119,15 +117,13 @@ def _atomic_write(path: Path, body: bytes) -> None:
         raise
 
 
-def _load(path: Path, symbol: str, node_count: int) -> NativeKernel:
+def _load(path: Path) -> NativeExecutor:
     with STATS.stage("native.load"):
-        lib = ctypes.CDLL(str(path))
-        fn = getattr(lib, symbol)
-        fn.argtypes = [ctypes.POINTER(ctypes.c_int64), ctypes.c_long,
-                       ctypes.c_long]
+        fn = getattr(ctypes.CDLL(str(path)), EXECUTOR_SYMBOL)
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
+                       ctypes.c_void_p, ctypes.c_long]
         fn.restype = ctypes.c_int
-        return NativeKernel(path=path, symbol=symbol,
-                            node_count=node_count, _fn=fn)
+        return NativeExecutor(path=path, _fn=fn)
 
 
 def _read_meta(path: Path) -> dict | None:
@@ -141,64 +137,49 @@ def _read_meta(path: Path) -> dict | None:
     return meta
 
 
-def load_or_build(source_provider: Callable[[], CKernelSource],
-                  key_material: "str | None" = None,
+#: Executors already loaded in this process, by artifact path.
+_loaded: dict[Path, NativeExecutor] = {}
+
+
+def load_or_build(source: str = EXECUTOR_SOURCE,
                   cache_dir: "str | os.PathLike | None" = None,
-                  ) -> "tuple[NativeKernel | None, str | None]":
-    """The loadable kernel for one program, through the artifact cache.
+                  ) -> "tuple[NativeExecutor | None, str | None]":
+    """The loaded executor for ``source``, through the artifact cache.
 
-    ``source_provider`` emits the C source on demand — it is *not* called
-    on a warm design-keyed hit, which is what lets warm runs skip codegen
-    entirely.  ``key_material`` keys the artifact by design token; when
-    ``None`` the key is the emitted source itself.
-
-    Returns ``(kernel, None)`` on success or ``(None, reason)`` when the
-    native path is unavailable here: no toolchain, an op with no exact C
-    emitter, or a compile failure (negative-cached so ``cc`` runs once per
-    key, not once per process).
+    Returns ``(executor, None)`` on success or ``(None, reason)`` when the
+    native path is unavailable here: no toolchain or a compile failure
+    (negative-cached so ``cc`` runs once per key, not once per process).
     """
     toolchain = find_toolchain()
     if toolchain is None:
         return None, "no C toolchain (cc/gcc/clang) found; set $REPRO_CC"
 
     root = native_cache_dir(cache_dir)
-    source: "CKernelSource | None" = None
-    if key_material is None:
-        try:
-            with STATS.stage("native.emit"):
-                source = source_provider()
-        except UnsupportedForNative as exc:
-            return None, str(exc)
-        key_material = source.text
-    key = kernel_key(key_material, toolchain)
+    key = kernel_key(source, toolchain)
     so_path = root / f"{key}.so"
+    loaded = _loaded.get(so_path)
+    if loaded is not None:
+        return loaded, None
     meta_path = root / f"{key}.json"
 
     meta = _read_meta(meta_path)
     if meta is not None and meta.get("status") == "ok" and so_path.is_file():
         _CACHE_HITS.inc()
         try:
-            return _load(so_path, meta["symbol"], meta["node_count"]), None
-        except OSError as exc:   # truncated artifact, wrong arch, ...
+            loaded = _loaded[so_path] = _load(so_path)
+            return loaded, None
+        except (OSError, AttributeError) as exc:  # truncated, wrong arch
             _LOAD_ERRORS.inc()
-            reason = f"cached kernel failed to load: {exc}"
-            return None, reason
+            return None, f"cached executor failed to load: {exc}"
     if meta is not None and meta.get("status") == "error":
         _CACHE_HITS.inc()
         _NEGATIVE_HITS.inc()
         return None, meta.get("reason", "cached compile failure")
 
     _CACHE_MISSES.inc()
-    if source is None:
-        try:
-            with STATS.stage("native.emit"):
-                source = source_provider()
-        except UnsupportedForNative as exc:
-            return None, str(exc)
-
     root.mkdir(parents=True, exist_ok=True)
     c_path = root / f"{key}.c"
-    _atomic_write(c_path, source.text.encode("utf-8"))
+    _atomic_write(c_path, source.encode("utf-8"))
     fd, tmp_so = tempfile.mkstemp(dir=root, suffix=".so.tmp")
     os.close(fd)
     t0 = time.perf_counter()
@@ -231,13 +212,13 @@ def load_or_build(source_provider: Callable[[], CKernelSource],
     os.replace(tmp_so, so_path)
     _atomic_write(meta_path, json.dumps({
         "format": NATIVE_FORMAT_VERSION, "status": "ok",
-        "symbol": source.symbol, "node_count": source.node_count,
         "compile_ms": compile_ms, "toolchain": toolchain.fingerprint,
     }, sort_keys=True, indent=1).encode("utf-8"))
     _COMPILES.inc()
     STATS.annotate(native_compile_ms=compile_ms)
     try:
-        return _load(so_path, source.symbol, source.node_count), None
-    except OSError as exc:
+        loaded = _loaded[so_path] = _load(so_path)
+        return loaded, None
+    except (OSError, AttributeError) as exc:
         _LOAD_ERRORS.inc()
-        return None, f"freshly built kernel failed to load: {exc}"
+        return None, f"freshly built executor failed to load: {exc}"

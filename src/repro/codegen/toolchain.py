@@ -40,7 +40,7 @@ class Toolchain:
     fingerprint: str
 
     def compile_command(self, source: str, output: str) -> list[str]:
-        """The shared-object build line for one generated kernel."""
+        """The shared-object build line for the native executor."""
         return [self.cc, "-O2", "-std=c99", "-shared", "-fPIC",
                 source, "-o", output]
 

@@ -37,8 +37,9 @@ class SynthesisOptions:
     the artifacts on the design; ``"interpreted"`` is the cycle-by-cycle
     oracle; ``"vector"`` executes the lowered table as level-grouped
     ndarray kernels (and batches multi-seed verification into one pass);
-    ``"native"`` compiles those kernels to a cached per-design C kernel
-    and degrades to the vector paths when no C toolchain is available.
+    ``"native"`` runs those kernels on one shared C executor, compiled
+    once per toolchain and cached, and degrades to the vector paths when
+    no C toolchain is available.
     It does not influence *which* design is synthesized, so it is
     deliberately **not** part of :meth:`to_dict` (and therefore not part of
     the design-cache key).

@@ -16,27 +16,26 @@ everything from the system and the (T, S) assignments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from repro.core.cache import system_fingerprint
 from repro.core.design import Design
 from repro.deps.extract import system_dependence_matrices
 from repro.ir.evaluate import (
     build_execution_plan,
     execute_plan,
+    structural_trace,
     trace_execution,
 )
-from repro.ir.vector import execute_program, lower_plan
+from repro.ir.vector import HostGather, execute_gathered, lower_plan
 from repro.machine.compiled import lower
 from repro.machine.engines import ENGINES as _ENGINES
 from repro.machine.engines import Engine, coerce_engine
 from repro.machine.errors import CapacityError
 from repro.machine.microcode import compile_design
-from repro.machine.native import nativize
+from repro.machine.native import native_code, native_pass, nativize
 from repro.machine.simulator import MachineStats, run
 from repro.machine.vector import vectorize
 from repro.space.allocation import conflict_free, flows_realisable
@@ -161,22 +160,6 @@ def _verify_looped(design: Design, report: VerificationReport, decomposer,
         _check_results(report, machine.results, trace.results, prefix)
 
 
-def design_token(design: Design) -> str:
-    """Stable content identity of a design for artifact caching.
-
-    Canonical JSON over the *structural fingerprint* of the recurrence
-    system (:func:`repro.core.cache.system_fingerprint` — two same-named
-    systems with different equations must not collide) plus the design's
-    own serialisation.  The native engine keys its compiled shared
-    objects on this, which is what lets a warm ``verify_design(...,
-    engine="native")`` skip both codegen and the C compiler.
-    """
-    return json.dumps(
-        {"system": system_fingerprint(design.system),
-         "design": design.to_dict()},
-        sort_keys=True, separators=(",", ":"))
-
-
 def _verify_batched(design: Design, report: VerificationReport, decomposer,
                     cache, input_sets, prefixes,
                     strict_capacity: bool, engine: str) -> None:
@@ -184,14 +167,15 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
     machine alike (the vector and native engines); per-seed mismatches
     are reported with their prefix.
 
-    Only the output columns are compared — no per-seed trace or result
-    dict is materialized, so the whole batch costs two kernel passes plus
-    one array comparison.  ``engine="native"`` runs the machine pass
-    through the design-keyed compiled C kernel
-    (:func:`repro.machine.native.nativize`) and degrades to the vector
-    pass wherever the native kernel cannot run."""
+    One shared gather evaluates every distinct host fetch once per seed
+    for both passes.  Only the output columns are compared — no per-seed
+    trace or result dict is materialized, so the whole batch costs two
+    level passes plus one array comparison.  ``engine="native"`` runs
+    both passes on the shared C executor (:mod:`repro.machine.native`)
+    and degrades to the vector pass wherever it cannot run."""
     if not input_sets:
         return
+    native = engine == "native"
     with STATS.stage("verify.reference"):
         plan = cache.get("plan")
         if plan is None:
@@ -200,28 +184,46 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
         vplan = cache.get("vplan")
         if vplan is None:
             vplan = cache["vplan"] = lower_plan(plan)
-        ref_matrix = execute_program(vplan, input_sets)
     try:
         with STATS.stage("verify.compile"):
-            slot = "nmachine" if engine == "native" else "vmachine"
+            slot = "nmachine" if native else "vmachine"
             vmachine = cache.get(slot)
             if vmachine is None:
                 lowered = cache.get("machine")
                 if lowered is None:
-                    trace = execute_plan(plan, input_sets[0])
+                    trace = structural_trace(design.system, design.params,
+                                             plan)
                     mc = compile_design(trace, design.schedules,
                                         design.space_maps, decomposer)
                     lowered = cache["machine"] = lower(mc, trace)
-                if engine == "native":
-                    vmachine = cache[slot] = nativize(
-                        lowered, cache_token=design_token(design))
-                else:
-                    vmachine = cache[slot] = vectorize(lowered)
-        with STATS.stage("verify.machine"):
+                vmachine = cache[slot] = (nativize(lowered) if native
+                                          else vectorize(lowered))
             compiled = vmachine.compiled
             if strict_capacity and compiled.strict_error is not None:
                 raise CapacityError(compiled.strict_error)
-            mach_matrix = vmachine.execute_batch(input_sets)
+            ref_pass = None
+            if native:
+                ref_native = cache.get("vplan.native")
+                if ref_native is None:
+                    ref_native = cache["vplan.native"] = native_code(vplan)
+                executor, code, _ = ref_native
+                if code is not None:
+                    ref_pass = native_pass(executor, code)
+    except Exception as exc:  # machine errors are design failures
+        report.machine_matches_reference = False
+        report.failures.append(
+            f"{prefixes[0]}machine: {type(exc).__name__}: {exc}")
+        return
+    gather = cache.get(slot + ".gather")
+    if gather is None:
+        gather = cache[slot + ".gather"] = HostGather(
+            (vplan, vmachine.program))
+    host = gather.collect(input_sets)
+    with STATS.stage("verify.reference"):
+        ref_matrix = execute_gathered(vplan, host, 0, ref_pass)
+    try:
+        with STATS.stage("verify.machine"):
+            mach_matrix = vmachine.execute_gathered(host, 1)
             stats = compiled.copy_stats()
             _annotate_machine(stats)
     except Exception as exc:  # machine errors are design failures
@@ -235,14 +237,13 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
              for host_key, nid in plan.outputs]
     eq = (ref_matrix[:, [nid for _, nid, _ in pairs]]
           == mach_matrix[:, [vid for _, _, vid in pairs]])
-    for s, prefix in enumerate(prefixes):
-        if bool(np.all(eq[s])):
-            continue
+    seed_ok = np.asarray(eq.all(axis=1), dtype=bool)
+    for s in np.flatnonzero(~seed_ok).tolist():
         report.machine_matches_reference = False
         diffs = [host_key
                  for (host_key, _, _), ok in zip(pairs, eq[s]) if not ok]
-        report.failures.append(
-            f"{prefix}machine results differ from reference at {diffs[:5]}")
+        report.failures.append(f"{prefixes[s]}machine results differ "
+                               f"from reference at {diffs[:5]}")
 
 
 def verify_design(design: Design, inputs,
@@ -263,19 +264,21 @@ def verify_design(design: Design, inputs,
     additionally lowers the cached plan and machine table to level-grouped
     ndarray kernels (:mod:`repro.ir.vector`), so each value pass is a
     handful of array operations instead of one Python iteration per node.
-    ``engine="native"`` compiles those kernel groups to a per-design C
-    kernel (:mod:`repro.machine.native`) keyed by :func:`design_token` in
-    a persistent shared-object cache — a warm verification skips both
-    codegen and the C compiler — and degrades to the vector paths when no
-    toolchain is present or inputs leave exact int64 range.
+    ``engine="native"`` encodes those kernel groups, for the reference
+    plan and the machine alike, as instruction streams for one C executor
+    (:mod:`repro.machine.native`) that is compiled once per toolchain and
+    kept in a persistent shared-object cache — no design compiles code of
+    its own — and degrades to the vector paths when no toolchain is
+    present or inputs leave exact int64 range.
 
     ``seeds`` turns one verification into a multi-seed cross-check: pass a
     sequence of seeds and make ``inputs`` a factory ``seed -> input
     mapping``.  Every seed's machine results are compared to its own
     reference run; failures are prefixed with the offending seed.  The
-    vector engine runs *all* seeds through a single batched kernel pass on
-    ``(seeds, nodes)`` arrays — multi-seed verification at roughly the cost
-    of one execution; the other engines loop.
+    vector and native engines run *all* seeds through a single batched
+    pass on ``(seeds, nodes)`` arrays, with each host input evaluated
+    once per seed for both passes — multi-seed verification at roughly
+    the cost of one execution; the other engines loop.
     """
     engine = coerce_engine(engine)
     report = VerificationReport()

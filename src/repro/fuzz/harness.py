@@ -18,10 +18,9 @@ Stages, in order, with the outcome taxonomy each can produce:
 6. **engines** — every engine runs the compiled design; each must
    reproduce the oracle's values exactly *and* emit the byte-identical
    canonical event stream (``canonical_order`` then JSONL).
-   ``native=True`` adds the C-kernel engine to the comparison set (off by
-   default so fuzz throughput does not pay a per-case ``cc`` invocation;
-   a missing toolchain degrades it to the vector paths, which still
-   cross-checks dispatch).
+   ``native=True`` adds the C-executor engine to the comparison set (off
+   by default to keep fuzz throughput; a missing toolchain degrades it to
+   the vector paths, which still cross-checks dispatch).
 7. **pipeline** (on by default, ``pipeline=False`` opts out) — the fourth
    comparison point: the case is round-tripped *again* through the pass
    pipeline from its high-level spec (exercising the ``decompose-chains``

@@ -160,8 +160,8 @@ def fuzz(max_examples: int = 100, budget: float = 60.0, seed: int = 0,
     ``corpus_dir`` (unless ``None``) and reported in the returned
     :class:`FuzzReport`.  ``pipeline=False`` skips the pass-pipeline
     fourth comparison point of each case (faster, less coverage);
-    ``native=True`` adds the C-kernel engine to every case's engine
-    cross-check (slower per case — a ``cc`` run per distinct design).
+    ``native=True`` adds the C-executor engine to every case's engine
+    cross-check (slower per case — one more engine to run).
     """
     _require_hypothesis()
     started = time.monotonic()

@@ -73,7 +73,7 @@ def make_op(name: str, arity: int, fn: Callable,
     (see :func:`repro.ir.vector.fused_int_kernel` for composing one);
     ``components`` records the ``(h, f)`` pair of an accumulator
     composite so structural backends (the rewrite patterns, the native
-    C emitter) can recover the exact semantics of the lambda."""
+    C executor encoding) can recover the exact semantics of the lambda."""
     return Op(name, arity, fn, int_kernel, components)
 
 

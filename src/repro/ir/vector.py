@@ -37,6 +37,11 @@ value-identical to the interpreter oracle):
   exact per-element Python semantics of the interpreter, minus the
   per-node dispatch loop.
 
+Host inputs are gathered once per batch (:class:`HostGather`): each
+distinct ``(input name, index)`` is evaluated once per seed, type-checked
+once, and scattered into the value matrix of every program that reads it
+— also into the object matrices of a fallback, so no callable runs twice.
+
 Kernel-level work reports through the span tracer as ``vector.lower``
 (level/group construction), ``vector.gather`` (host input fills) and
 ``vector.exec`` (the kernel pass), with ``vector.kernels`` /
@@ -45,7 +50,8 @@ Kernel-level work reports through the span tracer as ``vector.lower``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -114,7 +120,7 @@ _INT_KERNELS: dict[Op, tuple[Callable, Callable]] = {
 
 #: Canonical exact-semantics tag per stock op — the shared vocabulary of
 #: every backend that re-implements the checked int64 repertoire (the C
-#: codegen layer keys its emitters on these).  ``min_plus`` is semantically
+#: native executor's encoding keys on these).  ``min_plus`` is semantically
 #: plain addition, so it shares the ``add`` tag.
 _EXACT_OPCODES: dict[Op, tuple[Callable, str]] = {
     IDENTITY: (IDENTITY.fn, "id"),
@@ -133,8 +139,8 @@ def exact_opcode(op: Op) -> str | None:
     Returns ``"id"``/``"add"``/``"mul"``/``"min"``/``"max"``/``"mac"`` when
     ``op`` is one of the stock operations (fn identity checked, exactly as
     the fast-path kernel table does), ``None`` otherwise.  Composite
-    accumulator ops are *not* resolved here — walk ``op.components``
-    recursively (what :mod:`repro.codegen.emit` does).
+    accumulator ops are *not* resolved here — look at ``op.components``
+    (what :func:`repro.codegen.encode_program` does).
     """
     entry = _EXACT_OPCODES.get(op)
     if entry is None or entry[0] is not op.fn:
@@ -162,14 +168,18 @@ def fused_int_kernel(h: Op, f: Op) -> Callable | None:
     return kernel
 
 
-def _is_exact_int(value: object) -> bool:
-    """Values the int64 path may hold without changing semantics.
+def _exact_int_type(kind: type) -> bool:
+    """Types whose values the int64 path may hold without changing
+    semantics.
 
     ``bool`` is excluded: ``min``/``max`` of bools returns a bool in the
     interpreter but an integer from ``np.minimum`` — exactness first.
     """
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool))
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _is_exact_int(value: object) -> bool:
+    return _exact_int_type(type(value))
 
 
 # -- the lowered program ------------------------------------------------------
@@ -202,6 +212,8 @@ class VectorProgram:
     groups: list[KernelGroup]                 # level-ascending, inputs first
     level_count: int
     int_ok: bool                              # every compute op has a kernel
+    _gather: "HostGather | None" = field(default=None, repr=False,
+                                         compare=False)
 
     def kernel_schedule(self) -> "list[KernelGroup]":
         """The level-group execution schedule, in the order the kernel pass
@@ -212,11 +224,17 @@ class VectorProgram:
         and rewrites always land strictly above their readers), so a
         backend may execute a level's groups — and the elements within a
         group — in any order, or sequentially in place.  This is the
-        reusable codegen source: :mod:`repro.codegen.emit` walks it to
-        build the per-level loops of the native C kernel, and
+        shared execution source: :func:`repro.codegen.encode_program`
+        walks it to build the native executor's instruction stream, and
         :func:`execute_program` walks it with ndarray kernels.
         """
         return list(self.groups)
+
+    def gather(self) -> "HostGather":
+        """This program's own host gather (built once, then reused)."""
+        if self._gather is None:
+            self._gather = HostGather((self,))
+        return self._gather
 
     def stats(self) -> dict[str, int]:
         """Level/group shape of the lowered program (for reports/tests)."""
@@ -346,7 +364,7 @@ def note_int64_fallback(reason: str) -> None:
     """Count an int64 → object-array fallback and warn once per process.
 
     Shared by every backend that mirrors the fast path's semantics (the
-    vector engine here, the native C kernels in
+    vector engine here, the native C executor in
     :mod:`repro.machine.native`): the ``vector.int64_fallbacks`` counter
     makes the perf cliff visible in ``--stats``, and the first occurrence
     raises a :class:`RuntimeWarning` naming the cause.
@@ -364,49 +382,112 @@ def note_int64_fallback(reason: str) -> None:
             RuntimeWarning, stacklevel=3)
 
 
-def fill_inputs(program: VectorProgram, values: np.ndarray,
-                input_sets: Sequence[Mapping[str, Callable]],
-                int_mode: bool) -> None:
-    """Evaluate every host-input fetch into the ``(seeds, nodes)`` value
-    matrix — the gather phase shared by the ndarray and native backends.
+@dataclass
+class HostValues:
+    """One batch of host input values, evaluated once per seed.
 
-    With ``int_mode`` a non-integer input raises :class:`IntegerFallback`
-    (and an int too wide for int64 raises ``OverflowError`` from the
-    assignment), so callers on the fast path fall back before any kernel
-    runs.
+    ``rows[s]`` holds seed ``s``'s values in gather-column order.  ``ints``
+    is the same batch as an int64 ``(seeds, columns)`` matrix when every
+    value is an exact integer that fits; otherwise it is ``None`` and
+    ``reason`` says why, and every pass runs on the object path.
     """
-    for group in program.groups:
-        if group.kind != "input":
-            continue
-        name = group.input_name
-        pairs = tuple(zip(group.dst_py, group.indices))
-        for s, bindings in enumerate(input_sets):
-            fn = bindings[name]
-            row = values[s]
-            if int_mode:
-                for dst, idx in pairs:
-                    value = fn(*idx)
-                    if not _is_exact_int(value):
-                        raise IntegerFallback(
-                            f"input {name!r} produced non-integer "
-                            f"{type(value).__name__}")
-                    row[dst] = value
+
+    rows: list[list]
+    ints: np.ndarray | None
+    reason: str | None
+    targets: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def matrix(self, slot: int, node_count: int, int_mode: bool
+               ) -> np.ndarray:
+        """A fresh ``(seeds, node_count)`` value matrix for program
+        ``slot`` of the gather, with its input slots filled."""
+        dst, cols = self.targets[slot]
+        seeds = len(self.rows)
+        if int_mode:
+            values = np.zeros((seeds, node_count), dtype=np.int64)
+            values[:, dst] = self.ints[:, cols]
+            return values
+        values = np.empty((seeds, node_count), dtype=object)
+        pairs = tuple(zip(dst.tolist(), cols.tolist()))
+        for out, row in zip(values, self.rows):
+            for at, col in pairs:
+                out[at] = row[col]
+        return values
+
+
+class HostGather:
+    """The host fetches of one or more programs, deduplicated.
+
+    Each distinct ``(input name, index)`` is one gather column, so a check
+    that runs a reference and a machine program over the same inputs
+    evaluates every host callable once per seed, not once per program.
+    """
+
+    def __init__(self, programs: Sequence[VectorProgram]):
+        columns: dict[tuple[str, tuple[int, ...]], int] = {}
+        by_name: dict[str, list[tuple[int, ...]]] = {}
+        targets = []
+        for program in programs:
+            dst: list[int] = []
+            cols: list[int] = []
+            for group in program.groups:
+                if group.kind != "input":
+                    continue
+                name = group.input_name
+                for at, idx in zip(group.dst_py, group.indices):
+                    col = columns.get((name, idx))
+                    if col is None:
+                        col = columns[(name, idx)] = len(columns)
+                        by_name.setdefault(name, []).append(idx)
+                    dst.append(at)
+                    cols.append(col)
+            targets.append((np.asarray(dst, dtype=np.intp),
+                            np.asarray(cols, dtype=np.intp)))
+        # Columns are re-numbered name by name, the order calls run in.
+        self.fetches = tuple(sorted(by_name.items()))
+        order = [columns[(name, idx)]
+                 for name, idxs in self.fetches for idx in idxs]
+        renumber = np.empty(len(order), dtype=np.intp)
+        renumber[order] = np.arange(len(order), dtype=np.intp)
+        self.names = [name for name, idxs in self.fetches for _ in idxs]
+        self.targets = tuple((dst, renumber[cols]) for dst, cols in targets)
+
+    def collect(self, input_sets: Sequence[Mapping[str, Callable]]
+                ) -> HostValues:
+        """Call every host fetch once per binding set and type-check the
+        batch for the int64 path (same rule as :func:`_is_exact_int`)."""
+        with STATS.stage("vector.gather"):
+            rows = []
+            for bindings in input_sets:
+                row: list = []
+                for name, idxs in self.fetches:
+                    row.extend(starmap(bindings[name], idxs))
+                rows.append(row)
+            kinds: set[type] = set()
+            for row in rows:
+                kinds.update(map(type, row))
+            bad = [kind for kind in kinds if not _exact_int_type(kind)]
+            ints = reason = None
+            if bad:
+                row = next(r for r in rows
+                           if not all(map(_is_exact_int, r)))
+                col = next(c for c, v in enumerate(row)
+                           if not _is_exact_int(v))
+                reason = (f"input {self.names[col]!r} produced non-integer "
+                          f"{type(row[col]).__name__}")
             else:
-                for dst, idx in pairs:
-                    row[dst] = fn(*idx)
+                try:
+                    ints = np.array(rows, dtype=np.int64).reshape(
+                        len(rows), len(self.names))
+                except OverflowError as exc:  # an int too wide for int64
+                    reason = str(exc) or "OverflowError"
+        return HostValues(rows, ints, reason, self.targets)
 
 
-def _execute(program: VectorProgram,
-             input_sets: Sequence[Mapping[str, Callable]],
-             dtype) -> np.ndarray:
-    int_mode = dtype is not object
-    if int_mode:
-        values = np.zeros((len(input_sets), program.node_count),
-                          dtype=np.int64)
-    else:
-        values = np.empty((len(input_sets), program.node_count), dtype=object)
-    with STATS.stage("vector.gather"):
-        fill_inputs(program, values, input_sets, int_mode)
+def _run_levels(program: VectorProgram, values: np.ndarray,
+                int_mode: bool = True) -> None:
+    """Every copy/compute level of ``program`` over ``values`` in place;
+    the int64 kernels raise :class:`IntegerFallback` on overflow."""
     with STATS.stage("vector.exec"):
         kernels = 0
         for group in program.groups:
@@ -420,6 +501,33 @@ def _execute(program: VectorProgram,
                 values[:, group.dst] = kernel(*cols)
             kernels += 1
         _KERNELS.inc(kernels)
+
+
+def execute_gathered(program: VectorProgram, host: HostValues,
+                     slot: int = 0,
+                     int_pass: Callable | None = None) -> np.ndarray:
+    """Run ``program`` (gather slot ``slot``) over already-gathered host
+    values; the dense ``(seeds, node_count)`` value matrix comes back
+    int64 when the fast path held, object otherwise.
+
+    ``int_pass(program, values)`` runs the levels over the int64 matrix in
+    place and raises :class:`IntegerFallback` on overflow — the ndarray
+    kernels by default, the native executor when the caller has one.  The
+    fallback is transparent and reuses the gathered values: no host
+    callable runs twice.
+    """
+    if program.int_ok:
+        if host.ints is None:
+            note_int64_fallback(host.reason)
+        else:
+            values = host.matrix(slot, program.node_count, int_mode=True)
+            try:
+                (int_pass or _run_levels)(program, values)
+                return values
+            except (IntegerFallback, OverflowError) as exc:
+                note_int64_fallback(str(exc) or type(exc).__name__)
+    values = host.matrix(slot, program.node_count, int_mode=False)
+    _run_levels(program, values, int_mode=False)
     return values
 
 
@@ -431,15 +539,9 @@ def execute_program(program: VectorProgram,
     Returns the dense ``(len(input_sets), node_count)`` value matrix —
     int64 when the fast path held, object otherwise.  The fallback is
     transparent: overflow or non-integer inputs simply rerun the pass on
-    object arrays (host input callables are invoked again).
+    object arrays.
     """
-    if program.int_ok:
-        try:
-            return _execute(program, input_sets, np.int64)
-        except (IntegerFallback, OverflowError) as exc:
-            # OverflowError: a Python int too wide for an int64 slot.
-            note_int64_fallback(str(exc) or type(exc).__name__)
-    return _execute(program, input_sets, object)
+    return execute_gathered(program, program.gather().collect(input_sets))
 
 
 # -- the ExecutionPlan front end ---------------------------------------------

@@ -25,8 +25,8 @@ class Engine(str, Enum):
       other engine is checked against.
     * ``VECTOR`` — execute the lowered table as level-grouped ndarray
       kernels; batches multi-seed verification into one pass.
-    * ``NATIVE`` — emit, compile and cache a per-design C kernel over the
-      level-grouped table; falls back to the vector engine when no C
+    * ``NATIVE`` — run the level-grouped table, encoded as data, on one C
+      executor compiled once per toolchain and cached; falls back to the vector engine when no C
       toolchain is present or inputs leave exact int64 range.
     """
 
@@ -54,7 +54,7 @@ ENGINE_DESCRIPTIONS: dict[str, str] = {
         "level-grouped ndarray kernels; batches multi-seed runs into one "
         "pass",
     Engine.NATIVE.value:
-        "per-design C kernel compiled with the system toolchain and "
+        "one C executor compiled once with the system toolchain and "
         "cached; falls back to 'vector' without a compiler or for "
         "Fraction/bignum inputs",
 }

@@ -2,18 +2,20 @@
 
 The fourth rung of the engine ladder.  The vector engine already reduced a
 compiled machine's operation table to level-grouped kernels over a dense
-``(seeds, nodes)`` value matrix; this module hands the *same* schedule
-(:meth:`~repro.ir.vector.VectorProgram.kernel_schedule`) to
-:mod:`repro.codegen`, which emits a per-design C kernel, compiles it with
-the system toolchain and content-addresses the shared object — so a warm
-run skips both codegen and the compiler and goes straight to ``dlopen``.
+``(seeds, nodes)`` value matrix; this module encodes the *same* schedule
+(:meth:`~repro.ir.vector.VectorProgram.kernel_schedule`) as an ``int32``
+instruction stream (:func:`~repro.codegen.encode_program`) and runs it on
+the one precompiled C executor of :mod:`repro.codegen` — compiled once
+per toolchain and content-addressed, so no design ever waits on ``cc``
+after the first.
 
 Division of labour per execution:
 
 * Python runs the gather phase (host input callables are arbitrary Python)
-  into the int64 value matrix via :func:`~repro.ir.vector.fill_inputs`;
-* the C kernel runs every copy/compute level in place over that matrix,
-  with the exact checked-overflow semantics of the ndarray fast path;
+  once per batch via :class:`~repro.ir.vector.HostGather`;
+* the C executor runs every copy/compute level in place over the int64
+  value matrix, with the exact checked-overflow semantics of the ndarray
+  fast path;
 * the compiled machine supplies everything value-independent — statistics,
   strict capacity errors, the structural event stream, result keying.
 
@@ -33,16 +35,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.codegen.build import NativeKernel, load_or_build
-from repro.codegen.emit import emit_kernel
+from repro.codegen.build import NativeExecutor, load_or_build
+from repro.codegen.executor import UnsupportedForNative, encode_program
 from repro.ir.evaluate import SystemTrace
 from repro.ir.vector import (
+    HostValues,
     IntegerFallback,
     VectorProgram,
-    _execute as _execute_typed,
-    execute_program,
-    fill_inputs,
-    note_int64_fallback,
+    execute_gathered,
 )
 from repro.machine.compiled import CompiledMachine, lower
 from repro.machine.errors import CapacityError
@@ -59,18 +59,53 @@ _OVERFLOW_FALLBACKS = STATS.metrics.counter("native.overflow_fallbacks")
 _FALLBACK_BUILDS = STATS.metrics.counter("native.fallback_builds")
 
 
+def native_code(program: VectorProgram, cache_dir=None) -> tuple:
+    """``(executor, code, None)`` when ``program`` can run natively here,
+    else ``(None, None, reason)``."""
+    if not program.int_ok:
+        return None, None, ("program contains ops without exact int64 "
+                            "kernels; running on the vector engine")
+    try:
+        with STATS.stage("native.encode"):
+            code = encode_program(program)
+    except UnsupportedForNative as exc:
+        return None, None, str(exc)
+    executor, reason = load_or_build(cache_dir=cache_dir)
+    if executor is None:
+        return None, None, reason
+    return executor, code, None
+
+
+def native_pass(executor: NativeExecutor, code: np.ndarray,
+                on_overflow: "Callable[[], None] | None" = None) -> Callable:
+    """An ``int_pass`` for :func:`~repro.ir.vector.execute_gathered` that
+    runs ``code`` on the executor; ``on_overflow`` counts a fallback."""
+    def run(program: VectorProgram, values: np.ndarray) -> None:
+        with STATS.stage("native.exec"):
+            rc = executor.run(values, code)
+        if rc == 1:
+            if on_overflow is not None:
+                on_overflow()
+            raise IntegerFallback("int64 overflow in native kernel")
+        if rc != 0:
+            raise RuntimeError(
+                f"native executor rejected the code stream (status {rc})")
+    return run
+
+
 @dataclass
 class NativeMachine:
-    """A compiled machine plus (when buildable here) its C kernel.
+    """A compiled machine plus (when runnable here) its encoded program.
 
-    Always constructible: ``kernel is None`` means every execution takes
+    Always constructible: ``code is None`` means every execution takes
     the vector path and ``fallback_reason`` says why — callers never need
     to probe the toolchain themselves.
     """
 
     compiled: CompiledMachine
     program: VectorProgram
-    kernel: "NativeKernel | None"
+    executor: "NativeExecutor | None"
+    code: "np.ndarray | None"
     fallback_reason: "str | None" = None
 
     def execute(self, inputs: Mapping[str, Callable],
@@ -95,71 +130,47 @@ class NativeMachine:
 
     def execute_batch(self, input_sets: Sequence[Mapping[str, Callable]],
                       ) -> np.ndarray:
-        """The raw ``(seeds, value_count)`` matrix of one batched pass.
+        """The raw ``(seeds, value_count)`` matrix of one batched pass."""
+        return self.execute_gathered(
+            self.program.gather().collect(input_sets))
 
-        Gather in Python, value levels in C; any reason the C kernel
-        cannot run this batch exactly drops to the vector engine's
-        equivalent path (counted, and warned once via the shared int64
-        fallback channel).
-        """
-        kernel = self.kernel
-        if kernel is None:
+    def execute_gathered(self, host: HostValues, slot: int = 0,
+                         ) -> np.ndarray:
+        """One batched pass over host values gathered for gather slot
+        ``slot``.  Value levels run in C; any reason the executor cannot
+        run this batch exactly drops to the vector engine's equivalent
+        path (counted, and warned once via the shared int64 fallback
+        channel)."""
+        if self.code is None:
             _VECTOR_FALLBACKS.inc()
-            return execute_program(self.program, input_sets)
-        values = np.zeros((len(input_sets), self.program.node_count),
-                          dtype=np.int64)
-        try:
-            with STATS.stage("vector.gather"):
-                fill_inputs(self.program, values, input_sets, int_mode=True)
-        except (IntegerFallback, OverflowError) as exc:
-            note_int64_fallback(str(exc) or type(exc).__name__)
+            return execute_gathered(self.program, host, slot)
+        if host.ints is None:
             _INPUT_FALLBACKS.inc()
-            return _execute_typed(self.program, input_sets, object)
-        with STATS.stage("native.exec"):
-            rc = kernel.run(values)
-        if rc != 0:
-            note_int64_fallback("int64 overflow in native kernel")
-            _OVERFLOW_FALLBACKS.inc()
-            return _execute_typed(self.program, input_sets, object)
-        return values
+        return execute_gathered(
+            self.program, host, slot,
+            native_pass(self.executor, self.code, _OVERFLOW_FALLBACKS.inc))
 
 
-def nativize(compiled: CompiledMachine,
-             cache_token: "str | None" = None,
-             cache_dir=None) -> NativeMachine:
-    """Lower a compiled machine's table to kernel groups and attach the
-    C kernel for them, through the content-addressed artifact cache.
-
-    ``cache_token`` keys the artifact by an externally stable identity
-    (the verification path passes the design token) so a warm run skips
-    codegen entirely; without it the emitted source is the key, which
-    still skips the compiler.
-    """
-    vm = vectorize(compiled)
-    program = vm.program
-    kernel = None
-    reason: "str | None" = None
-    if program.int_ok:
-        kernel, reason = load_or_build(
-            lambda: emit_kernel(program),
-            key_material=cache_token, cache_dir=cache_dir)
-    else:
-        reason = ("program contains ops without exact int64 kernels; "
-                  "running on the vector engine")
-    if kernel is None:
+def nativize(compiled: CompiledMachine, cache_dir=None) -> NativeMachine:
+    """Lower a compiled machine's table to kernel groups and encode them
+    for the shared native executor (built on first use through the
+    content-addressed artifact cache)."""
+    program = vectorize(compiled).program
+    executor, code, reason = native_code(program, cache_dir)
+    if code is None:
         _FALLBACK_BUILDS.inc()
     return NativeMachine(compiled=compiled, program=program,
-                         kernel=kernel, fallback_reason=reason)
+                         executor=executor, code=code,
+                         fallback_reason=reason)
 
 
 def lower_native(mc: Microcode, trace: SystemTrace,
                  reclaim_registers: bool = True,
                  record_events: bool = False,
-                 cache_token: "str | None" = None,
                  cache_dir=None) -> NativeMachine:
-    """Microcode → compiled lowering → kernel groups → C kernel."""
+    """Microcode → compiled lowering → kernel groups → encoded program."""
     return nativize(lower(mc, trace, reclaim_registers, record_events),
-                    cache_token=cache_token, cache_dir=cache_dir)
+                    cache_dir=cache_dir)
 
 
 def run_native(mc: Microcode, trace: SystemTrace,

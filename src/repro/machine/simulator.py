@@ -127,8 +127,8 @@ def run(mc: Microcode, trace: SystemTrace,
     microcode to integer-indexed form first
     (:mod:`repro.machine.compiled`); ``"vector"`` additionally partitions
     the lowered operation table into level-grouped ndarray kernels
-    (:mod:`repro.machine.vector`); ``"native"`` compiles those kernel
-    groups to a cached per-design C kernel
+    (:mod:`repro.machine.vector`); ``"native"`` encodes those kernel
+    groups for one shared, cached C executor
     (:mod:`repro.machine.native`), degrading to the vector paths when no
     C toolchain is available.  All four produce identical output.
 

@@ -24,7 +24,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.ir.evaluate import SystemTrace
-from repro.ir.vector import VectorProgram, build_program, execute_program
+from repro.ir.vector import (
+    HostValues,
+    VectorProgram,
+    build_program,
+    execute_gathered,
+    execute_program,
+)
 from repro.machine.compiled import CompiledMachine, lower
 from repro.machine.errors import CapacityError
 from repro.machine.microcode import Microcode
@@ -73,6 +79,13 @@ class VectorMachine:
         per seed.
         """
         return execute_program(self.program, input_sets)
+
+    def execute_gathered(self, host: HostValues, slot: int = 0,
+                         ) -> np.ndarray:
+        """One batched pass over host values gathered for gather slot
+        ``slot`` (batched verification shares one gather between the
+        reference and the machine)."""
+        return execute_gathered(self.program, host, slot)
 
 
 def vectorize(compiled: CompiledMachine) -> VectorMachine:

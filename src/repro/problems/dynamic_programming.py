@@ -62,7 +62,7 @@ def fused_accumulate(h: Op, f: Op) -> Op:
     When both components are stock ops the fused op also carries the
     composed exact int64 kernel, so the vector engine keeps DP workloads
     on the array fast path instead of calling the lambda per element; the
-    recorded ``components`` let the native C emitter do the same.
+    recorded ``components`` let the native executor encoding do the same.
     """
     return make_op(f"{h.name}_after_{f.name}", 3,
                    lambda prev, x, y: h.fn(prev, f.fn(x, y)),

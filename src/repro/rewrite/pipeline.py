@@ -26,11 +26,12 @@ The historical one-shot ``synthesize`` body is re-expressed as:
 the registry but *not* part of :func:`default_pipeline`: merging duplicate
 carrier chains changes the synthesized design, which callers opt into via
 ``default_pipeline().with_pass(make_pass("cse"), after="fuse-accumulators")``.
-``lower-native`` is likewise registry-only: it pre-builds the design's
-native C kernel (``engine="native"``) through the content-addressed
-artifact cache so later verification starts warm — a deployment step, not
-part of the synthesis contract, and a no-op fallback without a C
-toolchain.
+``lower-native`` is likewise registry-only: it encodes the design's
+machine program for the shared native executor (``engine="native"``),
+building that executor through the content-addressed artifact cache if
+this process has not loaded it yet, so later verification starts warm — a
+deployment step, not part of the synthesis contract, and a no-op fallback
+without a C toolchain.
 """
 
 from __future__ import annotations
@@ -295,16 +296,14 @@ class LowerMicrocodePass(Pass):
 
 class LowerNativePass(Pass):
     name = "lower-native"
-    description = ("emit, compile and cache the design's native C kernel "
-                   "(content-addressed by design token; degrades to the "
-                   "vector engine without a C toolchain; opt-in)")
+    description = ("encode the design's machine program for the shared "
+                   "native C executor (compiled once per toolchain; "
+                   "degrades to the vector engine without one; opt-in)")
 
     def run(self, state: PipelineState) -> PipelineState:
         design = state.require("design", "lower-microcode")
         microcode = state.require("microcode", "lower-microcode")
-        # Local imports: core.verify imports this module's package at
-        # load time, so the dependency must stay run-time only.
-        from repro.core.verify import design_token
+        # Local imports keep the machine layer a run-time dependency.
         from repro.machine.compiled import lower
         from repro.machine.native import nativize
 
@@ -314,10 +313,9 @@ class LowerNativePass(Pass):
             trace = structural_trace(design.system, dict(design.params))
             lowered = cache["machine"] = lower(microcode, trace)
         # Primes the same slot verify_design(engine="native") reads, so
-        # verification after this pass starts warm — kernel already
-        # compiled (or its .so already on disk from an earlier process).
-        cache["nmachine"] = nativize(lowered,
-                                     cache_token=design_token(design))
+        # verification after this pass starts warm — program encoded and
+        # the executor loaded (compiled, or found on disk).
+        cache["nmachine"] = nativize(lowered)
         return state
 
 

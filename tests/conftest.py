@@ -39,6 +39,19 @@ def _isolated_design_cache(tmp_path_factory):
         os.environ["REPRO_DESIGN_CACHE"] = old
 
 
+@pytest.fixture(autouse=True)
+def _int64_fallback_warns_every_test(monkeypatch):
+    """Re-arm the once-per-process int64 fallback warning for each test.
+
+    ``RuntimeWarning`` is an error in this suite, so every test that takes
+    the fallback on purpose must say so with a ``filterwarnings`` mark —
+    and which one fails must not depend on test order.
+    """
+    from repro.ir import vector
+
+    monkeypatch.setattr(vector, "_fallback_warned", False)
+
+
 @pytest.fixture(scope="session")
 def dp_sys():
     return dp_system()

@@ -38,6 +38,11 @@ from repro.ir.vector import (
     fused_int_kernel,
 )
 
+#: Deliberate fallbacks raise the one-time int64 fallback RuntimeWarning,
+#: which this suite otherwise treats as an error.
+expected_fallback = pytest.mark.filterwarnings(
+    "ignore:exact int64 fast path:RuntimeWarning")
+
 I = var("i")
 
 
@@ -102,6 +107,7 @@ class TestDtypePolicy:
         assert res[(10,)] == 55
         assert type(res[(10,)]) is int
 
+    @expected_fallback
     def test_fraction_inputs_fall_back_to_object(self):
         plan = build_execution_plan(fib_system(), {})
         inputs = {"seed": lambda i: Fraction(1, 3)}
@@ -110,6 +116,7 @@ class TestDtypePolicy:
         assert_traces_equal(got, want)
         assert isinstance(got.results[(10,)], Fraction)
 
+    @expected_fallback
     def test_huge_ints_overflow_to_object_path(self):
         plan = build_execution_plan(fib_system(), {})
         inputs = {"seed": lambda i: 2**62}
@@ -118,6 +125,7 @@ class TestDtypePolicy:
         assert got.results == want.results
         assert got.results[(10,)] == 55 * 2**62     # exceeds int64
 
+    @expected_fallback
     def test_input_wider_than_int64_falls_back(self):
         plan = build_execution_plan(fib_system(), {})
         inputs = {"seed": lambda i: 2**100}
@@ -186,6 +194,7 @@ class TestDtypePolicy:
         binary = fused_int_kernel(MIN, MIN_PLUS)
         assert binary(prev, x, x).tolist() == [5, 1]
 
+    @expected_fallback
     def test_fused_kernel_overflow_falls_back_exactly(self):
         from repro.problems import dp_inputs, dp_system
 
@@ -196,6 +205,7 @@ class TestDtypePolicy:
         assert got.results == want.results
         assert any(v > 2**63 for v in got.results.values())
 
+    @expected_fallback
     def test_bool_inputs_fall_back(self):
         plan = build_execution_plan(fib_system(), {})
         inputs = {"seed": lambda i: True}
@@ -277,6 +287,7 @@ class TestBatchAxis:
         plan = build_execution_plan(fib_system(), {})
         assert execute_plan_batch(plan, []) == []
 
+    @expected_fallback
     def test_one_fraction_seed_demotes_whole_batch_exactly(self):
         # A single non-integer instantiation sends the *pass* to the object
         # path; every seed must still match its own interpreter run.
@@ -318,21 +329,18 @@ class TestLazyEvents:
 @pytest.mark.skipif(not native_available(),
                     reason="no C toolchain on this machine")
 class TestNativeKernel:
-    """The emitted C kernel against the ndarray fast path, at the level
-    of one lowered program — the fourth engine's innermost contract."""
+    """The native executor against the ndarray fast path, at the level of
+    one lowered program — the fourth engine's innermost contract."""
 
     def run_both(self, program, input_sets, tmp_path):
-        from repro.codegen import emit_kernel, load_or_build
-        from repro.ir.vector import fill_inputs
+        from repro.codegen import encode_program, load_or_build
 
         want = execute_program(program, input_sets)
-        kernel, reason = load_or_build(lambda: emit_kernel(program),
-                                       cache_dir=tmp_path)
-        assert kernel is not None, reason
-        values = np.zeros((len(input_sets), program.node_count),
-                          dtype=np.int64)
-        fill_inputs(program, values, input_sets, int_mode=True)
-        assert kernel.run(values) == 0
+        executor, reason = load_or_build(cache_dir=tmp_path)
+        assert executor is not None, reason
+        values = program.gather().collect(input_sets).matrix(
+            0, program.node_count, int_mode=True)
+        assert executor.run(values, encode_program(program)) == 0
         return values, want
 
     def test_fibonacci_matches_fast_path(self, tmp_path):
@@ -353,27 +361,25 @@ class TestNativeKernel:
         assert values.tolist() == np.asarray(want).tolist()
 
     def test_overflow_reports_nonzero(self, tmp_path):
-        from repro.codegen import emit_kernel, load_or_build
-        from repro.ir.vector import fill_inputs
+        from repro.codegen import encode_program, load_or_build
 
         plan = build_execution_plan(fib_system(), {})
         program = lower_plan(plan)
-        kernel, reason = load_or_build(lambda: emit_kernel(program),
-                                       cache_dir=tmp_path)
-        assert kernel is not None, reason
+        executor, reason = load_or_build(cache_dir=tmp_path)
+        assert executor is not None, reason
         input_sets = [{"seed": lambda i: 2**62}]   # fib sums overflow
-        values = np.zeros((1, program.node_count), dtype=np.int64)
-        fill_inputs(program, values, input_sets, int_mode=True)
-        assert kernel.run(values) != 0
+        values = program.gather().collect(input_sets).matrix(
+            0, program.node_count, int_mode=True)
+        assert executor.run(values, encode_program(program)) != 0
 
     def test_custom_op_is_rejected_not_miscompiled(self):
-        from repro.codegen import UnsupportedForNative, emit_kernel
+        from repro.codegen import UnsupportedForNative, encode_program
 
         pair = make_op("pair", 2, lambda a, b: (a, b))
         plan = build_execution_plan(fib_system(op=pair), {})
         program = lower_plan(plan)
         with pytest.raises(UnsupportedForNative):
-            emit_kernel(program)
+            encode_program(program)
 
 
 class TestLoweredStructure:
