@@ -27,13 +27,13 @@ from pathlib import Path
 #: better for every gated metric (they are all wall-clock timings).
 GATES = {
     "batch_seeds": ("batched_ms", 2.0),
-    "machine_compiled": ("compiled_ms", 2.0),
+    "machine_batch": ("batched_ms", 2.0),
     "machine_native": ("native_ms", 2.0),
-    "machine_vector": ("vector_ms", 2.0),
+    "machine_verify_native": ("verify_ms", 2.0),
+    "machine_verify_vector": ("verify_ms", 2.0),
     "obs_overhead": ("telemetry_on_s", 2.0),
     "sweep_cache": ("warm_s", 2.0),
     "sweep_throughput": ("warm_s", 2.0),
-    "vector_batch": ("batched_ms", 2.0),
 }
 
 #: Keys that never participate in workload-context matching.

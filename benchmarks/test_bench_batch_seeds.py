@@ -1,12 +1,12 @@
 """Benchmark U — batched-seed verification throughput at S >= 64.
 
 "Systolic Computing on GPUs" motivates grouping homogeneous computations
-into dense batched execution; the vector engine's seed batching is this
+into dense batched execution; the native engine's seed batching is this
 codebase's instance of that idea.  Benchmark VII pinned the S=8 case;
 this file pins the scale a sweep's ``verify_seeds`` actually dispatches —
-S=64 seeded instances verified in **one** ``(S, nodes)`` vector pass —
-against verifying the same 64 seeds one at a time through the warm
-vector engine.
+S=64 seeded instances verified in **one** ``(S, nodes)`` pass on the
+default engine — against verifying the same 64 seeds one at a time
+through the same warm engine.
 
 ``REPRO_BENCH_N`` overrides the problem size (CI smoke uses a small n).
 """
@@ -45,17 +45,16 @@ def test_batched_64_seed_verify_speedup(benchmark):
     """>= 3x for one batched S=64 pass over 64 warm single-seed runs."""
     design = synthesize(dp_system(), PARAMS, FIG1_UNIDIRECTIONAL)
     seeds = range(SEEDS)
-    report = verify_design(design, _factory, engine="vector",
+    report = verify_design(design, _factory,
                            seeds=seeds)          # also warms the cache
     assert report.ok and report.seeds_checked == SEEDS
 
     batched = _median_seconds(
-        lambda: verify_design(design, _factory, engine="vector",
-                              seeds=seeds))
+        lambda: verify_design(design, _factory, seeds=seeds))
 
     def looped():
         for s in seeds:
-            verify_design(design, _factory(s), engine="vector")
+            verify_design(design, _factory(s))
 
     loop = _median_seconds(looped, repeats=3)
     speedup = loop / batched
@@ -66,5 +65,4 @@ def test_batched_64_seed_verify_speedup(benchmark):
                batched_ms=round(batched * 1e3, 3),
                speedup=round(speedup, 2))
     assert speedup >= 3.0
-    benchmark(lambda: verify_design(design, _factory, engine="vector",
-                                    seeds=seeds))
+    benchmark(lambda: verify_design(design, _factory, seeds=seeds))

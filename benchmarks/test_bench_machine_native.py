@@ -1,9 +1,9 @@
 """Benchmark VIII — the native (C executor) engine.
 
-The vector engine (Benchmark VII) already runs each level as one ndarray
-kernel, but every group still pays ufunc dispatch, gather/scatter
-temporaries and the checked-overflow probes in Python/NumPy.  The native
-engine encodes the *same* level-grouped schedule as an ``int32``
+The native engine's ndarray tier (Benchmark VII) already runs each level
+as one ndarray kernel, but every group still pays ufunc dispatch,
+gather/scatter temporaries and the checked-overflow probes in
+Python/NumPy.  Its C tier encodes the *same* level-grouped schedule as an ``int32``
 instruction stream and runs it on one fixed C executor — sequential
 per-level loops over integer-indexed slots with ``__builtin_*_overflow``
 checks — compiled once per toolchain and content-addressed, so no design
@@ -13,9 +13,9 @@ This file pins three claims:
 
 * **bit-identity** — on the Figure 1 DP workload the native machine run
   equals the interpreted oracle exactly (values, results, stats);
-* **kernel speed** — one warm native value pass is at least 3x faster
-  than the vector engine's single-run pass at n = 18 (median of
-  repeated in-process passes, both engines warm);
+* **kernel speed** — one warm C-tier value pass is at least 3x faster
+  than the ndarray tier's single-run pass at n = 18 (median of
+  repeated in-process passes, both tiers warm);
 * **one executor** — lowering other designs reuses the executor already
   loaded: no second ``cc`` invocation, observable via the ``--stats``
   counters.
@@ -35,10 +35,10 @@ import pytest
 
 from conftest import machine_run, record_pin
 from repro.arrays import FIG1_UNIDIRECTIONAL
-from repro.codegen import native_available
+from repro.codegen import native_available, native_disabled
 from repro.core import synthesize
 from repro.ir import trace_execution
-from repro.machine import compile_design, lower_vector, nativize
+from repro.machine import compile_design, lower, nativize
 from repro.obs import TRACER
 from repro.problems import dp_inputs, dp_system
 
@@ -59,12 +59,14 @@ def _workload():
 
 
 def _machines(design, inputs):
-    """One vector machine and one warm native machine over one lowering."""
+    """One ndarray-tier and one warm C-tier machine over one lowering."""
     trace = trace_execution(design.system, design.params, inputs)
     mc = compile_design(trace, design.schedules, design.space_maps,
                         design.interconnect.decomposer())
-    vm = lower_vector(mc, trace)
-    nm = nativize(vm.compiled)
+    compiled = lower(mc, trace)
+    with native_disabled():
+        vm = nativize(compiled)
+    nm = nativize(compiled)
     assert nm.code is not None, nm.fallback_reason
     return vm, nm
 
@@ -91,10 +93,10 @@ def test_bit_identical_machine_run():
 
 
 def test_native_single_run_speedup(benchmark):
-    """>= 3x over the vector engine's single-run pass at n = 18."""
+    """>= 3x over the ndarray tier's single-run pass at n = 18."""
     _, design, inputs = _workload()
     vm, nm = _machines(design, inputs)
-    vm.execute(inputs, want_values=False)       # both engines warm
+    vm.execute(inputs, want_values=False)       # both tiers warm
     nm.execute(inputs, want_values=False)
 
     fast = _median_seconds(

@@ -19,8 +19,8 @@ from repro.problems import dp_inputs, dp_system
 from repro.reference import min_plus_dp
 
 SIZES = [6, 10, 14, 18]
-#: sizes only the compiled machine engine runs at benchmark-friendly speed
-COMPILED_ONLY_SIZES = [30]
+#: sizes only the native machine engine runs at benchmark-friendly speed
+NATIVE_ONLY_SIZES = [30]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -54,9 +54,9 @@ def test_scaling_machine(benchmark, n, rng):
     assert s.operations >= (n ** 3) / 6 - n ** 2  # Θ(n³)/6 DP work
 
 
-@pytest.mark.parametrize("n", COMPILED_ONLY_SIZES)
-def test_scaling_machine_compiled_large(benchmark, n, rng):
-    """The compiled engine extends the sweep to sizes the interpreted loop
+@pytest.mark.parametrize("n", NATIVE_ONLY_SIZES)
+def test_scaling_machine_native_large(benchmark, n, rng):
+    """The native engine extends the sweep to sizes the interpreted loop
     makes impractical; the paper's exact shape claims must still hold."""
     system = dp_system()
     design = synthesize(system, {"n": n}, FIG1_UNIDIRECTIONAL)
@@ -64,11 +64,11 @@ def test_scaling_machine_compiled_large(benchmark, n, rng):
     inputs = dp_inputs(seeds)
     result, trace = benchmark.pedantic(
         machine_run, args=(system, {"n": n}, design, inputs),
-        kwargs={"engine": "compiled"}, rounds=1, iterations=1)
+        kwargs={"engine": "native"}, rounds=1, iterations=1)
     ref = min_plus_dp(seeds, n)
     assert all(result.results[k] == ref[k] for k in result.results)
     s = result.stats
-    print(f"\nn={n} (compiled): {s.cycles} cycles, {s.cells_used} cells, "
+    print(f"\nn={n} (native): {s.cycles} cycles, {s.cells_used} cells, "
           f"{s.operations} ops, {s.hops} hops, util {s.utilization:.0%}")
     assert s.cycles == 2 * n - 4
     assert s.cells_used >= (n - 1) * (n - 2) // 2

@@ -21,12 +21,11 @@ Surface groups:
   binding or multi-seed batch), :class:`SynthesisOptions`,
   :class:`Design`, :func:`random_inputs` / :func:`input_factory` for
   seeded problem instances;
-* execution engines — the :class:`Engine` registry (``"compiled"``,
-  ``"interpreted"``, ``"vector"``, ``"native"``; members are str
+* execution engines — the :class:`Engine` registry (``"interpreted"``,
+  the oracle, and ``"native"``, the tiered fast engine; members are str
   subclasses, so plain strings keep working everywhere),
-  :func:`coerce_engine`, :data:`ENGINES`,
-  :data:`ENGINE_DESCRIPTIONS` (the one-line help table the CLI renders),
-  plus the native backend's feature gate :func:`native_available`;
+  :func:`coerce_engine`, :data:`ENGINES`, plus the native backend's
+  feature gate :func:`native_available`;
 * pass pipeline — :class:`Pass`, :class:`PassPipeline`,
   :class:`PipelineState`, :func:`default_pipeline` (the exact lowering
   :func:`synthesize` runs), :func:`make_pass` / :func:`available_passes`
@@ -107,13 +106,7 @@ from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
 from repro.core.verify import VerificationReport, verify_design
 from repro.codegen.toolchain import native_available
-from repro.machine.engines import (
-    ENGINE_DESCRIPTIONS,
-    ENGINES,
-    Engine,
-    coerce_engine,
-    engine_help,
-)
+from repro.machine.engines import ENGINES, Engine, coerce_engine
 from repro.rewrite import (
     Pass,
     PassPipeline,
@@ -175,7 +168,6 @@ __all__ = [
     "Design",
     "DesignCache",
     "ENGINES",
-    "ENGINE_DESCRIPTIONS",
     "Engine",
     "EventLog",
     "EventSink",
@@ -222,7 +214,6 @@ __all__ = [
     "default_cache_dir",
     "default_pipeline",
     "default_workers",
-    "engine_help",
     "explore_interconnects",
     "explore_uniform",
     "fuzz",

@@ -40,8 +40,8 @@ from repro.api import (
     SweepSpec,
     SynthesisOptions,
     available_passes,
+    coerce_engine,
     default_pipeline,
-    engine_help,
     explore_uniform,
     read_manifest,
     resolve_interconnect,
@@ -60,6 +60,7 @@ from repro.problems import (
 )
 from repro.ir import trace_execution
 from repro.machine import cell_utilization, compile_design, run
+from repro.machine.engines import ENGINE_HELP
 from repro.obs import (
     CLIProgress,
     EventLog,
@@ -508,6 +509,13 @@ def cmd_passes(args) -> int:
     return 0
 
 
+def _engine_flag(p: argparse.ArgumentParser, lead: str) -> None:
+    """``--engine`` with the registry's choices; retired names map to
+    their replacement with a ``DeprecationWarning``."""
+    p.add_argument("--engine", type=coerce_engine, choices=ENGINES,
+                   default="native", help=f"{lead}: {ENGINE_HELP}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -535,11 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RNG seed for the random verification inputs")
     p.add_argument("--seeds", type=int, default=1, metavar="S",
                    help="verify S seeded random instances (seed..seed+S-1); "
-                        "with --engine vector all S run in one batched "
-                        "kernel pass")
-    p.add_argument("--engine", choices=list(ENGINES),
-                   default="compiled",
-                   help=engine_help("machine execution engine for --verify"))
+                        "with --engine native all S run in one batched "
+                        "pass")
+    _engine_flag(p, "machine execution engine for --verify")
     p.add_argument("--print-ir-after", default=None, metavar="PASSES",
                    help="print the system IR after the named passes "
                         "(comma-separated; 'all' dumps after every pass; "
@@ -584,10 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-seeds", type=int, default=0, metavar="S",
                    help="verify every solved design on S seeded random "
                         "instances (0 = skip)")
-    p.add_argument("--engine", choices=list(ENGINES),
-                   default="vector",
-                   help=engine_help(
-                       "execution engine for --verify-seeds"))
+    _engine_flag(p, "execution engine for --verify-seeds")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write the full sweep report as JSON")
     p.add_argument("--progress", action="store_true",
@@ -631,11 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=4)
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed for the machine's host inputs")
-    p.add_argument("--engine", choices=list(ENGINES),
-                   default="compiled",
-                   help=engine_help("execution engine emitting the events "
-                                    "(every engine produces the identical "
-                                    "stream)"))
+    _engine_flag(p, "execution engine emitting the events (both engines "
+                    "produce the identical stream)")
     p.add_argument("--out", default=None, metavar="PREFIX",
                    help="output prefix (default: trace-<problem>-n<n>)")
     p.add_argument("--cells", type=int, default=12, metavar="N",
@@ -655,9 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=4)
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed for the --verify inputs")
-    p.add_argument("--engine", choices=list(ENGINES),
-                   default="compiled",
-                   help=engine_help("execution engine for --verify"))
+    _engine_flag(p, "execution engine for --verify")
     p.add_argument("--verify", action="store_true",
                    help="also run the design on the machine, adding the "
                         "verify/compile/machine spans to the profile")
@@ -731,9 +729,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the pass-pipeline fourth comparison point "
                         "of each case (faster, less coverage)")
     p.add_argument("--native", action="store_true",
-                   help="add the native C-executor engine as a comparison "
-                        "point of each case (skipped with a note when no "
-                        "C toolchain is available)")
+                   help="add the native engine's C-executor tier as a "
+                        "comparison point of each case (skipped with a note "
+                        "when no C toolchain is available)")
     p.set_defaults(fn=cmd_fuzz)
     return parser
 

@@ -26,6 +26,7 @@ from repro.codegen.toolchain import (
     Toolchain,
     find_toolchain,
     native_available,
+    native_disabled,
 )
 
 __all__ = [
@@ -42,4 +43,5 @@ __all__ = [
     "load_or_build",
     "native_available",
     "native_cache_dir",
+    "native_disabled",
 ]

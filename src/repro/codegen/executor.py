@@ -157,7 +157,7 @@ int repro_exec(i64 *v, long rows, long stride, const i32 *code, long n) {
 
 class UnsupportedForNative(Exception):
     """The program contains an op the executor cannot run exactly — run it
-    on the vector engine instead (custom Python callables, symbolic
+    on the ndarray kernels instead (custom Python callables, symbolic
     values)."""
 
 
@@ -166,7 +166,7 @@ def _tag(op: Op) -> str:
     if tag is None:
         raise UnsupportedForNative(
             f"op {op.name}/{op.arity} has no exact native encoding "
-            f"(custom callable); the design stays on the vector engine")
+            f"(custom callable); the design stays on the ndarray kernels")
     return tag
 
 

@@ -1,13 +1,14 @@
 """System C toolchain discovery for the native engine.
 
 The native backend is feature-gated on a working C compiler: everything
-degrades to the vector engine when none is present, so this module never
+degrades to ndarray kernels when none is present, so this module never
 raises on a missing toolchain — it answers "is there one, and which one".
 
 Discovery order: ``$REPRO_CC`` (explicit override), then ``cc``, ``gcc``,
 ``clang`` on ``PATH``.  ``$REPRO_NO_NATIVE`` (any non-empty value)
-force-disables the toolchain — the test suite uses it to exercise the
-fallback paths on machines that *do* have a compiler.
+force-disables the toolchain — :func:`native_disabled` sets it for a block,
+so the fuzzer and the test suite reach the ndarray tier on machines that
+*do* have a compiler.
 
 The **fingerprint** (compiler path + the first line of ``--version``)
 enters every native cache key: upgrading or switching the compiler must
@@ -20,6 +21,7 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 #: Environment variable naming the C compiler explicitly.
@@ -91,3 +93,22 @@ def find_toolchain(refresh: bool = False) -> "Toolchain | None":
 def native_available(refresh: bool = False) -> bool:
     """Whether the native engine can compile kernels on this machine."""
     return find_toolchain(refresh) is not None
+
+
+@contextmanager
+def native_disabled():
+    """Run the block with ``$REPRO_NO_NATIVE`` set and discovery re-probed:
+    the native engine takes its ndarray tier, as on a machine without a
+    compiler.  The environment and the memoised toolchain are restored on
+    exit."""
+    old = os.environ.get(DISABLE_ENV_VAR)
+    os.environ[DISABLE_ENV_VAR] = "1"
+    find_toolchain(refresh=True)
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop(DISABLE_ENV_VAR, None)
+        else:
+            os.environ[DISABLE_ENV_VAR] = old
+        find_toolchain(refresh=True)

@@ -143,7 +143,7 @@ class SweepSpec:
     ``verify_seeds > 0`` makes every solved design (fresh or cached) run
     through :func:`~repro.core.verify.verify_design` with that many seeded
     random instances; ``options.engine`` picks the execution backend —
-    ``"vector"`` checks all seeds in one batched kernel pass.
+    ``"native"`` (default) checks all seeds in one batched pass.
     """
 
     problems: tuple[str, ...]
@@ -438,7 +438,7 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
 def _verify_result(job: SweepJob, design: Design,
                    result: SweepResult) -> None:
     """Cross-check a solved design on ``job.verify_seeds`` seeded random
-    instances (the vector engine batches them into one kernel pass)."""
+    instances (the native engine batches them into one pass)."""
     try:
         factory = input_factory(job.problem, job.params_dict)
         with STATS.stage("sweep.verify"):

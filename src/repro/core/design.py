@@ -38,7 +38,7 @@ class Design:
                                                  repr=False)
     #: value-independent verification artifacts (execution plan, microcode,
     #: lowered machine, symbolic-check outcome) keyed by stage name — filled
-    #: lazily by :func:`repro.core.verify.verify_design`'s compiled engine.
+    #: lazily by :func:`repro.core.verify.verify_design`'s native engine.
     _exec_cache: dict[str, object] = field(default_factory=dict, repr=False)
 
     def module_points(self, name: str) -> np.ndarray:

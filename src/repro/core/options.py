@@ -33,13 +33,10 @@ class SynthesisOptions:
 
     ``engine`` selects the execution strategy downstream consumers
     (verification, sweep cross-checks) use to run the design's machine:
-    ``"compiled"`` lowers microcode to integer-indexed form once and caches
-    the artifacts on the design; ``"interpreted"`` is the cycle-by-cycle
-    oracle; ``"vector"`` executes the lowered table as level-grouped
-    ndarray kernels (and batches multi-seed verification into one pass);
-    ``"native"`` runs those kernels on one shared C executor, compiled
-    once per toolchain and cached, and degrades to the vector paths when
-    no C toolchain is available.
+    ``"native"`` (default) runs the lowered table on one shared C
+    executor, falling back to ndarray kernels and then to exact object
+    arrays, and caches every value-independent artifact on the design;
+    ``"interpreted"`` is the cycle-by-cycle oracle.
     It does not influence *which* design is synthesized, so it is
     deliberately **not** part of :meth:`to_dict` (and therefore not part of
     the design-cache key).
@@ -49,7 +46,7 @@ class SynthesisOptions:
     space_bound: int = 1
     schedule_offsets: tuple[int, ...] = (0,)
     space_offsets: tuple[int, ...] | None = None
-    engine: Engine | str = "compiled"
+    engine: Engine | str = "native"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedule_offsets",

@@ -25,23 +25,18 @@ from repro.core.design import Design
 from repro.deps.extract import system_dependence_matrices
 from repro.ir.evaluate import (
     build_execution_plan,
-    execute_plan,
     structural_trace,
     trace_execution,
 )
 from repro.ir.vector import HostGather, execute_gathered, lower_plan
 from repro.machine.compiled import lower
-from repro.machine.engines import ENGINES as _ENGINES
 from repro.machine.engines import Engine, coerce_engine
 from repro.machine.errors import CapacityError
 from repro.machine.microcode import compile_design
 from repro.machine.native import native_code, native_pass, nativize
 from repro.machine.simulator import MachineStats, run
-from repro.machine.vector import vectorize
 from repro.space.allocation import conflict_free, flows_realisable
 from repro.util.instrument import STATS
-
-ENGINES = _ENGINES  # historical name; the registry lives in machine.engines
 
 
 @dataclass
@@ -117,39 +112,19 @@ def _check_results(report: VerificationReport, machine_results: Mapping,
 
 
 def _verify_looped(design: Design, report: VerificationReport, decomposer,
-                   cache, input_sets, prefixes, strict_capacity: bool,
-                   engine: str) -> None:
-    """One reference + machine value pass per input set (the compiled and
-    interpreted engines)."""
+                   input_sets, prefixes, strict_capacity: bool) -> None:
+    """The interpreted oracle: a from-scratch reference evaluation and a
+    cycle-by-cycle machine run per input set, nothing cached."""
     for prefix, inputs in zip(prefixes, input_sets):
         with STATS.stage("verify.reference"):
-            if cache is not None:
-                plan = cache.get("plan")
-                if plan is None:
-                    plan = cache["plan"] = build_execution_plan(
-                        design.system, design.params)
-                trace = execute_plan(plan, inputs)
-            else:
-                trace = trace_execution(design.system, design.params, inputs)
+            trace = trace_execution(design.system, design.params, inputs)
         try:
-            if cache is not None:
-                with STATS.stage("verify.compile"):
-                    lowered = cache.get("machine")
-                    if lowered is None:
-                        mc = compile_design(trace, design.schedules,
-                                            design.space_maps, decomposer)
-                        lowered = cache["machine"] = lower(mc, trace)
-                with STATS.stage("verify.machine"):
-                    machine = lowered.execute(inputs, strict=strict_capacity)
-                    _annotate_machine(machine.stats)
-            else:
-                with STATS.stage("verify.compile"):
-                    mc = compile_design(trace, design.schedules,
-                                        design.space_maps, decomposer)
-                with STATS.stage("verify.machine"):
-                    machine = run(mc, trace, inputs, strict=strict_capacity,
-                                  engine=engine)
-                    _annotate_machine(machine.stats)
+            with STATS.stage("verify.compile"):
+                mc = compile_design(trace, design.schedules,
+                                    design.space_maps, decomposer)
+            with STATS.stage("verify.machine"):
+                machine = run(mc, trace, inputs, strict=strict_capacity)
+                _annotate_machine(machine.stats)
         except Exception as exc:  # machine errors are design failures
             report.machine_matches_reference = False
             report.failures.append(
@@ -162,20 +137,19 @@ def _verify_looped(design: Design, report: VerificationReport, decomposer,
 
 def _verify_batched(design: Design, report: VerificationReport, decomposer,
                     cache, input_sets, prefixes,
-                    strict_capacity: bool, engine: str) -> None:
+                    strict_capacity: bool) -> None:
     """All input sets through one batched value pass, reference and
-    machine alike (the vector and native engines); per-seed mismatches
-    are reported with their prefix.
+    machine alike (the native engine); per-seed mismatches are reported
+    with their prefix.
 
     One shared gather evaluates every distinct host fetch once per seed
     for both passes.  Only the output columns are compared — no per-seed
     trace or result dict is materialized, so the whole batch costs two
-    level passes plus one array comparison.  ``engine="native"`` runs
-    both passes on the shared C executor (:mod:`repro.machine.native`)
-    and degrades to the vector pass wherever it cannot run."""
+    level passes plus one array comparison.  Both passes run on the
+    shared C executor (:mod:`repro.machine.native`) and degrade to the
+    ndarray and object tiers wherever it cannot run."""
     if not input_sets:
         return
-    native = engine == "native"
     with STATS.stage("verify.reference"):
         plan = cache.get("plan")
         if plan is None:
@@ -186,44 +160,35 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
             vplan = cache["vplan"] = lower_plan(plan)
     try:
         with STATS.stage("verify.compile"):
-            slot = "nmachine" if native else "vmachine"
-            vmachine = cache.get(slot)
-            if vmachine is None:
-                lowered = cache.get("machine")
-                if lowered is None:
-                    trace = structural_trace(design.system, design.params,
-                                             plan)
-                    mc = compile_design(trace, design.schedules,
-                                        design.space_maps, decomposer)
-                    lowered = cache["machine"] = lower(mc, trace)
-                vmachine = cache[slot] = (nativize(lowered) if native
-                                          else vectorize(lowered))
-            compiled = vmachine.compiled
+            machine = cache.get("nmachine")
+            if machine is None:
+                trace = structural_trace(design.system, design.params, plan)
+                mc = compile_design(trace, design.schedules,
+                                    design.space_maps, decomposer)
+                machine = cache["nmachine"] = nativize(lower(mc, trace))
+            compiled = machine.compiled
             if strict_capacity and compiled.strict_error is not None:
                 raise CapacityError(compiled.strict_error)
-            ref_pass = None
-            if native:
-                ref_native = cache.get("vplan.native")
-                if ref_native is None:
-                    ref_native = cache["vplan.native"] = native_code(vplan)
-                executor, code, _ = ref_native
-                if code is not None:
-                    ref_pass = native_pass(executor, code)
+            ref_native = cache.get("vplan.native")
+            if ref_native is None:
+                ref_native = cache["vplan.native"] = native_code(vplan)
+            executor, code, _ = ref_native
+            ref_pass = (native_pass(executor, code) if code is not None
+                        else None)
     except Exception as exc:  # machine errors are design failures
         report.machine_matches_reference = False
         report.failures.append(
             f"{prefixes[0]}machine: {type(exc).__name__}: {exc}")
         return
-    gather = cache.get(slot + ".gather")
+    gather = cache.get("gather")
     if gather is None:
-        gather = cache[slot + ".gather"] = HostGather(
-            (vplan, vmachine.program))
+        gather = cache["gather"] = HostGather((vplan, machine.program))
     host = gather.collect(input_sets)
     with STATS.stage("verify.reference"):
         ref_matrix = execute_gathered(vplan, host, 0, ref_pass)
     try:
         with STATS.stage("verify.machine"):
-            mach_matrix = vmachine.execute_gathered(host, 1)
+            mach_matrix = machine.execute_gathered(host, 1)
             stats = compiled.copy_stats()
             _annotate_machine(stats)
     except Exception as exc:  # machine errors are design failures
@@ -248,42 +213,38 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
 
 def verify_design(design: Design, inputs,
                   strict_capacity: bool = True,
-                  engine: "Engine | str" = "compiled",
+                  engine: "Engine | str" = "native",
                   seeds=None) -> VerificationReport:
     """Run all symbolic and physical checks; never raises on a *design*
     failure (the report carries it), only on infrastructure errors.
 
-    ``engine="compiled"`` (default) evaluates the reference trace through a
+    ``engine="native"`` (default) evaluates the reference through a
     precomputed execution plan and runs the machine through the lowered
-    integer-indexed program; every value-independent artifact (the plan, the
-    microcode, the lowered machine, the symbolic-check outcome) is cached on
-    the design, so repeated verification — sweeps cross-checking many input
-    seeds — only redoes the value passes.  ``engine="interpreted"`` is the
-    from-scratch oracle: recursive-free reference evaluation plus the
-    cycle-by-cycle simulator, nothing cached.  ``engine="vector"``
-    additionally lowers the cached plan and machine table to level-grouped
-    ndarray kernels (:mod:`repro.ir.vector`), so each value pass is a
-    handful of array operations instead of one Python iteration per node.
-    ``engine="native"`` encodes those kernel groups, for the reference
-    plan and the machine alike, as instruction streams for one C executor
-    (:mod:`repro.machine.native`) that is compiled once per toolchain and
-    kept in a persistent shared-object cache — no design compiles code of
-    its own — and degrades to the vector paths when no toolchain is
-    present or inputs leave exact int64 range.
+    integer-indexed table, both as level-grouped passes on one C executor
+    that is compiled once per toolchain and kept in a persistent
+    shared-object cache (:mod:`repro.machine.native`); without a
+    toolchain the passes run as ndarray kernels, and inputs outside exact
+    int64 range run on object arrays.  Every value-independent artifact
+    (the plans, the microcode, the lowered machine, the symbolic-check
+    outcome) is cached on the design, so repeated verification — sweeps
+    cross-checking many input seeds — only redoes the value passes.
+    ``engine="interpreted"`` is the from-scratch oracle: reference
+    evaluation plus the cycle-by-cycle simulator, nothing cached.
 
     ``seeds`` turns one verification into a multi-seed cross-check: pass a
     sequence of seeds and make ``inputs`` a factory ``seed -> input
     mapping``.  Every seed's machine results are compared to its own
     reference run; failures are prefixed with the offending seed.  The
-    vector and native engines run *all* seeds through a single batched
-    pass on ``(seeds, nodes)`` arrays, with each host input evaluated
-    once per seed for both passes — multi-seed verification at roughly
-    the cost of one execution; the other engines loop.
+    native engine runs *all* seeds through a single batched pass on
+    ``(seeds, nodes)`` arrays, with each host input evaluated once per
+    seed for both passes — multi-seed verification at roughly the cost
+    of one execution; the interpreter loops.
     """
     engine = coerce_engine(engine)
     report = VerificationReport()
     decomposer = design.interconnect.decomposer()
-    cache = design._exec_cache if engine != "interpreted" else None
+    cache = design._exec_cache if engine == "native" else None
+
 
     with STATS.stage("verify.symbolic"):
         if cache is not None and "symbolic" in cache:
@@ -317,10 +278,10 @@ def verify_design(design: Design, inputs,
         prefixes = [f"seed {s}: " for s in seeds]
         report.seeds_checked = len(seeds)
 
-    if engine in ("vector", "native"):
+    if cache is not None:
         _verify_batched(design, report, decomposer, cache, input_sets,
-                        prefixes, strict_capacity, engine)
+                        prefixes, strict_capacity)
     else:
-        _verify_looped(design, report, decomposer, cache, input_sets,
-                       prefixes, strict_capacity, engine)
+        _verify_looped(design, report, decomposer, input_sets, prefixes,
+                       strict_capacity)
     return report

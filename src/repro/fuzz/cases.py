@@ -28,7 +28,7 @@ The family subsumes the paper's recurrence (6)/(8) (``lo = hi = 1``, args
   evaluation);
 * **value pools** — small ints, int64-boundary values (``±2**63``),
   bignums beyond int64 and exact ``Fraction`` values, so every example
-  stresses the vector engine's fast-path/fallback decision.
+  stresses the native engine's int64/object-array decision.
 
 Seed values are deterministic in the descriptor: the init point ``(i, j)``
 takes ``pool[(3*i + 5*j) % len(pool)]``.
@@ -49,8 +49,8 @@ _I, _J, _N = var("i"), var("j"), var("n")
 
 #: Binary body ops: arbitrary semantics allowed (the body is applied once
 #: per reduction term, so it needs no algebraic properties).  The last two
-#: are custom ops *without* ``int_kernel`` — they keep the vector engine on
-#: the object path by construction.
+#: are custom ops *without* ``int_kernel`` — they keep the native engine on
+#: its object tier by construction.
 BODY2_OPS: dict[str, Op] = {
     "min_plus": MIN_PLUS,
     "mul": MUL,

@@ -15,18 +15,19 @@ Stages, in order, with the outcome taxonomy each can produce:
    interconnect; :class:`NoScheduleExists` / :class:`NoSpaceMapExists` are
    ``infeasible`` (honest: the array cannot host the instance).
 5. **verify** — :func:`verify_design`'s symbolic + physical checks.
-6. **engines** — every engine runs the compiled design; each must
-   reproduce the oracle's values exactly *and* emit the byte-identical
-   canonical event stream (``canonical_order`` then JSONL).
-   ``native=True`` adds the C-executor engine to the comparison set (off
-   by default to keep fuzz throughput; a missing toolchain degrades it to
-   the vector paths, which still cross-checks dispatch).
-7. **pipeline** (on by default, ``pipeline=False`` opts out) — the fourth
+6. **engines** — the interpreter and the native engine on its ndarray
+   tier (``vector``: ``$REPRO_NO_NATIVE`` set, object arrays on
+   fallback) run the compiled design; each must reproduce the oracle's
+   values exactly *and* emit the byte-identical canonical event stream
+   (``canonical_order`` then JSONL).  ``native=True`` adds the engine's
+   C-executor tier to the comparison set (a missing toolchain degrades it
+   to the ndarray tier, which still cross-checks dispatch).
+7. **pipeline** (on by default, ``pipeline=False`` opts out) — the last
    comparison point: the case is round-tripped *again* through the pass
    pipeline from its high-level spec (exercising the ``decompose-chains``
    ingest pass), and the resulting design dict, machine values and
-   canonical compiled event stream must match the system-entry run byte
-   for byte.
+   canonical native event stream (on the last tier compared) must match
+   the system-entry run byte for byte.
 
 Any unexpected exception anywhere is a ``bug`` — error-path hygiene is
 part of the contract being fuzzed.
@@ -35,10 +36,12 @@ part of the contract being fuzzed.
 from __future__ import annotations
 
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.arrays.interconnect import resolve_interconnect
 from repro.chains.decompose import ChainDecompositionError
+from repro.codegen import native_disabled
 from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
 from repro.core.restructure import RestructureError, restructure
@@ -53,9 +56,11 @@ from repro.rewrite.pipeline import run_pipeline
 from repro.schedule.solver import NoScheduleExists
 from repro.space.multimodule import NoSpaceMapExists
 
-#: Engine order for the cross-check (the interpreter is the oracle of the
-#: event stream; the other two must match it byte for byte).
-ENGINE_ORDER = ("interpreted", "compiled", "vector")
+#: Comparison points for the cross-check: the interpreter (the oracle of
+#: the event stream) and the native engine's ndarray tier, which must match
+#: it byte for byte; ``run_case(..., native=True)`` appends the C tier,
+#: ``"native"``.
+ENGINE_ORDER = ("interpreted", "vector")
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,15 @@ def _diff(results, oracle, limit: int = 3) -> str:
     keys = [k for k in oracle if results.get(k) != oracle[k]][:limit]
     pairs = [(k, results.get(k), oracle[k]) for k in keys]
     return f"first diffs (key, got, want): {pairs}"
+
+
+def _run_tier(tier: str, mc, trace, inputs, sink):
+    """One strict machine run on comparison point ``tier``."""
+    if tier == "interpreted":
+        return run(mc, trace, inputs, strict=True, sink=sink)
+    with native_disabled() if tier == "vector" else nullcontext():
+        return run(mc, trace, inputs, strict=True, engine="native",
+                   sink=sink)
 
 
 def run_case(desc: CaseDescriptor, pipeline: bool = True,
@@ -125,7 +139,7 @@ def run_case(desc: CaseDescriptor, pipeline: bool = True,
         return CaseOutcome("bug", "synthesize", traceback.format_exc())
 
     try:
-        report = verify_design(design, inputs, engine="compiled")
+        report = verify_design(design, inputs)
     except Exception:
         return CaseOutcome("bug", "verify", traceback.format_exc())
     if not report.ok:
@@ -139,8 +153,7 @@ def run_case(desc: CaseDescriptor, pipeline: bool = True,
                             interconnect.decomposer())
         for engine in engines:
             log = EventLog()
-            machine = run(mc, trace, inputs, strict=True, engine=engine,
-                          sink=log)
+            machine = _run_tier(engine, mc, trace, inputs, log)
             if machine.results != oracle:
                 return CaseOutcome("bug", f"engine:{engine}",
                                    _diff(machine.results, oracle))
@@ -175,17 +188,16 @@ def run_case(desc: CaseDescriptor, pipeline: bool = True,
                                  pdesign.space_maps,
                                  interconnect.decomposer())
             log = EventLog()
-            machine = run(pmc, ptrace, inputs, strict=True,
-                          engine="compiled", sink=log)
+            machine = _run_tier(engines[-1], pmc, ptrace, inputs, log)
             if machine.results != oracle:
                 return CaseOutcome("bug", "pipeline",
                                    _diff(machine.results, oracle))
             log.events = canonical_order(log.events)
-            if log.to_jsonl() != streams["compiled"]:
+            if log.to_jsonl() != streams[engines[-1]]:
                 return CaseOutcome(
                     "bug", "pipeline",
                     "pass-pipeline canonical event stream differs from the "
-                    "system-entry compiled stream")
+                    "system-entry native stream")
         except Exception:
             return CaseOutcome("bug", "pipeline", traceback.format_exc())
     return CaseOutcome("ok")

@@ -19,7 +19,7 @@ class Op:
 
     ``fn`` receives the operand values in the order the equation lists them.
     ``int_kernel``, when present, is an *exact* int64 array kernel for the
-    vector engine (:mod:`repro.ir.vector`): it must either return values
+    ndarray kernels (:mod:`repro.ir.vector`): it must either return values
     identical to mapping ``fn`` element-wise or raise
     ``IntegerFallback``/``OverflowError`` — never silently wrap.
     """
@@ -69,7 +69,7 @@ def make_op(name: str, arity: int, fn: Callable,
             components: "tuple[Op, ...] | None" = None) -> Op:
     """Create a custom operation (e.g. a parenthesization body that also
     tracks the split position).  ``int_kernel`` optionally supplies an
-    exact int64 array kernel so the vector engine's fast path applies
+    exact int64 array kernel so the ndarray fast path applies
     (see :func:`repro.ir.vector.fused_int_kernel` for composing one);
     ``components`` records the ``(h, f)`` pair of an accumulator
     composite so structural backends (the rewrite patterns, the native

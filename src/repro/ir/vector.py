@@ -1,4 +1,4 @@
-"""Level-grouped ndarray execution of lowered programs (``engine="vector"``).
+"""Level-grouped ndarray execution of lowered programs (``native``'s tiers).
 
 Both lowered execution forms in this codebase — the reference evaluator's
 :class:`~repro.ir.evaluate.ExecutionPlan` and the machine engine's
@@ -364,7 +364,7 @@ def note_int64_fallback(reason: str) -> None:
     """Count an int64 → object-array fallback and warn once per process.
 
     Shared by every backend that mirrors the fast path's semantics (the
-    vector engine here, the native C executor in
+    ndarray kernels here, the native C executor in
     :mod:`repro.machine.native`): the ``vector.int64_fallbacks`` counter
     makes the perf cliff visible in ``--stats``, and the first occurrence
     raises a :class:`RuntimeWarning` naming the cause.
@@ -585,7 +585,7 @@ def _trace_from_row(plan: ExecutionPlan, row: np.ndarray) -> SystemTrace:
 def execute_plan_vector(plan: ExecutionPlan,
                         inputs: Mapping[str, Callable],
                         program: VectorProgram | None = None) -> SystemTrace:
-    """``engine="vector"`` drop-in for :func:`~repro.ir.evaluate.
+    """Kernel-executed drop-in for :func:`~repro.ir.evaluate.
     execute_plan`: same trace (lazy events included), kernel execution."""
     _check_bindings(plan, inputs)
     if program is None:

@@ -19,11 +19,10 @@ from repro.machine.errors import (
     MachineError,
     MissingOperandError,
 )
-from repro.machine.compiled import CompiledMachine, lower, run_compiled
+from repro.machine.compiled import CompiledMachine, lower
 from repro.machine.microcode import Hop, Injection, Microcode, Operation, compile_design
 from repro.machine.native import NativeMachine, lower_native, nativize, run_native
 from repro.machine.simulator import MachineRun, MachineStats, run
-from repro.machine.vector import VectorMachine, lower_vector, run_vector, vectorize
 
 __all__ = [
     "CapacityError",
@@ -47,15 +46,10 @@ __all__ = [
     "MissingOperandError",
     "NativeMachine",
     "Operation",
-    "VectorMachine",
     "compile_design",
     "lower",
     "lower_native",
-    "lower_vector",
     "nativize",
     "run",
-    "run_compiled",
     "run_native",
-    "run_vector",
-    "vectorize",
 ]

@@ -1,4 +1,4 @@
-"""Compiled execution engine for the systolic machine.
+"""Structural lowering of machine microcode (the table ``native`` runs).
 
 The interpreted simulator (:func:`repro.machine.simulator.run`) replays the
 microcode cycle by cycle through dicts of per-cell register files — faithful,
@@ -14,19 +14,18 @@ register files for the pressure statistic.  This module *lowers* a
   ``max_registers_per_cell`` scan, which become a single vectorised
   interval-overlap sweep over (cell, value) residencies;
 * the surviving work is a flat, topologically pre-ordered operation table
-  (cycle-major, intra-cell dependence order) whose execution is one linear
-  pass writing into a dense value buffer — no per-cycle bookkeeping at all.
+  (cycle-major, intra-cell dependence order) that
+  :mod:`repro.machine.native` groups into levels and executes.
 
 Because every :class:`MachineStats` field is a *structural* property of the
 microcode (independent of the data flowing through it), the whole statistics
-block — including the capacity-violation list — is precomputed during
-lowering; execution only computes values.  The compiled engine produces
-bit-identical ``values``/``results``/``stats`` to the interpreter and raises
-the same error types (:class:`MissingOperandError` for structurally
-impossible reads, :class:`CapacityError` under ``strict``).
+block — including the capacity-violation list and the first strict-mode
+error — is precomputed during lowering, as is the cycle-level event stream;
+execution only computes values.  Lowering raises the interpreter's error
+types (:class:`MissingOperandError` for structurally impossible reads).
 
-Lowering is value-independent, so a :class:`CompiledMachine` can be executed
-many times with different host inputs (the verification engine exploits this
+Lowering is value-independent, so one :class:`CompiledMachine` serves every
+execution with different host inputs (the verification engine exploits this
 when cross-checking a design over many input seeds).
 """
 
@@ -34,15 +33,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.ir.arrayeval import eval_index_int
 from repro.ir.evaluate import SystemTrace, ValueKey
-from repro.machine.errors import CapacityError, MissingOperandError
+from repro.machine.errors import MissingOperandError
 from repro.machine.microcode import Microcode
-from repro.machine.simulator import MachineRun, MachineStats
+from repro.machine.simulator import MachineStats
 from repro.obs.events import EventSink, MachineEvent, canonical_order
 
 Cell = tuple[int, ...]
@@ -66,13 +65,13 @@ class CompiledMachine:
     stats: MachineStats
     #: first capacity violation, pre-formatted for the ``strict`` raise
     strict_error: str | None
+    #: ``keys[vid]`` for every produced id, aligned with ``produced`` — the
+    #: per-execution ``values`` dict zips these instead of re-indexing
+    produced_keys: list[ValueKey]
     #: structural event stream (canonical order) — only when the machine
     #: was lowered with ``record_events=True``; value-independent, so one
     #: lowering serves every execution
     events: "list[MachineEvent] | None" = None
-    #: ``keys[vid]`` for every produced id, aligned with ``produced`` — the
-    #: per-execution ``values`` dict zips these instead of re-indexing
-    produced_keys: "list[ValueKey] | None" = None
 
     def replay_events(self, sink: "EventSink") -> None:
         """Replay the precomputed structural event stream (requires
@@ -101,37 +100,10 @@ class CompiledMachine:
                      ) -> tuple[dict, dict]:
         """``(values, results)`` dicts over an executed value buffer, using
         the id tuples precomputed at lowering time."""
-        produced_keys = self.produced_keys
-        if produced_keys is None:   # lowered by an older pickle/caller
-            keys = self.keys
-            produced_keys = self.produced_keys = [
-                keys[vid] for vid in self.produced]
-        values = dict(zip(produced_keys, (buf[vid] for vid in self.produced)))
+        values = dict(zip(self.produced_keys,
+                          (buf[vid] for vid in self.produced)))
         results = {host_key: buf[vid] for host_key, vid in self.outputs}
         return values, results
-
-    def execute(self, inputs: Mapping[str, Callable],
-                strict: bool = True,
-                sink: "EventSink | None" = None) -> MachineRun:
-        """Run the lowered program: one pass over the operation table.
-
-        ``sink`` replays the precomputed structural event stream (requires
-        ``lower(..., record_events=True)``).
-        """
-        if strict and self.strict_error is not None:
-            raise CapacityError(self.strict_error)
-        if sink is not None:
-            self.replay_events(sink)
-        buf: list[object] = [None] * len(self.keys)
-        for vid, name, idx in self.injections:
-            buf[vid] = inputs[name](*idx)
-        for vid, op, operand_ids in self.program:
-            if op is None:
-                buf[vid] = buf[operand_ids[0]]
-            else:
-                buf[vid] = op(*[buf[i] for i in operand_ids])
-        values, results = self.result_dicts(buf)
-        return MachineRun(values, results, self.copy_stats())
 
 
 def _order_group(ops: list) -> list:
@@ -435,13 +407,3 @@ def lower(mc: Microcode, trace: SystemTrace,
         strict_error=strict_error, events=events,
         produced_keys=[keys[vid] for vid in produced])
 
-
-def run_compiled(mc: Microcode, trace: SystemTrace,
-                 inputs: Mapping[str, Callable], strict: bool = True,
-                 reclaim_registers: bool = True,
-                 sink: "EventSink | None" = None) -> MachineRun:
-    """Lower and execute in one step (the ``engine="compiled"`` path of
-    :func:`repro.machine.simulator.run`)."""
-    lowered = lower(mc, trace, reclaim_registers,
-                    record_events=sink is not None)
-    return lowered.execute(inputs, strict, sink=sink)

@@ -2,79 +2,66 @@
 
 Every place that dispatches on an execution strategy — the simulator,
 verification, :class:`~repro.core.options.SynthesisOptions`, the CLI's
-``--engine`` flags — draws from this enum, so adding an engine is one
-edit here plus its dispatch arm.
+``--engine`` flags — draws from this enum.
 
-:class:`Engine` subclasses :class:`str`, so existing string-based callers
-(``run(..., engine="vector")``, serialized run records) keep working
-unchanged; :func:`coerce_engine` is the one validation/normalisation
-point, returning the canonical string value.
+:class:`Engine` subclasses :class:`str`, so string-based callers
+(``run(..., engine="native")``, serialized run records) keep working;
+:func:`coerce_engine` is the one validation/normalisation point,
+returning the canonical string value.
 """
 
 from __future__ import annotations
 
+import warnings
 from enum import Enum
 
 
 class Engine(str, Enum):
     """Execution strategy for running a design's machine.
 
-    * ``COMPILED`` — lower the microcode to integer-indexed form once and
-      cache the artifacts on the design; fastest for repeated runs.
-    * ``INTERPRETED`` — the cycle-by-cycle simulator; the oracle every
-      other engine is checked against.
-    * ``VECTOR`` — execute the lowered table as level-grouped ndarray
-      kernels; batches multi-seed verification into one pass.
-    * ``NATIVE`` — run the level-grouped table, encoded as data, on one C
-      executor compiled once per toolchain and cached; falls back to the vector engine when no C
-      toolchain is present or inputs leave exact int64 range.
+    * ``INTERPRETED`` — the cycle-by-cycle simulator; the oracle the fast
+      engine is checked against.
+    * ``NATIVE`` — the one fast engine: the lowered operation table runs
+      on one C executor compiled once per toolchain and cached, falls back
+      to level-grouped ndarray kernels without a toolchain or for ops
+      outside its repertoire, and to exact object arrays for non-int64
+      inputs or on int64 overflow.
     """
 
-    COMPILED = "compiled"
     INTERPRETED = "interpreted"
-    VECTOR = "vector"
     NATIVE = "native"
 
-    def __str__(self) -> str:  # "compiled", not "Engine.COMPILED"
+    def __str__(self) -> str:  # "native", not "Engine.NATIVE"
         return self.value
 
 
-#: Canonical engine names, in documentation order.  The historical
-#: constant — ``repro.core.verify.ENGINES`` re-exports it.
+#: Canonical engine names, in documentation order.
 ENGINES: tuple[str, ...] = tuple(e.value for e in Engine)
 
-#: One-line description per engine — the CLI derives its ``--engine`` help
-#: from this table, so a new engine documents itself everywhere at once.
-ENGINE_DESCRIPTIONS: dict[str, str] = {
-    Engine.COMPILED.value:
-        "lowers microcode to integer-indexed straight-line form (fast)",
-    Engine.INTERPRETED.value:
-        "the cycle-by-cycle oracle every other engine is checked against",
-    Engine.VECTOR.value:
-        "level-grouped ndarray kernels; batches multi-seed runs into one "
-        "pass",
-    Engine.NATIVE.value:
-        "one C executor compiled once with the system toolchain and "
-        "cached; falls back to 'vector' without a compiler or for "
-        "Fraction/bignum inputs",
-}
+#: Engine names folded into ``native``; still accepted, with a warning.
+RETIRED_ENGINES: dict[str, str] = {"compiled": "native", "vector": "native"}
 
-
-def engine_help(lead: str) -> str:
-    """``--engine`` help text assembled from the registry (CLI helper)."""
-    body = "; ".join(f"'{name}' {ENGINE_DESCRIPTIONS[name]}"
-                     for name in ENGINES)
-    return f"{lead}: {body}"
+#: ``--engine`` help body, shared by every CLI subcommand.
+ENGINE_HELP = ("'interpreted' is the cycle-by-cycle oracle; 'native' runs "
+               "the lowered table on one cached C executor, falling back "
+               "to ndarray kernels without a compiler and to exact object "
+               "arrays for Fraction/bignum inputs")
 
 
 def coerce_engine(engine: "Engine | str") -> str:
     """Validate ``engine`` and return its canonical string value.
 
-    Accepts an :class:`Engine` member or its string value; anything else
-    raises ``ValueError`` with the historical ``unknown engine`` message.
+    Accepts an :class:`Engine` member or its string value.  A retired name
+    (``"compiled"``, ``"vector"``) maps to its replacement with a
+    ``DeprecationWarning``; anything else raises ``ValueError``.
     """
     if isinstance(engine, Engine):
         return engine.value
+    replacement = RETIRED_ENGINES.get(engine)
+    if replacement is not None:
+        warnings.warn(f"engine {engine!r} is retired; use {replacement!r}",
+                      DeprecationWarning, stacklevel=3)
+        return replacement
     try:
         return Engine(engine).value
     except ValueError:

@@ -1,31 +1,31 @@
-"""Native-code execution of lowered machine programs (``engine="native"``).
+"""The fast machine engine (``engine="native"``), in three tiers.
 
-The fourth rung of the engine ladder.  The vector engine already reduced a
-compiled machine's operation table to level-grouped kernels over a dense
-``(seeds, nodes)`` value matrix; this module encodes the *same* schedule
-(:meth:`~repro.ir.vector.VectorProgram.kernel_schedule`) as an ``int32``
-instruction stream (:func:`~repro.codegen.encode_program`) and runs it on
-the one precompiled C executor of :mod:`repro.codegen` — compiled once
-per toolchain and content-addressed, so no design ever waits on ``cc``
-after the first.
+:func:`~repro.machine.compiled.lower` turns microcode into a flat,
+integer-indexed operation table and precomputes every structural property
+(statistics, strict capacity errors, the event stream, result keying).
+This module groups that table by level and opcode
+(:func:`~repro.ir.vector.build_program`) and runs each value pass on the
+best tier available:
 
-Division of labour per execution:
+1. **C executor** — the kernel schedule, encoded as an ``int32``
+   instruction stream (:func:`~repro.codegen.encode_program`), runs on the
+   one precompiled executor of :mod:`repro.codegen`, compiled once per
+   toolchain and content-addressed, with checked int64 arithmetic;
+2. **ndarray kernels** — with no C compiler (or ``$REPRO_NO_NATIVE`` set),
+   an op outside the executor's repertoire or a failed compile, the same
+   levels run as ndarray gather → ufunc → scatter kernels over the int64
+   value matrix;
+3. **object arrays** — non-integer inputs (``Fraction``, ``bool``,
+   bignums) or an int64 overflow rerun the pass exactly on Python
+   objects.
 
-* Python runs the gather phase (host input callables are arbitrary Python)
-  once per batch via :class:`~repro.ir.vector.HostGather`;
-* the C executor runs every copy/compute level in place over the int64
-  value matrix, with the exact checked-overflow semantics of the ndarray
-  fast path;
-* the compiled machine supplies everything value-independent — statistics,
-  strict capacity errors, the structural event stream, result keying.
-
-Fallback policy (correctness never depends on a toolchain): with no C
-compiler, an op outside the exact repertoire, a failed compile, a
-non-integer input or an int64 overflow, execution degrades to the vector
-engine's paths — same results, just slower.  Counters
+Python runs the gather phase (host input callables are arbitrary Python)
+once per batch via :class:`~repro.ir.vector.HostGather`; a whole batch of
+input instantiations runs through one pass (the multi-seed verification
+axis).  Every tier gives the interpreter's results; counters
 (``native.vector_fallbacks``, ``native.input_fallbacks``,
-``native.overflow_fallbacks``) and the shared
-``vector.int64_fallbacks`` warning keep the degradation visible.
+``native.overflow_fallbacks``) and the shared ``vector.int64_fallbacks``
+warning keep the degradation visible.
 """
 
 from __future__ import annotations
@@ -42,13 +42,13 @@ from repro.ir.vector import (
     HostValues,
     IntegerFallback,
     VectorProgram,
+    build_program,
     execute_gathered,
 )
 from repro.machine.compiled import CompiledMachine, lower
 from repro.machine.errors import CapacityError
 from repro.machine.microcode import Microcode
 from repro.machine.simulator import MachineRun
-from repro.machine.vector import vectorize
 from repro.obs.events import EventSink
 from repro.util.instrument import STATS
 
@@ -64,7 +64,7 @@ def native_code(program: VectorProgram, cache_dir=None) -> tuple:
     else ``(None, None, reason)``."""
     if not program.int_ok:
         return None, None, ("program contains ops without exact int64 "
-                            "kernels; running on the vector engine")
+                            "kernels; the ndarray tier runs it")
     try:
         with STATS.stage("native.encode"):
             code = encode_program(program)
@@ -98,7 +98,7 @@ class NativeMachine:
     """A compiled machine plus (when runnable here) its encoded program.
 
     Always constructible: ``code is None`` means every execution takes
-    the vector path and ``fallback_reason`` says why — callers never need
+    the ndarray tier and ``fallback_reason`` says why — callers never need
     to probe the toolchain themselves.
     """
 
@@ -112,8 +112,10 @@ class NativeMachine:
                 strict: bool = True,
                 sink: "EventSink | None" = None,
                 want_values: bool = True) -> MachineRun:
-        """One native pass; drop-in for :meth:`CompiledMachine.execute`
-        (same ``want_values`` economy as the vector engine)."""
+        """One value pass, with the interpreter's ``values``/``results``/
+        ``stats`` contract.  ``want_values=False`` skips building the full
+        per-key ``values`` dict (verification only consumes ``results``).
+        """
         compiled = self.compiled
         if strict and compiled.strict_error is not None:
             raise CapacityError(compiled.strict_error)
@@ -138,8 +140,8 @@ class NativeMachine:
                          ) -> np.ndarray:
         """One batched pass over host values gathered for gather slot
         ``slot``.  Value levels run in C; any reason the executor cannot
-        run this batch exactly drops to the vector engine's equivalent
-        path (counted, and warned once via the shared int64 fallback
+        run this batch exactly drops to the ndarray or object tier
+        (counted, and warned once via the shared int64 fallback
         channel)."""
         if self.code is None:
             _VECTOR_FALLBACKS.inc()
@@ -152,10 +154,11 @@ class NativeMachine:
 
 
 def nativize(compiled: CompiledMachine, cache_dir=None) -> NativeMachine:
-    """Lower a compiled machine's table to kernel groups and encode them
+    """Group a compiled machine's table into kernel levels and encode them
     for the shared native executor (built on first use through the
     content-addressed artifact cache)."""
-    program = vectorize(compiled).program
+    program = build_program(len(compiled.keys), compiled.program,
+                            compiled.injections)
     executor, code, reason = native_code(program, cache_dir)
     if code is None:
         _FALLBACK_BUILDS.inc()

@@ -123,32 +123,18 @@ def run(mc: Microcode, trace: SystemTrace,
     ``stats.max_registers_per_cell`` measures true register pressure.
 
     ``engine`` selects the execution strategy: ``"interpreted"`` is this
-    cycle-by-cycle loop — the semantic oracle; ``"compiled"`` lowers the
-    microcode to integer-indexed form first
-    (:mod:`repro.machine.compiled`); ``"vector"`` additionally partitions
-    the lowered operation table into level-grouped ndarray kernels
-    (:mod:`repro.machine.vector`); ``"native"`` encodes those kernel
-    groups for one shared, cached C executor
-    (:mod:`repro.machine.native`), degrading to the vector paths when no
-    C toolchain is available.  All four produce identical output.
+    cycle-by-cycle loop — the semantic oracle; ``"native"`` lowers the
+    microcode to an integer-indexed operation table
+    (:mod:`repro.machine.compiled`) and runs it on the shared C executor,
+    the ndarray kernels or exact object arrays
+    (:mod:`repro.machine.native`).  Both produce identical output.
 
     ``sink`` opts into the cycle-level event log: every injection, fire,
     hop, output and register reclamation is emitted as a
-    :class:`~repro.obs.events.MachineEvent` (the compiled and vector
-    engines derive the identical stream structurally).
+    :class:`~repro.obs.events.MachineEvent` (``native`` replays the
+    identical stream, derived structurally at lowering time).
     """
-    engine = coerce_engine(engine)
-    if engine == "compiled":
-        from repro.machine.compiled import run_compiled
-
-        return run_compiled(mc, trace, inputs, strict=strict,
-                            reclaim_registers=reclaim_registers, sink=sink)
-    if engine == "vector":
-        from repro.machine.vector import run_vector
-
-        return run_vector(mc, trace, inputs, strict=strict,
-                          reclaim_registers=reclaim_registers, sink=sink)
-    if engine == "native":
+    if coerce_engine(engine) == "native":
         from repro.machine.native import run_native
 
         return run_native(mc, trace, inputs, strict=strict,

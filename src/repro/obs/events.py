@@ -16,7 +16,7 @@ reclaim   a register is freed after its last local use
 ========  =============================================================
 
 Every event is keyed by ``(cycle, cell)``.  The interpreter emits live
-during execution; the compiled engine derives the identical stream
+during execution; the native engine replays the identical stream, derived
 structurally at lowering time — the test suite cross-checks the two.
 
 :class:`EventLog` is the stock sink: it collects events and exports them as

@@ -60,7 +60,7 @@ def fused_accumulate(h: Op, f: Op) -> Op:
     ``c' := h(c'_{k±1}, f(a', b'))``.
 
     When both components are stock ops the fused op also carries the
-    composed exact int64 kernel, so the vector engine keeps DP workloads
+    composed exact int64 kernel, so the ndarray kernels keep DP workloads
     on the array fast path instead of calling the lambda per element; the
     recorded ``components`` let the native executor encoding do the same.
     """

@@ -18,7 +18,7 @@ Stock patterns:
   kernel to accumulator composites built by
   :func:`repro.ir.ops.compose_accumulate`.  This is the rewrite-pattern
   form of what used to be hard-wired into the restructurer; it changes
-  only the vector engine's fast-path eligibility, never values or event
+  only the int64 fast-path eligibility, never values or event
   streams.
 * :class:`CrossChainCSE` — merges structurally identical equations within
   each module (duplicated carrier chains arise whenever a spec repeats an

@@ -298,7 +298,7 @@ class LowerNativePass(Pass):
     name = "lower-native"
     description = ("encode the design's machine program for the shared "
                    "native C executor (compiled once per toolchain; "
-                   "degrades to the vector engine without one; opt-in)")
+                   "degrades to ndarray kernels without one; opt-in)")
 
     def run(self, state: PipelineState) -> PipelineState:
         design = state.require("design", "lower-microcode")
@@ -307,15 +307,11 @@ class LowerNativePass(Pass):
         from repro.machine.compiled import lower
         from repro.machine.native import nativize
 
-        cache = design._exec_cache
-        lowered = cache.get("machine")
-        if lowered is None:
-            trace = structural_trace(design.system, dict(design.params))
-            lowered = cache["machine"] = lower(microcode, trace)
-        # Primes the same slot verify_design(engine="native") reads, so
+        trace = structural_trace(design.system, dict(design.params))
+        # Primes the slot verify_design(engine="native") reads, so
         # verification after this pass starts warm — program encoded and
         # the executor loaded (compiled, or found on disk).
-        cache["nmachine"] = nativize(lowered)
+        design._exec_cache["nmachine"] = nativize(lower(microcode, trace))
         return state
 
 

@@ -64,20 +64,55 @@ class TestSynthesisOptions:
             SynthesisOptions(time_bound=0)
 
     def test_engine_validated(self):
-        for engine in ("compiled", "interpreted", "vector"):
+        assert SynthesisOptions().engine == "native"
+        for engine in ("interpreted", "native"):
             assert SynthesisOptions(engine=engine).engine == engine
         with pytest.raises(ValueError, match="unknown engine"):
             SynthesisOptions(engine="quantum")
 
     def test_engine_not_in_cache_key(self):
         # Execution strategy must not split the design cache.
-        assert SynthesisOptions(engine="vector").to_dict() == \
-            SynthesisOptions(engine="compiled").to_dict()
+        assert SynthesisOptions(engine="interpreted").to_dict() == \
+            SynthesisOptions(engine="native").to_dict()
 
     def test_dict_round_trip(self):
         opts = SynthesisOptions(time_bound=4, space_bound=2,
                                 schedule_offsets=(0, 1), space_offsets=None)
         assert SynthesisOptions.from_dict(opts.to_dict()) == opts
+
+
+class TestRetiredEngines:
+    """``"compiled"`` and ``"vector"`` were folded into ``"native"``: they
+    still work, with a warning naming the replacement."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        from repro.arrays import FIG1_UNIDIRECTIONAL
+
+        return synthesize(dp_system(), {"n": 6}, FIG1_UNIDIRECTIONAL)
+
+    @pytest.mark.parametrize("name", ["compiled", "vector"])
+    def test_verify_warns_and_reports_like_native(self, design, name):
+        factory = api.input_factory("dp", design.params)
+        want = api.verify_design(design, factory, seeds=range(3))
+        with pytest.warns(DeprecationWarning, match="use 'native'"):
+            got = api.verify_design(design, factory, engine=name,
+                                    seeds=range(3))
+        assert got.ok and want.ok
+        assert got.failures == want.failures
+        assert got.machine_stats == want.machine_stats
+        assert got.seeds_checked == want.seeds_checked == 3
+
+    @pytest.mark.parametrize("name", ["compiled", "vector"])
+    def test_options_map_to_native(self, name):
+        with pytest.warns(DeprecationWarning, match=repr(name)):
+            assert SynthesisOptions(engine=name).engine == "native"
+
+    def test_unknown_names_still_raise(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            api.coerce_engine("quantum")
+        with pytest.raises(ValueError, match="interpreted, native"):
+            api.verify_design(None, {}, engine="Compiled")
 
 
 class TestErrorHierarchy:

@@ -44,10 +44,9 @@ class TestAllList:
             assert name in api.__all__, name
 
     def test_engine_surface_exported(self):
-        assert api.ENGINES == ("compiled", "interpreted", "vector",
-                               "native")
+        assert api.ENGINES == ("interpreted", "native")
         assert [e.value for e in api.Engine] == list(api.ENGINES)
-        assert api.coerce_engine(api.Engine.VECTOR) == "vector"
+        assert api.coerce_engine(api.Engine.NATIVE) == "native"
 
     def test_star_import_honours_all(self):
         namespace: dict = {}

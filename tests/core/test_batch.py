@@ -191,9 +191,7 @@ class TestSweepSpec:
 
 class TestVerifySeeds:
     SPEC = SweepSpec(problems=("dp",), interconnects=("fig1",),
-                     param_grid=({"n": 6},),
-                     options=SynthesisOptions(engine="vector"),
-                     verify_seeds=4)
+                     param_grid=({"n": 6},), verify_seeds=4)
 
     def test_fresh_jobs_verify(self, tmp_path):
         report = run_sweep(self.SPEC, workers=0, cache_dir=tmp_path)
@@ -223,9 +221,7 @@ class TestVerifySeeds:
     def test_verify_travels_through_worker_pool(self, tmp_path):
         spec = SweepSpec(problems=("dp", "conv-backward"),
                          interconnects=("fig1", "linear"),
-                         param_grid=({"n": 6, "s": 3},),
-                         options=SynthesisOptions(engine="vector"),
-                         verify_seeds=2)
+                         param_grid=({"n": 6, "s": 3},), verify_seeds=2)
         report = run_sweep(spec, workers=2, cache_dir=tmp_path)
         ok = report.ok_results
         assert ok and all(r.verified is True for r in ok)
@@ -328,7 +324,7 @@ class TestPooledExecution:
         differing only in engine share it — each must still be accepted
         and charge its own stats delta."""
         jobs = [job
-                for engine in ("compiled", "vector")
+                for engine in ("interpreted", "native")
                 for job in SweepSpec(
                     problems=("dp",), interconnects=("fig1",),
                     param_grid=({"n": 5},),
@@ -341,7 +337,8 @@ class TestPooledExecution:
         after = STATS.snapshot()["counters"].get(counter, 0)
         assert len(report.results) == 2
         assert report.results[0].key == report.results[1].key
-        assert {r.engine for r in report.results} == {"compiled", "vector"}
+        assert {r.engine for r in report.results} == {"interpreted",
+                                                      "native"}
         deltas = [r.stats["counters"].get(counter, 0)
                   for r in report.results]
         assert all(deltas)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import TRACER, load_run_record, read_jsonl
+from tests.machine.tiers import tier
 
 
 class TestSynthesize:
@@ -33,7 +34,7 @@ class TestSynthesize:
                      "--verify", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "verification: VerificationReport(OK)" in out
-        assert "(seed=7, engine=compiled)" in out
+        assert "(seed=7, engine=native)" in out
 
     def test_verify_interpreted_engine(self, capsys):
         assert main(["synthesize", "--problem", "conv-backward",
@@ -45,25 +46,30 @@ class TestSynthesize:
         assert "verify.machine" in out    # --stats shows the verify stages
 
     def test_verify_vector_engine(self, capsys):
-        assert main(["synthesize", "--problem", "dp", "--n", "6",
-                     "--interconnect", "fig1",
-                     "--verify", "--engine", "vector", "--stats"]) == 0
+        # The native engine's ndarray tier, as on a machine without cc.
+        with tier("vector"):
+            assert main(["synthesize", "--problem", "dp", "--n", "6",
+                         "--interconnect", "fig1", "--verify",
+                         "--stats"]) == 0
         out = capsys.readouterr().out
         assert "verification: VerificationReport(OK)" in out
-        assert "engine=vector" in out
+        assert "engine=native" in out
         assert "vector.exec" in out       # kernel stages in the span tree
 
     def test_verify_vector_multi_seed(self, capsys):
-        assert main(["synthesize", "--problem", "dp", "--n", "6",
-                     "--interconnect", "fig1", "--verify",
-                     "--engine", "vector", "--seed", "3", "--seeds", "8"]) == 0
+        # The retired name still parses: it runs native, with a warning.
+        with pytest.warns(DeprecationWarning, match="'vector' is retired"):
+            assert main(["synthesize", "--problem", "dp", "--n", "6",
+                         "--interconnect", "fig1", "--verify",
+                         "--engine", "vector", "--seed", "3",
+                         "--seeds", "8"]) == 0
         out = capsys.readouterr().out
         assert "verification: VerificationReport(OK)" in out
-        assert "(seeds=3..10, engine=vector)" in out
+        assert "(seeds=3..10, engine=native)" in out
 
     def test_verify_native_engine(self, capsys):
         # Works with or without a C toolchain: the native engine degrades
-        # to the vector paths, so verification stays OK either way.
+        # to its ndarray tier, so verification stays OK either way.
         assert main(["synthesize", "--problem", "dp", "--n", "6",
                      "--interconnect", "fig1",
                      "--verify", "--engine", "native", "--stats"]) == 0
@@ -95,10 +101,10 @@ class TestEngineRegistry:
                                       "trace"]
 
     def test_registry_contains_native(self):
-        from repro.machine.engines import ENGINE_DESCRIPTIONS, ENGINES
+        from repro.machine.engines import ENGINE_HELP, ENGINES
 
-        assert "native" in ENGINES
-        assert set(ENGINE_DESCRIPTIONS) == set(ENGINES)
+        assert ENGINES == ("interpreted", "native")
+        assert all(f"'{name}'" in ENGINE_HELP for name in ENGINES)
 
 
 class TestSweep:
@@ -234,7 +240,7 @@ class TestTrace:
     def test_engines_export_identical_jsonl(self, tmp_path):
         argv = ["trace", "--problem", "dp", "--interconnect", "fig1",
                 "--n", "6"]
-        assert main(argv + ["--engine", "compiled",
+        assert main(argv + ["--engine", "native",
                             "--out", str(tmp_path / "c")]) == 0
         assert main(argv + ["--engine", "interpreted",
                             "--out", str(tmp_path / "i")]) == 0

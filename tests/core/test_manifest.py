@@ -16,7 +16,7 @@ from repro.core.manifest import MANIFEST_VERSION, jobs_fingerprint
 from repro.report import sweep_table
 
 
-ENGINE = "compiled"
+ENGINE = "native"
 
 
 def _ident(key: str, engine: str = ENGINE) -> str:
@@ -65,14 +65,14 @@ class TestJournal:
         # Two jobs differing only in engine share a cache key; each must
         # get its own done-record or resuming silently drops one.
         path = tmp_path / "m.jsonl"
-        idents = [_ident("k1", "vector"), _ident("k1", "native")]
+        idents = [_ident("k1", "interpreted"), _ident("k1", "native")]
         with SweepManifest.open(path, idents) as m:
-            m.record(_result("k1", engine="vector"))
+            m.record(_result("k1", engine="interpreted"))
             m.record(_result("k1", engine="native"))
         with SweepManifest.open(path, idents) as m:
             assert set(m.completed) == set(idents)
             assert sorted(r.engine for r in m.restore()) == \
-                ["native", "vector"]
+                ["interpreted", "native"]
 
     def test_failures_journal_too(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -212,7 +212,7 @@ class TestRunSweepIntegration:
                          param_grid=({"n": 5},))
         jobs = [dataclasses.replace(job, options=SynthesisOptions(engine=e))
                 for job in base.jobs()
-                for e in ("interpreted", "vector")]
+                for e in ("interpreted", "native")]
         path = tmp_path / "sweep.jsonl"
         first = run_sweep(jobs, workers=0, use_cache=False,
                           cross_check=False, manifest=path)
@@ -223,5 +223,5 @@ class TestRunSweepIntegration:
                           cross_check=False, manifest=path)
         assert again.cache_misses == 0                 # nothing re-executed
         assert sorted(r.engine for r in again.results) == \
-            ["interpreted", "vector"]
+            ["interpreted", "native"]
         assert sweep_table(again.results) == sweep_table(first.results)

@@ -240,28 +240,28 @@ class TestTrajectoryGate:
             capture_output=True, text=True)
 
     def _write(self, root, entries):
-        (root / "BENCH_machine_compiled.json").write_text(
+        (root / "BENCH_machine_verify_native.json").write_text(
             json.dumps(entries), encoding="utf-8")
 
     def test_empty_dir_passes(self, tmp_path):
         assert self._run(tmp_path).returncode == 0
 
     def test_single_entry_seeds(self, tmp_path):
-        self._write(tmp_path, [{"n": 8, "compiled_ms": 10.0}])
+        self._write(tmp_path, [{"n": 8, "verify_ms": 10.0}])
         proc = self._run(tmp_path)
         assert proc.returncode == 0
         assert "seeded baseline" in proc.stdout
 
     def test_within_bounds_passes(self, tmp_path):
-        self._write(tmp_path, [{"n": 8, "compiled_ms": 10.0},
-                               {"n": 8, "compiled_ms": 15.0}])
+        self._write(tmp_path, [{"n": 8, "verify_ms": 10.0},
+                               {"n": 8, "verify_ms": 15.0}])
         proc = self._run(tmp_path)
         assert proc.returncode == 0
         assert "OK" in proc.stdout
 
     def test_regression_fails(self, tmp_path):
-        self._write(tmp_path, [{"n": 8, "compiled_ms": 10.0},
-                               {"n": 8, "compiled_ms": 25.0}])
+        self._write(tmp_path, [{"n": 8, "verify_ms": 10.0},
+                               {"n": 8, "verify_ms": 25.0}])
         proc = self._run(tmp_path)
         assert proc.returncode == 1
         assert "REGRESSED" in proc.stdout
@@ -269,8 +269,8 @@ class TestTrajectoryGate:
     def test_different_context_not_compared(self, tmp_path):
         """A CI smoke run at small n must not gate against a local big-n
         baseline — the workload context (here ``n``) has to match."""
-        self._write(tmp_path, [{"n": 18, "compiled_ms": 10.0},
-                               {"n": 8, "compiled_ms": 50.0}])
+        self._write(tmp_path, [{"n": 18, "verify_ms": 10.0},
+                               {"n": 8, "verify_ms": 50.0}])
         proc = self._run(tmp_path)
         assert proc.returncode == 0
         assert "seeded baseline" in proc.stdout
@@ -278,7 +278,7 @@ class TestTrajectoryGate:
     def test_empty_file_seeds_instead_of_failing(self, tmp_path):
         # A fresh checkout ships empty trajectories; the first pinned run
         # must seed them, not crash the gate.
-        (tmp_path / "BENCH_machine_compiled.json").write_text(
+        (tmp_path / "BENCH_machine_verify_native.json").write_text(
             "", encoding="utf-8")
         proc = self._run(tmp_path)
         assert proc.returncode == 0
@@ -291,7 +291,7 @@ class TestTrajectoryGate:
         assert "seeds it" in proc.stdout
 
     def test_corrupt_file_still_fails(self, tmp_path):
-        (tmp_path / "BENCH_machine_compiled.json").write_text(
+        (tmp_path / "BENCH_machine_verify_native.json").write_text(
             "{not json", encoding="utf-8")
         proc = self._run(tmp_path)
         assert proc.returncode == 1
@@ -306,24 +306,24 @@ class TestTrajectoryGate:
         assert "machine_native" in proc.stdout
 
     def test_passing_gate_prints_delta_table(self, tmp_path):
-        self._write(tmp_path, [{"n": 8, "compiled_ms": 10.0},
-                               {"n": 8, "compiled_ms": 12.0}])
+        self._write(tmp_path, [{"n": 8, "verify_ms": 10.0},
+                               {"n": 8, "verify_ms": 12.0}])
         proc = self._run(tmp_path)
         assert proc.returncode == 0
         assert "per-pin trajectory deltas" in proc.stdout
         assert "+20.0%" in proc.stdout
 
     def test_delta_table_dash_without_comparable_prior(self, tmp_path):
-        self._write(tmp_path, [{"n": 8, "compiled_ms": 10.0}])
+        self._write(tmp_path, [{"n": 8, "verify_ms": 10.0}])
         proc = self._run(tmp_path)
         assert proc.returncode == 0
         # one entry: newest value shown, previous and delta are "-"
-        assert "machine_compiled" in proc.stdout
+        assert "machine_verify_native" in proc.stdout
         assert "-" in proc.stdout
 
     def test_failing_gate_skips_delta_table(self, tmp_path):
-        self._write(tmp_path, [{"n": 8, "compiled_ms": 10.0},
-                               {"n": 8, "compiled_ms": 25.0}])
+        self._write(tmp_path, [{"n": 8, "verify_ms": 10.0},
+                               {"n": 8, "verify_ms": 25.0}])
         proc = self._run(tmp_path)
         assert proc.returncode == 1
         assert "per-pin trajectory deltas" not in proc.stdout

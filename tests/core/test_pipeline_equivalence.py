@@ -148,7 +148,7 @@ def _compiled_stream(design, inputs) -> str:
     mc = compile_design(trace, design.schedules, design.space_maps,
                         design.interconnect.decomposer())
     log = EventLog()
-    run(mc, trace, inputs, strict=True, engine="compiled", sink=log)
+    run(mc, trace, inputs, strict=True, engine="native", sink=log)
     log.events = canonical_order(log.events)
     return log.to_jsonl()
 

@@ -17,6 +17,7 @@ from repro.problems import (
 )
 from repro.schedule import LinearSchedule
 from repro.space import SpaceMap
+from tests.machine.tiers import tier
 
 PARAMS = {"n": 10, "s": 4}
 X = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3]
@@ -54,13 +55,13 @@ class TestVerifyDesign:
         assert not report.flows_ok
 
     def test_engines_agree(self):
-        """The compiled verification path (cached plan + lowered machine)
+        """The native verification path (cached plans + lowered machine)
         must reproduce the interpreted oracle's report exactly — twice, so
         the warm cached path is exercised too."""
         design = w2_design()
         oracle = verify_design(design, INPUTS, engine="interpreted")
         for _ in range(2):
-            fast = verify_design(design, INPUTS, engine="compiled")
+            fast = verify_design(design, INPUTS)
             assert fast.ok == oracle.ok
             assert fast.failures == oracle.failures
             assert fast.machine_stats == oracle.machine_stats
@@ -68,15 +69,17 @@ class TestVerifyDesign:
     def test_engines_agree_on_broken_design(self):
         broken = w2_design(schedule_coeffs=(1, -1))
         oracle = verify_design(broken, INPUTS, engine="interpreted")
-        fast = verify_design(broken, INPUTS, engine="compiled")
+        fast = verify_design(broken, INPUTS)
         assert not fast.ok and not oracle.ok
         assert fast.failures == oracle.failures
 
     def test_vector_engine_agrees(self):
+        """The same on native's ndarray tier (``$REPRO_NO_NATIVE``)."""
         design = w2_design()
         oracle = verify_design(design, INPUTS, engine="interpreted")
-        for _ in range(2):   # second pass hits the cached vplan/vmachine
-            fast = verify_design(design, INPUTS, engine="vector")
+        for _ in range(2):   # second pass hits the cached plans and machine
+            with tier("vector"):
+                fast = verify_design(design, INPUTS)
             assert fast.ok == oracle.ok
             assert fast.failures == oracle.failures
             assert fast.machine_stats == oracle.machine_stats
@@ -84,7 +87,8 @@ class TestVerifyDesign:
     def test_vector_engine_agrees_on_broken_design(self):
         broken = w2_design(schedule_coeffs=(1, -1))
         oracle = verify_design(broken, INPUTS, engine="interpreted")
-        fast = verify_design(broken, INPUTS, engine="vector")
+        with tier("vector"):
+            fast = verify_design(broken, INPUTS)
         assert not fast.ok and not oracle.ok
         assert fast.failures == oracle.failures
 
@@ -96,9 +100,8 @@ class TestVerifyDesign:
             return convolution_inputs(
                 [x_pool[(seed + k) % len(x_pool)] for k in range(10)], W)
 
-        batched = verify_design(design, factory, engine="vector",
-                                seeds=range(5))
-        looped = verify_design(design, factory, engine="compiled",
+        batched = verify_design(design, factory, seeds=range(5))
+        looped = verify_design(design, factory, engine="interpreted",
                                seeds=range(5))
         assert batched.ok and looped.ok
         assert batched.seeds_checked == looped.seeds_checked == 5

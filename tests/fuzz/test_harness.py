@@ -6,18 +6,19 @@ TWO_CHAIN = ((1, (0, 0)), (0, (0, 0)))
 
 
 def test_engine_order_covers_all_engines():
-    # The native engine is opt-in for fuzzing (``run_case(..., native=True)``
-    # / ``repro fuzz --native``): it needs a C toolchain to add coverage
-    # beyond the vector paths it otherwise falls back to.
-    from repro.core.verify import ENGINES
+    # The oracle plus the native engine's ndarray tier always; its C tier
+    # is opt-in for fuzzing (``run_case(..., native=True)`` / ``repro fuzz
+    # --native``): it needs a C toolchain to add coverage beyond the
+    # ndarray tier it otherwise falls back to.
+    from repro.machine.engines import ENGINES
 
-    assert set(ENGINE_ORDER) | {"native"} == set(ENGINES)
-    assert "native" not in ENGINE_ORDER
+    assert ENGINE_ORDER == ("interpreted", "vector")
+    assert set(ENGINE_ORDER + ("native",)) - {"vector"} == set(ENGINES)
 
 
 def test_dp_like_case_is_ok():
     # The paper's own recurrence shape (two chains, min-plus/min) must pass
-    # the full round trip: oracle, reference, synthesis, three engines and
+    # the full round trip: oracle, reference, synthesis, the engine tiers and
     # byte-identical event streams.
     outcome = run_case(CaseDescriptor(
         n=6, lo=1, hi=1, args=TWO_CHAIN, body="min_plus", combine="min",

@@ -3,8 +3,8 @@
 Every artifact is a shrunk :class:`~repro.fuzz.cases.CaseDescriptor` that
 once exposed a bug (or pins a boundary the fuzzer must keep exercising).
 Replay runs the descriptor through the *whole* pipeline — oracle,
-restructuring, synthesis, and every engine (including ``native`` where a
-C toolchain exists; without one it degrades to the vector paths) with
+restructuring, synthesis, the interpreter and both tiers of ``native``
+(its C tier degrades to the ndarray tier where no C toolchain exists) with
 value and event-stream comparison — via
 :func:`repro.fuzz.harness.run_case`, then enforces the artifact's
 ``expect`` contract: the recorded status must match exactly, or for

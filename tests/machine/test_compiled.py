@@ -1,6 +1,8 @@
-"""Compiled-engine equivalence: the lowered integer-indexed machine must be
-bit-identical to the interpreted cycle-by-cycle oracle — values, results and
-the full ``MachineStats`` block, violation lists included."""
+"""The lowered machine table (:func:`repro.machine.lower`) run by the
+native engine on both its tiers must be bit-identical to the interpreted
+cycle-by-cycle oracle — values, results and the full ``MachineStats``
+block, violation lists included.  Shares :mod:`tests.machine.tiers` with
+the equivalence matrix of ``test_vector.py``."""
 
 import random
 
@@ -8,34 +10,20 @@ import numpy as np
 import pytest
 
 from repro.core import synthesize
-from repro.arrays import FIG2_EXTENDED, LINEAR_BIDIR
+from repro.arrays import FIG2_EXTENDED
 from repro.ir import trace_execution
 from repro.ir.evaluate import ValueKey
 from repro.machine import (
     CapacityError,
     Microcode,
     MissingOperandError,
-    compile_design,
     lower,
+    nativize,
     run,
 )
 from repro.machine.microcode import Hop, Injection, Operation
 from repro.problems import dp_inputs, matmul_inputs, matmul_system
-
-
-def cross_check(design, inputs, strict=True, reclaim_registers=True):
-    """Run both engines on one design and assert identical output."""
-    trace = trace_execution(design.system, design.params, inputs)
-    mc = compile_design(trace, design.schedules, design.space_maps,
-                        design.interconnect.decomposer())
-    interp = run(mc, trace, inputs, strict=strict,
-                 reclaim_registers=reclaim_registers)
-    comp = run(mc, trace, inputs, strict=strict,
-               reclaim_registers=reclaim_registers, engine="compiled")
-    assert comp.values == interp.values
-    assert comp.results == interp.results
-    assert comp.stats == interp.stats
-    return interp, comp
+from tests.machine.tiers import TIERS, cross_check, microcode, tier
 
 
 class TestEquivalence:
@@ -78,32 +66,30 @@ class TestEquivalence:
         fresh interpreted run."""
         design = dp_design_fig2
         n = design.params["n"]
-        base = dp_inputs([1] * (n - 1))
-        trace = trace_execution(design.system, design.params, base)
-        mc = compile_design(trace, design.schedules, design.space_maps,
-                            design.interconnect.decomposer())
+        mc, trace = microcode(design, dp_inputs([1] * (n - 1)))
         cm = lower(mc, trace)
-        for seed in range(8):
-            rng = random.Random(seed)
-            inputs = dp_inputs([rng.randint(1, 9) for _ in range(n - 1)])
-            interp = run(mc, trace, inputs)
-            comp = cm.execute(inputs)
-            assert comp.values == interp.values
-            assert comp.results == interp.results
-            assert comp.stats == interp.stats
+        for name in TIERS:
+            with tier(name):
+                machine = nativize(cm)
+            for seed in range(8):
+                rng = random.Random(seed)
+                inputs = dp_inputs([rng.randint(1, 9)
+                                    for _ in range(n - 1)])
+                interp = run(mc, trace, inputs)
+                fast = machine.execute(inputs)
+                assert fast.values == interp.values, name
+                assert fast.results == interp.results, name
+                assert fast.stats == interp.stats, name
 
     def test_unknown_engine_rejected(self, dp_design_fig2, dp_host_inputs):
-        design = dp_design_fig2
-        trace = trace_execution(design.system, design.params, dp_host_inputs)
-        mc = compile_design(trace, design.schedules, design.space_maps,
-                            design.interconnect.decomposer())
+        mc, trace = microcode(dp_design_fig2, dp_host_inputs)
         with pytest.raises(ValueError, match="unknown engine"):
             run(mc, trace, dp_host_inputs, engine="quantum")
 
 
 def hand_capacity_microcode():
     """Two values of one stream crossing one link in the same cycle — a
-    capacity violation either engine must handle identically."""
+    capacity violation both engines must handle identically."""
     from repro.ir import (
         Equation,
         InputRule,
@@ -141,39 +127,51 @@ def hand_capacity_microcode():
     return mc, trace
 
 
+def run_each(mc, trace, inputs, **kwargs):
+    """Yield ``(name, thunk)`` for the interpreter and each tier, so a
+    test can expect the same exception from every one of them."""
+    yield "interpreted", lambda: run(mc, trace, inputs, **kwargs)
+    for name in TIERS:
+        def fast(name=name):
+            with tier(name):
+                return run(mc, trace, inputs, engine="native", **kwargs)
+        yield name, fast
+
+
 class TestCapacityPath:
     def test_strict_raises_same_message(self):
         inputs = {"inp": lambda i: i * 10}
-        messages = []
-        for engine in ("interpreted", "compiled"):
-            mc, trace = hand_capacity_microcode()
+        mc, trace = hand_capacity_microcode()
+        messages = {}
+        for name, thunk in run_each(mc, trace, inputs, strict=True):
             with pytest.raises(CapacityError) as info:
-                run(mc, trace, inputs, strict=True, engine=engine)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+                thunk()
+            messages[name] = str(info.value)
+        assert len(set(messages.values())) == 1, messages
 
     def test_non_strict_records_and_keeps_running(self):
         """``strict=False`` must record the violation *and* complete the
-        run — both engines, identical violation lists and values."""
+        run — every engine and tier, identical violation lists and
+        values."""
         inputs = {"inp": lambda i: i * 10}
         mc, trace = hand_capacity_microcode()
-        interp = run(mc, trace, inputs, strict=False)
-        comp = run(mc, trace, inputs, strict=False, engine="compiled")
-        for result in (interp, comp):
+        runs = {name: thunk() for name, thunk
+                in run_each(mc, trace, inputs, strict=False)}
+        for name, result in runs.items():
             assert result.stats.capacity_violations == [
-                (1, (0,), (1,), ("m", "x"))]
+                (1, (0,), (1,), ("m", "x"))], name
             assert result.values[ValueKey("m", "x", (1,))] == 10
             assert result.values[ValueKey("m", "x", (2,))] == 20
-        assert interp.stats == comp.stats
+            assert result.stats == runs["interpreted"].stats, name
 
     def test_missing_hop_source_raises_both(self):
         inputs = {"inp": lambda i: i * 10}
-        for engine in ("interpreted", "compiled"):
-            mc, trace = hand_capacity_microcode()
-            mc.hops[0] = Hop(ValueKey("m", "x", (1,)), (5,), (1,), 1,
-                             ("m", "x"))
+        mc, trace = hand_capacity_microcode()
+        mc.hops[0] = Hop(ValueKey("m", "x", (1,)), (5,), (1,), 1,
+                         ("m", "x"))
+        for name, thunk in run_each(mc, trace, inputs, strict=False):
             with pytest.raises(MissingOperandError):
-                run(mc, trace, inputs, strict=False, engine=engine)
+                thunk()
 
 
 class TestProtectedReclamation:
@@ -183,13 +181,11 @@ class TestProtectedReclamation:
         with reclamation on, every output is still present and correct at
         the end of the run (the machine's results match the reference)."""
         design = dp_design_fig2
-        trace = trace_execution(design.system, design.params, dp_host_inputs)
-        mc = compile_design(trace, design.schedules, design.space_maps,
-                            design.interconnect.decomposer())
-        for engine in ("interpreted", "compiled"):
-            result = run(mc, trace, dp_host_inputs, reclaim_registers=True,
-                         engine=engine)
-            assert result.results == trace.results
+        mc, trace = microcode(design, dp_host_inputs)
+        for name, thunk in run_each(mc, trace, dp_host_inputs,
+                                    reclaim_registers=True):
+            result = thunk()
+            assert result.results == trace.results, name
             for out in design.system.outputs:
                 for p in out.domain.points(design.params):
                     assert ValueKey(out.module, out.var, p) in result.values
@@ -198,9 +194,9 @@ class TestProtectedReclamation:
                                           dp_host_inputs):
         """Sanity of the vectorised interval sweep: reclaiming must not
         report more registers than holding everything forever."""
-        reclaimed, _ = cross_check(dp_design_fig2, dp_host_inputs,
-                                   reclaim_registers=True)
-        kept, _ = cross_check(dp_design_fig2, dp_host_inputs,
-                              reclaim_registers=False)
+        reclaimed = cross_check(dp_design_fig2, dp_host_inputs,
+                                reclaim_registers=True)["native"]
+        kept = cross_check(dp_design_fig2, dp_host_inputs,
+                           reclaim_registers=False)["native"]
         assert (reclaimed.stats.max_registers_per_cell
                 < kept.stats.max_registers_per_cell)

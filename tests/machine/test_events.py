@@ -1,7 +1,7 @@
 """Cycle-level machine event logs: both engines must tell the same story.
 
-The interpreter emits events live during execution; the compiled engine
-derives them structurally at lowering time.  On every design the two
+The interpreter emits events live during execution; the native engine
+replays the stream :func:`repro.machine.lower` derives structurally.  On every design the two
 streams must be identical under the canonical order, and their aggregate
 counts must agree with the ``MachineStats`` block the run already reports.
 """
@@ -12,19 +12,25 @@ import pytest
 
 from repro.codegen import native_available
 from repro.ir import trace_execution
-from repro.machine import compile_design, lower, run
+from repro.machine import compile_design, lower, nativize, run
 from repro.obs import EVENT_KINDS, EventLog, MachineEvent, canonical_order, read_jsonl
+from tests.machine.tiers import tier
 
 requires_cc = pytest.mark.skipif(not native_available(),
                                  reason="no C toolchain on this machine")
 
 
 def _logged_run(design, inputs, engine):
+    """One logged run on ``"interpreted"`` or a native tier (``"native"``,
+    ``"vector"``)."""
     trace = trace_execution(design.system, design.params, inputs)
     mc = compile_design(trace, design.schedules, design.space_maps,
                         design.interconnect.decomposer())
     log = EventLog()
-    result = run(mc, trace, inputs, engine=engine, sink=log)
+    with tier(engine):
+        result = run(mc, trace, inputs, sink=log,
+                     engine="interpreted" if engine == "interpreted"
+                     else "native")
     return result, log
 
 
@@ -32,7 +38,7 @@ def _logged_run(design, inputs, engine):
 def fig1_logs(dp_design_fig1, dp_host_inputs):
     interp, interp_log = _logged_run(dp_design_fig1, dp_host_inputs,
                                      "interpreted")
-    comp, comp_log = _logged_run(dp_design_fig1, dp_host_inputs, "compiled")
+    comp, comp_log = _logged_run(dp_design_fig1, dp_host_inputs, "native")
     return interp, interp_log, comp, comp_log
 
 
@@ -45,7 +51,7 @@ class TestCrossEngineIdentity:
     def test_fig2_dp_streams_identical(self, dp_design_fig2, dp_host_inputs):
         _, interp_log = _logged_run(dp_design_fig2, dp_host_inputs,
                                     "interpreted")
-        _, comp_log = _logged_run(dp_design_fig2, dp_host_inputs, "compiled")
+        _, comp_log = _logged_run(dp_design_fig2, dp_host_inputs, "native")
         assert canonical_order(interp_log) == canonical_order(comp_log)
 
     def test_conv_backward_streams_identical(self, conv_design_backward):
@@ -54,7 +60,7 @@ class TestCrossEngineIdentity:
                                     [1, -2, 3, 2])
         _, interp_log = _logged_run(conv_design_backward, inputs,
                                     "interpreted")
-        _, comp_log = _logged_run(conv_design_backward, inputs, "compiled")
+        _, comp_log = _logged_run(conv_design_backward, inputs, "native")
         assert canonical_order(interp_log) == canonical_order(comp_log)
 
     def test_sink_does_not_change_results(self, dp_design_fig1,
@@ -72,7 +78,8 @@ class TestCrossEngineIdentity:
 
 
 class TestFourEngineByteIdentity:
-    """Every engine's canonical event stream must be *byte*-identical —
+    """The interpreter's and both native tiers' canonical event streams
+    must be *byte*-identical —
     the digest is a SHA-256 over the canonical JSONL, so equal digests
     mean equal bytes, not just equal event multisets."""
 
@@ -204,7 +211,7 @@ class TestCompiledEventGating:
                             dp_design_fig1.interconnect.decomposer())
         lowered = lower(mc, trace)        # record_events defaults to False
         with pytest.raises(ValueError, match="record_events"):
-            lowered.execute(dp_host_inputs, sink=EventLog())
+            nativize(lowered).execute(dp_host_inputs, sink=EventLog())
 
     def test_no_sink_no_events_recorded(self, dp_design_fig1,
                                         dp_host_inputs):

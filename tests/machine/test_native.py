@@ -2,9 +2,10 @@
 toolchain, warm processes skip the compiler, negative entries, key
 hygiene), the fallback ladder (no toolchain / unsupported op / non-integer
 inputs / overflow), the shared host gather of batched verification, and
-the ``lower-native`` pass.  Cross-engine value and event-stream
-equivalence lives in the four-engine matrix of ``test_vector.py``; the
-executor's per-tag semantics in ``tests/codegen/test_executor.py``."""
+the ``lower-native`` pass.  Value and event-stream equivalence with the
+interpreter, on both tiers, lives in ``test_vector.py`` and
+``test_compiled.py``; the executor's per-tag semantics in
+``tests/codegen/test_executor.py``."""
 
 import json
 import os
@@ -27,13 +28,14 @@ from repro.codegen import (
     kernel_key,
     load_or_build,
     native_available,
+    native_disabled,
 )
 from repro.codegen import build
 from repro.core import synthesize
 from repro.core.verify import verify_design
 from repro.ir import trace_execution
 from repro.ir.ops import ADD, compose_accumulate, make_op
-from repro.machine import compile_design, lower_vector, nativize, run
+from repro.machine import compile_design, lower, lower_native, nativize, run
 from repro.obs import TRACER
 from repro.problems import dp_inputs, dp_system, input_factory
 from repro.rewrite.pipeline import (
@@ -44,6 +46,7 @@ from repro.rewrite.pipeline import (
     run_pipeline,
 )
 from repro.core.options import SynthesisOptions
+from tests.machine.tiers import TIERS, tier
 
 requires_cc = pytest.mark.skipif(
     not native_available(), reason="no C toolchain on this machine")
@@ -57,14 +60,14 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def dp_program(n=8):
-    """A lowered vector program plus its compiled machine for DP size n."""
+    """A lowered native machine (kernel program plus compiled table) for
+    DP size n."""
     design = synthesize(dp_system(), {"n": n}, FIG1_UNIDIRECTIONAL)
     inputs = input_factory("dp", design.params)(0)
     trace = trace_execution(design.system, design.params, inputs)
     mc = compile_design(trace, design.schedules, design.space_maps,
                         design.interconnect.decomposer())
-    vm = lower_vector(mc, trace)
-    return design, vm, inputs
+    return design, lower_native(mc, trace), inputs
 
 
 def counter(name):
@@ -72,13 +75,11 @@ def counter(name):
 
 
 @pytest.fixture
-def no_native(monkeypatch):
+def no_native():
     """Force-disable the toolchain for one test, then re-probe."""
-    monkeypatch.setenv(DISABLE_ENV_VAR, "1")
-    assert find_toolchain(refresh=True) is None
-    yield
-    monkeypatch.delenv(DISABLE_ENV_VAR, raising=False)
-    find_toolchain(refresh=True)
+    with tier("vector"):
+        assert find_toolchain() is None
+        yield
 
 
 @pytest.fixture
@@ -193,6 +194,15 @@ class TestCompileCount:
 
 
 class TestFallbackLadder:
+    def test_native_disabled_restores_environment(self, monkeypatch):
+        monkeypatch.delenv(DISABLE_ENV_VAR, raising=False)
+        before = find_toolchain(refresh=True)
+        with native_disabled():
+            assert os.environ[DISABLE_ENV_VAR] == "1"
+            assert find_toolchain() is None
+        assert DISABLE_ENV_VAR not in os.environ
+        assert find_toolchain() == before
+
     def test_no_toolchain_degrades_to_vector(self, no_native,
                                              dp_host_inputs):
         design = synthesize(dp_system(), {"n": 8}, FIG1_UNIDIRECTIONAL)
@@ -200,7 +210,7 @@ class TestFallbackLadder:
                                 dp_host_inputs)
         mc = compile_design(trace, design.schedules, design.space_maps,
                             design.interconnect.decomposer())
-        nm = nativize(lower_vector(mc, trace).compiled)
+        nm = nativize(lower(mc, trace))
         assert nm.code is None and nm.executor is None
         assert "toolchain" in nm.fallback_reason
         oracle = run(mc, trace, dp_host_inputs, engine="interpreted")
@@ -365,19 +375,19 @@ class _Counting:
 
 
 class TestSharedGather:
-    @pytest.mark.parametrize("engine", ["native", "vector"])
+    @pytest.mark.parametrize("engine", TIERS)
     def test_each_fetch_runs_once_per_seed(self, engine):
         design = synthesize(dp_system(), {"n": 8}, FIG1_UNIDIRECTIONAL)
         counting = _Counting(input_factory("dp", design.params))
-        report = verify_design(design, counting, engine=engine,
-                               seeds=range(8))
+        with tier(engine):
+            report = verify_design(design, counting, seeds=range(8))
         assert report.ok, report.failures
         assert counting.calls
         assert set(counting.calls.values()) == {1}
         assert {seed for _, _, seed in counting.calls} == set(range(8))
 
     @expected_fallback
-    @pytest.mark.parametrize("engine", ["native", "vector"])
+    @pytest.mark.parametrize("engine", TIERS)
     @pytest.mark.parametrize("value", [True, Fraction(1, 3), 2**70],
                              ids=["bool", "fraction", "wide-int"])
     def test_non_int64_inputs_stay_exact(self, engine, value):
@@ -390,20 +400,22 @@ class TestSharedGather:
         counting = _Counting(factory)
         int64 = counter("vector.int64_fallbacks")
         inputs = counter("native.input_fallbacks")
-        report = verify_design(design, counting, engine=engine,
-                               seeds=range(3))
+        with tier(engine):
+            report = verify_design(design, counting, seeds=range(3))
+            available = native_available()
         assert report.ok, report.failures
         assert set(counting.calls.values()) == {1}
         # One fallback per pass (reference and machine), one input
         # fallback for the native machine.
         assert counter("vector.int64_fallbacks") == int64 + 2
-        want = 1 if engine == "native" and native_available() else 0
+        want = 1 if available else 0
         assert counter("native.input_fallbacks") == inputs + want
 
         oracle = trace_execution(design.system, design.params, factory(2))
         mc = compile_design(oracle, design.schedules, design.space_maps,
                             design.interconnect.decomposer())
-        got = run(mc, oracle, factory(2), engine=engine)
+        with tier(engine):
+            got = run(mc, oracle, factory(2), engine="native")
         assert got.results == oracle.results
         assert ({type(v) for v in got.results.values()}
                 == {type(v) for v in oracle.results.values()})

@@ -1,7 +1,8 @@
-"""Engine-equivalence matrix: the level-grouped kernel machine and the
-native C-executor engine must be bit-identical to both the interpreted
-oracle and the compiled engine — values, results, stats, the canonical
-event stream, and every verification report, single-seed or batched."""
+"""Engine-equivalence matrix: the native engine on both its tiers (the C
+executor and the ndarray kernels, with exact object arrays under both)
+must be bit-identical to the interpreted oracle — values, results, stats,
+the canonical event stream, and every verification report, single-seed
+or batched.  Tier selection lives in :mod:`tests.machine.tiers`."""
 
 import random
 from fractions import Fraction
@@ -11,13 +12,7 @@ import pytest
 from repro.arrays import FIG1_UNIDIRECTIONAL, LINEAR_BIDIR
 from repro.core import synthesize
 from repro.core.verify import verify_design
-from repro.ir import trace_execution
-from repro.machine import (
-    compile_design,
-    lower_vector,
-    run,
-    vectorize,
-)
+from repro.machine import lower_native, nativize, run
 from repro.obs import EventLog, canonical_order
 from repro.problems import (
     convolution_backward,
@@ -26,12 +21,7 @@ from repro.problems import (
     dp_system,
     input_factory,
 )
-
-#: The full engine ladder.  ``native`` degrades to the vector paths when
-#: no C toolchain is present, so the matrix needs no skip-markers — it
-#: cross-checks the real C executor where a compiler exists and the dispatch
-#: plumbing everywhere else.
-ENGINES = ("interpreted", "compiled", "vector", "native")
+from tests.machine.tiers import TIERS, cross_check, microcode, tier
 
 #: Deliberate fallbacks raise the one-time int64 fallback RuntimeWarning,
 #: which this suite otherwise treats as an error.
@@ -39,19 +29,15 @@ expected_fallback = pytest.mark.filterwarnings(
     "ignore:exact int64 fast path:RuntimeWarning")
 
 
-def cross_check(design, inputs, strict=True):
-    """Run all four engines on one design and assert identical output."""
-    trace = trace_execution(design.system, design.params, inputs)
-    mc = compile_design(trace, design.schedules, design.space_maps,
-                        design.interconnect.decomposer())
-    runs = {engine: run(mc, trace, inputs, strict=strict, engine=engine)
-            for engine in ENGINES}
-    oracle = runs["interpreted"]
-    for engine in ("compiled", "vector", "native"):
-        assert runs[engine].values == oracle.values, engine
-        assert runs[engine].results == oracle.results, engine
-        assert runs[engine].stats == oracle.stats, engine
-    return runs
+def verify_each(make_design, inputs, **kwargs):
+    """``verify_design`` on the interpreter and on each tier, every run on
+    a fresh design so no tier reuses another's cached machine."""
+    reports = {"interpreted": verify_design(make_design(), inputs,
+                                            engine="interpreted", **kwargs)}
+    for name in TIERS:
+        with tier(name):
+            reports[name] = verify_design(make_design(), inputs, **kwargs)
+    return reports
 
 
 class TestEquivalenceMatrix:
@@ -86,8 +72,9 @@ class TestEquivalenceMatrix:
     def test_fraction_inputs(self, dp_design_fig1):
         inputs = dp_inputs([Fraction(1, k + 2) for k in range(7)])
         runs = cross_check(dp_design_fig1, inputs)
-        assert all(isinstance(v, Fraction)
-                   for v in runs["vector"].results.values())
+        for name in TIERS:
+            assert all(isinstance(v, Fraction)
+                       for v in runs[name].results.values()), name
 
     @expected_fallback
     def test_huge_int_inputs(self, dp_design_fig1):
@@ -98,70 +85,67 @@ class TestEquivalenceMatrix:
 class TestEventStream:
     def test_canonical_stream_identical(self, dp_design_fig1,
                                         dp_host_inputs):
-        design, inputs = dp_design_fig1, dp_host_inputs
-        trace = trace_execution(design.system, design.params, inputs)
-        mc = compile_design(trace, design.schedules, design.space_maps,
-                            design.interconnect.decomposer())
+        mc, trace = microcode(dp_design_fig1, dp_host_inputs)
         logs = {}
-        for engine in ENGINES:
+        for name in ("interpreted",) + TIERS:
             log = EventLog()
-            run(mc, trace, inputs, engine=engine, sink=log)
-            logs[engine] = canonical_order(log)
-        for engine in ("compiled", "vector", "native"):
-            assert logs[engine] == logs["interpreted"], engine
+            with tier(name):
+                run(mc, trace, dp_host_inputs, sink=log,
+                    engine="interpreted" if name == "interpreted"
+                    else "native")
+            logs[name] = canonical_order(log)
+        for name in TIERS:
+            assert logs[name] == logs["interpreted"], name
         assert len(logs["vector"]) > 0
 
 
 class TestVectorMachineObjects:
-    def test_vectorize_reuses_compiled_lowering(self, dp_design_fig1,
-                                                dp_host_inputs):
-        design, inputs = dp_design_fig1, dp_host_inputs
-        trace = trace_execution(design.system, design.params, inputs)
-        mc = compile_design(trace, design.schedules, design.space_maps,
-                            design.interconnect.decomposer())
-        vm = lower_vector(mc, trace)
-        again = vectorize(vm.compiled)
-        a = vm.execute(inputs)
-        b = again.execute(inputs)
+    """The machine object of the vector tier: a :class:`NativeMachine`
+    without executor code, running the ndarray kernels."""
+
+    @pytest.fixture
+    def lowered(self, dp_design_fig1, dp_host_inputs):
+        mc, trace = microcode(dp_design_fig1, dp_host_inputs)
+        with tier("vector"):
+            machine = lower_native(mc, trace)
+        assert machine.code is None and machine.fallback_reason
+        return mc, trace, machine
+
+    def test_nativize_reuses_compiled_lowering(self, lowered,
+                                               dp_host_inputs):
+        _, _, machine = lowered
+        with tier("vector"):
+            again = nativize(machine.compiled)
+        a = machine.execute(dp_host_inputs)
+        b = again.execute(dp_host_inputs)
         assert a.results == b.results
         assert a.values == b.values
 
-    def test_want_values_false_keeps_results(self, dp_design_fig1,
-                                             dp_host_inputs):
-        design, inputs = dp_design_fig1, dp_host_inputs
-        trace = trace_execution(design.system, design.params, inputs)
-        mc = compile_design(trace, design.schedules, design.space_maps,
-                            design.interconnect.decomposer())
-        vm = lower_vector(mc, trace)
-        full = vm.execute(inputs)
-        slim = vm.execute(inputs, want_values=False)
+    def test_want_values_false_keeps_results(self, lowered, dp_host_inputs):
+        _, _, machine = lowered
+        full = machine.execute(dp_host_inputs)
+        slim = machine.execute(dp_host_inputs, want_values=False)
         assert slim.results == full.results
         assert slim.values == {}
 
-    def test_execute_batch_matches_single_runs(self, dp_design_fig1):
-        design = dp_design_fig1
-        factory = input_factory("dp", design.params)
+    def test_execute_batch_matches_single_runs(self, lowered,
+                                               dp_design_fig1):
+        _, _, machine = lowered
+        factory = input_factory("dp", dp_design_fig1.params)
         input_sets = [factory(s) for s in range(4)]
-        trace = trace_execution(design.system, design.params, input_sets[0])
-        mc = compile_design(trace, design.schedules, design.space_maps,
-                            design.interconnect.decomposer())
-        vm = lower_vector(mc, trace)
-        matrix = vm.execute_batch(input_sets)
+        matrix = machine.execute_batch(input_sets)
         assert matrix.shape[0] == 4
         for s, bindings in enumerate(input_sets):
-            single = vm.execute(bindings)
+            single = machine.execute(bindings)
             row = matrix[s].tolist()
             results = {host_key: row[vid]
-                       for host_key, vid in vm.compiled.outputs}
+                       for host_key, vid in machine.compiled.outputs}
             assert results == single.results
 
-    def test_unknown_engine_rejected(self, dp_design_fig1, dp_host_inputs):
-        design, inputs = dp_design_fig1, dp_host_inputs
-        trace = trace_execution(design.system, design.params, inputs)
-        mc = compile_design(trace, design.schedules, design.space_maps,
-                            design.interconnect.decomposer())
-        with pytest.raises(ValueError, match="vector"):
-            run(mc, trace, inputs, engine="nope")
+    def test_unknown_engine_rejected(self, lowered, dp_host_inputs):
+        mc, trace, _ = lowered
+        with pytest.raises(ValueError, match="native"):
+            run(mc, trace, dp_host_inputs, engine="nope")
 
 
 class TestBatchedVerification:
@@ -169,34 +153,36 @@ class TestBatchedVerification:
     def design(self):
         return synthesize(dp_system(), {"n": 8}, FIG1_UNIDIRECTIONAL)
 
+    @staticmethod
+    def make():
+        return synthesize(dp_system(), {"n": 8}, FIG1_UNIDIRECTIONAL)
+
     def test_report_identical_across_engines(self, design):
         factory = input_factory("dp", design.params)
-        reports = {engine: verify_design(design, factory(5), engine=engine)
-                   for engine in ENGINES}
-        for engine, report in reports.items():
-            assert report.ok, (engine, report.failures)
-        stats = {e: r.machine_stats for e, r in reports.items()}
-        for engine in ("compiled", "vector", "native"):
-            assert stats[engine] == stats["interpreted"], engine
+        reports = verify_each(self.make, factory(5))
+        for name, report in reports.items():
+            assert report.ok, (name, report.failures)
+        for name in TIERS:
+            assert (reports[name].machine_stats
+                    == reports["interpreted"].machine_stats), name
 
     def test_batched_equals_looped_seeds(self, design):
         factory = input_factory("dp", design.params)
         seeds = range(8)
-        batched = verify_design(design, factory, engine="vector",
-                                seeds=seeds)
-        assert batched.ok and batched.seeds_checked == 8
+        for name, batched in verify_each(self.make, factory,
+                                         seeds=seeds).items():
+            assert batched.ok and batched.seeds_checked == 8, name
+        batched = verify_design(design, factory, seeds=seeds)
         for s in seeds:
-            single = verify_design(design, factory(s), engine="vector")
-            assert single.ok
-        looped = verify_design(design, factory, engine="compiled",
+            assert verify_design(design, factory(s)).ok
+        looped = verify_design(design, factory, engine="interpreted",
                                seeds=seeds)
         assert looped.ok and looped.seeds_checked == 8
         assert batched.machine_stats == looped.machine_stats
 
     def test_seeds_require_input_factory(self, design):
         with pytest.raises(TypeError, match="factory"):
-            verify_design(design, {"c0": lambda i, j: 1}, engine="vector",
-                          seeds=range(2))
+            verify_design(design, {"c0": lambda i, j: 1}, seeds=range(2))
 
     @expected_fallback
     def test_batch_with_fraction_seed(self, design):
@@ -204,6 +190,6 @@ class TestBatchedVerification:
             if seed == 1:
                 return dp_inputs([Fraction(1, k + 2) for k in range(7)])
             return input_factory("dp", design.params)(seed)
-        report = verify_design(design, factory, engine="vector",
-                               seeds=range(3))
-        assert report.ok, report.failures
+        for name, report in verify_each(self.make, factory,
+                                        seeds=range(3)).items():
+            assert report.ok, (name, report.failures)
