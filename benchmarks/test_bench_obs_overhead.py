@@ -1,7 +1,7 @@
 """Benchmark O — telemetry overhead on the warm sweep path.
 
-The whole observability stack (span tree, stage-duration histograms, the
-typed registry) is opt-in: with tracing disabled a stage costs one dict
+The whole observability stack (span tree, stage-duration histograms, all
+held by the one tracer) is opt-in: with tracing disabled a stage costs one dict
 bump, with tracing enabled it additionally allocates a span node and feeds
 the per-stage histogram.  This benchmark pins the price of "enabled" where
 it matters — a warm sweep, whose jobs are cache loads and therefore all
@@ -19,7 +19,7 @@ import time
 
 from conftest import record_pin
 from repro.core import SweepSpec, run_sweep
-from repro.util.instrument import STATS
+from repro.obs import TRACER
 
 #: One parameter point (the acceptance workload's n=18), warm path only.
 SPEC = SweepSpec(
@@ -53,19 +53,19 @@ class TestObsOverhead:
                          cross_check=False)
         assert cold.ok_results
 
-        was_enabled = STATS.enabled
+        was_enabled = TRACER.enabled
         on_times, off_times = [], []
         try:
             for _ in range(ROUNDS):
-                STATS.enable()
-                STATS.reset()
+                TRACER.enable()
+                TRACER.reset()
                 on_times.append(_warm_sample(cache_dir))
-                STATS.disable()
-                STATS.reset()
+                TRACER.disable()
+                TRACER.reset()
                 off_times.append(_warm_sample(cache_dir))
         finally:
-            STATS.enabled = was_enabled
-            STATS.reset()
+            TRACER.enabled = was_enabled
+            TRACER.reset()
 
         on_s, off_s = min(on_times), min(off_times)
         ratio = on_s / off_s

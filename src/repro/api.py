@@ -48,11 +48,11 @@ Surface groups:
   :func:`replay_corpus`);
 * errors — :class:`SynthesisError` and its concrete subclasses;
 * naming — :func:`resolve_interconnect`, :data:`STOCK_INTERCONNECTS`;
-* observability — the span tracer (:data:`TRACER`) with its profiling
-  exports (:func:`collapsed_stacks`, :func:`spans_to_chrome_trace`), the
-  typed metrics registry (:data:`METRICS`, :class:`MetricsRegistry`,
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram`,
-  :func:`render_prometheus`), live sweep progress (:class:`ProgressEvent`,
+* observability — the tracer (:data:`TRACER`, also named
+  :data:`METRICS`), the one registry of counters, timers, gauges,
+  :class:`Histogram` latency distributions and spans, with its profiling
+  exports (:func:`collapsed_stacks`, :func:`spans_to_chrome_trace`), live
+  sweep progress (:class:`ProgressEvent`,
   :class:`CLIProgress`, :class:`JsonlHeartbeat`, :func:`read_heartbeat`),
   cycle-level machine event logs (:class:`EventLog`,
   :class:`MachineEvent`), persistent run metrics (:class:`RunRecord`,
@@ -137,14 +137,11 @@ from repro.obs import (
     METRICS_ENV_VAR,
     TRACER,
     CLIProgress,
-    Counter,
     EventLog,
     EventSink,
-    Gauge,
     Histogram,
     JsonlHeartbeat,
     MachineEvent,
-    MetricsRegistry,
     ProgressEvent,
     ProgressSink,
     RunRecord,
@@ -152,7 +149,6 @@ from repro.obs import (
     load_run_record,
     metrics_dir,
     read_heartbeat,
-    render_prometheus,
     spans_to_chrome_trace,
     write_run_record,
 )
@@ -164,7 +160,6 @@ __all__ = [
     "CaseDescriptor",
     "CaseOutcome",
     "CellUtilization",
-    "Counter",
     "Design",
     "DesignCache",
     "ENGINES",
@@ -173,7 +168,6 @@ __all__ = [
     "EventSink",
     "ExploredDesign",
     "FuzzReport",
-    "Gauge",
     "Histogram",
     "INTERCONNECT_ALIASES",
     "Interconnect",
@@ -182,7 +176,6 @@ __all__ = [
     "METRICS_ENV_VAR",
     "MachineEvent",
     "ManifestError",
-    "MetricsRegistry",
     "NoScheduleExists",
     "NoSpaceMapExists",
     "PROBLEM_BUILDERS",
@@ -230,7 +223,6 @@ __all__ = [
     "random_inputs",
     "read_heartbeat",
     "read_manifest",
-    "render_prometheus",
     "render_report",
     "replay_corpus",
     "report_dict",

@@ -88,7 +88,6 @@ from repro.report import (
     sweep_pareto_table,
     sweep_table,
 )
-from repro.util.instrument import STATS
 
 #: Per-invocation extras commands may stash for the run record
 #: (machine stats, event counts, exported file paths).
@@ -237,7 +236,7 @@ def cmd_sweep(args) -> int:
     if args.heartbeat:
         print(f"heartbeat: {args.heartbeat}")
     if args.manifest:
-        resumed = int(STATS.metrics.gauges.get("sweep.jobs_resumed", 0))
+        resumed = int(TRACER.gauges.get("sweep.jobs_resumed", 0))
         info = read_manifest(args.manifest)
         print(f"manifest: {args.manifest} "
               f"({len(info['completed'])}/{info['total']} journaled, "
@@ -753,19 +752,14 @@ def main(argv=None) -> int:
     wall = time.perf_counter() - t0
     if want_stats:
         print()
-        print(STATS.report())
+        print(TRACER.report())
     if record_root is not None:
         extra = {k: v for k, v in RUN_EXTRA.items() if k != "machine_stats"}
-        wire = TRACER.metrics.to_wire()
-        if wire["counters"] or wire["gauges"] or wire["histograms"]:
-            # The typed registry travels with the record so `repro report`
-            # can merge stage histograms across a whole campaign.
-            extra["telemetry"] = wire
         record = RunRecord(
             command=args.command,
             argv=list(argv) if argv is not None else sys.argv[1:],
             started_at=started, wall_time=wall, git_sha=git_sha(),
-            stats=TRACER.snapshot(), spans=TRACER.span_dicts(),
+            stats=TRACER.to_wire(), spans=TRACER.span_dicts(),
             machine_stats=RUN_EXTRA.get("machine_stats"),
             extra=extra)
         path = write_run_record(record, record_root)

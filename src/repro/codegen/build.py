@@ -38,19 +38,7 @@ import numpy as np
 
 from repro.codegen.executor import EXECUTOR_SOURCE, EXECUTOR_SYMBOL
 from repro.codegen.toolchain import Toolchain, find_toolchain
-from repro.util.instrument import STATS
-
-#: Typed counter handles (see :mod:`repro.obs.telemetry`); increments
-#: route through ``STATS.count`` so span attribution is preserved.
-_CACHE_HITS = STATS.metrics.counter("native.cache_hits")
-_CACHE_MISSES = STATS.metrics.counter("native.cache_misses")
-_NEGATIVE_HITS = STATS.metrics.counter("native.negative_hits")
-_NEGATIVE_STORES = STATS.metrics.counter("native.negative_stores")
-_COMPILES = STATS.metrics.counter("native.compiles")
-_LOAD_ERRORS = STATS.metrics.counter("native.load_errors")
-#: Wall time of each ``cc`` invocation, seconds.  Observed directly (not
-#: via a span) so compile latency is visible even with tracing off.
-_COMPILE_SECONDS = STATS.metrics.histogram("native.compile_s")
+from repro.obs import TRACER
 
 #: Same root as the design cache (see :mod:`repro.core.cache`); kept as a
 #: literal here so the codegen layer stays import-independent of ``core``.
@@ -118,7 +106,7 @@ def _atomic_write(path: Path, body: bytes) -> None:
 
 
 def _load(path: Path) -> NativeExecutor:
-    with STATS.stage("native.load"):
+    with TRACER.span("native.load"):
         fn = getattr(ctypes.CDLL(str(path)), EXECUTOR_SYMBOL)
         fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
                        ctypes.c_void_p, ctypes.c_long]
@@ -164,19 +152,19 @@ def load_or_build(source: str = EXECUTOR_SOURCE,
 
     meta = _read_meta(meta_path)
     if meta is not None and meta.get("status") == "ok" and so_path.is_file():
-        _CACHE_HITS.inc()
+        TRACER.count("native.cache_hits")
         try:
             loaded = _loaded[so_path] = _load(so_path)
             return loaded, None
         except (OSError, AttributeError) as exc:  # truncated, wrong arch
-            _LOAD_ERRORS.inc()
+            TRACER.count("native.load_errors")
             return None, f"cached executor failed to load: {exc}"
     if meta is not None and meta.get("status") == "error":
-        _CACHE_HITS.inc()
-        _NEGATIVE_HITS.inc()
+        TRACER.count("native.cache_hits")
+        TRACER.count("native.negative_hits")
         return None, meta.get("reason", "cached compile failure")
 
-    _CACHE_MISSES.inc()
+    TRACER.count("native.cache_misses")
     root.mkdir(parents=True, exist_ok=True)
     c_path = root / f"{key}.c"
     _atomic_write(c_path, source.encode("utf-8"))
@@ -184,7 +172,7 @@ def load_or_build(source: str = EXECUTOR_SOURCE,
     os.close(fd)
     t0 = time.perf_counter()
     try:
-        with STATS.stage("native.cc"):
+        with TRACER.span("native.cc"):
             proc = subprocess.run(
                 toolchain.compile_command(str(c_path), tmp_so),
                 capture_output=True, text=True, timeout=300)
@@ -195,7 +183,9 @@ def load_or_build(source: str = EXECUTOR_SOURCE,
             pass
         return None, f"compiler failed to run: {exc}"
     compile_ms = round((time.perf_counter() - t0) * 1e3, 3)
-    _COMPILE_SECONDS.observe(compile_ms / 1e3)
+    # Observed directly (not via a span) so compile latency is visible
+    # even with tracing off.
+    TRACER.observe("native.compile_s", compile_ms / 1e3)
     if proc.returncode != 0:
         try:
             os.unlink(tmp_so)
@@ -207,18 +197,18 @@ def load_or_build(source: str = EXECUTOR_SOURCE,
             "format": NATIVE_FORMAT_VERSION, "status": "error",
             "reason": reason, "toolchain": toolchain.fingerprint,
         }, sort_keys=True, indent=1).encode("utf-8"))
-        _NEGATIVE_STORES.inc()
+        TRACER.count("native.negative_stores")
         return None, reason
     os.replace(tmp_so, so_path)
     _atomic_write(meta_path, json.dumps({
         "format": NATIVE_FORMAT_VERSION, "status": "ok",
         "compile_ms": compile_ms, "toolchain": toolchain.fingerprint,
     }, sort_keys=True, indent=1).encode("utf-8"))
-    _COMPILES.inc()
-    STATS.annotate(native_compile_ms=compile_ms)
+    TRACER.count("native.compiles")
+    TRACER.annotate(native_compile_ms=compile_ms)
     try:
         loaded = _loaded[so_path] = _load(so_path)
         return loaded, None
     except (OSError, AttributeError) as exc:
-        _LOAD_ERRORS.inc()
+        TRACER.count("native.load_errors")
         return None, f"freshly built executor failed to load: {exc}"

@@ -35,8 +35,9 @@ Execution model:
   boundaries;
 * a failed job records its :class:`~repro.util.errors.SynthesisError`
   in its :class:`SweepResult` instead of killing the sweep;
-* per-job wall time and the solver's :mod:`repro.util.instrument` counters
-  travel back with each result and are merged into the parent's ``STATS``;
+* per-job wall time and the job's tracer wire (counters, timers, gauges,
+  histograms and span trees) travel back with each result and are merged
+  into the parent's :data:`~repro.obs.TRACER`;
 * with ``cross_check=True`` one cached entry per sweep (the cheapest, to
   keep warm runs fast) is re-synthesized from scratch and compared against
   the stored payload — a standing guard against stale or corrupted caches.
@@ -65,6 +66,7 @@ from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
 from repro.core.verify import verify_design
 from repro.ir.program import RecurrenceSystem
+from repro.obs import TRACER
 from repro.obs.progress import ProgressSink, SweepProgress
 from repro.problems import (
     convolution_backward,
@@ -74,7 +76,6 @@ from repro.problems import (
     matmul_system,
 )
 from repro.util.errors import SynthesisError
-from repro.util.instrument import STATS
 
 #: name -> (system builder, parameter names the problem needs).  Builders
 #: are module-level callables so jobs pickle across process boundaries.
@@ -352,27 +353,28 @@ class SweepReport:
 def _execute_job(job: SweepJob, cache_root: "str | None",
                  use_cache: bool, tracing: bool = False,
                  in_worker: bool = False) -> SweepResult:
-    """Synthesize one job (worker side or serial path) and cache the
-    outcome — the solved design, or the failure as a negative entry.
+    """Synthesize one job (worker side or serial path), verify it when
+    asked, and cache the outcome — the solved design, or the failure as a
+    negative entry.
 
-    Stats protocol: a *worker* process resets the global registry so the
-    job's delta is exactly its own snapshot (and a reused pool worker never
-    accumulates span trees).  On the serial fallback the registry belongs
-    to the caller and is **left untouched** — the delta is computed by
-    differencing, so sweep counters no longer leak into (or clobber)
-    subsequent same-process runs.  With ``tracing`` the job's span subtree
-    travels back inside ``result.stats["spans"]`` and the parent grafts it,
-    mirroring the counter merge.
+    Stats protocol: a *worker* process resets the tracer, so at the end of
+    the job ``result.stats`` is exactly the job's own
+    :meth:`~repro.obs.tracer.Tracer.to_wire` — with ``tracing``, plus its
+    root span trees under ``"spans"`` — and the parent folds it in with
+    :func:`_merge_stats`.  On the serial path the tracer belongs to the
+    caller and is **left untouched**: the job accrues into it directly,
+    and ``result.stats`` is the counter/timer delta the job added.
     """
     if in_worker:
-        STATS.reset()
+        TRACER.reset()
         if tracing:
-            STATS.enable()
+            TRACER.enable()
+    else:
+        before = TRACER.snapshot()
     t0 = time.perf_counter()
-    before = STATS.snapshot()
     system = job.builder()
     key = cache_key(system, job.params_dict, job.interconnect, job.options)
-    with STATS.span("sweep.job", job=job.label()) as job_span:
+    with TRACER.span("sweep.job", job=job.label()):
         try:
             design = synthesize(system, job.params_dict, job.interconnect,
                                 job.options)
@@ -381,28 +383,6 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
             design = None
             error = exc
     wall = time.perf_counter() - t0
-    after = STATS.snapshot()
-    delta = {
-        "counters": {k: v - before["counters"].get(k, 0)
-                     for k, v in after["counters"].items()
-                     if v != before["counters"].get(k, 0)},
-        "timers": {k: v - before["timers"].get(k, 0.0)
-                   for k, v in after["timers"].items()
-                   if v != before["timers"].get(k, 0.0)},
-    }
-    if job_span is not None and in_worker:
-        # Ship the subtree; drop the worker-side copy so a reused pool
-        # process does not grow an unbounded span forest.
-        delta["spans"] = [job_span.to_dict()]
-        STATS.discard(job_span)
-    if in_worker:
-        # Typed-telemetry counterpart of the counter delta: gauges and
-        # stage-latency histograms recorded while tracing (counters
-        # already travel through the historical channel above — shipping
-        # them here too would double-count on merge).
-        wire = STATS.metrics.to_wire(counters=False)
-        if wire["gauges"] or wire["histograms"]:
-            delta["telemetry"] = wire
     if design is not None:
         result = SweepResult(
             problem=job.problem, params=job.params_dict,
@@ -410,7 +390,7 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
             engine=f"{job.options.engine}",
             cells=design.cell_count,
             completion_time=design.completion_time,
-            wall_time=wall, solve_time=wall, stats=delta,
+            wall_time=wall, solve_time=wall,
             design_payload=design.to_dict())
         if job.verify_seeds > 0:
             _verify_result(job, design, result)
@@ -421,7 +401,7 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
             problem=job.problem, params=job.params_dict,
             interconnect=job.interconnect.name, key=key, ok=False,
             engine=f"{job.options.engine}",
-            wall_time=wall, solve_time=wall, stats=delta,
+            wall_time=wall, solve_time=wall,
             error_type=type(error).__name__, error=str(error),
             error_module=error.module)
         if use_cache:
@@ -432,6 +412,22 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
                 "error_module": error.module,
                 "solve_time": wall,
             })
+    if in_worker:
+        result.stats = TRACER.to_wire()
+        roots = TRACER.spans()
+        if roots:
+            # Ship the trees; drop the worker-side copies so a reused pool
+            # process does not grow an unbounded span forest.
+            result.stats["spans"] = [root.to_dict() for root in roots]
+            for root in roots:
+                TRACER.discard(root)
+    else:
+        after = TRACER.snapshot()
+        result.stats = {
+            section: {k: v - before[section].get(k, 0)
+                      for k, v in after[section].items()
+                      if v != before[section].get(k, 0)}
+            for section in ("counters", "timers")}
     return result
 
 
@@ -441,7 +437,7 @@ def _verify_result(job: SweepJob, design: Design,
     instances (the native engine batches them into one pass)."""
     try:
         factory = input_factory(job.problem, job.params_dict)
-        with STATS.stage("sweep.verify"):
+        with TRACER.span("sweep.verify"):
             report = verify_design(design, factory,
                                    engine=job.options.engine,
                                    seeds=range(job.verify_seeds))
@@ -450,7 +446,7 @@ def _verify_result(job: SweepJob, design: Design,
     except KeyError:
         # Problems without a random-instance generator stay unverified.
         result.verify_seeds = 0
-    STATS.count("sweep.verified_seeds", result.verify_seeds)
+    TRACER.count("sweep.verified_seeds", result.verify_seeds)
 
 
 def _result_from_payload(job: SweepJob, key: str,
@@ -474,20 +470,14 @@ def _result_from_payload(job: SweepJob, key: str,
         error_module=payload.get("error_module"))
 
 
-def _merge_stats(delta: dict) -> None:
-    """Fold a worker's counter/timer deltas — span subtree and typed
-    telemetry included — into the parent registry (the serial path needs
-    no merge: it accrued directly)."""
-    for name, value in delta.get("counters", {}).items():
-        STATS.count(name, value)
-    for name, value in delta.get("timers", {}).items():
-        STATS.timers[name] = STATS.timers.get(name, 0.0) + value
-    if STATS.enabled:
-        for span_dict in delta.get("spans", ()):
-            STATS.graft(span_dict)
-    telemetry = delta.get("telemetry")
-    if telemetry:
-        STATS.metrics.merge_wire(telemetry)
+def _merge_stats(stats: dict) -> None:
+    """Fold a worker job's stats — its tracer wire and span trees — into
+    the parent's tracer (the serial path needs no merge: it accrued
+    directly)."""
+    TRACER.merge_wire(stats)
+    if TRACER.enabled:
+        for span_dict in stats.get("spans", ()):
+            TRACER.graft(span_dict)
 
 
 def _pool_job(job: SweepJob, cache_root: "str | None", use_cache: bool,
@@ -523,7 +513,7 @@ def _run_pool(jobs: Sequence[SweepJob], nworkers: int,
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             for idx, job in enumerate(jobs):
                 futures[pool.submit(_pool_job, job, cache_root, use_cache,
-                                    STATS.enabled)] = idx
+                                    TRACER.enabled)] = idx
             for fut in as_completed(futures):
                 accept(futures[fut], fut.result())
     except BrokenProcessPool:
@@ -532,9 +522,9 @@ def _run_pool(jobs: Sequence[SweepJob], nworkers: int,
                     and fut.exception() is None:
                 accept(idx, fut.result())
         retry = [idx for idx in range(len(jobs)) if idx not in by_index]
-        STATS.count("sweep.worker_retries", len(retry))
+        TRACER.count("sweep.worker_retries", len(retry))
         for idx in retry:
-            # The serial path accrues stats straight into this registry.
+            # The serial path accrues stats straight into this tracer.
             accept(idx, _execute_job(jobs[idx], cache_root, use_cache),
                    merge=False)
     return [by_index[idx] for idx in range(len(jobs))]
@@ -557,10 +547,10 @@ def _cross_check(results: Sequence[SweepResult],
     job = jobs_by_key[probe.identity]
     fresh = synthesize(job.builder(), job.params_dict, job.interconnect,
                        job.options)
-    STATS.count("sweep.cross_checks")
+    TRACER.count("sweep.cross_checks")
     if fresh.to_dict() == probe.design_payload:
         return f"ok ({probe.label()})"
-    STATS.count("sweep.cross_check_mismatches")
+    TRACER.count("sweep.cross_check_mismatches")
     return (f"MISMATCH at {probe.label()}: cached payload differs from "
             "fresh synthesis — clear the cache directory")
 
@@ -625,8 +615,8 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
     """
     jobs = spec.jobs() if isinstance(spec, SweepSpec) else list(spec)
     nworkers = default_workers() if workers is None else max(0, int(workers))
-    STATS.metrics.set_gauge("sweep.workers", nworkers)
-    tracker = SweepProgress.create(progress, registry=STATS.metrics)
+    TRACER.set_gauge("sweep.workers", nworkers)
+    tracker = SweepProgress.create(progress, registry=TRACER)
     t0 = time.perf_counter()
     cache = DesignCache(cache_dir) if use_cache else None
     cache_root = str(cache.root) if cache is not None else None
@@ -646,7 +636,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
     keys: "list[str] | None" = None
     idents: "list[str] | None" = None
     if cache is not None or manifest is not None:
-        with STATS.stage("sweep.keys"):
+        with TRACER.span("sweep.keys"):
             keys = _key_jobs(jobs)
             idents = [_job_identity(key, job)
                       for key, job in zip(keys, jobs)]
@@ -662,7 +652,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
             if tracker is not None:
                 tracker.job_done(ok=result.ok, cache_hit=result.cache_hit,
                                  label=result.label(), resumed=True)
-        STATS.metrics.set_gauge("sweep.jobs_resumed", len(restored))
+        TRACER.set_gauge("sweep.jobs_resumed", len(restored))
 
     def _finished(result: SweepResult) -> None:
         if journal is not None:
@@ -673,7 +663,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
 
     hits = 0
     try:
-        with STATS.stage("sweep.probe"):
+        with TRACER.span("sweep.probe"):
             for idx, job in enumerate(jobs):
                 key = keys[idx] if keys is not None else None
                 if idents is not None and idents[idx] in restored:
@@ -692,7 +682,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
                 results.append(result)
                 _finished(result)
 
-        with STATS.stage("sweep.solve"):
+        with TRACER.span("sweep.solve"):
             if not pending:
                 pass
             elif nworkers == 0 or len(pending) == 1:
@@ -710,7 +700,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
 
     check = None
     if cross_check:
-        with STATS.stage("sweep.cross_check"):
+        with TRACER.span("sweep.cross_check"):
             check = _cross_check(results, jobs_by_key)
 
     results.sort(key=SweepResult._sort_key)

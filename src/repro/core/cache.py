@@ -69,20 +69,8 @@ from repro.core.design import Design
 from repro.core.globals import link_constraints
 from repro.core.options import SynthesisOptions
 from repro.ir.program import RecurrenceSystem
-from repro.util.instrument import STATS
+from repro.obs import TRACER
 from repro.util.journal import append_record, encode_record, read_records
-
-#: Typed handles into the process metrics registry.  Incrementing through
-#: them still routes via ``STATS.count`` (span attribution), but the names
-#: are declared once here instead of being scattered string literals.
-_HITS = STATS.metrics.counter("cache.hits")
-_MISSES = STATS.metrics.counter("cache.misses")
-_NEGATIVE_HITS = STATS.metrics.counter("cache.negative_hits")
-_STORES = STATS.metrics.counter("cache.stores")
-_NEGATIVE_STORES = STATS.metrics.counter("cache.negative_stores")
-_MIGRATIONS = STATS.metrics.counter("cache.migrated")
-_EVICTIONS = STATS.metrics.counter("cache.evictions")
-_EVICTED_BYTES = STATS.metrics.counter("cache.evicted_bytes")
 
 #: Environment variable overriding the cache directory.
 CACHE_ENV_VAR = "REPRO_DESIGN_CACHE"
@@ -255,7 +243,7 @@ class DesignCache:
     # -- raw payloads --------------------------------------------------------
 
     def load(self, key: str) -> dict | None:
-        """The stored payload, or ``None`` on a miss (counted in STATS).
+        """The stored payload, or ``None`` on a miss (counted in ``TRACER``).
 
         A corrupt entry (interrupted writer from a pre-atomic-write era,
         disk mishap) is treated as a miss, not an error.  Counters
@@ -271,17 +259,17 @@ class DesignCache:
         except FileNotFoundError:
             payload = self._load_migrating(key)
             if payload is None:
-                _MISSES.inc()
+                TRACER.count("cache.misses")
                 return None
         except json.JSONDecodeError:
-            _MISSES.inc()
+            TRACER.count("cache.misses")
             return None
         if payload.get("format") != CACHE_FORMAT_VERSION:
-            _MISSES.inc()
+            TRACER.count("cache.misses")
             return None
-        _HITS.inc()
+        TRACER.count("cache.hits")
         if payload.get("status") == "error":
-            _NEGATIVE_HITS.inc()
+            TRACER.count("cache.negative_hits")
         return payload
 
     def _load_migrating(self, key: str) -> dict | None:
@@ -302,7 +290,7 @@ class DesignCache:
                     os.replace(flat, shard_path)
             except OSError:
                 return payload           # racing writer won; entry is live
-        _MIGRATIONS.inc()
+        TRACER.count("cache.migrated")
         self._index_append({"key": key,
                             "status": payload.get("status", "ok"),
                             "cells": payload.get("cells"),
@@ -347,9 +335,9 @@ class DesignCache:
                 except OSError:
                     pass
                 raise
-        _STORES.inc()
+        TRACER.count("cache.stores")
         if payload.get("status") == "error":
-            _NEGATIVE_STORES.inc()
+            TRACER.count("cache.negative_stores")
         self._index_append({"key": key,
                             "status": payload.get("status", "ok"),
                             "cells": payload.get("cells"),
@@ -510,8 +498,8 @@ class DesignCache:
             report.removed += 1
             report.freed_bytes += size
             report.by_reason[reason] = report.by_reason.get(reason, 0) + 1
-            _EVICTIONS.inc()
-            _EVICTED_BYTES.inc(size)
+            TRACER.count("cache.evictions")
+            TRACER.count("cache.evicted_bytes", size)
         if report.removed:
             self.rebuild_index()
         return report

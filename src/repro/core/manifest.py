@@ -37,7 +37,7 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.util.instrument import STATS
+from repro.obs import TRACER
 from repro.util.journal import encode_record, read_records
 
 if TYPE_CHECKING:                                       # pragma: no cover
@@ -52,9 +52,6 @@ MANIFEST_VERSION = 2
 #: cost at ~no durability loss: a crash forfeits at most a batch of
 #: cheap-to-redo jobs, never the whole sweep.
 DEFAULT_FSYNC_EVERY = 16
-
-_RESTORED = STATS.metrics.counter("sweep.manifest_restored")
-_RECORDED = STATS.metrics.counter("sweep.manifest_recorded")
 
 
 class ManifestError(ValueError):
@@ -159,7 +156,7 @@ class SweepManifest:
         self.completed[ident] = payload
         self._append({"kind": "done", "key": ident,
                       "result": payload})
-        _RECORDED.inc()
+        TRACER.count("sweep.manifest_recorded")
         self._since_fsync += 1
         if self._since_fsync >= self.fsync_every:
             self._fsync()
@@ -170,7 +167,7 @@ class SweepManifest:
 
         restored = [SweepResult.from_dict(payload)
                     for payload in self.completed.values()]
-        _RESTORED.inc(len(restored))
+        TRACER.count("sweep.manifest_restored", len(restored))
         return restored
 
     def _append(self, record: Mapping) -> None:

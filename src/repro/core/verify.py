@@ -35,8 +35,8 @@ from repro.machine.errors import CapacityError
 from repro.machine.microcode import compile_design
 from repro.machine.native import native_code, native_pass, nativize
 from repro.machine.simulator import MachineStats, run
+from repro.obs import TRACER
 from repro.space.allocation import conflict_free, flows_realisable
-from repro.util.instrument import STATS
 
 
 @dataclass
@@ -96,7 +96,7 @@ def _symbolic_checks(design: Design, report: VerificationReport,
 def _annotate_machine(stats: MachineStats) -> None:
     """Attach the machine's headline numbers to the active tracer span so a
     recorded run carries them without any caller plumbing."""
-    STATS.annotate(cycles=stats.cycles, cells=stats.cells_used,
+    TRACER.annotate(cycles=stats.cycles, cells=stats.cells_used,
                    operations=stats.operations, hops=stats.hops,
                    utilization=round(stats.utilization, 3))
 
@@ -116,13 +116,13 @@ def _verify_looped(design: Design, report: VerificationReport, decomposer,
     """The interpreted oracle: a from-scratch reference evaluation and a
     cycle-by-cycle machine run per input set, nothing cached."""
     for prefix, inputs in zip(prefixes, input_sets):
-        with STATS.stage("verify.reference"):
+        with TRACER.span("verify.reference"):
             trace = trace_execution(design.system, design.params, inputs)
         try:
-            with STATS.stage("verify.compile"):
+            with TRACER.span("verify.compile"):
                 mc = compile_design(trace, design.schedules,
                                     design.space_maps, decomposer)
-            with STATS.stage("verify.machine"):
+            with TRACER.span("verify.machine"):
                 machine = run(mc, trace, inputs, strict=strict_capacity)
                 _annotate_machine(machine.stats)
         except Exception as exc:  # machine errors are design failures
@@ -150,7 +150,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
     ndarray and object tiers wherever it cannot run."""
     if not input_sets:
         return
-    with STATS.stage("verify.reference"):
+    with TRACER.span("verify.reference"):
         plan = cache.get("plan")
         if plan is None:
             plan = cache["plan"] = build_execution_plan(
@@ -159,7 +159,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
         if vplan is None:
             vplan = cache["vplan"] = lower_plan(plan)
     try:
-        with STATS.stage("verify.compile"):
+        with TRACER.span("verify.compile"):
             machine = cache.get("nmachine")
             if machine is None:
                 trace = structural_trace(design.system, design.params, plan)
@@ -184,10 +184,10 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
     if gather is None:
         gather = cache["gather"] = HostGather((vplan, machine.program))
     host = gather.collect(input_sets)
-    with STATS.stage("verify.reference"):
+    with TRACER.span("verify.reference"):
         ref_matrix = execute_gathered(vplan, host, 0, ref_pass)
     try:
-        with STATS.stage("verify.machine"):
+        with TRACER.span("verify.machine"):
             mach_matrix = machine.execute_gathered(host, 1)
             stats = compiled.copy_stats()
             _annotate_machine(stats)
@@ -246,7 +246,7 @@ def verify_design(design: Design, inputs,
     cache = design._exec_cache if engine == "native" else None
 
 
-    with STATS.stage("verify.symbolic"):
+    with TRACER.span("verify.symbolic"):
         if cache is not None and "symbolic" in cache:
             flags, failures = cache["symbolic"]
             (report.schedule_valid, report.conflict_free,

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.ir import fourier_motzkin as fm
 from repro.ir.affine import AffineExpr, ExprLike, Number
-from repro.util.instrument import STATS
+from repro.obs import TRACER
 
 
 class _CompiledDomain:
@@ -252,9 +252,9 @@ class Polyhedron:
         key = self._cache_key(params)
         cached = _points_cache.get(key)
         if cached is not None:
-            STATS.count("points.cache_hit")
+            TRACER.count("points.cache_hit")
             return cached
-        STATS.count("points.cache_miss")
+        TRACER.count("points.cache_miss")
         compiled = self._compiled(params)
         ndim = len(self.dims)
         if ndim == 0:

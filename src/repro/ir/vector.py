@@ -59,12 +59,7 @@ import numpy as np
 from repro.ir.evaluate import ExecutionPlan, SystemTrace
 from repro.ir.ops import ADD, IDENTITY, MAC, MAX, MIN, MIN_PLUS, MUL, Op
 from repro.ir.statements import ComputeRule, LinkRule
-from repro.util.instrument import STATS
-
-#: Typed counter for the int64 -> object-array perf cliff (see
-#: :mod:`repro.obs.telemetry`); shared with the native engine.
-_INT64_FALLBACKS = STATS.metrics.counter("vector.int64_fallbacks")
-_KERNELS = STATS.metrics.counter("vector.kernels")
+from repro.obs import TRACER
 
 
 class IntegerFallback(Exception):
@@ -272,7 +267,7 @@ def build_program(node_count: int,
     copy); ``input_entries`` are host fetches ``(dst id, input name,
     pre-evaluated index)``.  Ids must be dense in ``[0, node_count)``.
     """
-    with STATS.stage("vector.lower"):
+    with TRACER.span("vector.lower"):
         # Current value's producer level, and the latest level reading it —
         # consumers go strictly above producers (RAW), rewrites go strictly
         # above both the previous value (WAW) and its readers (WAR).
@@ -370,7 +365,7 @@ def note_int64_fallback(reason: str) -> None:
     raises a :class:`RuntimeWarning` naming the cause.
     """
     global _fallback_warned
-    _INT64_FALLBACKS.inc()
+    TRACER.count("vector.int64_fallbacks")
     if not _fallback_warned:
         _fallback_warned = True
         import warnings
@@ -456,7 +451,7 @@ class HostGather:
                 ) -> HostValues:
         """Call every host fetch once per binding set and type-check the
         batch for the int64 path (same rule as :func:`_is_exact_int`)."""
-        with STATS.stage("vector.gather"):
+        with TRACER.span("vector.gather"):
             rows = []
             for bindings in input_sets:
                 row: list = []
@@ -488,7 +483,7 @@ def _run_levels(program: VectorProgram, values: np.ndarray,
                 int_mode: bool = True) -> None:
     """Every copy/compute level of ``program`` over ``values`` in place;
     the int64 kernels raise :class:`IntegerFallback` on overflow."""
-    with STATS.stage("vector.exec"):
+    with TRACER.span("vector.exec"):
         kernels = 0
         for group in program.groups:
             if group.kind == "input":
@@ -500,7 +495,7 @@ def _run_levels(program: VectorProgram, values: np.ndarray,
                 kernel = group.int_kernel if int_mode else group.obj_kernel
                 values[:, group.dst] = kernel(*cols)
             kernels += 1
-        _KERNELS.inc(kernels)
+        TRACER.count("vector.kernels", kernels)
 
 
 def execute_gathered(program: VectorProgram, host: HostValues,

@@ -37,8 +37,8 @@ from repro.ir.arrayeval import eval_index_int
 from repro.ir.evaluate import SystemTrace, ValueKey
 from repro.ir.statements import ComputeRule, InputRule, LinkRule
 from repro.machine.errors import CapacityError, CausalityError, LocalityError
+from repro.obs import TRACER
 from repro.space.diophantine import LinkDecomposer
-from repro.util.instrument import STATS
 
 Cell = tuple[int, ...]
 
@@ -111,7 +111,7 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
     mc = Microcode()
     # Placement of every value: batch T and S per module over the point
     # array instead of evaluating them key by key.
-    with STATS.stage("machine.compile.placement"):
+    with TRACER.span("machine.compile.placement"):
         by_module: dict[str, list[ValueKey]] = {}
         for key in trace.events:
             by_module.setdefault(key.module, []).append(key)
@@ -131,7 +131,7 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
     # Injection indices: evaluate each InputRule's index expressions over
     # the whole batch of points selecting that rule.
     inj_index: dict[ValueKey, tuple[int, ...]] = {}
-    with STATS.stage("machine.compile.injections"):
+    with TRACER.span("machine.compile.injections"):
         inj_groups: dict[tuple[str, int], tuple[object, list[ValueKey]]] = {}
         for key, event in trace.events.items():
             if isinstance(event.rule, InputRule):
@@ -237,7 +237,7 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
         t_src, _ = mc.placement[value]
         return (t_dst, t_dst - t_src)
 
-    with STATS.stage("machine.compile.routing"):
+    with TRACER.span("machine.compile.routing"):
         for value, consumer, min_gap in sorted(route_requests, key=deadline):
             route(value, consumer, min_gap)
 

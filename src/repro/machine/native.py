@@ -49,15 +49,8 @@ from repro.machine.compiled import CompiledMachine, lower
 from repro.machine.errors import CapacityError
 from repro.machine.microcode import Microcode
 from repro.machine.simulator import MachineRun
+from repro.obs import TRACER
 from repro.obs.events import EventSink
-from repro.util.instrument import STATS
-
-#: Typed fallback counters (see :mod:`repro.obs.telemetry`).
-_VECTOR_FALLBACKS = STATS.metrics.counter("native.vector_fallbacks")
-_INPUT_FALLBACKS = STATS.metrics.counter("native.input_fallbacks")
-_OVERFLOW_FALLBACKS = STATS.metrics.counter("native.overflow_fallbacks")
-_FALLBACK_BUILDS = STATS.metrics.counter("native.fallback_builds")
-
 
 def native_code(program: VectorProgram, cache_dir=None) -> tuple:
     """``(executor, code, None)`` when ``program`` can run natively here,
@@ -66,7 +59,7 @@ def native_code(program: VectorProgram, cache_dir=None) -> tuple:
         return None, None, ("program contains ops without exact int64 "
                             "kernels; the ndarray tier runs it")
     try:
-        with STATS.stage("native.encode"):
+        with TRACER.span("native.encode"):
             code = encode_program(program)
     except UnsupportedForNative as exc:
         return None, None, str(exc)
@@ -81,7 +74,7 @@ def native_pass(executor: NativeExecutor, code: np.ndarray,
     """An ``int_pass`` for :func:`~repro.ir.vector.execute_gathered` that
     runs ``code`` on the executor; ``on_overflow`` counts a fallback."""
     def run(program: VectorProgram, values: np.ndarray) -> None:
-        with STATS.stage("native.exec"):
+        with TRACER.span("native.exec"):
             rc = executor.run(values, code)
         if rc == 1:
             if on_overflow is not None:
@@ -144,13 +137,14 @@ class NativeMachine:
         (counted, and warned once via the shared int64 fallback
         channel)."""
         if self.code is None:
-            _VECTOR_FALLBACKS.inc()
+            TRACER.count("native.vector_fallbacks")
             return execute_gathered(self.program, host, slot)
         if host.ints is None:
-            _INPUT_FALLBACKS.inc()
+            TRACER.count("native.input_fallbacks")
         return execute_gathered(
             self.program, host, slot,
-            native_pass(self.executor, self.code, _OVERFLOW_FALLBACKS.inc))
+            native_pass(self.executor, self.code,
+                        lambda: TRACER.count("native.overflow_fallbacks")))
 
 
 def nativize(compiled: CompiledMachine, cache_dir=None) -> NativeMachine:
@@ -161,7 +155,7 @@ def nativize(compiled: CompiledMachine, cache_dir=None) -> NativeMachine:
                             compiled.injections)
     executor, code, reason = native_code(program, cache_dir)
     if code is None:
-        _FALLBACK_BUILDS.inc()
+        TRACER.count("native.fallback_builds")
     return NativeMachine(compiled=compiled, program=program,
                          executor=executor, code=code,
                          fallback_reason=reason)

@@ -1,23 +1,24 @@
-"""Observability layer: spans, telemetry, events, progress, run metrics.
+"""Observability layer: one tracer, events, progress, run records.
 
-Five cooperating pieces, all opt-in and all zero-cost on hot paths when
-unused:
+All opt-in and zero-cost on hot paths when unused:
 
-* :mod:`repro.obs.tracer` — the hierarchical span tracer behind the
-  process-wide :data:`TRACER` (also visible as the historical
-  ``repro.util.instrument.STATS``), plus the profiling exports
+* :mod:`repro.obs.tracer` — the process-wide :data:`TRACER`, the one
+  registry of counters, timers, gauges, latency histograms and spans, with
+  one mergeable wire form (:meth:`Tracer.to_wire`), the list of stage
+  names (:data:`STAGES`) and the profiling exports
   (:func:`collapsed_stacks` flamegraph format, Chrome trace);
-* :mod:`repro.obs.telemetry` — the typed metrics registry
-  (:class:`Counter` / :class:`Gauge` / :class:`Histogram`, mergeable
-  across sweep workers) behind the process-wide :data:`METRICS`, with the
-  Prometheus text exposition (:func:`render_prometheus`);
+* :mod:`repro.obs.telemetry` — the mergeable :class:`Histogram` behind
+  the tracer's latency distributions;
 * :mod:`repro.obs.events` — the cycle-level machine event vocabulary with
   JSON-lines and Chrome ``trace_event`` (Perfetto) exporters;
 * :mod:`repro.obs.progress` — structured live sweep progress
   (:class:`ProgressEvent`, CLI rendering, JSONL heartbeat);
 * :mod:`repro.obs.metrics` — persistent :class:`RunRecord` files under
-  ``$REPRO_METRICS_DIR`` capturing each CLI run's spans, counters,
-  telemetry and machine statistics.
+  ``$REPRO_METRICS_DIR`` capturing each CLI run's tracer wire, spans and
+  machine statistics.
+
+Nothing here imports from the engine, so every layer can report into
+:data:`TRACER`.
 """
 
 from repro.obs.events import (
@@ -45,16 +46,10 @@ from repro.obs.progress import (
     SweepProgress,
     read_heartbeat,
 )
-from repro.obs.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    percentile,
-    render_prometheus,
-)
+from repro.obs.telemetry import Histogram, percentile
 from repro.obs.tracer import (
     METRICS,
+    STAGES,
     TRACER,
     Span,
     Tracer,
@@ -65,21 +60,19 @@ from repro.obs.tracer import (
 
 __all__ = [
     "CLIProgress",
-    "Counter",
     "EVENT_KINDS",
     "EventLog",
     "EventSink",
-    "Gauge",
     "Histogram",
     "JsonlHeartbeat",
     "MachineEvent",
     "METRICS",
     "METRICS_ENV_VAR",
-    "MetricsRegistry",
     "ProgressEvent",
     "ProgressSink",
     "RunRecord",
     "Span",
+    "STAGES",
     "SweepProgress",
     "TRACER",
     "Tracer",
@@ -92,7 +85,6 @@ __all__ = [
     "percentile",
     "read_heartbeat",
     "read_jsonl",
-    "render_prometheus",
     "render_spans",
     "spans_to_chrome_trace",
     "write_run_record",

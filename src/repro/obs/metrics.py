@@ -1,13 +1,14 @@
 """Persistent run metrics: every CLI run can leave a structured record.
 
 A :class:`RunRecord` captures what a ``synthesize`` / ``sweep`` / ``trace``
-invocation did — command, arguments, git revision, the tracer's flat
-counters/timers *and* its span tree, machine statistics when a design was
-executed — as one JSON file under the metrics directory
-(``$REPRO_METRICS_DIR``; recording is off when the variable is unset and no
-explicit directory is given).  Records accumulate across runs, so the
-performance trajectory of the engine is inspectable long after the
-individual runs:
+invocation did — command, arguments, git revision, the tracer's wire
+(counters, timers, gauges and latency histograms, exactly as
+:meth:`~repro.obs.tracer.Tracer.to_wire` gives them) *and* its span
+tree, machine statistics when a design was executed — as one JSON file
+under the metrics directory (``$REPRO_METRICS_DIR``; recording is off
+when the variable is unset and no explicit directory is given).
+Records accumulate across runs, so the performance trajectory of the
+engine is inspectable long after the individual runs:
 
 * ``repro trace --from-record <file>`` replays a record (span tree,
   counters, machine stats) in the terminal;
@@ -35,7 +36,9 @@ from repro.obs.tracer import Span, render_spans
 METRICS_ENV_VAR = "REPRO_METRICS_DIR"
 
 #: Bump on incompatible RunRecord layout changes.
-RECORD_FORMAT_VERSION = 1
+#: v2: ``stats`` holds the whole tracer wire (gauges and histograms
+#: included); ``extra["telemetry"]`` is gone.
+RECORD_FORMAT_VERSION = 2
 
 _sequence = 0
 
@@ -93,7 +96,7 @@ class RunRecord:
     started_at: str = ""                     # ISO-8601, UTC
     wall_time: float = 0.0
     git_sha: str | None = None
-    stats: dict = field(default_factory=dict)     # flat counters/timers
+    stats: dict = field(default_factory=dict)     # Tracer.to_wire()
     spans: list[dict] = field(default_factory=list)
     machine_stats: dict | None = None
     extra: dict = field(default_factory=dict)
@@ -114,6 +117,9 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
+        if not isinstance(data, dict):
+            raise ValueError(f"a run record is a JSON object, not "
+                             f"{type(data).__name__}")
         if data.get("format") != RECORD_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported run-record format {data.get('format')!r} "

@@ -8,24 +8,25 @@ tracker which computes throughput and ETA and fans structured
 * :class:`CLIProgress` — a single self-updating terminal line (plain
   line-per-update when the stream is not a TTY), throttled so a fast warm
   sweep does not drown in redraws;
-* :class:`JsonlHeartbeat` — one JSON object per event appended to a file.
-  Each line is written atomically-enough (single ``write`` of one line,
-  file reopened per event) that a tail/monitor — or a post-mortem after an
-  interrupted sweep — always sees well-formed JSON;
-* anything implementing :class:`ProgressSink` (the future ``repro serve``
-  maps these events straight onto server-sent events).
+* :class:`JsonlHeartbeat` — one JSON object per event appended to a file
+  through the shared journal helper (:mod:`repro.util.journal`): one
+  ``write`` per line, file reopened per event, so a tail/monitor — or a
+  post-mortem after an interrupted sweep — reads every intact event even
+  when the last line was torn;
+* anything implementing :class:`ProgressSink`.
 
 The tracker also publishes ``sweep.throughput`` / ``sweep.eta_s`` /
-``sweep.jobs_done`` gauges into the process metrics registry, so progress
-is scrapeable through the Prometheus exposition as well.
+``sweep.jobs_done`` gauges into the tracer, so the run record carries the
+final progress numbers as well.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Protocol, Sequence
+
+from repro.util.journal import append_record, read_records
 
 
 @dataclass(frozen=True)
@@ -134,31 +135,21 @@ class JsonlHeartbeat:
         self.path = path
 
     def emit(self, event: ProgressEvent) -> None:
-        line = json.dumps(event.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        append_record(self.path, event.to_dict())
 
 
 def read_heartbeat(path) -> list[ProgressEvent]:
-    """Load the events of a heartbeat file written by
-    :class:`JsonlHeartbeat`."""
-    events: list[ProgressEvent] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            events.append(ProgressEvent(
+    """Load the intact events of a heartbeat file written by
+    :class:`JsonlHeartbeat` (a torn final line is skipped)."""
+    return [ProgressEvent(
                 kind=data["kind"], total=data["total"],
                 done=data.get("done", 0), failed=data.get("failed", 0),
                 cache_hits=data.get("cache_hits", 0),
                 resumed=data.get("resumed", 0),
                 elapsed=data.get("elapsed_s", 0.0),
                 throughput=data.get("throughput", 0.0),
-                eta_s=data.get("eta_s"), label=data.get("label", "")))
-    return events
+                eta_s=data.get("eta_s"), label=data.get("label", ""))
+            for data in read_records(path)]
 
 
 @dataclass
@@ -173,7 +164,7 @@ class SweepProgress:
 
     sinks: Sequence[ProgressSink] = ()
     clock: Callable[[], float] = time.perf_counter
-    registry: "object | None" = None       # a MetricsRegistry, if any
+    registry: "object | None" = None       # a Tracer, if any
     total: int = 0
     done: int = 0
     failed: int = 0

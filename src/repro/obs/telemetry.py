@@ -1,25 +1,15 @@
-"""Typed, process-safe metrics: the aggregate-telemetry substrate.
+"""Mergeable latency histograms: the aggregate side of the tracer.
 
-The span tracer answers "where did *this* run spend its time"; sweeps and
-the future synthesis service need the aggregate question answered too —
-how many cache hits across a million jobs, what is the p95 of the
-``native.cc`` stage, how hot is the int64 fallback path.  This module
-provides the typed registry those questions are asked against:
-
-* :class:`Counter` — a monotone event count.  Counters share storage with
-  the tracer's historical flat ``counters`` dict, so every existing
-  ``STATS.count(...)`` call site (cache hits, ``vector.int64_fallbacks``,
-  the ``native.*`` family) is *already* publishing into the registry;
-  typed handles are the blessed way to bump them from new code.
-* :class:`Gauge` — a last-value measurement (sweep throughput, ETA).
-* :class:`Histogram` — a distribution with **fixed buckets** (exact
-  cumulative counts, Prometheus-exposable) plus a **deterministic
-  reservoir** for percentile estimates.  Histograms are *mergeable*:
-  :meth:`Histogram.merge_wire` is associative and commutative, so worker
-  registries folded in any order — the ProcessPoolExecutor batch stats
-  protocol of :mod:`repro.core.batch` — produce identical aggregates.
-* :func:`render_prometheus` — the text exposition format over a registry,
-  the direct hook for a future ``repro serve`` ``/metrics`` endpoint.
+The span tracer answers "where did *this* run spend its time"; sweeps
+need the aggregate question answered too — what is the p95 of the
+``native.cc`` stage across every job of a campaign.  :class:`Histogram`
+is a distribution with **fixed buckets** (exact counts) plus a
+**deterministic reservoir** for percentile estimates.  Histograms are
+*mergeable*: :meth:`Histogram.merge_wire` is associative and commutative,
+so worker histograms folded in any order — the sweep stats protocol of
+:mod:`repro.core.batch` — produce identical aggregates.  The
+:class:`~repro.obs.tracer.Tracer` holds them by name next to its
+counters, timers and gauges.
 
 Determinism is load-bearing: the reservoir does **not** use ``random``.
 Each observation gets a priority from an integer hash of (value bits,
@@ -79,61 +69,12 @@ def percentile(sorted_values, q: float):
     return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
-class Counter:
-    """A typed handle on one monotone counter of a registry.
-
-    The value lives in the registry's shared ``counters`` dict (the same
-    dict the tracer's flat view reads), so handles and historical
-    ``STATS.count`` call sites observe each other.
-    """
-
-    __slots__ = ("name", "_registry")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self.name = name
-        self._registry = registry
-
-    def inc(self, delta: int = 1) -> None:
-        self._registry.inc(self.name, delta)
-
-    @property
-    def value(self) -> int:
-        return self._registry.counters.get(self.name, 0)
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value})"
-
-
-class Gauge:
-    """A typed handle on one last-value measurement of a registry."""
-
-    __slots__ = ("name", "_registry")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self.name = name
-        self._registry = registry
-
-    def set(self, value: float) -> None:
-        self._registry.gauges[self.name] = float(value)
-
-    def inc(self, delta: float = 1.0) -> None:
-        self._registry.gauges[self.name] = self.value + delta
-
-    @property
-    def value(self) -> float:
-        return self._registry.gauges.get(self.name, 0.0)
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, {self.value})"
-
-
 class Histogram:
     """Fixed-bucket counts plus a deterministic percentile reservoir.
 
     ``bucket_counts[i]`` counts observations ``<= buckets[i]`` boundary-
-    exclusive style (``bisect_right``), with one extra overflow slot; the
-    cumulative form required by the Prometheus exposition is derived on
-    demand.  The reservoir keeps the ``capacity`` observations with the
+    exclusive style (``bisect_right``), with one extra overflow slot.
+    The reservoir keeps the ``capacity`` observations with the
     smallest deterministic priorities — an unbiased-enough hash sample
     whose *selection is a pure function of the observed multiset*, which
     makes :meth:`merge_wire` associative.
@@ -255,158 +196,3 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, n={self.count})"
-
-
-class MetricsRegistry:
-    """The typed registry: counters, gauges and histograms by name.
-
-    ``counters`` is a plain dict shared with the owning tracer's flat view
-    (see :class:`repro.obs.tracer.Tracer`), so the registry sees every
-    historical ``STATS.count`` call and the tracer's ``--stats`` report
-    sees every typed :class:`Counter` bump.  ``_count_hook`` is how the
-    tracer injects span-attribution: when set, typed increments route
-    through ``Tracer.count`` so they are also charged to the active span.
-    """
-
-    def __init__(self) -> None:
-        self.counters: dict[str, int] = {}
-        self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
-        self._count_hook = None     # set by an adopting Tracer
-
-    # -- typed handles -------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        return Counter(self, name)
-
-    def gauge(self, name: str) -> Gauge:
-        return Gauge(self, name)
-
-    def histogram(self, name: str,
-                  buckets: "tuple[float, ...] | None" = None) -> Histogram:
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram(name, buckets=buckets)
-        return hist
-
-    # -- recording -----------------------------------------------------------
-
-    def inc(self, name: str, delta: int = 1) -> None:
-        if self._count_hook is not None:
-            self._count_hook(name, delta)
-        else:
-            self.counters[name] = self.counters.get(name, 0) + delta
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
-
-    def observe(self, name: str, value: float,
-                buckets: "tuple[float, ...] | None" = None) -> None:
-        self.histogram(name, buckets=buckets).observe(value)
-
-    def reset(self) -> None:
-        """Clear all recorded data **in place** — consumers holding the
-        ``counters`` dict (the tracer's flat view) keep their reference."""
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-
-    # -- reading / merge -----------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-ready digest, key-sorted: counters and gauges verbatim,
-        histograms as :meth:`Histogram.summary` blocks."""
-        return {
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            "histograms": {k: self.histograms[k].summary()
-                           for k in sorted(self.histograms)
-                           if self.histograms[k].count},
-        }
-
-    def to_wire(self, counters: bool = True) -> dict:
-        """The mergeable serialised registry.
-
-        ``counters=False`` omits counters — the batch stats protocol
-        already ships counter deltas through its historical channel, and
-        shipping them twice would double-count on merge.
-        """
-        wire: dict = {
-            "gauges": {k: self.gauges[k] for k in sorted(self.gauges)},
-            # Empty histograms (a pre-registered handle never observed)
-            # carry no information; keep them off the wire.
-            "histograms": {k: self.histograms[k].to_wire()
-                           for k in sorted(self.histograms)
-                           if self.histograms[k].count},
-        }
-        if counters:
-            wire["counters"] = {k: self.counters[k]
-                                for k in sorted(self.counters)}
-        return wire
-
-    def merge_wire(self, wire: dict) -> None:
-        """Fold a worker registry's wire form in (associative per metric:
-        counters add, gauges last-write-win, histograms merge)."""
-        for name, delta in wire.get("counters", {}).items():
-            self.inc(name, delta)
-        self.gauges.update(wire.get("gauges", {}))
-        for name, hist_wire in wire.get("histograms", {}).items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                self.histograms[name] = Histogram.from_wire(name, hist_wire)
-            else:
-                hist.merge_wire(hist_wire)
-
-    def __repr__(self) -> str:
-        return (f"MetricsRegistry(counters={len(self.counters)}, "
-                f"gauges={len(self.gauges)}, "
-                f"histograms={len(self.histograms)})")
-
-
-# -- Prometheus text exposition -----------------------------------------------
-
-def _prom_name(name: str, suffix: str = "", prefix: str = "repro") -> str:
-    safe = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-    return f"{prefix}_{safe}{suffix}"
-
-
-def _prom_value(value: float) -> str:
-    if value != value:                          # NaN
-        return "NaN"
-    if value in (float("inf"), float("-inf")):
-        return "+Inf" if value > 0 else "-Inf"
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def render_prometheus(registry: MetricsRegistry,
-                      prefix: str = "repro") -> str:
-    """The registry in the Prometheus text exposition format (v0.0.4).
-
-    Counters gain the conventional ``_total`` suffix, histograms expose
-    cumulative ``_bucket{le="..."}`` series plus ``_sum``/``_count``, and
-    names are sanitised (``cache.hits`` → ``repro_cache_hits_total``).
-    This function is the metrics endpoint of a future ``repro serve`` —
-    scrape-ready today against the process registry.
-    """
-    lines: list[str] = []
-    for name in sorted(registry.counters):
-        metric = _prom_name(name, "_total", prefix)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {registry.counters[name]}")
-    for name in sorted(registry.gauges):
-        metric = _prom_name(name, "", prefix)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_prom_value(registry.gauges[name])}")
-    for name in sorted(registry.histograms):
-        hist = registry.histograms[name]
-        metric = _prom_name(name, "", prefix)
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for bound, count in zip(hist.buckets, hist.bucket_counts):
-            cumulative += count
-            lines.append(f'{metric}_bucket{{le="{_prom_value(bound)}"}} '
-                         f"{cumulative}")
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {hist.count}')
-        lines.append(f"{metric}_sum {_prom_value(hist.total)}")
-        lines.append(f"{metric}_count {hist.count}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -1,26 +1,29 @@
-"""Hierarchical span tracer — the engine's structured timing substrate.
+"""The tracer: the engine's one registry of counters, timers, gauges,
+latency histograms and spans.
 
 The synthesis pipeline is a tree of stages (a sweep contains jobs, a job
 contains schedule/space solves, a verification contains compile and machine
-passes), but the historical :data:`~repro.util.instrument.STATS` registry
-flattened all of it into two dicts.  The :class:`Tracer` keeps that flat
-view — every existing ``--stats`` consumer and the sweep stat-merge protocol
-still read ``counters``/``timers`` exactly as before — and additionally
-builds a tree of :class:`Span` nodes when tracing is *enabled*:
+passes).  The :class:`Tracer` keeps a flat view of it — ``counters`` and
+``timers`` by name, which ``--stats`` prints — and additionally builds a
+tree of :class:`Span` nodes when tracing is *enabled*:
 
 * :meth:`Tracer.span` is a re-entrant context manager.  Nested spans become
   children of the active span; re-entering the *same* stage name only
   charges the outermost frame to the flat timer, so recursive stages
-  (``verify.compile`` under a warm-cache path) no longer double-count.
+  (``verify.compile`` under a warm-cache path) do not double-count.
 * When tracing is disabled the fast path allocates no span nodes — one dict
-  bump for the re-entrancy depth and one for the timer, same cost profile
-  the flat registry always had.
-* Span trees serialise to plain dicts (:meth:`Span.to_dict`) and merge back
-  with :meth:`Tracer.graft`, which is how ``core.batch`` workers ship their
-  trees across process boundaries alongside the counter deltas.
+  bump for the re-entrancy depth and one for the timer.
+* While tracing, every closed stage also feeds a per-name latency
+  :class:`~repro.obs.telemetry.Histogram`; :meth:`Tracer.observe` and
+  :meth:`Tracer.set_gauge` record other distributions and last values.
+* :meth:`Tracer.to_wire` is the one mergeable serialised form of the flat
+  data (counters, timers, gauges, histograms) and
+  :meth:`Tracer.merge_wire` folds one in.  ``core.batch`` workers ship it
+  back per job with their span trees, which merge under the active span
+  with :meth:`Tracer.graft`; a RunRecord stores the same wire.
 
-The process-wide instance is :data:`TRACER`; ``repro.util.instrument.STATS``
-is the same object under its historical name.
+The process-wide instance is :data:`TRACER`.  :data:`STAGES` lists every
+stage name the engine opens a span under.
 """
 
 from __future__ import annotations
@@ -29,7 +32,38 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-from repro.obs.telemetry import MetricsRegistry
+from repro.obs.telemetry import Histogram
+
+#: Every stage name the engine opens a span under.  The last entry,
+#: ``"pass."``, is a prefix: the pass manager opens ``pass.<name>`` for
+#: each pass it runs.
+STAGES: tuple[str, ...] = (
+    "pipeline",
+    "synthesize.enumerate",
+    "synthesize.schedule",
+    "synthesize.space",
+    "machine.compile.placement",
+    "machine.compile.injections",
+    "machine.compile.routing",
+    "vector.lower",
+    "vector.gather",
+    "vector.exec",
+    "native.load",
+    "native.cc",
+    "native.encode",
+    "native.exec",
+    "verify.reference",
+    "verify.compile",
+    "verify.machine",
+    "verify.symbolic",
+    "sweep.keys",
+    "sweep.probe",
+    "sweep.solve",
+    "sweep.job",
+    "sweep.verify",
+    "sweep.cross_check",
+    "pass.",
+)
 
 
 class Span:
@@ -99,26 +133,21 @@ def render_spans(spans: "list[Span]", indent: str = "  ") -> str:
 
 
 class Tracer:
-    """Flat counters/timers plus an optional hierarchical span tree.
+    """Counters, timers, gauges and histograms plus an optional span tree.
 
-    The flat ``counters``/``timers`` dicts are always maintained — they are
-    the backward-compatible :class:`~repro.util.instrument.Instrumentation`
-    surface.  The span tree is only built while :attr:`enabled` is true.
+    The flat ``counters``/``timers`` dicts are always maintained; the span
+    tree and the per-stage latency histograms only while :attr:`enabled`
+    is true.
 
     ``clock`` is injectable for deterministic tests.
     """
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 metrics: "MetricsRegistry | None" = None) -> None:
-        #: The typed metrics registry this tracer publishes into.  The
-        #: flat ``counters`` dict *is* the registry's counter store, so the
-        #: historical view and the typed view can never drift; typed
-        #: handles route increments back through :meth:`count` (the
-        #: registry's ``_count_hook``) so they gain span attribution.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics._count_hook = self.count
-        self.counters: dict[str, int] = self.metrics.counters
+    def __init__(self,
+                 clock: Callable[[], float] = time.perf_counter) -> None:
+        self.counters: dict[str, int] = {}
         self.timers: dict[str, float] = {}
+        self.gauges: dict[str, float] = {}
+        self.histograms: dict[str, Histogram] = {}
         self.enabled = False
         self._clock = clock
         self._roots: list[Span] = []
@@ -135,9 +164,12 @@ class Tracer:
         self.enabled = False
 
     def reset(self) -> None:
-        """Clear all recorded data (the enabled flag is left alone)."""
-        self.metrics.reset()        # clears ``counters`` in place too
+        """Clear all recorded data in place (the enabled flag is left
+        alone)."""
+        self.counters.clear()
         self.timers.clear()
+        self.gauges.clear()
+        self.histograms.clear()
         self._roots.clear()
         self._stack.clear()
         self._active.clear()
@@ -149,6 +181,16 @@ class Tracer:
         if self.enabled and self._stack:
             span = self._stack[-1]
             span.counters[name] = span.counters.get(name, 0) + delta
+
+    def set_gauge(self, name: str, value: float) -> None:
+        self.gauges[name] = float(value)
+
+    def observe(self, name: str, value: float) -> None:
+        """Add one observation to the histogram ``name``."""
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram(name)
+        hist.observe(value)
 
     @contextmanager
     def span(self, name: str, **attrs) -> Iterator["Span | None"]:
@@ -182,17 +224,13 @@ class Tracer:
                 del self._active[name]
                 self.timers[name] = self.timers.get(name, 0.0) + elapsed
                 if self.enabled:
-                    # Telemetry on: stage durations also feed the per-name
-                    # latency histogram (percentiles across calls/runs).
-                    self.metrics.observe(name, elapsed)
+                    # Stage durations also feed the per-name latency
+                    # histogram (percentiles across calls/runs).
+                    self.observe(name, elapsed)
             if node is not None:
                 node.duration = elapsed
                 if self._stack and self._stack[-1] is node:
                     self._stack.pop()
-
-    #: historical name of :meth:`span` — every call site predating the
-    #: tracer uses ``STATS.stage(...)``.
-    stage = span
 
     def annotate(self, **attrs) -> None:
         """Attach attributes to the active span (no-op when tracing is off)."""
@@ -210,7 +248,7 @@ class Tracer:
 
     def graft(self, data: dict) -> Span:
         """Attach a serialised span tree (from a worker process) under the
-        active span — the tree merge counterpart of the counter-delta merge."""
+        active span — the tree counterpart of :meth:`merge_wire`."""
         span = Span.from_dict(data)
         parent = self._stack[-1] if self._stack else None
         (parent.children if parent else self._roots).append(span)
@@ -229,6 +267,33 @@ class Tracer:
                              for k in sorted(self.counters)},
                 "timers": {k: self.timers[k] for k in sorted(self.timers)}}
 
+    def to_wire(self) -> dict:
+        """The mergeable, JSON-safe form of everything but the span tree:
+        :meth:`snapshot` plus gauges and histograms, key-sorted."""
+        wire = self.snapshot()
+        wire["gauges"] = {k: self.gauges[k] for k in sorted(self.gauges)}
+        # An empty histogram carries no information; keep it off the wire.
+        wire["histograms"] = {k: self.histograms[k].to_wire()
+                              for k in sorted(self.histograms)
+                              if self.histograms[k].count}
+        return wire
+
+    def merge_wire(self, wire: dict) -> None:
+        """Fold another tracer's :meth:`to_wire` form in.  Per metric it is
+        associative: counters and timers add (counters are charged to the
+        active span too), gauges take the last write, histograms merge."""
+        for name, delta in wire.get("counters", {}).items():
+            self.count(name, delta)
+        for name, value in wire.get("timers", {}).items():
+            self.timers[name] = self.timers.get(name, 0.0) + value
+        self.gauges.update(wire.get("gauges", {}))
+        for name, hist_wire in wire.get("histograms", {}).items():
+            hist = self.histograms.get(name)
+            if hist is None:
+                self.histograms[name] = Histogram.from_wire(name, hist_wire)
+            else:
+                hist.merge_wire(hist_wire)
+
     def report(self) -> str:
         """Human-readable summary: flat entries, then the span tree when
         tracing was enabled."""
@@ -245,11 +310,12 @@ class Tracer:
         return "\n".join(lines)
 
 
-#: The process-wide tracer.  ``repro.util.instrument.STATS`` is this object.
+#: The process-wide tracer.
 TRACER = Tracer()
 
-#: The process-wide typed metrics registry (the tracer's).
-METRICS = TRACER.metrics
+#: A second name for :data:`TRACER`, kept for callers that read
+#: ``METRICS.counters``.
+METRICS = TRACER
 
 
 # -- profiling exports ---------------------------------------------------------

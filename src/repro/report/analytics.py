@@ -1,8 +1,9 @@
 """Aggregate analytics over persisted run records: ``repro report``.
 
 A sweep campaign leaves hundreds of :class:`~repro.obs.metrics.RunRecord`
-files behind (one per CLI invocation, each carrying per-job wall times,
-flat counters and the merged telemetry registry).  This module turns one
+files behind (one per CLI invocation, each carrying per-job wall times
+and the tracer wire: counters, timers, gauges and merged latency
+histograms).  This module turns one
 or more of those stores into the operator's questions:
 
 * **latency** — engine × problem wall-time tables (count, p50, p95, max),
@@ -13,9 +14,9 @@ or more of those stores into the operator's questions:
   cache, native artifact cache, point-set cache), summed over every
   record's counters;
 * **stages** — latency distributions of the traced stages, by merging the
-  registry histograms shipped in ``extra["telemetry"]`` (the same
-  associative merge the sweep workers use, so a report over N records
-  equals one record over the union of their runs);
+  histograms of every record's ``stats`` wire (the same associative merge
+  the sweep workers use, so a report over N records equals one record
+  over the union of their runs);
 * **delta** — the same latency table diffed against a *baseline*: either
   a second record store (directory) or a ``BENCH_<name>.json`` trajectory
   file from the benchmark harness, in which case the newest entry is
@@ -169,15 +170,14 @@ def cache_table(records: Sequence[RunRecord], title: str = "") -> str:
 
 def merged_histograms(records: Sequence[RunRecord],
                       ) -> dict[str, Histogram]:
-    """All records' telemetry histograms, merged per stage name.
+    """All records' latency histograms, merged per stage name.
 
     Uses the same associative wire merge the sweep workers use, so the
     result is independent of record order.
     """
     merged: dict[str, Histogram] = {}
     for rec in records:
-        telemetry = rec.extra.get("telemetry") or {}
-        for name, wire in telemetry.get("histograms", {}).items():
+        for name, wire in rec.stats.get("histograms", {}).items():
             hist = merged.get(name)
             if hist is None:
                 merged[name] = Histogram.from_wire(name, wire)

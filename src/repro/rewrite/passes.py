@@ -19,7 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from repro.util.instrument import STATS
+from repro.obs import TRACER
 
 
 class PassError(RuntimeError):
@@ -153,9 +153,9 @@ class PassPipeline:
         from repro.rewrite.ir import print_ir
 
         dump_all = "all" in self.print_ir_after
-        with STATS.stage("pipeline", passes=len(self.passes)):
+        with TRACER.span("pipeline", passes=len(self.passes)):
             for p in self.passes:
-                with STATS.stage(f"pass.{p.name}"):
+                with TRACER.span(f"pass.{p.name}"):
                     state = p.run(state)
                 if (dump_all or p.name in self.print_ir_after):
                     header = f"// -- IR after pass {p.name} --"

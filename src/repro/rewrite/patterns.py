@@ -35,8 +35,8 @@ import abc
 from repro.ir.statements import ComputeRule
 from repro.ir.variables import ExternalRef, Ref
 from repro.ir.vector import fused_int_kernel
+from repro.obs import TRACER
 from repro.rewrite.ir import IROp, Region
-from repro.util.instrument import STATS
 
 
 class RewritePattern(abc.ABC):
@@ -100,7 +100,7 @@ def apply_patterns(root: IROp, patterns, max_iterations: int = 32
             f"patterns did not converge after {max_iterations} sweeps: "
             f"{counts}")
     for name, n in counts.items():
-        STATS.count(f"rewrite.{name}", n)
+        TRACER.count(f"rewrite.{name}", n)
     return root, counts
 
 

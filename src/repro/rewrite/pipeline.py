@@ -46,6 +46,7 @@ from repro.ir.evaluate import structural_trace
 from repro.ir.program import HighLevelSpec, RecurrenceSystem
 from repro.machine.errors import MachineError
 from repro.machine.microcode import compile_design
+from repro.obs import TRACER
 from repro.rewrite.ir import ir_to_system, system_to_ir, verify_ir
 from repro.rewrite.passes import Pass, PassError, PassPipeline, PipelineState
 from repro.rewrite.patterns import (
@@ -64,7 +65,6 @@ from repro.space.multimodule import (
     NoSpaceMapExists,
     solve_multimodule_space,
 )
-from repro.util.instrument import STATS
 
 
 class DecomposeChainsPass(Pass):
@@ -138,13 +138,13 @@ class SchedulePass(Pass):
         constraints = link_constraints(system, params)
 
         problems = []
-        with STATS.stage("synthesize.enumerate"):
+        with TRACER.span("synthesize.enumerate"):
             for name, module in system.modules.items():
                 arr = module.domain.points_array(params)
                 problems.append(ModuleSchedulingProblem(
                     name, module.dims, deps[name], arr))
 
-        with STATS.stage("synthesize.schedule"):
+        with TRACER.span("synthesize.schedule"):
             try:
                 time_solution = solve_multimodule(
                     problems, constraints, bound=opts.time_bound,
@@ -227,7 +227,7 @@ class AllocatePass(Pass):
                     f"{type(exc).__name__}: {exc}")
             return mc, None
 
-        with STATS.stage("synthesize.space"):
+        with TRACER.span("synthesize.space"):
             for plan in plans:
                 space_problems = [
                     ModuleSpaceProblem(name, system.modules[name].dims,

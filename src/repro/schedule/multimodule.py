@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.deps.vectors import DependenceMatrix
+from repro.obs import TRACER
 from repro.schedule.constraints import GlobalConstraint
 from repro.schedule.linear import LinearSchedule
 from repro.schedule.solver import (
@@ -35,7 +36,6 @@ from repro.schedule.solver import (
     coefficient_grid,
     valid_coefficient_vectors,
 )
-from repro.util.instrument import STATS
 
 
 @dataclass
@@ -197,7 +197,7 @@ def solve_multimodule(problems: Sequence[ModuleSchedulingProblem],
         assignment.pop(prob.name, None)
 
     recurse(0)
-    STATS.count("multimodule.assignments_examined", examined)
+    TRACER.count("multimodule.assignments_examined", examined)
     if best_assignment is None:
         raise NoScheduleExists(
             "no joint schedule satisfies the global constraints "

@@ -31,9 +31,9 @@ import numpy as np
 
 from repro.deps.vectors import DependenceMatrix
 from repro.ir.indexset import Polyhedron
+from repro.obs import TRACER
 from repro.schedule.linear import LinearSchedule
 from repro.util.errors import SynthesisError
-from repro.util.instrument import STATS
 
 
 class NoScheduleExists(SynthesisError):
@@ -129,8 +129,8 @@ def optimal_schedule(deps: DependenceMatrix, domain: Polyhedron,
                                  params)
     else:
         solution = _full_scan(dims, candidates, points)
-    STATS.count("solver.searches")
-    STATS.count("solver.candidates_examined", solution.candidates_examined)
+    TRACER.count("solver.searches")
+    TRACER.count("solver.candidates_examined", solution.candidates_examined)
     return solution
 
 
@@ -199,8 +199,8 @@ def _bounded_scan(dims: tuple[str, ...], candidates: np.ndarray,
         if best_span is None or chunk_best < best_span:
             best_span = chunk_best
         if best_span <= target:
-            STATS.count("solver.lp_early_exits")
-            STATS.count("solver.candidates_skipped",
+            TRACER.count("solver.lp_early_exits")
+            TRACER.count("solver.candidates_skipped",
                         int(ranked.shape[0]) - examined)
             break
     scanned = np.concatenate(kept, axis=0)

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.deps.vectors import DependenceMatrix
+from repro.obs import TRACER
 from repro.schedule.constraints import GlobalConstraint
 from repro.schedule.linear import LinearSchedule
 from repro.space.allocation import (
@@ -38,7 +39,6 @@ from repro.space.allocation import (
 )
 from repro.space.diophantine import LinkDecomposer
 from repro.util.errors import SynthesisError
-from repro.util.instrument import STATS
 
 
 class NoSpaceMapExists(SynthesisError):
@@ -174,7 +174,7 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
             verdict = _displacements_ok(disp, gc_gaps[gi], decomposer)
             adjacency_cache[key] = verdict
         else:
-            STATS.count("space.adjacency_cache_hits")
+            TRACER.count("space.adjacency_cache_hits")
         return verdict
 
     best_key: tuple | None = None
@@ -213,7 +213,7 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
         assignment.pop(prob.name, None)
 
     recurse(0)
-    STATS.count("space.assignments_examined", examined)
+    TRACER.count("space.assignments_examined", examined)
     if best_assignment is None:
         raise NoSpaceMapExists(
             "no joint space mapping satisfies the global adjacency constraints")

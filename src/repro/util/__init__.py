@@ -1,7 +1,6 @@
 """Small shared utilities: exact integer math, validation helpers and
-engine instrumentation."""
+append-only JSONL journals."""
 
-from repro.util.instrument import STATS, Instrumentation
 from repro.util.intmath import (
     extended_gcd,
     gcd_vector,
@@ -11,8 +10,6 @@ from repro.util.intmath import (
 )
 
 __all__ = [
-    "STATS",
-    "Instrumentation",
     "extended_gcd",
     "gcd_vector",
     "integer_solve",

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import SweepSpec, SynthesisOptions, run_sweep
-from repro.core.batch import _execute_job
+from repro.core.batch import _execute_job, _merge_stats
+from repro.obs import TRACER
 from repro.report import sweep_pareto_table, sweep_table
-from repro.util.instrument import STATS
 
 SMOKE = SweepSpec(
     problems=("dp", "conv-backward"),
@@ -82,46 +82,46 @@ class TestSweepSmoke:
 
 
 class TestStatsProtocol:
-    """The worker/serial split of the global STATS registry.
+    """The worker/serial split of the global TRACER registry.
 
     Regression: the serial fallback used to reset the process-wide
     registry the way a pool worker does, wiping whatever the caller had
     accumulated before the sweep."""
 
     def test_serial_sweep_preserves_caller_stats(self, tmp_path):
-        STATS.count("sentinel.before_sweep", 7)
+        TRACER.count("sentinel.before_sweep", 7)
         try:
             run_sweep(SMOKE, workers=0, cache_dir=tmp_path,
                       cross_check=False)
-            assert STATS.counters["sentinel.before_sweep"] == 7
+            assert TRACER.counters["sentinel.before_sweep"] == 7
         finally:
-            STATS.counters.pop("sentinel.before_sweep", None)
+            TRACER.counters.pop("sentinel.before_sweep", None)
 
     def test_serial_job_reports_own_delta_only(self, tmp_path):
         job = SMOKE.jobs()[0]
-        STATS.count("sentinel.noise", 3)
+        TRACER.count("sentinel.noise", 3)
         try:
             result = _execute_job(job, str(tmp_path), True)
             assert "sentinel.noise" not in result.stats.get("counters", {})
             assert result.stats["counters"]      # the job did count things
         finally:
-            STATS.counters.pop("sentinel.noise", None)
+            TRACER.counters.pop("sentinel.noise", None)
 
     def test_worker_mode_resets_registry(self, tmp_path):
         job = SMOKE.jobs()[0]
-        STATS.count("sentinel.parent_only", 5)
+        TRACER.count("sentinel.parent_only", 5)
         try:
             result = _execute_job(job, str(tmp_path), True, in_worker=True)
             # The worker path starts from a clean registry, so the parent's
             # sentinel neither leaks into the delta nor survives the reset.
             assert "sentinel.parent_only" not in result.stats["counters"]
-            assert "sentinel.parent_only" not in STATS.counters
+            assert "sentinel.parent_only" not in TRACER.counters
         finally:
-            STATS.counters.pop("sentinel.parent_only", None)
+            TRACER.counters.pop("sentinel.parent_only", None)
 
     def test_worker_ships_span_tree_when_tracing(self, tmp_path):
         job = SMOKE.jobs()[0]
-        was_enabled = STATS.enabled
+        was_enabled = TRACER.enabled
         try:
             result = _execute_job(job, str(tmp_path), True, tracing=True,
                                   in_worker=True)
@@ -129,24 +129,55 @@ class TestStatsProtocol:
             assert shipped and shipped[0]["name"] == "sweep.job"
             # Worker hygiene: the shipped tree is discarded locally so a
             # reused pool process does not accumulate span forests.
-            assert not any(s.name == "sweep.job" for s in STATS.spans())
+            assert not any(s.name == "sweep.job" for s in TRACER.spans())
         finally:
-            STATS.enabled = was_enabled
-            STATS.reset()
+            TRACER.enabled = was_enabled
+            TRACER.reset()
+
+    def test_worker_wire_round_trip_matches_serial(self, tmp_path):
+        """One job run in worker mode and merged leaves the parent tracer
+        as the same job run serially does: same counters, same timer
+        names, same histogram counts."""
+        job = SweepSpec(problems=("dp",), interconnects=("fig1",),
+                        param_grid=({"n": 5},), verify_seeds=2).jobs()[0]
+        was_enabled = TRACER.enabled
+
+        def parent_view():
+            wire = TRACER.to_wire()
+            return (wire["counters"], sorted(wire["timers"]),
+                    {k: h["count"] for k, h in wire["histograms"].items()})
+
+        try:
+            # Warm the in-process memos so both measured runs start alike.
+            _execute_job(job, str(tmp_path / "warm"), True)
+            TRACER.reset()
+            TRACER.enable()
+            _execute_job(job, str(tmp_path / "serial"), True)
+            serial = parent_view()
+            result = _execute_job(job, str(tmp_path / "worker"), True,
+                                  tracing=True, in_worker=True)
+            TRACER.reset()
+            TRACER.enable()
+            _merge_stats(result.stats)
+            assert parent_view() == serial
+            assert serial[0] and serial[2]
+        finally:
+            TRACER.enabled = was_enabled
+            TRACER.reset()
 
     def test_parallel_sweep_merges_worker_spans(self, tmp_path):
-        was_enabled = STATS.enabled
-        STATS.reset()
-        STATS.enable()
+        was_enabled = TRACER.enabled
+        TRACER.reset()
+        TRACER.enable()
         try:
             run_sweep(SMOKE, workers=2, cache_dir=tmp_path,
                       cross_check=False)
-            names = {s.name for root in STATS.spans()
+            names = {s.name for root in TRACER.spans()
                      for s in _walk(root)}
             assert "sweep.job" in names      # grafted from the workers
         finally:
-            STATS.enabled = was_enabled
-            STATS.reset()
+            TRACER.enabled = was_enabled
+            TRACER.reset()
 
 
 def _walk(span):
@@ -272,7 +303,7 @@ class TestWorkerCrashRecovery:
     def test_sweep_survives_worker_death(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_CRASH_SENTINEL",
                            str(tmp_path / "crashed"))
-        before = STATS.snapshot()["counters"]
+        before = TRACER.snapshot()["counters"]
         # use_cache=False: the parent must not run the crashing builder
         # during the cache probe, and the pool path must stay exercised.
         report = run_sweep(self._jobs(), workers=2, use_cache=False,
@@ -281,7 +312,7 @@ class TestWorkerCrashRecovery:
         assert len(report.results) == 3
         assert all(r.ok for r in report.results)
         assert sorted(r.params["n"] for r in report.results) == [4, 5, 6]
-        after = STATS.snapshot()["counters"]
+        after = TRACER.snapshot()["counters"]
         retries = after.get("sweep.worker_retries", 0) \
             - before.get("sweep.worker_retries", 0)
         assert retries >= 1
@@ -292,10 +323,10 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv("REPRO_TEST_CRASH_SENTINEL",
                            str(tmp_path / "crashed"))
         counter = "space.assignments_examined"
-        before = STATS.snapshot()["counters"].get(counter, 0)
+        before = TRACER.snapshot()["counters"].get(counter, 0)
         report = run_sweep(self._jobs(), workers=2, use_cache=False,
                            cross_check=False)
-        after = STATS.snapshot()["counters"].get(counter, 0)
+        after = TRACER.snapshot()["counters"].get(counter, 0)
         # The parent's accumulated delta must equal the sum of the
         # per-job deltas exactly — a salvaged-then-retried job that
         # merged twice would overshoot.
@@ -331,10 +362,10 @@ class TestPooledExecution:
                     options=SynthesisOptions(engine=engine),
                     verify_seeds=2).jobs()]
         counter = "space.assignments_examined"
-        before = STATS.snapshot()["counters"].get(counter, 0)
+        before = TRACER.snapshot()["counters"].get(counter, 0)
         report = run_sweep(jobs, workers=2, use_cache=False,
                            cross_check=False)
-        after = STATS.snapshot()["counters"].get(counter, 0)
+        after = TRACER.snapshot()["counters"].get(counter, 0)
         assert len(report.results) == 2
         assert report.results[0].key == report.results[1].key
         assert {r.engine for r in report.results} == {"interpreted",
@@ -347,22 +378,25 @@ class TestPooledExecution:
 
 class TestMergeStats:
     def test_telemetry_wire_merges_into_registry(self):
-        from repro.core.batch import _merge_stats
         from repro.obs import Histogram
 
         hist = Histogram("sentinel.stage")
         hist.observe(0.125)
-        delta = {"counters": {},
-                 "telemetry": {"gauges": {"sentinel.gauge": 2.5},
-                               "histograms": {"sentinel.stage":
-                                              hist.to_wire()}}}
+        stats = {"counters": {"sentinel.count": 2},
+                 "timers": {"sentinel.stage": 0.125},
+                 "gauges": {"sentinel.gauge": 2.5},
+                 "histograms": {"sentinel.stage": hist.to_wire()}}
         try:
-            _merge_stats(delta)
-            assert STATS.metrics.gauges["sentinel.gauge"] == 2.5
-            assert STATS.metrics.histograms["sentinel.stage"].count == 1
+            _merge_stats(stats)
+            assert TRACER.counters["sentinel.count"] == 2
+            assert TRACER.timers["sentinel.stage"] == 0.125
+            assert TRACER.gauges["sentinel.gauge"] == 2.5
+            assert TRACER.histograms["sentinel.stage"].count == 1
         finally:
-            STATS.metrics.gauges.pop("sentinel.gauge", None)
-            STATS.metrics.histograms.pop("sentinel.stage", None)
+            TRACER.counters.pop("sentinel.count", None)
+            TRACER.timers.pop("sentinel.stage", None)
+            TRACER.gauges.pop("sentinel.gauge", None)
+            TRACER.histograms.pop("sentinel.stage", None)
 
 
 class TestDefaultWorkers:
@@ -388,4 +422,4 @@ class TestDefaultWorkers:
 
     def test_sweep_publishes_worker_gauge(self, tmp_path):
         run_sweep(SMOKE, workers=2, use_cache=False, cross_check=False)
-        assert STATS.metrics.gauges["sweep.workers"] == 2
+        assert TRACER.gauges["sweep.workers"] == 2

@@ -312,13 +312,13 @@ class TestPrune:
         assert len(cache) == 1
 
     def test_eviction_counters(self, tmp_path):
-        from repro.util.instrument import STATS
+        from repro.obs import TRACER
 
         cache = DesignCache(tmp_path)
         cache.store("abcd" + "0" * 6, {"status": "ok"})
-        before = STATS.metrics.counter("cache.evictions").value
+        before = TRACER.counters.get("cache.evictions", 0)
         cache.prune(max_age_days=0)
-        assert STATS.metrics.counter("cache.evictions").value == before + 1
+        assert TRACER.counters.get("cache.evictions", 0) == before + 1
 
 
 def _store_keys(root, keys, writer, start):

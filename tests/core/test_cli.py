@@ -267,6 +267,29 @@ class TestTrace:
         with pytest.raises(SystemExit, match="cannot read run record"):
             main(["trace", "--from-record", str(bad)])
 
+    @pytest.mark.parametrize("command", ["trace", "profile"])
+    def test_from_record_non_object(self, tmp_path, command):
+        """A record file whose top level is not a JSON object exits with
+        a message, not a traceback."""
+        bad = tmp_path / "run-list.json"
+        bad.write_text("[]")
+        with pytest.raises(SystemExit, match="cannot read run record"):
+            main([command, "--from-record", str(bad)])
+
+    def test_profile_from_sweep_record(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics"
+        assert main(["sweep", "--problems", "dp", "--interconnects",
+                     "fig1", "--n", "5,6", "--workers", "2",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--metrics-dir", str(metrics)]) == 0
+        (record,) = metrics.glob("run-*-sweep-*.json")
+        out = tmp_path / "prof"
+        assert main(["profile", "--from-record", str(record),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        folded = (tmp_path / "prof.collapsed").read_text()
+        assert "sweep.solve;sweep.job" in folded
+
 
 class TestStatsAndMetrics:
     def test_stats_report_is_deterministic_and_sorted(self, capsys):

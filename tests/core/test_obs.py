@@ -17,7 +17,6 @@ from repro.obs import (
     render_spans,
     write_run_record,
 )
-from repro.util.instrument import STATS, Instrumentation
 
 
 class FakeClock:
@@ -45,16 +44,11 @@ class TestTracerFlatView:
         # The snapshot must survive a JSON round-trip bit-for-bit.
         assert json.loads(json.dumps(snap)) == snap
 
-    def test_shim_is_the_tracer(self):
-        assert Instrumentation is Tracer
-        assert isinstance(STATS, Tracer)
+    def test_metrics_is_the_tracer(self):
+        from repro.obs import METRICS, TRACER
 
-    def test_stage_alias_times_flat(self):
-        clock = FakeClock()
-        tr = Tracer(clock=clock)
-        with tr.stage("solve"):
-            clock.tick(0.25)
-        assert tr.timers["solve"] == pytest.approx(0.25)
+        assert METRICS is TRACER
+        assert isinstance(TRACER, Tracer)
 
     def test_disabled_span_yields_none(self):
         tr = Tracer(clock=FakeClock())
@@ -70,9 +64,9 @@ class TestTracerReentrancy:
         flat timer (inner frame charged on top of the outer's elapsed)."""
         clock = FakeClock()
         tr = Tracer(clock=clock)
-        with tr.stage("verify.compile"):
+        with tr.span("verify.compile"):
             clock.tick(1.0)
-            with tr.stage("verify.compile"):
+            with tr.span("verify.compile"):
                 clock.tick(2.0)
             clock.tick(1.0)
         assert tr.timers["verify.compile"] == pytest.approx(4.0)
@@ -80,9 +74,9 @@ class TestTracerReentrancy:
     def test_distinct_names_both_charge(self):
         clock = FakeClock()
         tr = Tracer(clock=clock)
-        with tr.stage("outer"):
+        with tr.span("outer"):
             clock.tick(1.0)
-            with tr.stage("inner"):
+            with tr.span("inner"):
                 clock.tick(2.0)
         assert tr.timers["outer"] == pytest.approx(3.0)
         assert tr.timers["inner"] == pytest.approx(2.0)
@@ -91,7 +85,7 @@ class TestTracerReentrancy:
         clock = FakeClock()
         tr = Tracer(clock=clock)
         for _ in range(3):
-            with tr.stage("step"):
+            with tr.span("step"):
                 clock.tick(0.5)
         assert tr.timers["step"] == pytest.approx(1.5)
 

@@ -7,8 +7,8 @@ from repro.core import SweepSpec, run_sweep
 from repro.obs import (
     CLIProgress,
     JsonlHeartbeat,
-    MetricsRegistry,
     ProgressEvent,
+    Tracer,
     read_heartbeat,
 )
 from repro.obs.progress import SweepProgress
@@ -97,7 +97,7 @@ class TestSweepProgressTracker:
         assert sink.events[-1].cache_hits == 1
 
     def test_gauges_mirrored_into_registry(self):
-        reg = MetricsRegistry()
+        reg = Tracer()
         tracker = SweepProgress.create(Collector(), registry=reg)
         tracker.clock = FakeClock()
         tracker.start(2)
@@ -178,6 +178,25 @@ class TestHeartbeat:
             hb.emit(ProgressEvent(kind="job", total=5, done=i + 1))
         for line in path.read_text(encoding="utf-8").splitlines():
             json.loads(line)
+
+    def test_torn_tail_returns_intact_events(self, tmp_path):
+        """A sweep killed mid-append leaves a torn last line; reading the
+        heartbeat must return every event before the tear."""
+        path = tmp_path / "hb.jsonl"
+        JsonlHeartbeat(path).emit(ProgressEvent(kind="start", total=3))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind":"job","tot')
+        events = read_heartbeat(path)
+        assert [(e.kind, e.total) for e in events] == [("start", 3)]
+
+    def test_lines_are_canonical_journal_records(self, tmp_path):
+        from repro.util.journal import encode_record
+
+        path = tmp_path / "hb.jsonl"
+        event = ProgressEvent(kind="job", total=2, done=1, label="dp(n=4)")
+        JsonlHeartbeat(path).emit(event)
+        assert path.read_text(encoding="utf-8") == \
+            encode_record(event.to_dict())
 
 
 class TestRunSweepProgress:

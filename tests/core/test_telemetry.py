@@ -1,18 +1,10 @@
-"""The typed metrics registry: handles, merge protocol, exposition."""
+"""Latency histograms and the tracer's mergeable wire."""
 
 import json
 
 import pytest
 
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Tracer,
-    percentile,
-    render_prometheus,
-)
+from repro.obs import Histogram, Tracer, percentile
 from repro.obs.telemetry import DEFAULT_BUCKETS
 
 
@@ -31,58 +23,6 @@ class TestPercentile:
         assert percentile(values, 0) == 1.0
         assert percentile(values, 100) == 100.0
         assert percentile(values, 95) == pytest.approx(95.05)
-
-
-class TestCounterGauge:
-    def test_counter_shares_registry_store(self):
-        reg = MetricsRegistry()
-        c = reg.counter("cache.hits")
-        c.inc()
-        c.inc(4)
-        assert reg.counters["cache.hits"] == 5
-        assert c.value == 5
-
-    def test_counter_does_not_preregister_zero(self):
-        reg = MetricsRegistry()
-        reg.counter("never.bumped")
-        assert "never.bumped" not in reg.counters
-
-    def test_typed_and_untyped_observe_each_other(self):
-        reg = MetricsRegistry()
-        c = reg.counter("x")
-        reg.inc("x", 2)
-        c.inc()
-        assert c.value == 3
-
-    def test_gauge_set_and_inc(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("sweep.eta_s")
-        g.set(12.5)
-        assert g.value == 12.5
-        g.inc(0.5)
-        assert g.value == 13.0
-
-    def test_count_hook_routes_through_tracer_span(self):
-        """A typed increment must gain span attribution, exactly like a
-        historical STATS.count call."""
-        tracer = Tracer()
-        tracer.enable()
-        handle = tracer.metrics.counter("hits")
-        with tracer.span("stage") as span:
-            handle.inc(2)
-        assert tracer.counters["hits"] == 2
-        assert span.counters["hits"] == 2
-
-    def test_registry_survives_tracer_reset(self):
-        tracer = Tracer()
-        handle = tracer.metrics.counter("hits")
-        handle.inc()
-        tracer.reset()
-        assert handle.value == 0
-        handle.inc()
-        # the tracer's flat view and the registry are still the same dict
-        assert tracer.counters is tracer.metrics.counters
-        assert tracer.counters["hits"] == 1
 
 
 class TestHistogram:
@@ -134,6 +74,9 @@ class TestHistogram:
         assert back.count == h.count
         assert back.sample_values() == h.sample_values()
         assert back.bucket_counts == h.bucket_counts
+
+    def test_default_buckets_ascending(self):
+        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
 
     def test_merge_rejects_mismatched_buckets(self):
         a = Histogram("lat", buckets=(1.0,))
@@ -217,99 +160,80 @@ class TestHistogramMergeAssociativity:
 
 
 class TestRegistry:
+    """The tracer as the one registry: counters, timers, gauges and
+    histograms on one mergeable wire."""
+
     def test_snapshot_sorted_and_json_ready(self):
-        reg = MetricsRegistry()
-        reg.inc("b", 2)
-        reg.inc("a")
-        reg.set_gauge("g", 1.5)
-        reg.observe("h", 0.1)
-        snap = reg.snapshot()
-        assert list(snap["counters"]) == ["a", "b"]
-        assert snap["gauges"] == {"g": 1.5}
-        assert snap["histograms"]["h"]["count"] == 1
-        json.dumps(snap)   # must not raise
+        tr = Tracer()
+        tr.count("b", 2)
+        tr.count("a")
+        tr.set_gauge("g", 1.5)
+        tr.observe("h", 0.1)
+        with tr.span("z.stage"):
+            pass
+        with tr.span("a.stage"):
+            pass
+        wire = tr.to_wire()
+        assert list(wire["counters"]) == ["a", "b"]
+        assert list(wire["timers"]) == ["a.stage", "z.stage"]
+        assert wire["gauges"] == {"g": 1.5}
+        assert wire["histograms"]["h"]["count"] == 1
+        assert json.loads(json.dumps(wire)) == wire
+        assert tr.snapshot() == {"counters": wire["counters"],
+                                 "timers": wire["timers"]}
 
     def test_empty_histograms_kept_off_wire_and_snapshot(self):
-        reg = MetricsRegistry()
-        reg.histogram("pre.registered")
-        assert reg.to_wire()["histograms"] == {}
-        assert reg.snapshot()["histograms"] == {}
-
-    def test_wire_counters_optional(self):
-        reg = MetricsRegistry()
-        reg.inc("c")
-        assert "counters" in reg.to_wire()
-        assert "counters" not in reg.to_wire(counters=False)
+        tr = Tracer()
+        tr.histograms["pre.registered"] = Histogram("pre.registered")
+        assert tr.to_wire()["histograms"] == {}
+        assert "histograms" not in tr.snapshot()
 
     def test_merge_wire_full_registry(self):
-        a = MetricsRegistry()
-        a.inc("hits", 2)
+        a = Tracer()
+        a.count("hits", 2)
         a.observe("lat", 0.1)
-        b = MetricsRegistry()
-        b.inc("hits", 3)
+        b = Tracer()
+        b.count("hits", 3)
         b.set_gauge("eta", 9.0)
         b.observe("lat", 0.2)
-        a.merge_wire(b.to_wire())
+        with b.span("stage"):
+            pass
+        a.merge_wire(json.loads(json.dumps(b.to_wire())))
         assert a.counters["hits"] == 5
+        assert a.timers["stage"] == b.timers["stage"]
         assert a.gauges["eta"] == 9.0
         assert a.histograms["lat"].count == 2
 
+    def test_merged_counters_charge_the_active_span(self):
+        worker = Tracer()
+        worker.count("hits", 2)
+        parent = Tracer()
+        parent.enable()
+        with parent.span("sweep.solve") as span:
+            parent.merge_wire(worker.to_wire())
+        assert parent.counters["hits"] == 2
+        assert span.counters["hits"] == 2
+
     def test_reset_clears_in_place(self):
-        reg = MetricsRegistry()
-        counters = reg.counters
-        reg.inc("x")
-        reg.reset()
-        assert reg.counters is counters
-        assert not counters
+        tr = Tracer()
+        stores = (tr.counters, tr.timers, tr.gauges, tr.histograms)
+        tr.count("x")
+        tr.set_gauge("g", 1.0)
+        tr.observe("h", 0.5)
+        tr.reset()
+        assert (tr.counters, tr.timers, tr.gauges, tr.histograms) == \
+            ({}, {}, {}, {})
+        assert all(new is old for new, old in zip(
+            (tr.counters, tr.timers, tr.gauges, tr.histograms), stores))
 
-    def test_typed_handle_classes_exported(self):
-        reg = MetricsRegistry()
-        assert isinstance(reg.counter("c"), Counter)
-        assert isinstance(reg.gauge("g"), Gauge)
-        assert isinstance(reg.histogram("h"), Histogram)
-        # get-or-create: same underlying histogram every time
-        assert reg.histogram("h") is reg.histogram("h")
-
-
-class TestPrometheus:
-    def test_counter_rendering(self):
-        reg = MetricsRegistry()
-        reg.inc("cache.hits", 7)
-        text = render_prometheus(reg)
-        assert "# TYPE repro_cache_hits_total counter" in text
-        assert "repro_cache_hits_total 7" in text
-
-    def test_gauge_rendering(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("sweep.throughput", 12.5)
-        text = render_prometheus(reg)
-        assert "# TYPE repro_sweep_throughput gauge" in text
-        assert "repro_sweep_throughput 12.5" in text
-
-    def test_histogram_cumulative_buckets(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", buckets=(1.0, 2.0))
-        for v in (0.5, 1.5, 5.0):
-            hist.observe(v)
-        text = render_prometheus(reg)
-        assert 'repro_lat_bucket{le="1.0"} 1' in text
-        assert 'repro_lat_bucket{le="2.0"} 2' in text
-        assert 'repro_lat_bucket{le="+Inf"} 3' in text
-        assert "repro_lat_sum 7.0" in text
-        assert "repro_lat_count 3" in text
-
-    def test_name_sanitisation(self):
-        reg = MetricsRegistry()
-        reg.inc("native.cc-errors@k")
-        assert "repro_native_cc_errors_k_total" in render_prometheus(reg)
-
-    def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry()) == ""
-
-    def test_custom_prefix(self):
-        reg = MetricsRegistry()
-        reg.inc("x")
-        assert "acme_x_total 1" in render_prometheus(reg, prefix="acme")
-
-    def test_default_buckets_ascending(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+    def test_enabled_span_feeds_its_histogram(self):
+        tr = Tracer()
+        with tr.span("quiet"):
+            pass
+        assert tr.histograms == {}
+        tr.enable()
+        with tr.span("loud"):
+            pass
+        with tr.span("loud"):
+            pass
+        assert tr.histograms["loud"].count == 2

@@ -13,8 +13,8 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 from repro.core import SweepSpec, read_manifest, run_sweep
+from repro.obs import TRACER
 from repro.report import sweep_pareto_table, sweep_table
-from repro.util.instrument import STATS
 
 SPEC = SweepSpec(problems=("dp",), interconnects=("fig1", "fig2"),
                  param_grid=({"n": 5}, {"n": 6}))
@@ -67,7 +67,7 @@ class TestKillAndResume:
                             cross_check=False, manifest=manifest)
         # Only the two unfinished jobs executed.
         assert resumed.cache_misses == 2
-        assert STATS.metrics.gauges["sweep.jobs_resumed"] == 2
+        assert TRACER.gauges["sweep.jobs_resumed"] == 2
 
         reference = run_sweep(SPEC, workers=0, use_cache=False,
                               cross_check=False)

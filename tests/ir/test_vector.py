@@ -218,20 +218,20 @@ class TestFallbackObservability:
         import warnings
 
         import repro.ir.vector as vec
-        from repro.util.instrument import STATS
+        from repro.obs import TRACER
 
         monkeypatch.setattr(vec, "_fallback_warned", False)
         plan = build_execution_plan(fib_system(), {})
         inputs = {"seed": lambda i: Fraction(1, 3)}
-        before = STATS.counters.get("vector.int64_fallbacks", 0)
+        before = TRACER.counters.get("vector.int64_fallbacks", 0)
         with pytest.warns(RuntimeWarning, match="int64 fast path"):
             execute_plan_vector(plan, inputs)
-        assert STATS.counters.get("vector.int64_fallbacks", 0) == before + 1
+        assert TRACER.counters.get("vector.int64_fallbacks", 0) == before + 1
         # Later fallbacks keep counting but never warn again.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             execute_plan_vector(plan, inputs)
-        assert STATS.counters.get("vector.int64_fallbacks", 0) == before + 2
+        assert TRACER.counters.get("vector.int64_fallbacks", 0) == before + 2
 
 
 class TestCheckedKernels:

@@ -30,9 +30,8 @@ from repro.report.analytics import (
 def _sweep_record(jobs, counters=None, telemetry=None):
     return RunRecord(
         command="sweep", argv=["--problems", "dp"], wall_time=1.0,
-        stats={"counters": counters or {}},
-        extra={"jobs": jobs, **({"telemetry": telemetry} if telemetry
-                                 else {})})
+        stats={"counters": counters or {}, **(telemetry or {})},
+        extra={"jobs": jobs})
 
 
 def _single_record(engine, problem, wall_time, command="synthesize"):
@@ -73,6 +72,20 @@ class TestLoadRecords:
         records = load_records([store])
         assert len(records) == 1
         assert records[0].command == "sweep"
+
+    @pytest.mark.parametrize("body", ["[]", "null", "7", '"run"'])
+    def test_non_object_records_skipped(self, tmp_path, body):
+        store = tmp_path / "metrics"
+        write_run_record(_sweep_record(JOBS), store)
+        (store / "run-not-an-object.json").write_text(body, encoding="utf-8")
+        records = load_records([store])
+        assert [r.command for r in records] == ["sweep"]
+
+    def test_v1_record_rejected(self, tmp_path):
+        path = tmp_path / "run-v1.json"
+        path.write_text(json.dumps({"format": 1, "command": "sweep"}),
+                        encoding="utf-8")
+        assert load_records([path]) == []
 
 
 class TestLatency:
