@@ -14,10 +14,11 @@ The historical one-shot ``synthesize`` body is re-expressed as:
    constraints, joint linear time functions (with the paper's offset
    escalation), normalised to start at cycle 0.
 4. ``allocate`` — joint space maps under flow realisability,
-   conflict-freedom and adjacency, with plan escalation; every candidate
-   is compile-checked on a value-free trace (link bandwidth is outside
-   the solvers' model) and the winning candidate's microcode skeleton is
-   kept on the state.
+   conflict-freedom and adjacency, with plan escalation; each plan's
+   candidate that beats the incumbent (the translated plan is searched
+   only below the plain plan's cell count) is compile-checked on a
+   value-free trace (link bandwidth is outside the solvers' model) and the
+   winning candidate's microcode skeleton is kept on the state.
 5. ``lower-microcode`` — package the :class:`~repro.core.design.Design`
    and guarantee the cell program exists (compiling it if a custom
    pipeline skipped the allocate-time check).
@@ -61,6 +62,7 @@ from repro.schedule.multimodule import (
 )
 from repro.schedule.solver import NoScheduleExists
 from repro.space.multimodule import (
+    CandidatePool,
     ModuleSpaceProblem,
     NoSpaceMapExists,
     solve_multimodule_space,
@@ -227,6 +229,10 @@ class AllocatePass(Pass):
                     f"{type(exc).__name__}: {exc}")
             return mc, None
 
+        # One pool for every solve below: each module's candidates are
+        # enumerated once.  The translated plan replaces the plain one only
+        # with strictly fewer cells, so the plain count bounds its search.
+        pool = CandidatePool(decomposer, interconnect.label_dim)
         with TRACER.span("synthesize.space"):
             for plan in plans:
                 space_problems = [
@@ -238,16 +244,18 @@ class AllocatePass(Pass):
                 try:
                     candidate = solve_multimodule_space(
                         space_problems, constraints, decomposer,
-                        interconnect.label_dim)
+                        interconnect.label_dim, pool=pool,
+                        below=None if best is None else best.total_cells)
                 except NoSpaceMapExists as exc:
                     last_error = exc
+                    continue
+                if candidate is None:       # nothing beats the incumbent
                     continue
                 mc, failure = lowering(candidate)
                 if failure is not None:
                     last_error = failure
                     continue
-                if best is None or candidate.total_cells < best.total_cells:
-                    best, best_mc = candidate, mc
+                best, best_mc = candidate, mc
             if best is None:
                 # Final escalation: offsets everywhere.
                 space_problems = [
@@ -259,7 +267,7 @@ class AllocatePass(Pass):
                 try:
                     best = solve_multimodule_space(
                         space_problems, constraints, decomposer,
-                        interconnect.label_dim)
+                        interconnect.label_dim, pool=pool)
                 except NoSpaceMapExists as exc:
                     error = last_error if last_error is not None else exc
                     raise error from exc

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -145,6 +145,48 @@ def flows_realisable(deps: DependenceMatrix, schedule: LinearSchedule,
         for j in range(D.shape[1]))
 
 
+def feasible_matrices(dims: Sequence[str], label_dim: int,
+                      deps: DependenceMatrix | None,
+                      schedule: LinearSchedule,
+                      decomposer: LinkDecomposer,
+                      points: np.ndarray,
+                      bound: int = 1,
+                      require_conflict_free: bool = True,
+                      require_full_rank: bool = True) -> Iterator[SpaceMap]:
+    """The offset-free maps of :func:`enumerate_space_maps`, in its order.
+
+    Every filter is a property of the matrix alone: full rank and flow
+    realisability never see the offset, and conflict-freedom is
+    translation-invariant (an offset shifts every cell equally), so a
+    matrix that passes here passes with every offset.
+    """
+    dims = tuple(dims)
+    entry_order = sorted(range(-bound, bound + 1), key=entry_preference)
+    rows = list(itertools.product(entry_order, repeat=len(dims)))
+    pts = np.asarray(points, dtype=np.int64)
+    for combo in itertools.product(rows, repeat=label_dim):
+        base = SpaceMap(dims, combo)
+        if require_full_rank and not transformation_full_rank(schedule, base):
+            continue
+        if deps is not None and len(deps) > 0:
+            if not flows_realisable(deps, schedule, base, decomposer):
+                continue
+        if require_conflict_free and not conflict_free(schedule, base, pts):
+            continue
+        yield base
+
+
+def with_offsets(bases: Iterable[SpaceMap], offsets: Sequence[int],
+                 label_dim: int) -> Iterator[SpaceMap]:
+    """Each base map under every offset vector drawn from ``offsets``:
+    base outer, offsets inner in :func:`entry_preference` order."""
+    offs = list(itertools.product(sorted(offsets, key=entry_preference),
+                                  repeat=label_dim))
+    for base in bases:
+        for off in offs:
+            yield SpaceMap(base.dims, base.matrix, off)
+
+
 def enumerate_space_maps(dims: Sequence[str], label_dim: int,
                          deps: DependenceMatrix | None,
                          schedule: LinearSchedule,
@@ -157,31 +199,19 @@ def enumerate_space_maps(dims: Sequence[str], label_dim: int,
                          ) -> Iterator[SpaceMap]:
     """All feasible space maps with entries in ``[-bound, bound]`` (and
     offsets drawn from ``offsets``), ordered by the paper's "least integer
-    values" preference (:func:`entry_preference`, row-major).
+    values" preference (:func:`entry_preference`, row-major; matrix outer,
+    offset inner).
 
     Candidates must pass flow realisability (when local deps exist), full
     column rank of ``[T; S]`` (conflict-freedom for every problem size) and —
     if requested — exact conflict-freedom over ``points``.
     """
-    dims = tuple(dims)
-    entry_order = sorted(range(-bound, bound + 1), key=entry_preference)
-    rows = list(itertools.product(entry_order, repeat=len(dims)))
-    offs = list(itertools.product(sorted(offsets, key=entry_preference),
-                                  repeat=label_dim))
-    pts = np.asarray(points, dtype=np.int64)
-    for combo in itertools.product(rows, repeat=label_dim):
-        base = SpaceMap(dims, combo)
-        if require_full_rank and not transformation_full_rank(schedule, base):
-            continue
-        if deps is not None and len(deps) > 0:
-            if not flows_realisable(deps, schedule, base, decomposer):
-                continue
-        for off in offs:
-            candidate = SpaceMap(dims, combo, off)
-            if require_conflict_free and not conflict_free(
-                    schedule, candidate, pts):
-                continue
-            yield candidate
+    return with_offsets(
+        feasible_matrices(dims, label_dim, deps, schedule, decomposer,
+                          points, bound=bound,
+                          require_conflict_free=require_conflict_free,
+                          require_full_rank=require_full_rank),
+        offsets, label_dim)
 
 
 def cells_used(space: SpaceMap, points: np.ndarray) -> set[tuple[int, ...]]:
@@ -189,5 +219,4 @@ def cells_used(space: SpaceMap, points: np.ndarray) -> set[tuple[int, ...]]:
     pts = np.asarray(points, dtype=np.int64)
     if pts.shape[0] == 0:
         return set()
-    cells = space.cells(pts)
-    return {tuple(int(v) for v in row) for row in cells}
+    return set(map(tuple, space.cells(pts).tolist()))

@@ -6,18 +6,40 @@ involves two variables belonging to different modules which are computed at
 times t and t' with t - t' = d then the distance of the cells where the two
 variables will be mapped cannot be more than d."
 
-The solver backtracks over modules; per module the locally feasible space
-maps come from :func:`repro.space.allocation.enumerate_space_maps`, and each
-global constraint is checked as soon as both endpoints are mapped.  The
-objective is the total number of distinct cells — the paper's Section VI
-motivation for the new design is exactly processor count.
+The solver is an exact branch and bound over modules.  Per module the
+locally feasible space maps come from
+:func:`repro.space.allocation.enumerate_space_maps`, and each global
+constraint is checked as soon as both endpoints are mapped.  The objective
+is the total number of distinct cells — the paper's Section VI motivation
+for the new design is exactly processor count.
 
-The backtracking revisits the same (constraint, dst map, src map) triples
-thousands of times as the other modules' assignments churn, so adjacency
-verdicts are memoized per candidate-index pair, endpoint times/cells are
-precomputed once per (constraint, candidate), and each candidate's occupied
-cell set and tie-break key are frozen up front — the hot loop is dictionary
-lookups.
+**Tie-break proof.**  A joint assignment's key is ``(cells, flat)``: its
+cell count, then the concatenated :func:`entry_preference` tuples of its
+modules' matrices and offsets.  ``entry_preference`` is injective and each
+module's fragment has a fixed length, so distinct assignments have
+distinct keys: the key is a strict total order with one minimum.  Any
+search that never discards that minimum returns it, whatever else it
+skips.  Three steps rely on this:
+
+* **Bound on the cell union.**  The union of occupied cells is passed down
+  the recursion and only grows, so a partial assignment whose union is
+  already *strictly* larger than the incumbent's count is cut.  Equal
+  counts still reach the leaf, where ``flat`` decides.
+* **Seeded second plan.**  ``below=`` admits only assignments with strictly
+  fewer cells and returns ``None`` ("no improvement") when none exists.
+  The allocate pass seeds its translated plan with the plain plan's count:
+  the translated plan replaces the plain one only with strictly fewer
+  cells, so the bounded search finds the same replacement, if any.
+* **Enumerate once.**  A :class:`CandidatePool` filters each module's
+  matrices once (full rank and flow realisability depend on the matrix
+  alone, and conflict-freedom is translation-invariant), expands each
+  plan's offsets in the original order without re-checking, and freezes
+  every candidate's occupied cells and key fragment.  One pool serves the
+  plain, translated and escalation solves of one allocation.
+
+Adjacency verdicts are memoized per candidate-index pair and endpoint cells
+are precomputed once per (constraint, candidate), so the hot loop is set
+unions and dictionary lookups.
 """
 
 from __future__ import annotations
@@ -35,7 +57,8 @@ from repro.space.allocation import (
     SpaceMap,
     cells_used,
     entry_preference,
-    enumerate_space_maps,
+    feasible_matrices,
+    with_offsets,
 )
 from repro.space.diophantine import LinkDecomposer
 from repro.util.errors import SynthesisError
@@ -99,68 +122,107 @@ def adjacency_ok(gc: GlobalConstraint,
     return _displacements_ok(disp, gaps.tolist(), decomposer)
 
 
+class CandidatePool:
+    """Each module's locally feasible space maps, enumerated once.
+
+    A pool serves the solves of one allocation: the problems it sees must
+    agree, per module name, on dims, deps, points and schedule (only the
+    bound and the offsets may differ), and share one decomposer and label
+    dimension.  Per candidate it keeps the map, its occupied cells and its
+    tie-break key fragment.
+    """
+
+    def __init__(self, decomposer: LinkDecomposer, label_dim: int) -> None:
+        self.decomposer = decomposer
+        self.label_dim = label_dim
+        self._matrices: dict[tuple[str, int], list[SpaceMap]] = {}
+        self._frozen: dict[tuple[str, SpaceMap], tuple[frozenset, tuple]] = {}
+        self._lists: dict[tuple, tuple[list, list, list]] = {}
+
+    def candidates(self, p: ModuleSpaceProblem
+                   ) -> tuple[list[SpaceMap], list[frozenset], list[tuple]]:
+        """``(maps, cells, keys)`` of ``p``, in enumeration order."""
+        offsets = tuple(p.offsets)
+        found = self._lists.get((p.name, p.bound, offsets))
+        if found is not None:
+            return found
+        matrices = self._matrices.get((p.name, p.bound))
+        if matrices is None:
+            matrices = list(feasible_matrices(
+                p.dims, self.label_dim, p.deps, p.schedule, self.decomposer,
+                p.points, bound=p.bound))
+            self._matrices[(p.name, p.bound)] = matrices
+        maps, cells, keys = [], [], []
+        for cand in with_offsets(matrices, offsets, self.label_dim):
+            frozen = self._frozen.get((p.name, cand))
+            if frozen is None:
+                frozen = (frozenset(cells_used(cand, p.points)),
+                          tuple(entry_preference(entry)
+                                for row, off in zip(cand.matrix, cand.offset)
+                                for entry in row + (off,)))
+                self._frozen[(p.name, cand)] = frozen
+            maps.append(cand)
+            cells.append(frozen[0])
+            keys.append(frozen[1])
+        found = self._lists[(p.name, p.bound, offsets)] = (maps, cells, keys)
+        return found
+
+
 def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
                             constraints: Sequence[GlobalConstraint],
                             decomposer: LinkDecomposer,
-                            label_dim: int) -> MultiSpaceSolution:
+                            label_dim: int, *,
+                            below: int | None = None,
+                            pool: CandidatePool | None = None
+                            ) -> MultiSpaceSolution | None:
     """Find the joint allocation minimising total distinct cells.
 
     Deterministic: candidates enumerate in a fixed order and ties break on
-    the lexicographically smallest concatenated matrices.
+    the lexicographically smallest concatenated matrices.  With ``below``,
+    only allocations of strictly fewer cells count, and ``None`` means none
+    exists.  ``pool`` shares enumerated candidates between solves.
     """
     order = list(problems)
-    by_name = {p.name: p for p in order}
     position = {p.name: idx for idx, p in enumerate(order)}
     check_at: dict[int, list[int]] = {}
     for gi, gc in enumerate(constraints):
-        if gc.dst_module not in by_name or gc.src_module not in by_name:
+        if gc.dst_module not in position or gc.src_module not in position:
             raise KeyError(f"constraint {gc.name} references unknown module")
         at = max(position[gc.dst_module], position[gc.src_module])
         check_at.setdefault(at, []).append(gi)
 
-    candidate_lists: dict[str, list[SpaceMap]] = {}
+    if pool is None:
+        pool = CandidatePool(decomposer, label_dim)
+    cand_maps: list[list[SpaceMap]] = []
+    cand_cells: list[list[frozenset]] = []
+    cand_key: list[list[tuple]] = []
     for p in order:
-        cands = list(enumerate_space_maps(
-            p.dims, label_dim, p.deps, p.schedule, decomposer, p.points,
-            bound=p.bound, offsets=p.offsets))
-        if not cands:
+        maps, cells, keys = pool.candidates(p)
+        if not maps:
             raise NoSpaceMapExists(
                 f"module {p.name}: no locally feasible space map "
                 f"(bound={p.bound}, offsets={tuple(p.offsets)})",
                 module=p.name, bounds=(p.bound, tuple(p.offsets)))
-        candidate_lists[p.name] = cands
-
-    # -- hoisted per-candidate data ------------------------------------------
-    # Occupied cells and tie-break key fragment of every candidate map.
-    cand_cells: dict[str, list[frozenset]] = {}
-    cand_key: dict[str, list[tuple]] = {}
-    for p in order:
-        cells_list = []
-        key_list = []
-        for cand in candidate_lists[p.name]:
-            cells_list.append(frozenset(cells_used(cand, p.points)))
-            key_list.append(tuple(
-                entry_preference(entry)
-                for row, off in zip(cand.matrix, cand.offset)
-                for entry in row + (off,)))
-        cand_cells[p.name] = cells_list
-        cand_key[p.name] = key_list
+        cand_maps.append(maps)
+        cand_cells.append(cells)
+        cand_key.append(keys)
 
     # Per-constraint instance gaps (schedules are fixed for the whole solve)
     # and per-(constraint, candidate) endpoint cells.
+    gc_ends: list[tuple[int, int]] = []
     gc_gaps: list[list[int]] = []
     gc_dst_cells: list[list[np.ndarray]] = []
     gc_src_cells: list[list[np.ndarray]] = []
     for gc in constraints:
-        dst_p = by_name[gc.dst_module]
-        src_p = by_name[gc.src_module]
-        gaps = (dst_p.schedule.times(gc.dst_points)
-                - src_p.schedule.times(gc.src_points))
+        dst, src = position[gc.dst_module], position[gc.src_module]
+        gc_ends.append((dst, src))
+        gaps = (order[dst].schedule.times(gc.dst_points)
+                - order[src].schedule.times(gc.src_points))
         gc_gaps.append(gaps.tolist())
         gc_dst_cells.append([cand.cells(gc.dst_points)
-                             for cand in candidate_lists[gc.dst_module]])
+                             for cand in cand_maps[dst]])
         gc_src_cells.append([cand.cells(gc.src_points)
-                             for cand in candidate_lists[gc.src_module]])
+                             for cand in cand_maps[src]])
 
     adjacency_cache: dict[tuple[int, int, int], bool] = {}
 
@@ -177,46 +239,41 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
             TRACER.count("space.adjacency_cache_hits")
         return verdict
 
+    # Largest admissible cell count: tightened to the incumbent's count at
+    # every new incumbent (equal counts still compete on the tie-break).
+    limit = float("inf") if below is None else below - 1
     best_key: tuple | None = None
-    best_assignment: dict[str, int] | None = None
+    best_choice: list[int] | None = None
     examined = 0
-    assignment: dict[str, int] = {}    # module name -> candidate index
+    choice = [0] * len(order)             # module position -> candidate index
 
-    def recurse(idx: int) -> None:
-        nonlocal best_key, best_assignment, examined
+    def recurse(idx: int, used: frozenset) -> None:
+        nonlocal limit, best_key, best_choice, examined
         if idx == len(order):
             examined += 1
-            all_cells: set = set()
-            for p in order:
-                all_cells |= cand_cells[p.name][assignment[p.name]]
-            flat = tuple(
-                entry for p in order
-                for entry in cand_key[p.name][assignment[p.name]])
-            key = (len(all_cells), flat)
+            flat = tuple(entry for m, ci in enumerate(choice)
+                         for entry in cand_key[m][ci])
+            key = (len(used), flat)
             if best_key is None or key < best_key:
-                best_key = key
-                best_assignment = dict(assignment)
+                best_key, best_choice, limit = key, list(choice), key[0]
             return
-        prob = order[idx]
-        checks = check_at.get(idx, [])
-        for ci in range(len(candidate_lists[prob.name])):
-            assignment[prob.name] = ci
-            ok = True
-            for gi in checks:
-                gc = constraints[gi]
-                if not adjacency(gi, assignment[gc.dst_module],
-                                 assignment[gc.src_module]):
-                    ok = False
-                    break
-            if ok:
-                recurse(idx + 1)
-        assignment.pop(prob.name, None)
+        checks = check_at.get(idx, ())
+        for ci, cells in enumerate(cand_cells[idx]):
+            union = used | cells
+            if len(union) > limit:
+                continue
+            choice[idx] = ci
+            if all(adjacency(gi, choice[gc_ends[gi][0]],
+                             choice[gc_ends[gi][1]]) for gi in checks):
+                recurse(idx + 1, union)
 
-    recurse(0)
+    recurse(0, frozenset())
     TRACER.count("space.assignments_examined", examined)
-    if best_assignment is None:
+    if best_choice is None:
+        if below is not None:
+            return None
         raise NoSpaceMapExists(
             "no joint space mapping satisfies the global adjacency constraints")
-    maps = {name: candidate_lists[name][ci]
-            for name, ci in best_assignment.items()}
+    maps = {p.name: cand_maps[m][best_choice[m]]
+            for m, p in enumerate(order)}
     return MultiSpaceSolution(maps, best_key[0], examined)

@@ -1,5 +1,7 @@
 """Batch sweeps: the 2x2 smoke grid, caching, and the worker pool."""
 
+import gc
+
 import pytest
 
 from repro.core import SweepSpec, SynthesisOptions, run_sweep
@@ -12,6 +14,18 @@ SMOKE = SweepSpec(
     interconnects=("fig1", "linear"),
     param_grid=({"n": 6, "s": 3},),
 )
+
+
+def _untimed_gc(sweep):
+    """Run ``sweep()`` with the cyclic collector off, after a full
+    collection: a collection pause inside a ~10 ms warm sweep would swamp
+    the timing comparison."""
+    gc.collect()
+    gc.disable()
+    try:
+        return sweep()
+    finally:
+        gc.enable()
 
 
 class TestSweepSmoke:
@@ -33,8 +47,10 @@ class TestSweepSmoke:
             assert r.design_payload is not None
 
     def test_warm_rerun_hits_cache_and_is_byte_identical(self, tmp_path):
-        cold = run_sweep(SMOKE, workers=0, cache_dir=tmp_path)
-        warm = run_sweep(SMOKE, workers=0, cache_dir=tmp_path)
+        cold = _untimed_gc(
+            lambda: run_sweep(SMOKE, workers=0, cache_dir=tmp_path))
+        warm = _untimed_gc(
+            lambda: run_sweep(SMOKE, workers=0, cache_dir=tmp_path))
         assert warm.cache_hits == 4 and warm.cache_misses == 0
         assert all(r.cache_hit for r in warm.results)
         # Negative entries hit too: the infeasible job is not re-solved.

@@ -2,7 +2,8 @@
 byte for byte.
 
 ``_legacy_synthesize`` below is the pre-pipeline ``core.nonuniform``
-implementation, vendored verbatim: the acceptance oracle.  For every
+implementation, vendored verbatim (over the exhaustive allocator oracle of
+``tests/space/allocator_oracle.py``): the acceptance oracle.  For every
 problem the new pipeline must produce the identical design dict *and*
 the identical canonical compiled event stream.
 """
@@ -34,11 +35,9 @@ from repro.schedule.multimodule import (
     solve_multimodule,
 )
 from repro.schedule.solver import NoScheduleExists
-from repro.space.multimodule import (
-    ModuleSpaceProblem,
-    NoSpaceMapExists,
-    solve_multimodule_space,
-)
+from repro.space.multimodule import ModuleSpaceProblem, NoSpaceMapExists
+
+from tests.space.allocator_oracle import solve_multimodule_space
 
 
 def _legacy_synthesize(system, params, interconnect,

@@ -15,6 +15,8 @@ from repro.schedule import (
     valid_coefficient_vectors,
 )
 
+from tests.schedule.reference import optimal_schedule_reference
+
 CONV_DOMAIN = Polyhedron.box({"i": (1, "n"), "k": (1, "s")},
                              params=("n", "s"))
 CONV_PARAMS = {"n": 12, "s": 4}
@@ -158,7 +160,7 @@ class TestZeroVectorRejection:
 
 class TestVectorizedEquivalence:
     """The vectorised solver must be bit-identical to the original
-    per-candidate loop (kept as ``optimal_schedule_reference``)."""
+    per-candidate loop (kept as ``tests.schedule.reference``)."""
 
     CASES = [
         (conv4_deps, CONV_PARAMS),
@@ -169,7 +171,6 @@ class TestVectorizedEquivalence:
 
     @pytest.mark.parametrize("make_deps,params", CASES)
     def test_identical_solutions(self, make_deps, params):
-        from repro.schedule.solver import optimal_schedule_reference
         fast = optimal_schedule(make_deps(), CONV_DOMAIN, params)
         slow = optimal_schedule_reference(make_deps(), CONV_DOMAIN, params)
         assert fast == slow  # full dataclass: schedule, makespan,
@@ -181,7 +182,6 @@ class TestVectorizedEquivalence:
             lambda d: d != (0, 0)),
         min_size=1, max_size=3, unique=True))
     def test_random_systems_identical(self, vectors):
-        from repro.schedule.solver import optimal_schedule_reference
         deps = DependenceMatrix.from_dict({"v": vectors})
         dom = Polyhedron.box({"i": (1, 5), "j": (1, 5)})
         try:

@@ -1,0 +1,222 @@
+"""The exhaustive joint space allocator, kept as the test oracle.
+
+This is the backtracker :func:`repro.space.solve_multimodule_space` used
+before it became a branch and bound: it visits every feasible joint
+assignment and keeps the smallest ``(cells, flat)`` key.  Its module-level
+enumeration and cell counting are the matching originals too (a conflict
+check per offset, a per-element ``int()`` cell set), so the oracle shares
+only the feasibility predicates with the code under test.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from repro.deps.vectors import DependenceMatrix
+from repro.obs import TRACER
+from repro.schedule.constraints import GlobalConstraint
+from repro.schedule.linear import LinearSchedule
+from repro.space.allocation import (
+    SpaceMap,
+    conflict_free,
+    entry_preference,
+    flows_realisable,
+    transformation_full_rank,
+)
+from repro.space.diophantine import LinkDecomposer
+from repro.space.multimodule import (
+    ModuleSpaceProblem,
+    MultiSpaceSolution,
+    NoSpaceMapExists,
+)
+
+
+def enumerate_space_maps(dims: Sequence[str], label_dim: int,
+                         deps: DependenceMatrix | None,
+                         schedule: LinearSchedule,
+                         decomposer: LinkDecomposer,
+                         points: np.ndarray,
+                         bound: int = 1,
+                         offsets: Sequence[int] = (0,),
+                         require_conflict_free: bool = True,
+                         require_full_rank: bool = True
+                         ) -> Iterator[SpaceMap]:
+    """All feasible space maps with entries in ``[-bound, bound]`` (and
+    offsets drawn from ``offsets``), ordered by the paper's "least integer
+    values" preference (:func:`entry_preference`, row-major).
+
+    Candidates must pass flow realisability (when local deps exist), full
+    column rank of ``[T; S]`` (conflict-freedom for every problem size) and —
+    if requested — exact conflict-freedom over ``points``.
+    """
+    dims = tuple(dims)
+    entry_order = sorted(range(-bound, bound + 1), key=entry_preference)
+    rows = list(itertools.product(entry_order, repeat=len(dims)))
+    offs = list(itertools.product(sorted(offsets, key=entry_preference),
+                                  repeat=label_dim))
+    pts = np.asarray(points, dtype=np.int64)
+    for combo in itertools.product(rows, repeat=label_dim):
+        base = SpaceMap(dims, combo)
+        if require_full_rank and not transformation_full_rank(schedule, base):
+            continue
+        if deps is not None and len(deps) > 0:
+            if not flows_realisable(deps, schedule, base, decomposer):
+                continue
+        for off in offs:
+            candidate = SpaceMap(dims, combo, off)
+            if require_conflict_free and not conflict_free(
+                    schedule, candidate, pts):
+                continue
+            yield candidate
+
+
+def cells_used(space: SpaceMap, points: np.ndarray) -> set[tuple[int, ...]]:
+    """The set of distinct cells the mapped computations occupy."""
+    pts = np.asarray(points, dtype=np.int64)
+    if pts.shape[0] == 0:
+        return set()
+    cells = space.cells(pts)
+    return {tuple(int(v) for v in row) for row in cells}
+
+
+def _displacements_ok(disp: np.ndarray, gaps: Sequence[int],
+                      decomposer: LinkDecomposer) -> bool:
+    """Constraint (10) over enumerated instances: every displacement must be
+    link-reachable within its time gap.  Reachability is monotone in the
+    budget, so only the *minimum* gap per distinct displacement matters."""
+    tightest: dict[tuple[int, ...], int] = {}
+    for row, gap in zip(disp.tolist(), gaps):
+        key = tuple(row)
+        prev = tightest.get(key)
+        if prev is None or gap < prev:
+            tightest[key] = gap
+    for displacement, budget in tightest.items():
+        if not decomposer.reachable_within(displacement, budget):
+            return False
+    return True
+
+
+def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
+                            constraints: Sequence[GlobalConstraint],
+                            decomposer: LinkDecomposer,
+                            label_dim: int) -> MultiSpaceSolution:
+    """Find the joint allocation minimising total distinct cells.
+
+    Deterministic: candidates enumerate in a fixed order and ties break on
+    the lexicographically smallest concatenated matrices.
+    """
+    order = list(problems)
+    by_name = {p.name: p for p in order}
+    position = {p.name: idx for idx, p in enumerate(order)}
+    check_at: dict[int, list[int]] = {}
+    for gi, gc in enumerate(constraints):
+        if gc.dst_module not in by_name or gc.src_module not in by_name:
+            raise KeyError(f"constraint {gc.name} references unknown module")
+        at = max(position[gc.dst_module], position[gc.src_module])
+        check_at.setdefault(at, []).append(gi)
+
+    candidate_lists: dict[str, list[SpaceMap]] = {}
+    for p in order:
+        cands = list(enumerate_space_maps(
+            p.dims, label_dim, p.deps, p.schedule, decomposer, p.points,
+            bound=p.bound, offsets=p.offsets))
+        if not cands:
+            raise NoSpaceMapExists(
+                f"module {p.name}: no locally feasible space map "
+                f"(bound={p.bound}, offsets={tuple(p.offsets)})",
+                module=p.name, bounds=(p.bound, tuple(p.offsets)))
+        candidate_lists[p.name] = cands
+
+    # -- hoisted per-candidate data ------------------------------------------
+    # Occupied cells and tie-break key fragment of every candidate map.
+    cand_cells: dict[str, list[frozenset]] = {}
+    cand_key: dict[str, list[tuple]] = {}
+    for p in order:
+        cells_list = []
+        key_list = []
+        for cand in candidate_lists[p.name]:
+            cells_list.append(frozenset(cells_used(cand, p.points)))
+            key_list.append(tuple(
+                entry_preference(entry)
+                for row, off in zip(cand.matrix, cand.offset)
+                for entry in row + (off,)))
+        cand_cells[p.name] = cells_list
+        cand_key[p.name] = key_list
+
+    # Per-constraint instance gaps (schedules are fixed for the whole solve)
+    # and per-(constraint, candidate) endpoint cells.
+    gc_gaps: list[list[int]] = []
+    gc_dst_cells: list[list[np.ndarray]] = []
+    gc_src_cells: list[list[np.ndarray]] = []
+    for gc in constraints:
+        dst_p = by_name[gc.dst_module]
+        src_p = by_name[gc.src_module]
+        gaps = (dst_p.schedule.times(gc.dst_points)
+                - src_p.schedule.times(gc.src_points))
+        gc_gaps.append(gaps.tolist())
+        gc_dst_cells.append([cand.cells(gc.dst_points)
+                             for cand in candidate_lists[gc.dst_module]])
+        gc_src_cells.append([cand.cells(gc.src_points)
+                             for cand in candidate_lists[gc.src_module]])
+
+    adjacency_cache: dict[tuple[int, int, int], bool] = {}
+
+    def adjacency(gi: int, dst_ci: int, src_ci: int) -> bool:
+        if constraints[gi].instances == 0:
+            return True
+        key = (gi, dst_ci, src_ci)
+        verdict = adjacency_cache.get(key)
+        if verdict is None:
+            disp = gc_dst_cells[gi][dst_ci] - gc_src_cells[gi][src_ci]
+            verdict = _displacements_ok(disp, gc_gaps[gi], decomposer)
+            adjacency_cache[key] = verdict
+        else:
+            TRACER.count("space.adjacency_cache_hits")
+        return verdict
+
+    best_key: tuple | None = None
+    best_assignment: dict[str, int] | None = None
+    examined = 0
+    assignment: dict[str, int] = {}    # module name -> candidate index
+
+    def recurse(idx: int) -> None:
+        nonlocal best_key, best_assignment, examined
+        if idx == len(order):
+            examined += 1
+            all_cells: set = set()
+            for p in order:
+                all_cells |= cand_cells[p.name][assignment[p.name]]
+            flat = tuple(
+                entry for p in order
+                for entry in cand_key[p.name][assignment[p.name]])
+            key = (len(all_cells), flat)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_assignment = dict(assignment)
+            return
+        prob = order[idx]
+        checks = check_at.get(idx, [])
+        for ci in range(len(candidate_lists[prob.name])):
+            assignment[prob.name] = ci
+            ok = True
+            for gi in checks:
+                gc = constraints[gi]
+                if not adjacency(gi, assignment[gc.dst_module],
+                                 assignment[gc.src_module]):
+                    ok = False
+                    break
+            if ok:
+                recurse(idx + 1)
+        assignment.pop(prob.name, None)
+
+    recurse(0)
+    TRACER.count("space.assignments_examined", examined)
+    if best_assignment is None:
+        raise NoSpaceMapExists(
+            "no joint space mapping satisfies the global adjacency constraints")
+    maps = {name: candidate_lists[name][ci]
+            for name, ci in best_assignment.items()}
+    return MultiSpaceSolution(maps, best_key[0], examined)
