@@ -29,10 +29,8 @@ Surface groups:
 * pass pipeline — :class:`Pass`, :class:`PassPipeline`,
   :class:`PipelineState`, :func:`default_pipeline` (the exact lowering
   :func:`synthesize` runs), :func:`make_pass` / :func:`available_passes`
-  (registry incl. the opt-in ``cse`` pass), :func:`run_pipeline` for
-  partial lowerings with access to intermediate state, and the rewrite
-  layer under it — :class:`RewritePattern`, :func:`apply_patterns`,
-  :func:`system_to_ir` / :func:`ir_to_system` / :func:`print_ir`;
+  (the registry of its five passes) and :func:`run_pipeline` for partial
+  lowerings with access to intermediate state;
 * batch sweeps — :class:`SweepSpec`, :func:`run_sweep` (cache misses
   on one process pool, with ``manifest=`` resume), :class:`SweepReport`,
   :data:`PROBLEM_BUILDERS`, :func:`default_workers` (honours
@@ -111,15 +109,10 @@ from repro.rewrite import (
     Pass,
     PassPipeline,
     PipelineState,
-    RewritePattern,
-    apply_patterns,
     available_passes,
     default_pipeline,
-    ir_to_system,
     make_pass,
-    print_ir,
     run_pipeline,
-    system_to_ir,
 )
 from repro.fuzz import (
     CaseDescriptor,
@@ -185,7 +178,6 @@ __all__ = [
     "ProgressEvent",
     "ProgressSink",
     "PruneReport",
-    "RewritePattern",
     "RunRecord",
     "STOCK_INTERCONNECTS",
     "SweepJob",
@@ -197,7 +189,6 @@ __all__ = [
     "SynthesisOptions",
     "TRACER",
     "VerificationReport",
-    "apply_patterns",
     "available_passes",
     "cache_key",
     "cache_key_from_fingerprint",
@@ -211,7 +202,6 @@ __all__ = [
     "explore_uniform",
     "fuzz",
     "input_factory",
-    "ir_to_system",
     "load_corpus",
     "load_records",
     "load_run_record",
@@ -219,7 +209,6 @@ __all__ = [
     "metrics_dir",
     "native_available",
     "pareto_front",
-    "print_ir",
     "random_inputs",
     "read_heartbeat",
     "read_manifest",
@@ -233,7 +222,6 @@ __all__ = [
     "spans_to_chrome_trace",
     "synthesize",
     "system_fingerprint",
-    "system_to_ir",
     "verify_design",
     "write_run_record",
 ]

@@ -41,7 +41,6 @@ from repro.api import (
     SynthesisOptions,
     available_passes,
     coerce_engine,
-    default_pipeline,
     explore_uniform,
     read_manifest,
     resolve_interconnect,
@@ -126,11 +125,8 @@ def cmd_synthesize(args) -> int:
         params["s"] = args.s
     system = builder()
     options = SynthesisOptions(engine=args.engine)
-    pipeline = None
-    if args.print_ir_after:
-        pipeline = default_pipeline(print_ir_after=_csv(args.print_ir_after))
     design = synthesize(system, params, _interconnect(args.interconnect),
-                        options, pipeline=pipeline)
+                        options)
     RUN_EXTRA["workload"] = {"problem": args.problem, "params": params,
                              "interconnect": args.interconnect,
                              "engine": options.engine}
@@ -264,12 +260,6 @@ def cmd_cache(args) -> int:
             from repro.report import format_grid
             print(format_grid(["completion", "cells", "key"], rows))
         RUN_EXTRA["cache"] = {"entries": len(entries), "bytes": size}
-        return 0
-    if args.action == "migrate":
-        moved = cache.migrate()
-        print(f"migrated {moved} flat entr{'y' if moved == 1 else 'ies'} "
-              f"into shards under {cache.root}")
-        RUN_EXTRA["cache"] = {"migrated": moved}
         return 0
     if args.action == "prune":
         if args.max_age_days is None and args.max_bytes is None:
@@ -497,14 +487,10 @@ def cmd_fuzz(args) -> int:
 
 def cmd_passes(args) -> int:
     rows = available_passes()
-    width = max(len(name) for name, _, _ in rows)
-    print("passes of the synthesis pipeline "
-          "(* = part of the default pipeline):")
-    for name, description, in_default in rows:
-        marker = "*" if in_default else " "
-        print(f"  {marker} {name:<{width}}  {description}")
-    print("\ncompose custom pipelines with repro.api.default_pipeline() "
-          "+ .with_pass(make_pass(name), before=/after=)")
+    width = max(len(name) for name, _ in rows)
+    print("passes of the synthesis pipeline, in order:")
+    for name, description in rows:
+        print(f"  {name:<{width}}  {description}")
     return 0
 
 
@@ -545,10 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "with --engine native all S run in one batched "
                         "pass")
     _engine_flag(p, "machine execution engine for --verify")
-    p.add_argument("--print-ir-after", default=None, metavar="PASSES",
-                   help="print the system IR after the named passes "
-                        "(comma-separated; 'all' dumps after every pass; "
-                        "see 'repro passes' for names)")
     p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("explore", help="enumerate convolution designs",
@@ -607,11 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cache", parents=[common],
         help="inspect and maintain the persistent design cache "
-             "(info / prune / migrate / clear)")
-    p.add_argument("action", choices=["info", "prune", "migrate", "clear"],
+             "(info / prune / clear)")
+    p.add_argument("action", choices=["info", "prune", "clear"],
                    help="info: entry counts, size and the cache-wide "
-                        "Pareto front; prune: evict by age/size; migrate: "
-                        "move flat-layout entries into shards; clear: "
+                        "Pareto front; prune: evict by age/size; clear: "
                         "delete everything")
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (default: $REPRO_DESIGN_CACHE or "

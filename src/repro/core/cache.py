@@ -31,12 +31,12 @@ Entries live under ``~/.cache/repro-designs/`` (override with the
 cache; one flat directory makes every create/lookup pay a directory-scan
 tax and makes ``ls`` unusable.  Entries therefore fan out over the first
 two key bytes — ``ab/cd/<key>.json`` — 65 536 shard directories at ~15
-entries each per million designs.  Flat-layout entries written by earlier
-versions are migrated transparently: a lookup that misses the shard but
-finds the flat file moves it into its shard (under the shard lock) and
-proceeds as a hit.  Writes stay atomic (tempfile + ``os.replace`` inside
-the shard, serialised by a per-shard ``flock`` where the platform has
-one), so concurrent sweep workers can share a cache directory.  Failed
+entries each per million designs.  A flat ``<key>.json`` left at the root
+by the pre-shard layout is never read: its key misses and is
+re-synthesized into its shard.  Writes stay atomic (tempfile +
+``os.replace`` inside the shard, serialised by a per-shard ``flock`` where
+the platform has one), so concurrent sweep workers can share a cache
+directory.  Failed
 syntheses are cached too (negative entries): re-running a sweep does not
 re-discover infeasibility the hard way.
 
@@ -212,10 +212,6 @@ class DesignCache:
             return self.root / f"{key}.json"
         return self.root / key[:2] / key[2:4] / f"{key}.json"
 
-    def _flat_path(self, key: str) -> Path:
-        """Where the pre-shard layout kept ``key`` (migration source)."""
-        return self.root / f"{key}.json"
-
     @property
     def index_path(self) -> Path:
         return self.root / self.INDEX_NAME
@@ -225,9 +221,9 @@ class DesignCache:
         """An advisory per-shard ``flock`` serialising writers.
 
         ``os.replace`` already makes individual writes atomic; the lock
-        additionally serialises migrate-vs-store races on one shard.  On
+        additionally serialises concurrent stores into one shard.  On
         platforms without ``fcntl`` it degrades to a no-op — atomicity
-        still holds, only the migration race window stays open.
+        still holds.
         """
         if fcntl is None:
             yield
@@ -249,19 +245,13 @@ class DesignCache:
         disk mishap) is treated as a miss, not an error.  Counters
         distinguish hits on *negative* entries (cached infeasibility) from
         design hits, so warm-vs-cold sweep behaviour is visible in
-        ``--stats``.  A flat-layout entry written by an earlier version is
-        migrated into its shard on first touch.
+        ``--stats``.
         """
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except FileNotFoundError:
-            payload = self._load_migrating(key)
-            if payload is None:
-                TRACER.count("cache.misses")
-                return None
-        except json.JSONDecodeError:
+        except (FileNotFoundError, json.JSONDecodeError):
             TRACER.count("cache.misses")
             return None
         if payload.get("format") != CACHE_FORMAT_VERSION:
@@ -271,49 +261,6 @@ class DesignCache:
         if payload.get("status") == "error":
             TRACER.count("cache.negative_hits")
         return payload
-
-    def _load_migrating(self, key: str) -> dict | None:
-        """Serve ``key`` from the flat legacy layout, moving it into its
-        shard so the next lookup takes the fast path."""
-        flat = self._flat_path(key)
-        shard_path = self.path_for(key)
-        if flat == shard_path:                 # degenerate short key
-            return None
-        try:
-            with open(flat, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-        with self._shard_lock(shard_path.parent):
-            try:
-                if not shard_path.exists():
-                    os.replace(flat, shard_path)
-            except OSError:
-                return payload           # racing writer won; entry is live
-        TRACER.count("cache.migrated")
-        self._index_append({"key": key,
-                            "status": payload.get("status", "ok"),
-                            "cells": payload.get("cells"),
-                            "completion_time": payload.get(
-                                "completion_time"),
-                            "bytes": shard_path.stat().st_size
-                            if shard_path.exists() else 0,
-                            "ts": time.time()})
-        return payload
-
-    def migrate(self) -> int:
-        """Move every flat-layout ``<key>.json`` into its shard; returns
-        how many entries moved (index updated per entry)."""
-        moved = 0
-        if not self.root.is_dir():
-            return 0
-        for flat in sorted(self.root.glob("*.json")):
-            key = flat.stem
-            if len(key) < 4:
-                continue
-            if self._load_migrating(key) is not None:
-                moved += 1
-        return moved
 
     def store(self, key: str, payload: dict) -> Path:
         """Atomically write ``payload`` under ``key`` (last writer wins)
@@ -372,10 +319,9 @@ class DesignCache:
         return live
 
     def _iter_entry_paths(self) -> Iterator[Path]:
-        """Every entry file on disk, sharded and flat layouts both."""
+        """Every sharded entry file on disk."""
         if not self.root.is_dir():
             return
-        yield from self.root.glob("*.json")
         yield from self.root.glob("??/??/*.json")
 
     def rebuild_index(self) -> int:
@@ -454,8 +400,7 @@ class DesignCache:
               max_bytes: "int | None" = None) -> PruneReport:
         """Evict entries older than ``max_age_days``, then oldest-first
         until the cache fits ``max_bytes``; compacts the index afterwards.
-        Entries still at their flat pre-shard path are evicted in place;
-        an entry that cannot be unlinked at all counts in
+        An entry that cannot be unlinked counts in
         :attr:`PruneReport.failed`.  Evictions land in the
         ``cache.evictions`` / ``cache.evicted_bytes`` counters."""
         report = PruneReport()
@@ -481,14 +426,7 @@ class DesignCache:
             survivors = [r for r in survivors
                          if r["key"] not in doomed_keys]
         for r, reason in doomed:
-            # An entry may still sit at its flat pre-shard path (never
-            # touched since the layout change) — evict it from wherever
-            # it actually lives, and surface entries that would not go.
             path = self.path_for(r["key"])
-            if not path.is_file():
-                flat = self._flat_path(r["key"])
-                if flat.is_file():
-                    path = flat
             try:
                 size = path.stat().st_size
                 path.unlink()
@@ -530,8 +468,7 @@ class DesignCache:
     # -- bookkeeping ---------------------------------------------------------
 
     def __contains__(self, key: str) -> bool:
-        return (self.path_for(key).is_file()
-                or self._flat_path(key).is_file())
+        return self.path_for(key).is_file()
 
     def __len__(self) -> int:
         """Entry count from the index (no directory walk); falls back to
@@ -544,7 +481,7 @@ class DesignCache:
         return len(live)
 
     def clear(self) -> int:
-        """Delete every entry (sharded and flat) and the index; returns
+        """Delete every entry and the index; returns
         how many entries were removed."""
         removed = 0
         for path in list(self._iter_entry_paths()):

@@ -23,9 +23,8 @@ Escalation: if no solution exists with homogeneous schedules / zero space
 offsets, the solvers retry with offsets — "the design procedure is repeated"
 (Section II.B), automated.
 
-Callers needing a custom lowering pass ``pipeline=`` (built from
-:func:`repro.rewrite.default_pipeline` via ``with_pass``/``without_pass``,
-e.g. to insert the opt-in ``cse`` pass) or drive
+Callers needing a custom lowering pass ``pipeline=`` (a
+:class:`~repro.rewrite.PassPipeline` of their own passes) or drive
 :func:`repro.rewrite.run_pipeline` directly for access to intermediate
 state.
 """

@@ -30,9 +30,9 @@ class Op:
     int_kernel: Callable | None = field(
         default=None, compare=False, hash=False)
     #: For ops built by :func:`compose_accumulate`: the ``(h, f)`` pair the
-    #: composite was assembled from.  Rewrite patterns use it to derive an
-    #: exact array kernel (``repro.rewrite.patterns.FuseAccumulatorKernels``)
-    #: without any bespoke wiring at the construction site.
+    #: composite was assembled from.  The ``fuse-accumulators`` pass
+    #: derives an exact array kernel from it, so the construction site
+    #: needs no bespoke wiring.
     components: "tuple[Op, ...] | None" = field(
         default=None, compare=False, hash=False)
 
@@ -72,8 +72,9 @@ def make_op(name: str, arity: int, fn: Callable,
     exact int64 array kernel so the ndarray fast path applies
     (see :func:`repro.ir.vector.fused_int_kernel` for composing one);
     ``components`` records the ``(h, f)`` pair of an accumulator
-    composite so structural backends (the rewrite patterns, the native
-    C executor encoding) can recover the exact semantics of the lambda."""
+    composite so structural consumers (the ``fuse-accumulators`` pass,
+    the native C executor encoding) can recover the exact semantics of
+    the lambda."""
     return Op(name, arity, fn, int_kernel, components)
 
 
@@ -81,10 +82,10 @@ def compose_accumulate(h: Op, f: Op) -> Op:
     """The accumulator composite ``hf(prev, *xs) = h(prev, f(*xs))``.
 
     The result carries no array kernel of its own — it records its
-    ``components`` so the ``fuse-accumulators`` rewrite pattern of the pass
-    pipeline can attach the composed exact int64 kernel when (and only
-    when) both components are stock ops.  Construction sites therefore
-    stay free of vector-engine plumbing.
+    ``components`` so the ``fuse-accumulators`` pass of the pipeline can
+    attach the composed exact int64 kernel when (and only when) both
+    components are stock ops.  Construction sites therefore stay free of
+    ndarray-kernel plumbing.
     """
     return Op(f"{h.name}_after_{f.name}", f.arity + 1,
               lambda prev, *xs: h.fn(prev, f.fn(*xs)),

@@ -1,52 +1,26 @@
-"""Typed rewrite IR and pass manager over the synthesis middle-end.
+"""The pass pipeline over the synthesis middle-end.
 
 The paper's flow — canonic-form recurrence → restructured non-uniform
-system → scheduled/allocated design → cell program — historically lowered
-in one shot inside :func:`repro.core.nonuniform.synthesize`.  This package
-re-expresses that middle as staged, inspectable compilation:
+system → scheduled/allocated design → cell program — runs as named passes
+that thread one immutable :class:`PipelineState` around one
+:class:`~repro.ir.program.RecurrenceSystem`:
 
-* :mod:`repro.rewrite.ir` — an immutable, hashable op/region IR
-  (``design.system`` / ``design.module`` / ``design.equation`` /
-  ``rule.*`` ops) with def-use helpers, a structural verifier and a
-  textual printer, convertible losslessly to and from
-  :class:`~repro.ir.program.RecurrenceSystem`;
-* :mod:`repro.rewrite.patterns` — :class:`RewritePattern` and a greedy
-  fixpoint driver, plus the stock patterns (accumulator-kernel fusion,
-  cross-chain CSE);
 * :mod:`repro.rewrite.passes` — :class:`Pass`, :class:`PassPipeline` and
-  the immutable :class:`PipelineState` threaded through them, with
-  per-pass span tracing and ``print-ir-after`` debugging;
-* :mod:`repro.rewrite.pipeline` — the named passes of the default
-  lowering (``decompose-chains``, ``fuse-accumulators``, ``schedule``,
-  ``allocate``, ``lower-microcode``) plus the opt-in ``cse`` pass, the
-  pass registry and :func:`default_pipeline`.
+  :class:`PipelineState`, with a ``pass.<name>`` tracer span per pass;
+* :mod:`repro.rewrite.pipeline` — the five passes of the default lowering
+  (``decompose-chains``, ``fuse-accumulators``, ``schedule``,
+  ``allocate``, ``lower-microcode``), the pass registry and
+  :func:`default_pipeline`.
 
-Every pass boundary is verifiable against the three execution engines'
-bit-identical canonical event streams; the default pipeline is
-behavior-identical to the historical one-shot lowering.
+The default pipeline is behaviour-identical to the historical one-shot
+lowering: same designs, same canonical event streams on both engines.
 """
 
-from repro.rewrite.ir import (
-    IROp,
-    IRVerificationError,
-    Region,
-    ir_to_system,
-    print_ir,
-    system_to_ir,
-    verify_ir,
-    walk,
-)
 from repro.rewrite.passes import (
     Pass,
     PassError,
     PassPipeline,
     PipelineState,
-)
-from repro.rewrite.patterns import (
-    CrossChainCSE,
-    FuseAccumulatorKernels,
-    RewritePattern,
-    apply_patterns,
 )
 from repro.rewrite.pipeline import (
     PASS_REGISTRY,
@@ -57,25 +31,13 @@ from repro.rewrite.pipeline import (
 )
 
 __all__ = [
-    "CrossChainCSE",
-    "FuseAccumulatorKernels",
-    "IROp",
-    "IRVerificationError",
     "PASS_REGISTRY",
     "Pass",
     "PassError",
     "PassPipeline",
     "PipelineState",
-    "Region",
-    "RewritePattern",
-    "apply_patterns",
     "available_passes",
     "default_pipeline",
-    "ir_to_system",
     "make_pass",
-    "print_ir",
     "run_pipeline",
-    "system_to_ir",
-    "verify_ir",
-    "walk",
 ]

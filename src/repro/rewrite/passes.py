@@ -5,7 +5,7 @@ sequence of named passes.  Each pass consumes the fields it needs and
 returns a new state with its products filled in; the pipeline runs every
 pass under a ``pass.<name>`` span of the global tracer
 (:data:`repro.obs.TRACER`), so ``--stats`` and persisted run records show
-per-pass wall time and rewrite counters without any caller plumbing.
+per-pass wall time without any caller plumbing.
 
 Misordered pipelines fail fast: a pass whose inputs are missing raises
 :class:`PassError` naming the missing product and the pass that should
@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.obs import TRACER
 
@@ -31,12 +31,12 @@ class PipelineState:
     """Everything the passes of one synthesis run read and produce.
 
     The front half mirrors the paper's artifacts: a
-    :class:`~repro.ir.program.HighLevelSpec` (optional entry point), the
-    restructured :class:`~repro.ir.program.RecurrenceSystem` and its typed
-    rewrite-IR view (kept in sync by the passes that rewrite it).  The
-    back half is filled in stage by stage: link constraints and schedules,
-    space maps, the value-free microcode skeleton, and finally the
-    packaged :class:`~repro.core.design.Design`.
+    :class:`~repro.ir.program.HighLevelSpec` (optional entry point) and
+    the restructured :class:`~repro.ir.program.RecurrenceSystem`, which a
+    pass that rewrites it replaces rather than mutates.  The back half is
+    filled in stage by stage: link constraints and schedules, space maps,
+    the value-free microcode skeleton, and finally the packaged
+    :class:`~repro.core.design.Design`.
     """
 
     params: Mapping[str, int]
@@ -44,7 +44,6 @@ class PipelineState:
     options: object                      # core.options.SynthesisOptions
     spec: object | None = None           # ir.program.HighLevelSpec
     system: object | None = None         # ir.program.RecurrenceSystem
-    ir: object | None = None             # rewrite.ir.IROp (design.system)
     deps: Mapping[str, object] | None = None
     constraints: Sequence[object] | None = None
     schedules: Mapping[str, object] | None = None
@@ -85,28 +84,13 @@ class Pass(abc.ABC):
 
 
 class PassPipeline:
-    """An ordered, immutable sequence of passes.
+    """An ordered, immutable sequence of passes with unique names."""
 
-    ``print_ir_after`` opts into IR dumps for debugging: pass names (or
-    ``"all"``) after which the current system IR is printed through
-    ``emit`` (default: ``print``).
-    """
-
-    def __init__(self, passes: Sequence[Pass],
-                 print_ir_after: Sequence[str] = (),
-                 emit: Callable[[str], None] = print) -> None:
+    def __init__(self, passes: Sequence[Pass]) -> None:
         self.passes: tuple[Pass, ...] = tuple(passes)
         names = [p.name for p in self.passes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate pass names in pipeline: {names}")
-        self.print_ir_after: tuple[str, ...] = tuple(print_ir_after)
-        unknown = [n for n in self.print_ir_after
-                   if n != "all" and n not in names]
-        if unknown:
-            raise ValueError(
-                f"print_ir_after names unknown passes {unknown}; "
-                f"pipeline has {names}")
-        self._emit = emit
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -121,46 +105,10 @@ class PassPipeline:
     def __repr__(self) -> str:
         return f"PassPipeline({' -> '.join(self.names)})"
 
-    # -- composition ---------------------------------------------------------
-
-    def with_pass(self, new: Pass, *, before: str | None = None,
-                  after: str | None = None) -> "PassPipeline":
-        """A new pipeline with ``new`` inserted (at the end by default)."""
-        if before is not None and after is not None:
-            raise ValueError("pass either before= or after=, not both")
-        anchor = before or after
-        passes = list(self.passes)
-        if anchor is None:
-            passes.append(new)
-        else:
-            if anchor not in self.names:
-                raise ValueError(f"no pass named {anchor!r} in {self.names}")
-            at = self.names.index(anchor) + (0 if before else 1)
-            passes.insert(at, new)
-        return PassPipeline(passes, self.print_ir_after, self._emit)
-
-    def without_pass(self, name: str) -> "PassPipeline":
-        if name not in self.names:
-            raise ValueError(f"no pass named {name!r} in {self.names}")
-        return PassPipeline([p for p in self.passes if p.name != name],
-                            [n for n in self.print_ir_after if n != name],
-                            self._emit)
-
-    # -- execution -----------------------------------------------------------
-
     def run(self, state: PipelineState) -> PipelineState:
         """Run every pass in order under per-pass tracer spans."""
-        from repro.rewrite.ir import print_ir
-
-        dump_all = "all" in self.print_ir_after
         with TRACER.span("pipeline", passes=len(self.passes)):
             for p in self.passes:
                 with TRACER.span(f"pass.{p.name}"):
                     state = p.run(state)
-                if (dump_all or p.name in self.print_ir_after):
-                    header = f"// -- IR after pass {p.name} --"
-                    if state.ir is not None:
-                        self._emit(f"{header}\n{print_ir(state.ir)}")
-                    else:
-                        self._emit(f"{header}\n// (no system IR in state)")
         return state

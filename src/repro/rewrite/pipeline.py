@@ -5,11 +5,10 @@ The historical one-shot ``synthesize`` body is re-expressed as:
 1. ``decompose-chains`` — ingest: restructure a
    :class:`~repro.ir.program.HighLevelSpec` into the system of mutually
    dependent recurrences (chain decomposition + coarse timing), or accept
-   an already-canonic :class:`~repro.ir.program.RecurrenceSystem`; lift it
-   into the typed rewrite IR.
-2. ``fuse-accumulators`` — pattern pass attaching composed exact int64
-   kernels to accumulator composites (vector-engine fast path); replaces
-   the fused-kernel wiring the restructurer used to hard-code.
+   an already-canonic :class:`~repro.ir.program.RecurrenceSystem`.
+2. ``fuse-accumulators`` — attach composed exact int64 kernels to the
+   accumulator composites of the system (ndarray fast path); values and
+   event streams are unchanged.
 3. ``schedule`` — per-module dependence matrices, global link
    constraints, joint linear time functions (with the paper's offset
    escalation), normalised to start at cycle 0.
@@ -22,21 +21,11 @@ The historical one-shot ``synthesize`` body is re-expressed as:
 5. ``lower-microcode`` — package the :class:`~repro.core.design.Design`
    and guarantee the cell program exists (compiling it if a custom
    pipeline skipped the allocate-time check).
-
-``cse`` (cross-chain common-subexpression elimination) is available from
-the registry but *not* part of :func:`default_pipeline`: merging duplicate
-carrier chains changes the synthesized design, which callers opt into via
-``default_pipeline().with_pass(make_pass("cse"), after="fuse-accumulators")``.
-``lower-native`` is likewise registry-only: it encodes the design's
-machine program for the shared native executor (``engine="native"``),
-building that executor through the content-addressed artifact cache if
-this process has not loaded it yet, so later verification starts warm — a
-deployment step, not part of the synthesis contract, and a no-op fallback
-without a C toolchain.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Mapping, Sequence
 
 from repro.core.design import Design
@@ -44,17 +33,13 @@ from repro.core.globals import link_constraints
 from repro.core.restructure import restructure
 from repro.deps.extract import system_dependence_matrices
 from repro.ir.evaluate import structural_trace
-from repro.ir.program import HighLevelSpec, RecurrenceSystem
+from repro.ir.program import HighLevelSpec, Module, RecurrenceSystem
+from repro.ir.statements import ComputeRule
+from repro.ir.vector import fused_int_kernel
 from repro.machine.errors import MachineError
 from repro.machine.microcode import compile_design
 from repro.obs import TRACER
-from repro.rewrite.ir import ir_to_system, system_to_ir, verify_ir
 from repro.rewrite.passes import Pass, PassError, PassPipeline, PipelineState
-from repro.rewrite.patterns import (
-    CrossChainCSE,
-    FuseAccumulatorKernels,
-    apply_patterns,
-)
 from repro.schedule.multimodule import (
     ModuleSchedulingProblem,
     normalise_start,
@@ -72,58 +57,66 @@ from repro.space.multimodule import (
 class DecomposeChainsPass(Pass):
     name = "decompose-chains"
     description = ("restructure a high-level spec into mutually dependent "
-                   "chain recurrences (no-op for canonic systems) and lift "
-                   "it into the rewrite IR")
+                   "chain recurrences (no-op for canonic systems)")
 
     def run(self, state: PipelineState) -> PipelineState:
-        if state.system is None:
-            if state.spec is None:
-                raise PassError(
-                    "state has neither a spec nor a system; pass one of "
-                    "them to the pipeline entry point")
-            state = state.replace(
-                system=restructure(state.spec, params=dict(state.params)))
-        if state.ir is None:
-            state = state.replace(ir=system_to_ir(state.system))
-        return state
+        if state.system is not None:
+            return state
+        if state.spec is None:
+            raise PassError(
+                "state has neither a spec nor a system; pass one of them "
+                "to the pipeline entry point")
+        return state.replace(
+            system=restructure(state.spec, params=dict(state.params)))
 
 
-class PatternPass(Pass):
-    """A pass that drives rewrite patterns to fixpoint over the system IR.
+def _fused(rule):
+    """``rule`` with the composed int64 kernel attached, or ``None``.
 
-    Subclasses set ``patterns``.  The evaluation-side system is rebuilt
-    only when something was actually rewritten, so a no-op pattern pass
-    keeps the caller's system object untouched.
+    Only accumulator composites built by
+    :func:`~repro.ir.ops.compose_accumulate` (``op.components`` set, no
+    kernel yet) whose components are both stock ops qualify; custom
+    components stay on the object path.
     """
-
-    patterns: tuple = ()
-
-    def run(self, state: PipelineState) -> PipelineState:
-        ir = state.ir
-        if ir is None:
-            system = state.require("system", "decompose-chains")
-            ir = system_to_ir(system)
-        new_ir, counts = apply_patterns(ir, self.patterns)
-        if not counts:
-            return state.replace(ir=ir)
-        verify_ir(new_ir)
-        return state.replace(ir=new_ir, system=ir_to_system(new_ir))
+    if not isinstance(rule, ComputeRule):
+        return None
+    op = rule.op
+    if op.components is None or op.int_kernel is not None:
+        return None
+    kernel = fused_int_kernel(*op.components)
+    if kernel is None:
+        return None
+    return dataclasses.replace(
+        rule, op=dataclasses.replace(op, int_kernel=kernel))
 
 
-class FuseAccumulatorsPass(PatternPass):
+class FuseAccumulatorsPass(Pass):
     name = "fuse-accumulators"
     description = ("attach composed exact int64 kernels to accumulator "
-                   "composites (vector-engine fast path; values and event "
+                   "composites (ndarray fast path; values and event "
                    "streams unchanged)")
-    patterns = (FuseAccumulatorKernels(),)
 
-
-class CrossChainCSEPass(PatternPass):
-    name = "cse"
-    description = ("merge structurally identical equations within each "
-                   "module and redirect references (changes the design; "
-                   "opt-in)")
-    patterns = (CrossChainCSE(),)
+    def run(self, state: PipelineState) -> PipelineState:
+        system: RecurrenceSystem = state.require("system", "decompose-chains")
+        modules, changed = [], False
+        for module in system.modules.values():
+            equations, module_changed = [], False
+            for eqn in module.equations.values():
+                rules = tuple(_fused(rule) or rule for rule in eqn.rules)
+                if any(new is not old for new, old in zip(rules, eqn.rules)):
+                    eqn = dataclasses.replace(eqn, rules=rules)
+                    module_changed = True
+                equations.append(eqn)
+            if module_changed:
+                module = Module(module.name, module.dims, module.domain,
+                                equations)
+                changed = True
+            modules.append(module)
+        if not changed:
+            return state
+        return state.replace(system=RecurrenceSystem(
+            system.name, modules, system.outputs,
+            input_names=system.input_names, params=system.params))
 
 
 class SchedulePass(Pass):
@@ -302,46 +295,14 @@ class LowerMicrocodePass(Pass):
         return state.replace(microcode=microcode, design=design)
 
 
-class LowerNativePass(Pass):
-    name = "lower-native"
-    description = ("encode the design's machine program for the shared "
-                   "native C executor (compiled once per toolchain; "
-                   "degrades to ndarray kernels without one; opt-in)")
-
-    def run(self, state: PipelineState) -> PipelineState:
-        design = state.require("design", "lower-microcode")
-        microcode = state.require("microcode", "lower-microcode")
-        # Local imports keep the machine layer a run-time dependency.
-        from repro.machine.compiled import lower
-        from repro.machine.native import nativize
-
-        trace = structural_trace(design.system, dict(design.params))
-        # Primes the slot verify_design(engine="native") reads, so
-        # verification after this pass starts warm — program encoded and
-        # the executor loaded (compiled, or found on disk).
-        design._exec_cache["nmachine"] = nativize(lower(microcode, trace))
-        return state
-
-
-#: Every pass the CLI and callers can name, in presentation order.
+#: The passes of the default lowering, in order.
 PASS_REGISTRY: dict[str, type[Pass]] = {
-    DecomposeChainsPass.name: DecomposeChainsPass,
-    FuseAccumulatorsPass.name: FuseAccumulatorsPass,
-    CrossChainCSEPass.name: CrossChainCSEPass,
-    SchedulePass.name: SchedulePass,
-    AllocatePass.name: AllocatePass,
-    LowerMicrocodePass.name: LowerMicrocodePass,
-    LowerNativePass.name: LowerNativePass,
+    cls.name: cls for cls in (DecomposeChainsPass, FuseAccumulatorsPass,
+                              SchedulePass, AllocatePass, LowerMicrocodePass)
 }
 
 #: Pass names of the default lowering, in order.
-DEFAULT_PASS_NAMES: tuple[str, ...] = (
-    DecomposeChainsPass.name,
-    FuseAccumulatorsPass.name,
-    SchedulePass.name,
-    AllocatePass.name,
-    LowerMicrocodePass.name,
-)
+DEFAULT_PASS_NAMES: tuple[str, ...] = tuple(PASS_REGISTRY)
 
 
 def make_pass(name: str) -> Pass:
@@ -353,22 +314,19 @@ def make_pass(name: str) -> Pass:
                        f"{sorted(PASS_REGISTRY)}") from None
 
 
-def available_passes() -> list[tuple[str, str, bool]]:
-    """``(name, description, in_default_pipeline)`` for every pass."""
-    return [(name, cls.description, name in DEFAULT_PASS_NAMES)
-            for name, cls in PASS_REGISTRY.items()]
+def available_passes() -> list[tuple[str, str]]:
+    """``(name, description)`` for every pass, in pipeline order."""
+    return [(name, cls.description) for name, cls in PASS_REGISTRY.items()]
 
 
-def default_pipeline(print_ir_after: Sequence[str] = (),
-                     emit=print) -> PassPipeline:
+def default_pipeline() -> PassPipeline:
     """The pipeline equivalent to the historical one-shot lowering.
 
     Byte-identical contract: on every input the resulting design and the
-    canonical event streams of all three engines match the pre-pipeline
+    canonical event streams of both engines match the pre-pipeline
     ``synthesize`` exactly.
     """
-    return PassPipeline([make_pass(name) for name in DEFAULT_PASS_NAMES],
-                        print_ir_after=print_ir_after, emit=emit)
+    return PassPipeline([make_pass(name) for name in DEFAULT_PASS_NAMES])
 
 
 def run_pipeline(source: "RecurrenceSystem | HighLevelSpec",

@@ -155,50 +155,27 @@ class TestShardedLayout:
         assert not (tmp_path / "abcdef0123.json").exists()
         assert "abcdef0123" in cache
 
-    def test_load_migrates_flat_entry(self, tmp_path):
-        from repro.core.cache import CACHE_FORMAT_VERSION
-
-        cache = DesignCache(tmp_path)
-        flat = tmp_path / "abcdef0123.json"
-        flat.write_text(json.dumps({"format": CACHE_FORMAT_VERSION,
-                                    "key": "abcdef0123", "status": "ok",
-                                    "cells": 4, "completion_time": 7}))
-        payload = cache.load("abcdef0123")
-        assert payload is not None and payload["cells"] == 4
-        assert not flat.exists()
-        assert cache.path_for("abcdef0123").is_file()
-        # Second load takes the sharded fast path and still hits.
-        assert cache.load("abcdef0123")["completion_time"] == 7
-
-    def test_bulk_migrate(self, tmp_path):
-        from repro.core.cache import CACHE_FORMAT_VERSION
-
-        cache = DesignCache(tmp_path)
-        for i in range(3):
-            key = f"{i:02d}aa{i}fingerprint"
-            (tmp_path / f"{key}.json").write_text(json.dumps(
-                {"format": CACHE_FORMAT_VERSION, "key": key,
-                 "status": "ok", "cells": i + 1, "completion_time": 9}))
-        assert cache.migrate() == 3
-        assert not list(tmp_path.glob("[0-9]*.json"))
-        assert len(cache) == 3
-
-    def test_flattened_cache_still_serves_a_warm_sweep(self, tmp_path):
-        """A cache written by the pre-shard layout keeps working: entries
-        migrate on first touch and the warm sweep is all hits."""
+    def test_flat_entry_is_a_miss_and_resynthesized(self, tmp_path):
+        """A file left at the pre-shard ``<key>.json`` path is never
+        served: the key misses and a sweep re-synthesizes it into its
+        shard."""
         from repro.core import SweepSpec, run_sweep
 
         spec = SweepSpec(problems=("dp",), interconnects=("fig1",),
-                         param_grid=({"n": 5}, {"n": 6}))
+                         param_grid=({"n": 5},))
         run_sweep(spec, workers=0, cache_dir=tmp_path, cross_check=False)
-        # Simulate the old layout: flatten every sharded entry.
-        for path in list(tmp_path.glob("??/??/*.json")):
-            path.rename(tmp_path / path.name)
+        (sharded,) = tmp_path.glob("??/??/*.json")
+        flat = tmp_path / sharded.name
+        sharded.rename(flat)
         (tmp_path / DesignCache.INDEX_NAME).unlink()
-        warm = run_sweep(spec, workers=0, cache_dir=tmp_path,
-                         cross_check=False)
-        assert warm.cache_hits == 2 and warm.cache_misses == 0
-        assert not list(tmp_path.glob("*.json"))       # all re-sharded
+        cache = DesignCache(tmp_path)
+        key = flat.stem
+        assert key not in cache
+        assert cache.load(key) is None
+        again = run_sweep(spec, workers=0, cache_dir=tmp_path,
+                          cross_check=False)
+        assert again.cache_hits == 0 and again.cache_misses == 1
+        assert cache.path_for(key).is_file() and key in cache
 
     def test_len_uses_index_not_a_walk(self, tmp_path):
         cache = DesignCache(tmp_path)
@@ -247,17 +224,6 @@ class TestShardedLayout:
         front = cache.pareto()
         assert [r["key"][:4] for r in front] == ["bbbb", "aaaa"]
 
-    def test_clear_removes_both_layouts(self, tmp_path):
-        from repro.core.cache import CACHE_FORMAT_VERSION
-
-        cache = DesignCache(tmp_path)
-        cache.store("abcd" + "0" * 6, {"status": "ok"})
-        (tmp_path / "flatflat00.json").write_text(json.dumps(
-            {"format": CACHE_FORMAT_VERSION, "key": "flatflat00",
-             "status": "ok"}))
-        assert cache.clear() == 2
-        assert len(cache) == 0
-
 
 class TestPrune:
     def test_age_eviction(self, tmp_path):
@@ -279,21 +245,6 @@ class TestPrune:
         report = cache.prune(max_bytes=big - 1)
         assert report.removed == 1 and report.by_reason == {"size": 1}
         assert [e["key"][:4] for e in cache.entries()] == ["new0"]
-
-    def test_prune_evicts_unmigrated_flat_entries(self, tmp_path):
-        from repro.core.cache import CACHE_FORMAT_VERSION
-
-        cache = DesignCache(tmp_path)
-        cache.store("abcd" + "0" * 6, {"status": "ok"})
-        flat = tmp_path / ("flatflat00" + ".json")
-        flat.write_text(json.dumps(
-            {"format": CACHE_FORMAT_VERSION, "key": "flatflat00",
-             "status": "ok"}))
-        cache.rebuild_index()
-        report = cache.prune(max_age_days=0)
-        assert report.removed == 2 and report.failed == 0
-        assert not flat.exists()
-        assert len(cache) == 0
 
     def test_prune_counts_unremovable_entries(self, tmp_path):
         cache = DesignCache(tmp_path)

@@ -410,14 +410,8 @@ class TestCacheCommand:
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         assert "entries: 0" in capsys.readouterr().out
 
-    def test_migrate_and_clear(self, tmp_path, capsys):
+    def test_clear(self, tmp_path, capsys):
         self._populate(tmp_path)
-        # Flatten the shards to simulate a legacy cache, then migrate.
-        for path in list(tmp_path.glob("??/??/*.json")):
-            path.rename(tmp_path / path.name)
         capsys.readouterr()
-        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 2 flat entries" in capsys.readouterr().out
-        assert not list(tmp_path.glob("*.json"))
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "cleared 2 entries" in capsys.readouterr().out

@@ -74,7 +74,7 @@ class TestStageList:
         assert set(STAGES) - used == set()
 
     def test_traced_design_emits_only_listed_stages(self):
-        passes = {name for name, _, _ in available_passes()}
+        passes = {name for name, _ in available_passes()}
         was_enabled = TRACER.enabled
         TRACER.reset()
         TRACER.enable()

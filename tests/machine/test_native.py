@@ -1,9 +1,8 @@
 """The native engine: artifact cache discipline (one executor compile per
 toolchain, warm processes skip the compiler, negative entries, key
 hygiene), the fallback ladder (no toolchain / unsupported op / non-integer
-inputs / overflow), the shared host gather of batched verification, and
-the ``lower-native`` pass.  Value and event-stream equivalence with the
-interpreter, on both tiers, lives in ``test_vector.py`` and
+inputs / overflow) and the shared host gather of batched verification.
+Value and event-stream equivalence with the interpreter, on both tiers, lives in ``test_vector.py`` and
 ``test_compiled.py``; the executor's per-tag semantics in
 ``tests/codegen/test_executor.py``."""
 
@@ -38,14 +37,6 @@ from repro.ir.ops import ADD, compose_accumulate, make_op
 from repro.machine import compile_design, lower, lower_native, nativize, run
 from repro.obs import TRACER
 from repro.problems import dp_inputs, dp_system, input_factory
-from repro.rewrite.pipeline import (
-    DEFAULT_PASS_NAMES,
-    PassPipeline,
-    available_passes,
-    make_pass,
-    run_pipeline,
-)
-from repro.core.options import SynthesisOptions
 from tests.machine.tiers import TIERS, tier
 
 requires_cc = pytest.mark.skipif(
@@ -419,29 +410,6 @@ class TestSharedGather:
         assert got.results == oracle.results
         assert ({type(v) for v in got.results.values()}
                 == {type(v) for v in oracle.results.values()})
-
-
-class TestLowerNativePass:
-    def test_registered_but_not_default(self):
-        table = {name: default for name, _, default in available_passes()}
-        assert table["lower-native"] is False
-        assert "lower-native" not in DEFAULT_PASS_NAMES
-
-    def test_pass_primes_the_verify_slot(self):
-        pipeline = PassPipeline(
-            [make_pass(n)
-             for n in DEFAULT_PASS_NAMES + ("lower-native",)])
-        state = run_pipeline(dp_system(), {"n": 6}, FIG1_UNIDIRECTIONAL,
-                             SynthesisOptions(), pipeline)
-        design = state.design
-        nm = design._exec_cache.get("nmachine")
-        assert nm is not None
-        if native_available():
-            assert nm.code is not None, nm.fallback_reason
-        report = verify_design(design,
-                               input_factory("dp", design.params)(0),
-                               engine="native")
-        assert report.ok, report.failures
 
 
 @requires_cc

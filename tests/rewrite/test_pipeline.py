@@ -5,8 +5,6 @@ import pytest
 from repro.arrays.interconnect import resolve_interconnect
 from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
-from repro.core.verify import verify_design
-from repro.fuzz.cases import CaseDescriptor, build_inputs, build_spec
 from repro.problems import dp_spec, dp_system
 from repro.rewrite import (
     PASS_REGISTRY,
@@ -30,15 +28,19 @@ class TestRegistry:
             "decompose-chains", "fuse-accumulators", "schedule",
             "allocate", "lower-microcode")
 
-    def test_cse_registered_but_opt_in(self):
-        assert "cse" in PASS_REGISTRY
-        assert "cse" not in default_pipeline().names
+    def test_available_passes_are_the_default_pipeline(self):
+        rows = available_passes()
+        assert tuple(name for name, _ in rows) == default_pipeline().names
+        assert tuple(PASS_REGISTRY) == default_pipeline().names
+        assert all(desc for _, desc in rows)
 
-    def test_available_passes_flags_default_membership(self):
-        rows = {name: in_default for name, _, in_default in available_passes()}
-        assert rows["schedule"] is True
-        assert rows["cse"] is False
-        assert all(desc for _, desc, _ in available_passes())
+    def test_cli_lists_the_passes_in_order(self, capsys):
+        from repro.cli import main
+
+        assert main(["passes"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[0] for line in lines] == \
+            list(default_pipeline().names)
 
     def test_make_pass_unknown_name(self):
         with pytest.raises(KeyError, match="unknown pass 'tile'"):
@@ -46,30 +48,9 @@ class TestRegistry:
 
 
 class TestComposition:
-    def test_with_pass_before_and_after(self):
-        pipe = default_pipeline()
-        grown = pipe.with_pass(make_pass("cse"), after="fuse-accumulators")
-        assert grown.names.index("cse") == \
-            grown.names.index("fuse-accumulators") + 1
-        grown = pipe.with_pass(make_pass("cse"), before="schedule")
-        assert grown.names.index("cse") == grown.names.index("schedule") - 1
-        assert pipe.names == default_pipeline().names  # original untouched
-
-    def test_without_pass(self):
-        pipe = default_pipeline().without_pass("fuse-accumulators")
-        assert "fuse-accumulators" not in pipe.names
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             PassPipeline([make_pass("schedule"), make_pass("schedule")])
-
-    def test_unknown_anchor_rejected(self):
-        with pytest.raises(ValueError, match="no pass named"):
-            default_pipeline().with_pass(make_pass("cse"), after="tile")
-
-    def test_print_ir_after_validated(self):
-        with pytest.raises(ValueError, match="unknown passes"):
-            default_pipeline(print_ir_after=("tile",))
 
 
 class TestStateContract:
@@ -89,7 +70,7 @@ class TestStateContract:
         pipe = PassPipeline([make_pass("decompose-chains"),
                              make_pass("schedule")])
         state = run_pipeline(dp_spec(), PARAMS, FIG1, OPTS, pipeline=pipe)
-        assert state.ir is not None
+        assert state.system is not None
         assert state.schedules is not None
         assert state.design is None
 
@@ -117,32 +98,3 @@ class TestTracing:
             TRACER.reset()
         for name in default_pipeline().names:
             assert f"pass.{name}" in timers, (name, sorted(timers))
-
-    def test_print_ir_after_emits_through_callback(self):
-        chunks = []
-        pipe = default_pipeline(print_ir_after=("decompose-chains",),
-                                emit=chunks.append)
-        run_pipeline(dp_system(), PARAMS, FIG1, OPTS, pipeline=pipe)
-        assert len(chunks) == 1
-        assert "IR after pass decompose-chains" in chunks[0]
-        assert "design.system" in chunks[0]
-
-
-class TestCsePipeline:
-    def test_cse_design_verifies_and_uses_fewer_cells(self):
-        desc = CaseDescriptor(n=5, lo=1, hi=1,
-                              args=((1, (0, 0)), (1, (0, 0))),
-                              body="min_plus", combine="min",
-                              pool=(2, -3, 5, 7))
-        spec, params = build_spec(desc), {"n": desc.n}
-        plain = synthesize(spec, params, FIG1, OPTS)
-        pipe = default_pipeline().with_pass(make_pass("cse"),
-                                            after="fuse-accumulators")
-        merged = synthesize(spec, params, FIG1, OPTS, pipeline=pipe)
-        report = verify_design(merged, build_inputs(desc))
-        assert report.ok, report.failures
-        n_plain = sum(len(m.equations)
-                      for m in plain.system.modules.values())
-        n_merged = sum(len(m.equations)
-                       for m in merged.system.modules.values())
-        assert n_merged < n_plain
