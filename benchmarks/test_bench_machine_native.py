@@ -38,7 +38,8 @@ from repro.arrays import FIG1_UNIDIRECTIONAL
 from repro.codegen import native_available, native_disabled
 from repro.core import synthesize
 from repro.ir import trace_execution
-from repro.machine import compile_design, lower, nativize
+from repro.machine import compile_design, lower
+from repro.machine.native import native_tier
 from repro.obs import TRACER
 from repro.problems import dp_inputs, dp_system
 
@@ -59,16 +60,17 @@ def _workload():
 
 
 def _machines(design, inputs):
-    """One ndarray-tier and one warm C-tier machine over one lowering."""
+    """One ndarray-tier and one C-tier machine over the same microcode,
+    with the C tier's executor."""
     trace = trace_execution(design.system, design.params, inputs)
     mc = compile_design(trace, design.schedules, design.space_maps,
                         design.interconnect.decomposer())
-    compiled = lower(mc, trace)
     with native_disabled():
-        vm = nativize(compiled)
-    nm = nativize(compiled)
-    assert nm.code is not None, nm.fallback_reason
-    return vm, nm
+        vm = lower(mc, trace)
+    nm = lower(mc, trace)
+    executor, code, reason = native_tier(nm.program)
+    assert code is not None, reason
+    return vm, nm, executor
 
 
 def _median_seconds(fn, repeats=REPEATS):
@@ -95,7 +97,7 @@ def test_bit_identical_machine_run():
 def test_native_single_run_speedup(benchmark):
     """>= 3x over the ndarray tier's single-run pass at n = 18."""
     _, design, inputs = _workload()
-    vm, nm = _machines(design, inputs)
+    vm, nm, _ = _machines(design, inputs)
     vm.execute(inputs, want_values=False)       # both tiers warm
     nm.execute(inputs, want_values=False)
 
@@ -117,12 +119,12 @@ def test_native_single_run_speedup(benchmark):
 def test_one_executor_serves_every_design():
     """Lowering a second and third design compiles nothing new."""
     _, design, inputs = _workload()
-    _, first = _machines(design, inputs)      # ensure the executor exists
+    _, _, first = _machines(design, inputs)   # ensure the executor exists
     compiles = TRACER.counters.get("native.compiles", 0)
     for n in (N - 1, N - 2):
         other = synthesize(dp_system(), {"n": n}, FIG1_UNIDIRECTIONAL)
         rng = random.Random(n)
-        _, nm = _machines(other, dp_inputs([rng.randint(1, 40)
-                                            for _ in range(n - 1)]))
-        assert nm.executor is first.executor
+        _, _, executor = _machines(other, dp_inputs(
+            [rng.randint(1, 40) for _ in range(n - 1)]))
+        assert executor is first
     assert TRACER.counters.get("native.compiles", 0) == compiles

@@ -450,8 +450,7 @@ def cmd_fuzz(args) -> int:
 
     if args.replay:
         results = replay_corpus(args.corpus_dir,
-                                pipeline=not args.no_pipeline,
-                                native=args.native)
+                                pipeline=not args.no_pipeline)
         if not results:
             print(f"no corpus artifacts under {args.corpus_dir}")
             return 0
@@ -473,8 +472,7 @@ def cmd_fuzz(args) -> int:
     report = fuzz(max_examples=args.examples, budget=args.budget,
                   seed=args.seed, corpus_dir=args.corpus_dir,
                   max_failures=args.max_failures, db_dir=args.db,
-                  log=print, pipeline=not args.no_pipeline,
-                  native=args.native)
+                  log=print, pipeline=not args.no_pipeline)
     print(report.summary())
     known = len(load_corpus(args.corpus_dir))
     print(f"corpus: {known} artifacts under {args.corpus_dir}")
@@ -708,10 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-pipeline", action="store_true",
                    help="skip the pass-pipeline fourth comparison point "
                         "of each case (faster, less coverage)")
-    p.add_argument("--native", action="store_true",
-                   help="add the native engine's C-executor tier as a "
-                        "comparison point of each case (skipped with a note "
-                        "when no C toolchain is available)")
     p.set_defaults(fn=cmd_fuzz)
     return parser
 

@@ -4,8 +4,8 @@ Instead of emitting and compiling a translation unit per design, the
 native engine compiles :data:`EXECUTOR_SOURCE` once per toolchain and
 passes each program to it as data: :func:`encode_program` turns a
 :class:`~repro.ir.vector.VectorProgram` into an ``int32`` instruction
-stream, one record per non-input group of
-:meth:`~repro.ir.vector.VectorProgram.kernel_schedule`::
+stream, one record per non-input group of the program's level-ordered
+``groups``::
 
     [kind, width, h_tag, f_tag, n_operands, dst..., operand columns...]
 
@@ -193,7 +193,7 @@ def encode_program(program: VectorProgram) -> np.ndarray:
     if program.node_count > np.iinfo(np.int32).max:
         raise ValueError(f"{program.node_count} value slots exceed int32")
     parts = []
-    for group in program.kernel_schedule():
+    for group in program.groups:
         if group.kind == "input":
             continue
         if group.kind == "copy":

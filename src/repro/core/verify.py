@@ -28,12 +28,11 @@ from repro.ir.evaluate import (
     structural_trace,
     trace_execution,
 )
-from repro.ir.vector import HostGather, execute_gathered, lower_plan
-from repro.machine.compiled import lower
+from repro.ir.vector import HostGather, lower_plan
 from repro.machine.engines import Engine, coerce_engine
 from repro.machine.errors import CapacityError
 from repro.machine.microcode import compile_design
-from repro.machine.native import native_code, native_pass, nativize
+from repro.machine.native import execute_tiered, lower
 from repro.machine.simulator import MachineStats, run
 from repro.obs import TRACER
 from repro.space.allocation import conflict_free, flows_realisable
@@ -145,9 +144,10 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
     One shared gather evaluates every distinct host fetch once per seed
     for both passes.  Only the output columns are compared — no per-seed
     trace or result dict is materialized, so the whole batch costs two
-    level passes plus one array comparison.  Both passes run on the
-    shared C executor (:mod:`repro.machine.native`) and degrade to the
-    ndarray and object tiers wherever it cannot run."""
+    level passes plus one array comparison.  Both passes go through one
+    tier dispatcher (:func:`repro.machine.native.execute_tiered`): the
+    shared C executor, degrading to the ndarray and object tiers wherever
+    it cannot run."""
     if not input_sets:
         return
     with TRACER.span("verify.reference"):
@@ -165,16 +165,9 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
                 trace = structural_trace(design.system, design.params, plan)
                 mc = compile_design(trace, design.schedules,
                                     design.space_maps, decomposer)
-                machine = cache["nmachine"] = nativize(lower(mc, trace))
-            compiled = machine.compiled
-            if strict_capacity and compiled.strict_error is not None:
-                raise CapacityError(compiled.strict_error)
-            ref_native = cache.get("vplan.native")
-            if ref_native is None:
-                ref_native = cache["vplan.native"] = native_code(vplan)
-            executor, code, _ = ref_native
-            ref_pass = (native_pass(executor, code) if code is not None
-                        else None)
+                machine = cache["nmachine"] = lower(mc, trace)
+            if strict_capacity and machine.strict_error is not None:
+                raise CapacityError(machine.strict_error)
     except Exception as exc:  # machine errors are design failures
         report.machine_matches_reference = False
         report.failures.append(
@@ -185,11 +178,11 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
         gather = cache["gather"] = HostGather((vplan, machine.program))
     host = gather.collect(input_sets)
     with TRACER.span("verify.reference"):
-        ref_matrix = execute_gathered(vplan, host, 0, ref_pass)
+        ref_matrix = execute_tiered(vplan, host, 0)
     try:
         with TRACER.span("verify.machine"):
-            mach_matrix = machine.execute_gathered(host, 1)
-            stats = compiled.copy_stats()
+            mach_matrix = execute_tiered(machine.program, host, 1)
+            stats = machine.copy_stats()
             _annotate_machine(stats)
     except Exception as exc:  # machine errors are design failures
         report.machine_matches_reference = False
@@ -197,7 +190,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
             f"{prefixes[0]}machine: {type(exc).__name__}: {exc}")
         return
     report.machine_stats = stats
-    mach_by_key = dict(compiled.outputs)
+    mach_by_key = dict(machine.outputs)
     pairs = [(host_key, nid, mach_by_key[host_key])
              for host_key, nid in plan.outputs]
     eq = (ref_matrix[:, [nid for _, nid, _ in pairs]]
@@ -219,8 +212,8 @@ def verify_design(design: Design, inputs,
     failure (the report carries it), only on infrastructure errors.
 
     ``engine="native"`` (default) evaluates the reference through a
-    precomputed execution plan and runs the machine through the lowered
-    integer-indexed table, both as level-grouped passes on one C executor
+    precomputed execution plan and runs the machine through its lowered
+    kernel program, both as level-grouped passes on one C executor
     that is compiled once per toolchain and kept in a persistent
     shared-object cache (:mod:`repro.machine.native`); without a
     toolchain the passes run as ndarray kernels, and inputs outside exact

@@ -15,19 +15,18 @@ Stages, in order, with the outcome taxonomy each can produce:
    interconnect; :class:`NoScheduleExists` / :class:`NoSpaceMapExists` are
    ``infeasible`` (honest: the array cannot host the instance).
 5. **verify** — :func:`verify_design`'s symbolic + physical checks.
-6. **engines** — the interpreter and the native engine on its ndarray
-   tier (``vector``: ``$REPRO_NO_NATIVE`` set, object arrays on
-   fallback) run the compiled design; each must reproduce the oracle's
-   values exactly *and* emit the byte-identical canonical event stream
-   (``canonical_order`` then JSONL).  ``native=True`` adds the engine's
-   C-executor tier to the comparison set (a missing toolchain degrades it
-   to the ndarray tier, which still cross-checks dispatch).
+6. **engines** — the interpreter and the native engine on both its
+   tiers (``vector``: ``$REPRO_NO_NATIVE`` set; ``native``: the C
+   executor, which a missing toolchain degrades to the ndarray tier;
+   object arrays on fallback under both) run the compiled design; each
+   must reproduce the oracle's values exactly *and* emit the
+   byte-identical canonical event stream (``canonical_order`` then JSONL).
 7. **pipeline** (on by default, ``pipeline=False`` opts out) — the last
    comparison point: the case is round-tripped *again* through the pass
    pipeline from its high-level spec (exercising the ``decompose-chains``
    ingest pass), and the resulting design dict, machine values and
-   canonical native event stream (on the last tier compared) must match
-   the system-entry run byte for byte.
+   canonical event stream of the C tier must match the system-entry run
+   byte for byte.
 
 Any unexpected exception anywhere is a ``bug`` — error-path hygiene is
 part of the contract being fuzzed.
@@ -57,10 +56,9 @@ from repro.schedule.solver import NoScheduleExists
 from repro.space.multimodule import NoSpaceMapExists
 
 #: Comparison points for the cross-check: the interpreter (the oracle of
-#: the event stream) and the native engine's ndarray tier, which must match
-#: it byte for byte; ``run_case(..., native=True)`` appends the C tier,
-#: ``"native"``.
-ENGINE_ORDER = ("interpreted", "vector")
+#: the event stream), then the native engine's ndarray tier and its C tier
+#: (the default engine), which must match it byte for byte.
+ENGINE_ORDER = ("interpreted", "vector", "native")
 
 
 @dataclass(frozen=True)
@@ -100,8 +98,7 @@ def _run_tier(tier: str, mc, trace, inputs, sink):
                    sink=sink)
 
 
-def run_case(desc: CaseDescriptor, pipeline: bool = True,
-             native: bool = False) -> CaseOutcome:
+def run_case(desc: CaseDescriptor, pipeline: bool = True) -> CaseOutcome:
     """Round-trip ``desc``; never raises — failures become outcomes."""
     try:
         oracle = evaluate(desc)
@@ -145,13 +142,12 @@ def run_case(desc: CaseDescriptor, pipeline: bool = True,
     if not report.ok:
         return CaseOutcome("bug", "verify", "; ".join(report.failures))
 
-    engines = ENGINE_ORDER + ("native",) if native else ENGINE_ORDER
     streams: dict[str, str] = {}
     try:
         trace = trace_execution(system, params, inputs)
         mc = compile_design(trace, design.schedules, design.space_maps,
                             interconnect.decomposer())
-        for engine in engines:
+        for engine in ENGINE_ORDER:
             log = EventLog()
             machine = _run_tier(engine, mc, trace, inputs, log)
             if machine.results != oracle:
@@ -188,12 +184,12 @@ def run_case(desc: CaseDescriptor, pipeline: bool = True,
                                  pdesign.space_maps,
                                  interconnect.decomposer())
             log = EventLog()
-            machine = _run_tier(engines[-1], pmc, ptrace, inputs, log)
+            machine = _run_tier(ENGINE_ORDER[-1], pmc, ptrace, inputs, log)
             if machine.results != oracle:
                 return CaseOutcome("bug", "pipeline",
                                    _diff(machine.results, oracle))
             log.events = canonical_order(log.events)
-            if log.to_jsonl() != streams[engines[-1]]:
+            if log.to_jsonl() != streams[ENGINE_ORDER[-1]]:
                 return CaseOutcome(
                     "bug", "pipeline",
                     "pass-pipeline canonical event stream differs from the "

@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from repro.fuzz.cases import BODY1_OPS, BODY2_OPS, COMBINE_OPS, CaseDescriptor
 from repro.fuzz.corpus import save_artifact
@@ -150,8 +149,7 @@ def _signature(outcome: CaseOutcome) -> tuple:
 
 def fuzz(max_examples: int = 100, budget: float = 60.0, seed: int = 0,
          corpus_dir=None, max_failures: int = 3, batch_size: int = 20,
-         db_dir=None, log=None, pipeline: bool = True,
-         native: bool = False) -> FuzzReport:
+         db_dir=None, log=None, pipeline: bool = True) -> FuzzReport:
     """Fuzz the nonuniform pipeline until a budget is hit.
 
     Stops when ``max_examples`` cases ran, ``budget`` seconds elapsed or
@@ -159,9 +157,7 @@ def fuzz(max_examples: int = 100, budget: float = 60.0, seed: int = 0,
     failure is shrunk by hypothesis; the minimal descriptor is saved under
     ``corpus_dir`` (unless ``None``) and reported in the returned
     :class:`FuzzReport`.  ``pipeline=False`` skips the pass-pipeline
-    fourth comparison point of each case (faster, less coverage);
-    ``native=True`` adds the C-executor engine to every case's engine
-    cross-check (slower per case — one more engine to run).
+    fourth comparison point of each case (faster, less coverage).
     """
     _require_hypothesis()
     started = time.monotonic()
@@ -185,7 +181,7 @@ def fuzz(max_examples: int = 100, budget: float = 60.0, seed: int = 0,
             if time.monotonic() - started > budget:
                 report.budget_exhausted = True
                 assume(False)
-            outcome = run_case(desc, pipeline=pipeline, native=native)
+            outcome = run_case(desc, pipeline=pipeline)
             report.examples_run += 1
             report.counts[outcome.status] = (
                 report.counts.get(outcome.status, 0) + 1)
@@ -227,16 +223,14 @@ def fuzz(max_examples: int = 100, budget: float = 60.0, seed: int = 0,
     return report
 
 
-def replay_corpus(corpus_dir, pipeline: bool = True,
-                  native: bool = False) -> list[tuple]:
+def replay_corpus(corpus_dir, pipeline: bool = True) -> list[tuple]:
     """Re-run every corpus artifact; returns ``(artifact, outcome, ok)``
     triples (``ok`` per the artifact's ``expect`` contract)."""
     from repro.fuzz.corpus import load_corpus
 
     results = []
     for artifact in load_corpus(corpus_dir):
-        outcome = run_case(artifact["descriptor"], pipeline=pipeline,
-                           native=native)
+        outcome = run_case(artifact["descriptor"], pipeline=pipeline)
         expect = artifact["expect"]
         ok = (not outcome.is_bug if expect is None
               else outcome.status == expect)

@@ -19,12 +19,7 @@ from repro.ir.evaluate import (
     run_system,
     trace_execution,
 )
-from repro.ir.vector import (
-    VectorProgram,
-    execute_plan_batch,
-    execute_plan_vector,
-    lower_plan,
-)
+from repro.ir.vector import VectorProgram, lower_plan
 from repro.ir.indexset import Polyhedron, eq, ge, gt, le, lt
 from repro.ir.ops import ADD, IDENTITY, MAC, MAX, MIN, MIN_PLUS, MUL, Op, make_op
 from repro.ir.predicates import (
@@ -57,7 +52,7 @@ __all__ = [
     "Predicate", "QuasiAffineExpr", "Ref", "RecurrenceSystem", "SystemTrace",
     "TRUE", "ValidationError", "ValueKey", "VectorProgram", "at_least",
     "at_most", "build_execution_plan", "check_canonic", "check_system",
-    "const", "eq", "equals", "even", "execute_plan", "execute_plan_batch",
-    "execute_plan_vector", "ge", "greater", "gt", "le", "less", "lower_plan",
-    "lt", "make_op", "odd", "run_system", "trace_execution", "var", "vars_",
+    "const", "eq", "equals", "even", "execute_plan", "ge", "greater", "gt",
+    "le", "less", "lower_plan", "lt", "make_op", "odd", "run_system",
+    "trace_execution", "var", "vars_",
 ]

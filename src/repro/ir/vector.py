@@ -1,9 +1,9 @@
 """Level-grouped ndarray execution of lowered programs (``native``'s tiers).
 
 Both lowered execution forms in this codebase — the reference evaluator's
-:class:`~repro.ir.evaluate.ExecutionPlan` and the machine engine's
-:class:`~repro.machine.compiled.CompiledMachine` program table — end up as
-the same thing: a dense-id node table where every node applies one rule to
+:class:`~repro.ir.evaluate.ExecutionPlan` and the machine engine's lowered
+microcode (:func:`repro.machine.native.lower`) — end up as the same thing:
+a dense-id node table where every node applies one rule to
 already-computed operand slots.  Executing that table one node per Python
 iteration leaves the interpreter dispatch loop, not the arithmetic, as the
 cost.  This module turns the table into *batched array kernels*:
@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.ir.evaluate import ExecutionPlan, SystemTrace
+from repro.ir.evaluate import ExecutionPlan
 from repro.ir.ops import ADD, IDENTITY, MAC, MAX, MIN, MIN_PLUS, MUL, Op
 from repro.ir.statements import ComputeRule, LinkRule
 from repro.obs import TRACER
@@ -201,7 +201,16 @@ class KernelGroup:
 
 @dataclass
 class VectorProgram:
-    """A node table lowered to level-grouped kernels."""
+    """A node table lowered to level-grouped kernels.
+
+    ``groups`` is the execution schedule: input groups first, then
+    copy/compute groups by ascending level.  Within a level no value slot
+    is both read and written (producers and rewrites always land strictly
+    above their readers), so a backend may execute a level's groups — and
+    the elements within a group — in any order, or sequentially in place.
+    :func:`execute_gathered` walks it with ndarray kernels and
+    :func:`repro.codegen.encode_program` encodes it for the C executor.
+    """
 
     node_count: int
     groups: list[KernelGroup]                 # level-ascending, inputs first
@@ -209,40 +218,15 @@ class VectorProgram:
     int_ok: bool                              # every compute op has a kernel
     _gather: "HostGather | None" = field(default=None, repr=False,
                                          compare=False)
-
-    def kernel_schedule(self) -> "list[KernelGroup]":
-        """The level-group execution schedule, in the order the kernel pass
-        runs it: input groups first, then copy/compute groups by ascending
-        level.
-
-        Within a level no value slot is both read and written (producers
-        and rewrites always land strictly above their readers), so a
-        backend may execute a level's groups — and the elements within a
-        group — in any order, or sequentially in place.  This is the
-        shared execution source: :func:`repro.codegen.encode_program`
-        walks it to build the native executor's instruction stream, and
-        :func:`execute_program` walks it with ndarray kernels.
-        """
-        return list(self.groups)
+    #: this program's C tier (executor and encoded code, or the reason it
+    #: has none), built once by :func:`repro.machine.native.native_tier`
+    native: object = field(default=None, repr=False, compare=False)
 
     def gather(self) -> "HostGather":
         """This program's own host gather (built once, then reused)."""
         if self._gather is None:
             self._gather = HostGather((self,))
         return self._gather
-
-    def stats(self) -> dict[str, int]:
-        """Level/group shape of the lowered program (for reports/tests)."""
-        widths = [g.width for g in self.groups] or [0]
-        return {
-            "nodes": self.node_count,
-            "levels": self.level_count,
-            "groups": len(self.groups),
-            "max_width": max(widths),
-            "copy_groups": sum(g.kind == "copy" for g in self.groups),
-            "compute_groups": sum(g.kind == "compute" for g in self.groups),
-            "input_groups": sum(g.kind == "input" for g in self.groups),
-        }
 
 
 class _GroupBuilder:
@@ -558,54 +542,3 @@ def lower_plan(plan: ExecutionPlan) -> VectorProgram:
             name, idx = input_calls[nid]
             input_entries.append((nid, name, idx))
     return build_program(plan.node_count, entries, input_entries)
-
-
-def _check_bindings(plan: ExecutionPlan,
-                    inputs: Mapping[str, Callable]) -> None:
-    missing = set(plan.system.input_names) - set(inputs)
-    if missing:
-        raise KeyError(f"missing input bindings: {sorted(missing)}")
-
-
-def _trace_from_row(plan: ExecutionPlan, row: np.ndarray) -> SystemTrace:
-    trace = SystemTrace(plan.system, dict(plan.params))
-    trace.domains = plan.domains
-    values = row.tolist()     # int64 -> exact Python ints; object -> as-is
-    trace._pending = (plan, values)
-    for host_key, nid in plan.outputs:
-        trace.results[host_key] = values[nid]
-    return trace
-
-
-def execute_plan_vector(plan: ExecutionPlan,
-                        inputs: Mapping[str, Callable],
-                        program: VectorProgram | None = None) -> SystemTrace:
-    """Kernel-executed drop-in for :func:`~repro.ir.evaluate.
-    execute_plan`: same trace (lazy events included), kernel execution."""
-    _check_bindings(plan, inputs)
-    if program is None:
-        program = lower_plan(plan)
-    values = execute_program(program, (inputs,))
-    return _trace_from_row(plan, values[0])
-
-
-def execute_plan_batch(plan: ExecutionPlan,
-                       input_sets: Sequence[Mapping[str, Callable]],
-                       program: VectorProgram | None = None,
-                       ) -> list[SystemTrace]:
-    """Run every input instantiation through one kernel pass.
-
-    The batch axis is the whole point of the vector backend: S-seed
-    verification costs roughly one execution instead of S.  Returns one
-    :class:`SystemTrace` per binding set, identical to what
-    :func:`~repro.ir.evaluate.execute_plan` would produce for each.
-    """
-    input_sets = list(input_sets)
-    for bindings in input_sets:
-        _check_bindings(plan, bindings)
-    if not input_sets:
-        return []
-    if program is None:
-        program = lower_plan(plan)
-    values = execute_program(program, input_sets)
-    return [_trace_from_row(plan, values[s]) for s in range(len(input_sets))]

@@ -19,9 +19,8 @@ from repro.machine.errors import (
     MachineError,
     MissingOperandError,
 )
-from repro.machine.compiled import CompiledMachine, lower
 from repro.machine.microcode import Hop, Injection, Microcode, Operation, compile_design
-from repro.machine.native import NativeMachine, lower_native, nativize, run_native
+from repro.machine.native import NativeMachine, lower
 from repro.machine.simulator import MachineRun, MachineStats, run
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "render_activity",
     "stream_traffic",
     "CausalityError",
-    "CompiledMachine",
     "Hop",
     "Injection",
     "LocalityError",
@@ -48,8 +46,5 @@ __all__ = [
     "Operation",
     "compile_design",
     "lower",
-    "lower_native",
-    "nativize",
     "run",
-    "run_native",
 ]

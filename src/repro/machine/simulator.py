@@ -111,23 +111,21 @@ def _last_uses(mc: Microcode) -> dict[tuple[Cell, ValueKey], int]:
 
 def run(mc: Microcode, trace: SystemTrace,
         inputs: Mapping[str, Callable], strict: bool = True,
-        reclaim_registers: bool = True,
         engine: "Engine | str" = "interpreted",
         sink: "EventSink | None" = None) -> MachineRun:
     """Execute the microcode cycle by cycle.
 
     ``inputs`` binds host input names to callables (same binding as the
     reference evaluator).  ``trace`` supplies output bookkeeping (which
-    values are results) — not values.  With ``reclaim_registers`` (default)
-    a value's register is freed after its last local use, so
-    ``stats.max_registers_per_cell`` measures true register pressure.
+    values are results) — not values.  A value's register is freed after
+    its last local use, so ``stats.max_registers_per_cell`` measures true
+    register pressure.
 
     ``engine`` selects the execution strategy: ``"interpreted"`` is this
     cycle-by-cycle loop — the semantic oracle; ``"native"`` lowers the
-    microcode to an integer-indexed operation table
-    (:mod:`repro.machine.compiled`) and runs it on the shared C executor,
-    the ndarray kernels or exact object arrays
-    (:mod:`repro.machine.native`).  Both produce identical output.
+    microcode once to a kernel program (:func:`repro.machine.native.lower`)
+    and runs it on the shared C executor, the ndarray kernels or exact
+    object arrays.  Both produce identical output.
 
     ``sink`` opts into the cycle-level event log: every injection, fire,
     hop, output and register reclamation is emitted as a
@@ -135,17 +133,17 @@ def run(mc: Microcode, trace: SystemTrace,
     identical stream, derived structurally at lowering time).
     """
     if coerce_engine(engine) == "native":
-        from repro.machine.native import run_native
+        from repro.machine.native import lower
 
-        return run_native(mc, trace, inputs, strict=strict,
-                          reclaim_registers=reclaim_registers, sink=sink)
+        return lower(mc, trace, record_events=sink is not None).execute(
+            inputs, strict, sink=sink)
     # Register files spring into being on first write: explicit .get()
     # probes keep cells that merely relay or read from materialising empty
     # files (a defaultdict here used to inflate the per-cycle pressure scan).
     registers: dict[Cell, dict[ValueKey, object]] = {}
     values: dict[ValueKey, object] = {}
     stats = MachineStats()
-    last_use = _last_uses(mc) if reclaim_registers else {}
+    last_use = _last_uses(mc)
     # Output values must survive to the end regardless of local use.
     protected: set[ValueKey] = set()
     for out in trace.system.outputs:
@@ -239,25 +237,24 @@ def run(mc: Microcode, trace: SystemTrace,
                 max((len(r) for r in registers.values()), default=0))
         # Reclaim registers whose last local use has passed; drop register
         # files that empty out so they stop contributing to the scan above.
-        if reclaim_registers:
-            reclaimed: list[tuple[Cell, ValueKey]] = []
-            for cell in list(registers):
-                regs = registers[cell]
-                dead = [key for key in regs
-                        if key not in protected
-                        and last_use.get((cell, key), -10**9) <= cycle]
-                for key in dead:
-                    del regs[key]
-                    if sink is not None:
-                        reclaimed.append((cell, key))
-                if not regs:
-                    del registers[cell]
-            if sink is not None:
-                # Canonical within-cycle order: register-file iteration
-                # order is an implementation detail the log must not leak.
-                for cell, key in sorted(reclaimed,
-                                        key=lambda r: (r[0], repr(r[1]))):
-                    sink.emit(MachineEvent("reclaim", cycle, cell, repr(key)))
+        reclaimed: list[tuple[Cell, ValueKey]] = []
+        for cell in list(registers):
+            regs = registers[cell]
+            dead = [key for key in regs
+                    if key not in protected
+                    and last_use.get((cell, key), -10**9) <= cycle]
+            for key in dead:
+                del regs[key]
+                if sink is not None:
+                    reclaimed.append((cell, key))
+            if not regs:
+                del registers[cell]
+        if sink is not None:
+            # Canonical within-cycle order: register-file iteration
+            # order is an implementation detail the log must not leak.
+            for cell, key in sorted(reclaimed,
+                                    key=lambda r: (r[0], repr(r[1]))):
+                sink.emit(MachineEvent("reclaim", cycle, cell, repr(key)))
 
     stats.first_cycle = mc.first_cycle
     stats.last_cycle = mc.last_cycle

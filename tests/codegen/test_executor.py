@@ -16,13 +16,8 @@ from repro.codegen import (
     native_available,
 )
 from repro.ir.ops import ADD, IDENTITY, MAC, MAX, MIN, MIN_PLUS, MUL, make_op
-from repro.ir.vector import (
-    build_program,
-    execute_gathered,
-    execute_program,
-    fused_int_kernel,
-)
-from repro.machine.native import native_pass
+from repro.ir.vector import build_program, execute_program, fused_int_kernel
+from repro.machine.native import execute_tiered
 
 pytestmark = pytest.mark.skipif(
     not native_available(), reason="no C toolchain on this machine")
@@ -61,7 +56,7 @@ def bindings(columns):
             for j, col in enumerate(columns)}
 
 
-def run_native(program, input_sets):
+def run_executor(program, input_sets):
     """``(status, matrix)`` of the executor on the int64 gather."""
     executor, reason = load_or_build()
     assert executor is not None, reason
@@ -85,7 +80,7 @@ def test_stock_tags_match_fast_path_and_interpreter(op):
     sets = random_sets(op, rng)
     program = one_op_program(op)
     input_sets = [bindings(cols) for cols in sets]
-    status, got = run_native(program, input_sets)
+    status, got = run_executor(program, input_sets)
     assert status == 0
     assert np.array_equal(got, execute_program(program, input_sets))
     for row, cols in zip(got.tolist(), sets):
@@ -100,7 +95,7 @@ def test_composites_match_fast_path_and_interpreter(h, f):
     sets = random_sets(op, rng, lo=-40, hi=40)
     program = one_op_program(op)
     input_sets = [bindings(cols) for cols in sets]
-    status, got = run_native(program, input_sets)
+    status, got = run_executor(program, input_sets)
     assert status == 0
     assert np.array_equal(got, execute_program(program, input_sets))
     for row, cols in zip(got.tolist(), sets):
@@ -114,7 +109,7 @@ def test_int64_extremes_without_overflow(op):
              if INT64_MIN <= op.fn(a, b) <= INT64_MAX]
     columns = [[a for a, _ in pairs], [b for _, b in pairs]]
     program = one_op_program(op, width=len(pairs))
-    status, got = run_native(program, [bindings(columns)])
+    status, got = run_executor(program, [bindings(columns)])
     assert status == 0
     assert got[0, 2 * len(pairs):].tolist() == interpreted(op, columns)
 
@@ -139,11 +134,9 @@ OVERFLOWS = [
 def test_overflow_returns_nonzero_and_reruns_exactly(op, columns):
     program = one_op_program(op, width=1)
     input_sets = [bindings(columns)]
-    status, _ = run_native(program, input_sets)
+    status, _ = run_executor(program, input_sets)
     assert status == 1
-    executor, _ = load_or_build()
-    got = execute_gathered(program, program.gather().collect(input_sets),
-                           0, native_pass(executor, encode_program(program)))
+    got = execute_tiered(program, program.gather().collect(input_sets))
     assert got.dtype == object
     assert got[0, -1] == interpreted(op, columns)[0]
 

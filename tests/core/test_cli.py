@@ -181,6 +181,8 @@ class TestFuzz:
         assert main(["fuzz", "--replay", "--corpus-dir", str(tmp_path)]) == 1
 
     def test_replay_with_native_engine(self, tmp_path, capsys):
+        # A plain replay cross-checks the native engine's C tier too (its
+        # ndarray tier where no C toolchain exists).
         from repro.fuzz import CaseDescriptor, save_artifact
 
         desc = CaseDescriptor(
@@ -188,7 +190,7 @@ class TestFuzz:
             body="min_plus", combine="min", pool=(3, -1),
             interconnect="fig1")
         save_artifact(tmp_path, desc, expect="ok")
-        assert main(["fuzz", "--replay", "--native",
+        assert main(["fuzz", "--replay",
                      "--corpus-dir", str(tmp_path)]) == 0
         assert "replayed 1 artifacts, 0 failing" in capsys.readouterr().out
 

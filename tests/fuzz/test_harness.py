@@ -6,14 +6,13 @@ TWO_CHAIN = ((1, (0, 0)), (0, (0, 0)))
 
 
 def test_engine_order_covers_all_engines():
-    # The oracle plus the native engine's ndarray tier always; its C tier
-    # is opt-in for fuzzing (``run_case(..., native=True)`` / ``repro fuzz
-    # --native``): it needs a C toolchain to add coverage beyond the
-    # ndarray tier it otherwise falls back to.
+    # The oracle, then both tiers of the native engine: the ndarray tier
+    # and the C tier of the default engine (which degrades to the ndarray
+    # tier on a machine without a C toolchain).
     from repro.machine.engines import ENGINES
 
-    assert ENGINE_ORDER == ("interpreted", "vector")
-    assert set(ENGINE_ORDER + ("native",)) - {"vector"} == set(ENGINES)
+    assert ENGINE_ORDER == ("interpreted", "vector", "native")
+    assert set(ENGINE_ORDER) - {"vector"} == set(ENGINES)
 
 
 def test_dp_like_case_is_ok():

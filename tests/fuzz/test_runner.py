@@ -84,7 +84,7 @@ class TestFuzzLoop:
 
         from repro.fuzz.harness import CaseOutcome
 
-        def flaky_run_case(desc, pipeline=True, native=False):
+        def flaky_run_case(desc, pipeline=True):
             # Everything with n > 3 is "broken": the shrinker should hand
             # the loop a minimal failing example, and repeats of the same
             # signature must not add artifacts.

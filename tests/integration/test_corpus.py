@@ -35,7 +35,7 @@ def test_corpus_is_populated():
 @pytest.mark.parametrize(
     "artifact", ARTIFACTS, ids=[a["path"].stem for a in ARTIFACTS])
 def test_artifact_replays(artifact):
-    outcome = run_case(artifact["descriptor"], native=True)
+    outcome = run_case(artifact["descriptor"])
     expect = artifact["expect"]
     context = (f"{artifact['path'].name}: {artifact['note']}\n"
                f"stage={outcome.stage}\n{outcome.detail}")

@@ -1,6 +1,7 @@
 """The level-grouped kernel engine against the interpreter oracle:
-plan-level equivalence, the exact int64/object dtype policy, the batch
-axis, and the lowering's level/group structure."""
+plan-level equivalence (every node's value against :func:`execute_plan`),
+the exact int64/object dtype policy, the batch axis, and the lowering's
+level/group structure."""
 
 from fractions import Fraction
 
@@ -20,8 +21,6 @@ from repro.ir import (
     ValueKey,
     build_execution_plan,
     execute_plan,
-    execute_plan_batch,
-    execute_plan_vector,
     lower_plan,
     make_op,
     trace_execution,
@@ -59,78 +58,75 @@ def fib_system(op=ADD):
         input_names=("seed",))
 
 
-def assert_traces_equal(got, want):
-    assert got.results == want.results
-    assert {k: e.value for k, e in got.events.items()} == \
-        {k: e.value for k, e in want.events.items()}
+#: The last Fibonacci value of :func:`fib_system`.
+FIB10 = ValueKey("fib", "x", (10,))
+
+
+def kernel_values(plan, input_sets, program=None):
+    """Per binding set, every node's value from the kernel program of
+    ``plan``, keyed like the events of :func:`execute_plan`."""
+    program = lower_plan(plan) if program is None else program
+    return [dict(zip(plan.keys, row))
+            for row in execute_program(program, input_sets).tolist()]
+
+
+def interpreted_values(plan, inputs):
+    return {k: e.value for k, e in execute_plan(plan, inputs).events.items()}
+
+
+def assert_matches_plan(plan, inputs, program=None):
+    """The kernel program computes :func:`execute_plan`'s value at every
+    node; returns those values."""
+    got = kernel_values(plan, [inputs], program)[0]
+    assert got == interpreted_values(plan, inputs)
+    return got
 
 
 class TestPlanEquivalence:
     def test_fibonacci(self):
         plan = build_execution_plan(fib_system(), {})
-        inputs = {"seed": lambda i: 1}
-        assert_traces_equal(execute_plan_vector(plan, inputs),
-                            execute_plan(plan, inputs))
+        assert_matches_plan(plan, {"seed": lambda i: 1})
 
     def test_dp_system(self, dp_sys, dp_params, dp_host_inputs):
         plan = build_execution_plan(dp_sys, dp_params)
-        assert_traces_equal(execute_plan_vector(plan, dp_host_inputs),
-                            execute_plan(plan, dp_host_inputs))
-
-    def test_event_rules_and_operands_match(self):
-        plan = build_execution_plan(fib_system(), {})
-        inputs = {"seed": lambda i: 1}
-        vec = execute_plan_vector(plan, inputs).events
-        ref = execute_plan(plan, inputs).events
-        key = ValueKey("fib", "x", (7,))
-        assert vec[key].operands == ref[key].operands
-        assert vec[key].rule is ref[key].rule
+        assert_matches_plan(plan, dp_host_inputs)
 
     def test_missing_input_binding(self):
         plan = build_execution_plan(fib_system(), {})
         with pytest.raises(KeyError):
-            execute_plan_vector(plan, {})
+            execute_program(lower_plan(plan), [{}])
 
     def test_reusable_lowered_program(self):
         plan = build_execution_plan(fib_system(), {})
         program = lower_plan(plan)
         for seed in (1, 2, 5):
-            got = execute_plan_vector(plan, {"seed": lambda i: seed},
-                                      program=program)
-            assert got.results[(10,)] == 55 * seed
+            got = kernel_values(plan, [{"seed": lambda i: seed}], program)
+            assert got[0][FIB10] == 55 * seed
 
 
 class TestDtypePolicy:
     def test_integer_path_stays_exact_python_int(self):
         plan = build_execution_plan(fib_system(), {})
-        res = execute_plan_vector(plan, {"seed": lambda i: 1}).results
-        assert res[(10,)] == 55
-        assert type(res[(10,)]) is int
+        got = assert_matches_plan(plan, {"seed": lambda i: 1})
+        assert got[FIB10] == 55
+        assert type(got[FIB10]) is int
 
     @expected_fallback
     def test_fraction_inputs_fall_back_to_object(self):
         plan = build_execution_plan(fib_system(), {})
-        inputs = {"seed": lambda i: Fraction(1, 3)}
-        got = execute_plan_vector(plan, inputs)
-        want = execute_plan(plan, inputs)
-        assert_traces_equal(got, want)
-        assert isinstance(got.results[(10,)], Fraction)
+        got = assert_matches_plan(plan, {"seed": lambda i: Fraction(1, 3)})
+        assert isinstance(got[FIB10], Fraction)
 
     @expected_fallback
     def test_huge_ints_overflow_to_object_path(self):
         plan = build_execution_plan(fib_system(), {})
-        inputs = {"seed": lambda i: 2**62}
-        got = execute_plan_vector(plan, inputs)
-        want = execute_plan(plan, inputs)
-        assert got.results == want.results
-        assert got.results[(10,)] == 55 * 2**62     # exceeds int64
+        got = assert_matches_plan(plan, {"seed": lambda i: 2**62})
+        assert got[FIB10] == 55 * 2**62     # exceeds int64
 
     @expected_fallback
     def test_input_wider_than_int64_falls_back(self):
         plan = build_execution_plan(fib_system(), {})
-        inputs = {"seed": lambda i: 2**100}
-        assert execute_plan_vector(plan, inputs).results == \
-            execute_plan(plan, inputs).results
+        assert_matches_plan(plan, {"seed": lambda i: 2**100})
 
     def test_custom_op_uses_object_kernel(self):
         # Tuple-valued custom op: no stock int64 kernel may apply.
@@ -138,9 +134,7 @@ class TestDtypePolicy:
         plan = build_execution_plan(fib_system(op=pair), {})
         program = lower_plan(plan)
         assert not program.int_ok
-        inputs = {"seed": lambda i: i}
-        assert_traces_equal(execute_plan_vector(plan, inputs, program),
-                            execute_plan(plan, inputs))
+        assert_matches_plan(plan, {"seed": lambda i: i}, program)
 
     def test_same_name_custom_op_misses_fast_path(self):
         # Equality on Op ignores fn; the fast path must not.
@@ -149,9 +143,7 @@ class TestDtypePolicy:
         plan = build_execution_plan(fib_system(op=fake_add), {})
         program = lower_plan(plan)
         assert not program.int_ok
-        inputs = {"seed": lambda i: 1}
-        assert execute_plan_vector(plan, inputs, program).results == \
-            execute_plan(plan, inputs).results
+        assert_matches_plan(plan, {"seed": lambda i: 1}, program)
 
     def test_custom_op_with_int_kernel_stays_fast(self):
         # An op may carry its own exact kernel (the fused DP body does).
@@ -160,9 +152,7 @@ class TestDtypePolicy:
         plan = build_execution_plan(fib_system(op=plus), {})
         program = lower_plan(plan)
         assert program.int_ok
-        inputs = {"seed": lambda i: 1}
-        assert execute_plan_vector(plan, inputs, program).results == \
-            execute_plan(plan, inputs).results
+        assert_matches_plan(plan, {"seed": lambda i: 1}, program)
 
     def test_fused_dp_body_takes_fast_path(self):
         from repro.problems import dp_system
@@ -199,18 +189,13 @@ class TestDtypePolicy:
         from repro.problems import dp_inputs, dp_system
 
         plan = build_execution_plan(dp_system(), {"n": 5})
-        inputs = dp_inputs([2**62, 2**62, 2**62, 2**62])
-        got = execute_plan_vector(plan, inputs)
-        want = execute_plan(plan, inputs)
-        assert got.results == want.results
-        assert any(v > 2**63 for v in got.results.values())
+        got = assert_matches_plan(plan, dp_inputs([2**62] * 4))
+        assert any(v > 2**63 for v in got.values())
 
     @expected_fallback
     def test_bool_inputs_fall_back(self):
         plan = build_execution_plan(fib_system(), {})
-        inputs = {"seed": lambda i: True}
-        got = execute_plan_vector(plan, inputs)
-        assert got.results == execute_plan(plan, inputs).results
+        assert_matches_plan(plan, {"seed": lambda i: True})
 
 
 class TestFallbackObservability:
@@ -221,16 +206,16 @@ class TestFallbackObservability:
         from repro.obs import TRACER
 
         monkeypatch.setattr(vec, "_fallback_warned", False)
-        plan = build_execution_plan(fib_system(), {})
-        inputs = {"seed": lambda i: Fraction(1, 3)}
+        program = lower_plan(build_execution_plan(fib_system(), {}))
+        inputs = [{"seed": lambda i: Fraction(1, 3)}]
         before = TRACER.counters.get("vector.int64_fallbacks", 0)
         with pytest.warns(RuntimeWarning, match="int64 fast path"):
-            execute_plan_vector(plan, inputs)
+            execute_program(program, inputs)
         assert TRACER.counters.get("vector.int64_fallbacks", 0) == before + 1
         # Later fallbacks keep counting but never warn again.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            execute_plan_vector(plan, inputs)
+            execute_program(program, inputs)
         assert TRACER.counters.get("vector.int64_fallbacks", 0) == before + 2
 
 
@@ -278,14 +263,15 @@ class TestBatchAxis:
     def test_batch_matches_loop(self):
         plan = build_execution_plan(fib_system(), {})
         input_sets = [{"seed": (lambda i, s=s: s)} for s in range(1, 6)]
-        batch = execute_plan_batch(plan, input_sets)
+        batch = kernel_values(plan, input_sets)
         assert len(batch) == 5
         for bindings, got in zip(input_sets, batch):
-            assert_traces_equal(got, execute_plan(plan, bindings))
+            assert got == interpreted_values(plan, bindings)
 
     def test_empty_batch(self):
         plan = build_execution_plan(fib_system(), {})
-        assert execute_plan_batch(plan, []) == []
+        assert execute_program(lower_plan(plan), []).shape == \
+            (0, plan.node_count)
 
     @expected_fallback
     def test_one_fraction_seed_demotes_whole_batch_exactly(self):
@@ -294,9 +280,9 @@ class TestBatchAxis:
         plan = build_execution_plan(fib_system(), {})
         input_sets = [{"seed": lambda i: 2},
                       {"seed": lambda i: Fraction(1, 2)}]
-        batch = execute_plan_batch(plan, input_sets)
+        batch = kernel_values(plan, input_sets)
         for bindings, got in zip(input_sets, batch):
-            assert got.results == execute_plan(plan, bindings).results
+            assert got == interpreted_values(plan, bindings)
 
 
 class TestLazyEvents:
@@ -308,12 +294,6 @@ class TestLazyEvents:
         events = trace.events
         assert trace._pending is None
         assert events[ValueKey("fib", "x", (10,))].value == 55
-
-    def test_vector_trace_defers_too(self):
-        plan = build_execution_plan(fib_system(), {})
-        trace = execute_plan_vector(plan, {"seed": lambda i: 1})
-        assert trace._pending is not None
-        assert trace.events[ValueKey("fib", "x", (10,))].value == 55
 
     def test_trace_execution_contract_unchanged(self):
         trace = trace_execution(fib_system(), {}, {"seed": lambda i: 1})
@@ -386,11 +366,11 @@ class TestLoweredStructure:
     def test_levels_and_groups(self):
         plan = build_execution_plan(fib_system(), {})
         program = lower_plan(plan)
-        stats = program.stats()
-        assert stats["nodes"] == plan.node_count
-        assert stats["input_groups"] == 1
-        assert stats["compute_groups"] >= 1
-        assert stats["levels"] >= 2
+        kinds = [group.kind for group in program.groups]
+        assert program.node_count == plan.node_count
+        assert kinds.count("input") == 1
+        assert kinds.count("compute") >= 1
+        assert program.level_count >= 2
         assert program.int_ok
 
     def test_level_respects_raw_dependences(self):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.codegen import native_available
 from repro.ir import trace_execution
-from repro.machine import compile_design, lower, nativize, run
+from repro.machine import compile_design, lower, run
 from repro.obs import EVENT_KINDS, EventLog, MachineEvent, canonical_order, read_jsonl
 from tests.machine.tiers import tier
 
@@ -211,7 +211,7 @@ class TestCompiledEventGating:
                             dp_design_fig1.interconnect.decomposer())
         lowered = lower(mc, trace)        # record_events defaults to False
         with pytest.raises(ValueError, match="record_events"):
-            nativize(lowered).execute(dp_host_inputs, sink=EventLog())
+            lowered.execute(dp_host_inputs, sink=EventLog())
 
     def test_no_sink_no_events_recorded(self, dp_design_fig1,
                                         dp_host_inputs):

@@ -2,8 +2,8 @@
 toolchain, warm processes skip the compiler, negative entries, key
 hygiene), the fallback ladder (no toolchain / unsupported op / non-integer
 inputs / overflow) and the shared host gather of batched verification.
-Value and event-stream equivalence with the interpreter, on both tiers, lives in ``test_vector.py`` and
-``test_compiled.py``; the executor's per-tag semantics in
+Value and event-stream equivalence with the interpreter, on both tiers,
+lives in ``test_vector.py`` and ``test_lowering.py``; the executor's per-tag semantics in
 ``tests/codegen/test_executor.py``."""
 
 import json
@@ -34,7 +34,8 @@ from repro.core import synthesize
 from repro.core.verify import verify_design
 from repro.ir import trace_execution
 from repro.ir.ops import ADD, compose_accumulate, make_op
-from repro.machine import compile_design, lower, lower_native, nativize, run
+from repro.machine import compile_design, lower, run
+from repro.machine.native import native_tier
 from repro.obs import TRACER
 from repro.problems import dp_inputs, dp_system, input_factory
 from tests.machine.tiers import TIERS, tier
@@ -51,14 +52,14 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def dp_program(n=8):
-    """A lowered native machine (kernel program plus compiled table) for
-    DP size n."""
+    """A lowered native machine (kernel program plus precomputed stats)
+    for DP size n."""
     design = synthesize(dp_system(), {"n": n}, FIG1_UNIDIRECTIONAL)
     inputs = input_factory("dp", design.params)(0)
     trace = trace_execution(design.system, design.params, inputs)
     mc = compile_design(trace, design.schedules, design.space_maps,
                         design.interconnect.decomposer())
-    return design, lower_native(mc, trace), inputs
+    return design, lower(mc, trace), inputs
 
 
 def counter(name):
@@ -201,9 +202,9 @@ class TestFallbackLadder:
                                 dp_host_inputs)
         mc = compile_design(trace, design.schedules, design.space_maps,
                             design.interconnect.decomposer())
-        nm = nativize(lower(mc, trace))
-        assert nm.code is None and nm.executor is None
-        assert "toolchain" in nm.fallback_reason
+        executor, code, reason = native_tier(lower(mc, trace).program)
+        assert code is None and executor is None
+        assert "toolchain" in reason
         oracle = run(mc, trace, dp_host_inputs, engine="interpreted")
         fallbacks = counter("native.vector_fallbacks")
         got = run(mc, trace, dp_host_inputs, engine="native")
@@ -272,7 +273,6 @@ class TestFallbackLadder:
         """``h(prev, f(...))`` with a non-stock ``h`` (even one carrying
         its own int64 kernel) never reaches the executor."""
         from repro.ir.vector import build_program, execute_program
-        from repro.machine.native import native_code
 
         lowest = make_op("lowest", 2, min, int_kernel=np.minimum)
         body = compose_accumulate(lowest, ADD)
@@ -284,7 +284,7 @@ class TestFallbackLadder:
         assert program.int_ok
         with pytest.raises(UnsupportedForNative):
             encode_program(program)
-        executor, code, reason = native_code(program)
+        executor, code, reason = native_tier(program)
         assert code is None and "lowest" in reason
         out = execute_program(program,
                               [{"p": lambda: 9, "a": lambda: 3,
@@ -300,7 +300,8 @@ class TestVerifyDesign:
         report = verify_design(design, factory, engine="native",
                                seeds=range(4))
         assert report.ok and report.seeds_checked == 4
-        assert design._exec_cache["nmachine"].code is not None
+        assert native_tier(design._exec_cache["nmachine"].program).code \
+            is not None
 
         # A *fresh* design object runs on the executor already loaded:
         # no new compile, nothing read from disk.
@@ -309,6 +310,19 @@ class TestVerifyDesign:
         again = verify_design(fresh, factory(0), engine="native")
         assert again.ok
         assert counter("native.compiles") == compiles
+
+    @requires_cc
+    @expected_fallback
+    def test_overflow_counted_once_per_pass(self, monkeypatch):
+        """The reference and machine passes share one tier dispatcher, so
+        an int64 overflow in C is counted for each of them."""
+        monkeypatch.delenv(DISABLE_ENV_VAR, raising=False)
+        design = synthesize(dp_system(), {"n": 8}, FIG1_UNIDIRECTIONAL)
+        before = counter("native.overflow_fallbacks")
+        report = verify_design(design, dp_inputs([2**62] * 7),
+                               engine="native")
+        assert report.ok, report.failures
+        assert counter("native.overflow_fallbacks") == before + 2
 
     def test_native_verify_without_toolchain(self, no_native):
         design = synthesize(dp_system(), {"n": 6}, FIG1_UNIDIRECTIONAL)
@@ -324,8 +338,8 @@ class TestVerifyDesign:
         factory = input_factory("dp", design.params)
         assert verify_design(design, factory, engine="native",
                              seeds=range(8)).ok
-        nm = design._exec_cache["nmachine"]
-        code = nm.code.copy()
+        program = design._exec_cache["nmachine"].program
+        code = native_tier(program).code.copy()
         # Walk to the last record; point its first operand entry at a host
         # input slot instead.
         pc = last = 0
@@ -334,10 +348,10 @@ class TestVerifyDesign:
             width, n_operands = int(code[pc + 1]), int(code[pc + 4])
             pc += 5 + (n_operands + 1) * width
         width = int(code[last + 1])
-        input_slot = int(nm.program.gather().targets[0][0][0])
+        input_slot = int(program.gather().targets[0][0][0])
         assert code[last + 5 + width] != input_slot
         code[last + 5 + width] = input_slot
-        nm.code = code
+        program.native = program.native._replace(code=code)
         report = verify_design(design, factory, engine="native",
                                seeds=range(8))
         assert not report.ok
@@ -396,10 +410,10 @@ class TestSharedGather:
             available = native_available()
         assert report.ok, report.failures
         assert set(counting.calls.values()) == {1}
-        # One fallback per pass (reference and machine), one input
-        # fallback for the native machine.
+        # One fallback per pass (reference and machine); with a toolchain
+        # each pass also counts one input fallback off its C tier.
         assert counter("vector.int64_fallbacks") == int64 + 2
-        want = 1 if available else 0
+        want = 2 if available else 0
         assert counter("native.input_fallbacks") == inputs + want
 
         oracle = trace_execution(design.system, design.params, factory(2))
@@ -428,8 +442,7 @@ class TestGeneratedSource:
             records.append((kind, width, n_operands))
             pc += 5 + (n_operands + 1) * width
         assert pc == len(code)
-        groups = [g for g in vm.program.kernel_schedule()
-                  if g.kind != "input"]
+        groups = [g for g in vm.program.groups if g.kind != "input"]
         assert records == [(int(g.kind == "compute"), g.width,
                             len(g.operands)) for g in groups]
         assert "int repro_exec(i64 *v, long rows, long stride, " \

@@ -12,7 +12,8 @@ import pytest
 from repro.arrays import FIG1_UNIDIRECTIONAL, LINEAR_BIDIR
 from repro.core import synthesize
 from repro.core.verify import verify_design
-from repro.machine import lower_native, nativize, run
+from repro.machine import lower, run
+from repro.machine.native import execute_tiered, native_tier
 from repro.obs import EventLog, canonical_order
 from repro.problems import (
     convolution_backward,
@@ -107,19 +108,10 @@ class TestVectorMachineObjects:
     def lowered(self, dp_design_fig1, dp_host_inputs):
         mc, trace = microcode(dp_design_fig1, dp_host_inputs)
         with tier("vector"):
-            machine = lower_native(mc, trace)
-        assert machine.code is None and machine.fallback_reason
+            machine = lower(mc, trace)
+        _, code, reason = native_tier(machine.program)
+        assert code is None and reason
         return mc, trace, machine
-
-    def test_nativize_reuses_compiled_lowering(self, lowered,
-                                               dp_host_inputs):
-        _, _, machine = lowered
-        with tier("vector"):
-            again = nativize(machine.compiled)
-        a = machine.execute(dp_host_inputs)
-        b = again.execute(dp_host_inputs)
-        assert a.results == b.results
-        assert a.values == b.values
 
     def test_want_values_false_keeps_results(self, lowered, dp_host_inputs):
         _, _, machine = lowered
@@ -133,13 +125,14 @@ class TestVectorMachineObjects:
         _, _, machine = lowered
         factory = input_factory("dp", dp_design_fig1.params)
         input_sets = [factory(s) for s in range(4)]
-        matrix = machine.execute_batch(input_sets)
+        program = machine.program
+        matrix = execute_tiered(program, program.gather().collect(input_sets))
         assert matrix.shape[0] == 4
         for s, bindings in enumerate(input_sets):
             single = machine.execute(bindings)
             row = matrix[s].tolist()
             results = {host_key: row[vid]
-                       for host_key, vid in machine.compiled.outputs}
+                       for host_key, vid in machine.outputs}
             assert results == single.results
 
     def test_unknown_engine_rejected(self, lowered, dp_host_inputs):

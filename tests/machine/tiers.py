@@ -38,12 +38,11 @@ def run_all(mc, trace, inputs, **kwargs) -> dict:
     return runs
 
 
-def cross_check(design, inputs, strict=True, reclaim_registers=True):
+def cross_check(design, inputs, strict=True):
     """Run the interpreter and both tiers on one design and assert
     identical values, results and stats; returns the runs by name."""
     mc, trace = microcode(design, inputs)
-    runs = run_all(mc, trace, inputs, strict=strict,
-                   reclaim_registers=reclaim_registers)
+    runs = run_all(mc, trace, inputs, strict=strict)
     oracle = runs["interpreted"]
     for name in TIERS:
         assert runs[name].values == oracle.values, name
