@@ -14,7 +14,7 @@ import pytest
 
 from conftest import machine_run
 from repro.arrays import HEX_6, MESH_4
-from repro.core import synthesize_uniform
+from repro.core import synthesize
 from repro.problems import matmul_inputs, matmul_system
 
 N = 6
@@ -24,12 +24,12 @@ PARAMS = {"n": N}
 @functools.lru_cache(maxsize=None)
 def design_on(pattern_name: str):
     pattern = {"mesh": MESH_4, "hex": HEX_6}[pattern_name]
-    return synthesize_uniform(matmul_system(), PARAMS, pattern)
+    return synthesize(matmul_system(), PARAMS, pattern)
 
 
 def test_matmul_synthesis_mesh(benchmark):
     design = benchmark.pedantic(
-        synthesize_uniform, args=(matmul_system(), PARAMS, MESH_4),
+        synthesize, args=(matmul_system(), PARAMS, MESH_4),
         rounds=1, iterations=1)
     assert design.schedules["mm"].coeffs == (1, 1, 1)
     assert design.cell_count == N * N
@@ -61,7 +61,7 @@ def test_matmul_machine_mesh(benchmark):
 
 def test_matmul_hex_vs_mesh(benchmark):
     hexd = benchmark.pedantic(
-        synthesize_uniform, args=(matmul_system(), PARAMS, HEX_6),
+        synthesize, args=(matmul_system(), PARAMS, HEX_6),
         rounds=1, iterations=1)
     mesh = design_on("mesh")
     print(f"\nhex: {hexd.cell_count} cells vs mesh {mesh.cell_count}; "

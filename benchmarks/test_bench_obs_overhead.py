@@ -35,9 +35,10 @@ SPEC = SweepSpec(
 ROUNDS = 15
 
 #: Consecutive warm sweeps inside one timed sample.  A single warm sweep
-#: is a few milliseconds — too close to the clock/scheduler noise floor
-#: for a 5% gate; batching five pushes each sample over ~20 ms.
-SWEEPS_PER_SAMPLE = 5
+#: takes 1.2-1.5 ms, and with five per sample the 5% gate (~0.35 ms) was
+#: as large as the host's jitter; forty keep each sample above ~45 ms, so
+#: the gate is over 2 ms.
+SWEEPS_PER_SAMPLE = 40
 
 
 def _warm_sample(cache_dir) -> float:

@@ -17,7 +17,7 @@ import functools
 import pytest
 
 from conftest import machine_run
-from repro.core import synthesize_uniform
+from repro.core import SynthesisOptions, synthesize
 from repro.arrays import LINEAR_BIDIR
 from repro.deps import module_dependence_matrix
 from repro.ir.indexset import Polyhedron
@@ -75,8 +75,8 @@ def test_overlap_factor(benchmark):
 def test_forward_design_runs_on_machine(benchmark, rng):
     system = recursive_convolution_forward()
     params = {"n": N, "s": S}
-    design = synthesize_uniform(system, params, LINEAR_BIDIR,
-                                time_bound=2)
+    design = synthesize(system, params, LINEAR_BIDIR,
+                        SynthesisOptions(time_bound=2))
     w = [round(rng.uniform(-0.6, 0.6), 3) for _ in range(S)]
     seeds = [round(rng.uniform(-1, 1), 3) for _ in range(S)]
     inputs = recursive_convolution_inputs(w, seeds)

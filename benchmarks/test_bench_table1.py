@@ -11,7 +11,7 @@ import pytest
 
 from conftest import machine_run
 from repro.arrays import LINEAR_BIDIR
-from repro.core import explore_uniform, synthesize_uniform
+from repro.core import explore_uniform, synthesize
 from repro.problems import (
     classify_design,
     convolution_backward,
@@ -46,7 +46,7 @@ def test_table1_design_set(benchmark):
 
 
 def test_table1_w2_transformations(benchmark):
-    design = benchmark(synthesize_uniform, convolution_backward(), PARAMS,
+    design = benchmark(synthesize, convolution_backward(), PARAMS,
                        LINEAR_BIDIR)
     # T(i,k) = i + k and S(i,k) = k — the exact paper solution.
     assert design.schedules["conv"].coeffs == (1, 1)
@@ -63,7 +63,7 @@ def test_table1_w2_transformations(benchmark):
 
 def test_table1_w2_machine(benchmark, rng):
     system = convolution_backward()
-    design = synthesize_uniform(system, PARAMS, LINEAR_BIDIR)
+    design = synthesize(system, PARAMS, LINEAR_BIDIR)
     x = [rng.randint(-9, 9) for _ in range(PARAMS["n"])]
     w = [rng.randint(-3, 3) for _ in range(PARAMS["s"])]
     inputs = convolution_inputs(x, w)

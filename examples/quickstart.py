@@ -17,7 +17,7 @@ Run:  python examples/quickstart.py
 import random
 
 from repro.arrays import LINEAR_BIDIR
-from repro.core import synthesize_uniform, verify_design
+from repro.core import synthesize, verify_design
 from repro.problems import (
     classify_design,
     convolution_backward,
@@ -36,7 +36,7 @@ def main() -> None:
     print(f"   index set: 1 <= i <= {n}, 1 <= k <= {s}")
 
     print("\n== 2-3. synthesis on a bidirectional linear array ==")
-    design = synthesize_uniform(system, params, LINEAR_BIDIR)
+    design = synthesize(system, params, LINEAR_BIDIR)
     sched = design.schedules["conv"]
     smap = design.space_maps["conv"]
     print(f"   time  function: T(i,k) = {sched.as_expr()}")

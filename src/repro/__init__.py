@@ -38,7 +38,6 @@ from repro.core import (
     restructure,
     run_sweep,
     synthesize,
-    synthesize_uniform,
     verify_design,
 )
 
@@ -66,6 +65,5 @@ __all__ = [
     "space",
     "synthesize",
     "transform",
-    "synthesize_uniform",
     "verify_design",
 ]

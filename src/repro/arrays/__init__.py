@@ -1,7 +1,7 @@
 """VLSI array models: interconnection patterns (Δ matrices), occupied
 regions/cell counts, and data-flow classification of mapped variables."""
 
-from repro.arrays.dataflow import Flow, all_flows, classify_pair, variable_flows
+from repro.arrays.dataflow import Flow, all_flows, variable_flows
 from repro.arrays.interconnect import (
     FIG1_UNIDIRECTIONAL,
     FIG2_EXTENDED,
@@ -30,7 +30,6 @@ __all__ = [
     "STOCK_INTERCONNECTS",
     "VLSIArray",
     "all_flows",
-    "classify_pair",
     "resolve_interconnect",
     "variable_flows",
 ]

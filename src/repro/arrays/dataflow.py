@@ -86,18 +86,3 @@ def all_flows(deps: DependenceMatrix, schedule: LinearSchedule,
             displacement=space.of_vector(v.vector),
             period=schedule.of_vector(v.vector)))
     return flows
-
-
-def classify_pair(a: Flow, b: Flow) -> str:
-    """Relationship between two moving streams, in the paper's vocabulary."""
-    if a.stays and b.stays:
-        return "both stay"
-    if a.stays or b.stays:
-        return "one stays"
-    if a.direction == b.direction:
-        if a.speed == b.speed:
-            return "move in the same direction at the same speed"
-        return "move in the same direction at different speeds"
-    if a.direction == tuple(-v for v in b.direction):
-        return "move in opposite directions"
-    return "move in different directions"

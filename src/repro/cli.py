@@ -10,19 +10,19 @@ Examples::
     python -m repro explore --recurrence forward --n 12 --s 4
     python -m repro sweep --problems dp,conv-backward --interconnects \
 fig1,linear --n 6,8 --stats
-    python -m repro trace --problem dp --interconnect fig1 --n 8
     python -m repro figures --n 8
     python -m repro cell --n 8 --x 3 --y 2
-    python -m repro profile --problem dp --n 10 --verify
+    python -m repro profile --problem dp --interconnect fig1 --n 8
     python -m repro report ./metrics --baseline BENCH_sweep_scaling.json
     python -m repro fuzz --examples 200 --budget 120 --seed 1
     python -m repro fuzz --replay
 
 Observability: every command accepts ``--stats`` (hierarchical span report)
 and ``--metrics-dir`` (persist a :class:`~repro.obs.metrics.RunRecord`;
-defaults to ``$REPRO_METRICS_DIR`` when set).  ``trace`` additionally
-exports cycle-level machine event logs as JSON-lines and Chrome
-``trace_event`` JSON for Perfetto.
+defaults to ``$REPRO_METRICS_DIR`` when set).  ``profile`` additionally
+exports one design's span tree (collapsed stacks and Chrome
+``trace_event`` JSON) and its cycle-level machine event log (JSON-lines
+and Chrome ``trace_event`` JSON) for flamegraph tools and Perfetto.
 """
 
 from __future__ import annotations
@@ -279,15 +279,20 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    """Record or replay a cycle-level execution trace.
+def cmd_profile(args) -> int:
+    """Profile one design end to end and export both views of it.
 
-    Default mode synthesizes the requested design, executes it with an
-    event sink attached and exports the log twice: ``<out>.events.jsonl``
-    (one event per line) and ``<out>.trace.json`` (Chrome ``trace_event``
-    format — open in Perfetto or ``chrome://tracing``).  With
-    ``--from-record`` it instead replays a persisted
-    :class:`~repro.obs.metrics.RunRecord` in the terminal.
+    Default mode force-enables the span tracer, synthesizes the requested
+    design, verifies it (adding the ``verify.*`` spans) and executes it
+    once more with an event sink attached.  It writes four files: the
+    machine's event log as ``<out>.events.jsonl`` (one event per line) and
+    ``<out>.trace.json`` (Chrome ``trace_event``), and the span forest as
+    ``<out>.collapsed`` (folded stacks — feed to flamegraph.pl or drop into
+    speedscope) and ``<out>.profile.json`` (Chrome ``trace_event``).  Open
+    either JSON file in Perfetto or ``chrome://tracing``.  With
+    ``--from-record`` it replays a persisted
+    :class:`~repro.obs.metrics.RunRecord` in the terminal instead, and
+    re-exports the record's span tree when it carries one.
     """
     if args.from_record:
         try:
@@ -296,25 +301,32 @@ def cmd_trace(args) -> int:
             raise SystemExit(f"cannot read run record "
                              f"{args.from_record!r}: {exc}")
         print(record.render())
+        spans = [Span.from_dict(s) for s in record.spans]
+        if spans:
+            _export_spans(spans, args.out or f"profile-{record.command}")
         return 0
 
+    TRACER.enable()          # regardless of --stats: spans ARE the output
     builder, needed = PROBLEMS[args.problem]
     params = {"n": args.n}
     if "s" in needed:
         params["s"] = args.s
     system = builder()
-    design = synthesize(system, params, _interconnect(args.interconnect))
+    options = SynthesisOptions(engine=args.engine)
+    design = synthesize(system, params, _interconnect(args.interconnect),
+                        options)
     inputs = _random_inputs(args.problem, params, args.seed)
+    verify_design(design, inputs, engine=options.engine)
     trace = trace_execution(system, params, inputs)
     mc = compile_design(trace, design.schedules, design.space_maps,
                         design.interconnect.decomposer())
     log = EventLog()
-    machine = run(mc, trace, inputs, engine=args.engine, sink=log)
+    machine = run(mc, trace, inputs, engine=options.engine, sink=log)
 
     # Canonical order makes the exports byte-identical across engines.
     log.events = canonical_order(log.events)
 
-    out = args.out or f"trace-{args.problem}-n{args.n}"
+    out = args.out or f"profile-{args.problem}-n{args.n}"
     jsonl_path = f"{out}.events.jsonl"
     chrome_path = f"{out}.trace.json"
     log.write_jsonl(jsonl_path)
@@ -323,8 +335,8 @@ def cmd_trace(args) -> int:
     s = machine.stats
     lo, hi = log.cycle_range()
     counts = log.counts_by_kind()
-    print(f"trace: {args.problem} on {args.interconnect} ({params}), "
-          f"engine={args.engine}")
+    print(f"profile: {args.problem} on {args.interconnect} ({params}), "
+          f"engine={options.engine}")
     print(f"machine: {s.cycles} cycles [{lo}, {hi}], {s.cells_used} cells, "
           f"{s.operations} ops, {s.hops} hops, "
           f"utilization {s.utilization:.0%}")
@@ -337,56 +349,17 @@ def cmd_trace(args) -> int:
     print(f"wrote {chrome_path}  (load in Perfetto / chrome://tracing)")
     RUN_EXTRA["machine_stats"] = asdict(s)
     RUN_EXTRA["event_counts"] = counts
-    RUN_EXTRA["exports"] = [jsonl_path, chrome_path]
     RUN_EXTRA["workload"] = {"problem": args.problem, "params": params,
                              "interconnect": args.interconnect,
-                             "engine": args.engine}
+                             "engine": options.engine}
+    span_paths = _export_spans(TRACER.spans(), out)
+    RUN_EXTRA["exports"] = [jsonl_path, chrome_path, *span_paths]
     return 0
 
 
-def cmd_profile(args) -> int:
-    """Profile the synthesis side and export standard profile formats.
-
-    Default mode force-enables the span tracer, synthesizes the requested
-    design (verifying it too with ``--verify``, which adds the machine-side
-    spans) and writes the span forest twice: ``<out>.collapsed`` (folded
-    stacks — feed to flamegraph.pl or drop into speedscope) and
-    ``<out>.profile.json`` (Chrome ``trace_event`` — open in Perfetto).
-    With ``--from-record`` it re-exports the span tree of a persisted
-    RunRecord instead of running anything.
-    """
-    if args.from_record:
-        try:
-            record = load_run_record(args.from_record)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise SystemExit(f"cannot read run record "
-                             f"{args.from_record!r}: {exc}")
-        spans = [Span.from_dict(s) for s in record.spans]
-        if not spans:
-            raise SystemExit(f"run record {args.from_record!r} carries no "
-                             f"spans (was it recorded with --stats or a "
-                             f"metrics dir?)")
-        out = args.out or f"profile-{record.command}"
-    else:
-        TRACER.enable()      # regardless of --stats: spans ARE the output
-        builder, needed = PROBLEMS[args.problem]
-        params = {"n": args.n}
-        if "s" in needed:
-            params["s"] = args.s
-        system = builder()
-        options = SynthesisOptions(engine=args.engine)
-        design = synthesize(system, params,
-                            _interconnect(args.interconnect), options)
-        if args.verify:
-            verify_design(design, _random_inputs(args.problem, params,
-                                                 args.seed),
-                          engine=options.engine)
-        RUN_EXTRA["workload"] = {"problem": args.problem, "params": params,
-                                 "interconnect": args.interconnect,
-                                 "engine": options.engine}
-        spans = TRACER.spans()
-        out = args.out or f"profile-{args.problem}-n{args.n}"
-
+def _export_spans(spans: list[Span], out: str) -> list[str]:
+    """Write ``<out>.collapsed`` and ``<out>.profile.json``; return both
+    paths."""
     collapsed_path = f"{out}.collapsed"
     chrome_path = f"{out}.profile.json"
     folded = collapsed_stacks(spans)
@@ -399,8 +372,7 @@ def cmd_profile(args) -> int:
     print(f"wrote {collapsed_path}  (collapsed stacks: flamegraph.pl, "
           f"speedscope)")
     print(f"wrote {chrome_path}  (load in Perfetto / chrome://tracing)")
-    RUN_EXTRA["exports"] = [collapsed_path, chrome_path]
-    return 0
+    return [collapsed_path, chrome_path]
 
 
 def cmd_report(args) -> int:
@@ -603,45 +575,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cache)
 
     p = sub.add_parser(
-        "trace", parents=[common],
-        help="export a cycle-level machine event trace (JSON-lines + "
-             "Chrome trace_event for Perfetto), or replay a run record")
+        "profile", parents=[common],
+        help="profile one design end to end: export the machine's event "
+             "log (JSON-lines + Chrome trace_event) and the span tree "
+             "(collapsed stacks + Chrome trace_event), or replay a run "
+             "record")
     p.add_argument("--problem", choices=sorted(PROBLEMS), default="dp")
     p.add_argument("--interconnect", default="fig1")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--s", type=int, default=4)
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed for the machine's host inputs")
-    _engine_flag(p, "execution engine emitting the events (both engines "
-                    "produce the identical stream)")
+    _engine_flag(p, "execution engine for verification and the event log "
+                    "(both engines produce the identical stream)")
     p.add_argument("--out", default=None, metavar="PREFIX",
-                   help="output prefix (default: trace-<problem>-n<n>)")
+                   help="output prefix (default: profile-<problem>-n<n>)")
     p.add_argument("--cells", type=int, default=12, metavar="N",
                    help="rows of the per-cell utilization table (busiest "
                         "first; default 12)")
     p.add_argument("--from-record", default=None, metavar="FILE",
-                   help="replay a persisted RunRecord instead of tracing")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser(
-        "profile", parents=[common],
-        help="profile a synthesis run: export the span tree as collapsed "
-             "stacks (flamegraph) and Chrome trace_event JSON (Perfetto)")
-    p.add_argument("--problem", choices=sorted(PROBLEMS), default="dp")
-    p.add_argument("--interconnect", default="fig1")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--s", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed for the --verify inputs")
-    _engine_flag(p, "execution engine for --verify")
-    p.add_argument("--verify", action="store_true",
-                   help="also run the design on the machine, adding the "
-                        "verify/compile/machine spans to the profile")
-    p.add_argument("--out", default=None, metavar="PREFIX",
-                   help="output prefix (default: profile-<problem>-n<n>)")
-    p.add_argument("--from-record", default=None, metavar="FILE",
-                   help="re-export the span tree of a persisted RunRecord "
-                        "instead of profiling a fresh run")
+                   help="replay a persisted RunRecord and re-export its "
+                        "span tree instead of profiling a fresh run")
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser(
@@ -662,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "passes", parents=[common],
-        help="list the synthesis pipeline's passes (default and opt-in)")
+        help="list the synthesis pipeline's passes, in order")
     p.set_defaults(fn=cmd_passes)
 
     p = sub.add_parser("figures", help="print both DP arrays",

@@ -37,7 +37,6 @@ from repro.core.globals import link_constraints
 from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
 from repro.core.restructure import RestructureError, restructure
-from repro.core.uniform import synthesize_uniform
 from repro.core.verify import VerificationReport, verify_design
 
 __all__ = [
@@ -71,7 +70,6 @@ __all__ = [
     "restructure",
     "run_sweep",
     "synthesize",
-    "synthesize_uniform",
     "system_fingerprint",
     "verify_design",
 ]

@@ -45,6 +45,7 @@ Execution model:
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -509,6 +510,11 @@ def _run_pool(jobs: Sequence[SweepJob], nworkers: int,
         on_result(result)
 
     futures: dict = {}                       # future -> job index
+    # Forked workers inherit the parent's heap.  Frozen, it is never
+    # rescanned by a worker's full collections, which otherwise cost 20-30
+    # ms each and land in whichever job's synthesis the inherited
+    # allocation counts happen to reach.
+    gc.freeze()
     try:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             for idx, job in enumerate(jobs):
@@ -527,6 +533,8 @@ def _run_pool(jobs: Sequence[SweepJob], nworkers: int,
             # The serial path accrues stats straight into this tracer.
             accept(idx, _execute_job(jobs[idx], cache_root, use_cache),
                    merge=False)
+    finally:
+        gc.unfreeze()
     return [by_index[idx] for idx in range(len(jobs))]
 
 

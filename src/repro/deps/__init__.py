@@ -4,34 +4,26 @@ dependence DAGs."""
 
 from repro.deps.extract import module_dependence_matrix, system_dependence_matrices
 from repro.deps.graph import (
-    check_schedule_against_dag,
     critical_path_length,
     dependence_dag,
     levels,
-    trace_dag,
 )
 from repro.deps.nonconstant import (
     affine_max,
     affine_min,
-    affine_extrema,
     constant_dependence_set,
-    expanded_dependence_set,
 )
 from repro.deps.vectors import DependenceMatrix, DependenceVector
 
 __all__ = [
     "DependenceMatrix",
     "DependenceVector",
-    "affine_extrema",
     "affine_max",
     "affine_min",
-    "check_schedule_against_dag",
     "constant_dependence_set",
     "critical_path_length",
     "dependence_dag",
-    "expanded_dependence_set",
     "levels",
     "module_dependence_matrix",
     "system_dependence_matrices",
-    "trace_dag",
 ]

@@ -4,9 +4,8 @@ The canonic form "does not explicitly specify any ordering among the
 computations; ... an implicit partial ordering is given by the data
 dependencies" (Section II.A).  This module materialises that partial order
 ``>_D`` as a DAG over lattice points so we can compute levels (the fastest
-possible schedule), critical paths (a lower bound on any linear schedule's
-makespan) and topological orders, and cross-check linear schedules against
-them.
+possible schedule) and critical paths (a lower bound on any linear
+schedule's makespan).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.util.lazyimport import lazy_import
 nx = lazy_import("networkx")
 
 from repro.deps.vectors import DependenceMatrix
-from repro.ir.evaluate import SystemTrace, ValueKey
 from repro.ir.indexset import Polyhedron
 
 
@@ -40,19 +38,6 @@ def dependence_dag(domain: Polyhedron, deps: DependenceMatrix,
     return g
 
 
-def trace_dag(trace: SystemTrace) -> nx.DiGraph:
-    """DAG over :class:`ValueKey` nodes of an executed system trace,
-    including the global (inter-module) dependence edges."""
-    g = nx.DiGraph()
-    g.add_nodes_from(trace.events)
-    for event in trace.events.values():
-        for src in event.operands:
-            g.add_edge(src, event.key)
-    if not nx.is_directed_acyclic_graph(g):
-        raise ValueError("system trace contains a dependence cycle")
-    return g
-
-
 def levels(g: nx.DiGraph) -> dict:
     """Longest-path level of each node (level 0 = no predecessors).
 
@@ -71,7 +56,3 @@ def critical_path_length(g: nx.DiGraph) -> int:
     lv = levels(g)
     return max(lv.values(), default=0)
 
-
-def check_schedule_against_dag(g: nx.DiGraph, time_of) -> bool:
-    """True iff ``time_of(node)`` strictly increases along every edge."""
-    return all(time_of(u) < time_of(v) for u, v in g.edges)

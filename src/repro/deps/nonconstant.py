@@ -83,36 +83,6 @@ def affine_max(domain: Polyhedron, expr: AffineExpr,
     return min(values)
 
 
-def affine_extrema(domain: Polyhedron, expr: AffineExpr,
-                   params: Mapping[str, int] | None = None
-                   ) -> tuple[Fraction, Fraction]:
-    """Exact (min, max) of an affine expression over a polyhedron.
-
-    Computed by introducing ``z = expr`` and eliminating the dimensions with
-    Fourier–Motzkin.  With ``params`` given the result is concrete; without,
-    the bounds must come out parameter-free or a ``ValueError`` is raised
-    (the caller should then supply parameters).
-    """
-    return (affine_min(domain, expr, params), affine_max(domain, expr, params))
-
-
-def expanded_dependence_set(spec: HighLevelSpec, point: tuple[int, ...]
-                            ) -> DependenceMatrix:
-    """The expanded set ``D^c_{i^s}`` at a concrete domain point.
-
-    Each column corresponds to a specific value of the reduction index (the
-    paper's expanded matricial form).
-    """
-    binding = dict(zip(spec.dims, point))
-    vectors: list[DependenceVector] = []
-    for arg_pos, arg in enumerate(spec.args):
-        for k in spec.k_range(binding):
-            operand = arg.operand_point(point, k)
-            d = tuple(p - q for p, q in zip(point, operand))
-            vectors.append(DependenceVector(f"{spec.target}@arg{arg_pos}", d))
-    return DependenceMatrix(vectors)
-
-
 def _arg_component_interval(spec: HighLevelSpec, arg: ArgSpec,
                             params: Mapping[str, int] | None
                             ) -> tuple[int, int] | None:

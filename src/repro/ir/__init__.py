@@ -7,7 +7,7 @@ relations or nested loops over integer index sets, with input/output/
 assignment/conditional-assignment statements.
 """
 
-from repro.ir.affine import AffineExpr, QuasiAffineExpr, const, var, vars_
+from repro.ir.affine import AffineExpr, QuasiAffineExpr, const, var
 from repro.ir.evaluate import (
     CyclicDependence,
     Event,
@@ -20,7 +20,7 @@ from repro.ir.evaluate import (
     trace_execution,
 )
 from repro.ir.vector import VectorProgram, lower_plan
-from repro.ir.indexset import Polyhedron, eq, ge, gt, le, lt
+from repro.ir.indexset import Polyhedron, eq, ge, le
 from repro.ir.ops import ADD, IDENTITY, MAC, MAX, MIN, MIN_PLUS, MUL, Op, make_op
 from repro.ir.predicates import (
     Predicate,
@@ -42,17 +42,17 @@ from repro.ir.program import (
 )
 from repro.ir.statements import ComputeRule, Equation, InputRule, LinkRule
 from repro.ir.validation import ValidationError, check_canonic, check_system
-from repro.ir.variables import ArrayVar, ExternalRef, Ref
+from repro.ir.variables import ExternalRef, Ref
 
 __all__ = [
     "ADD", "IDENTITY", "MAC", "MAX", "MIN", "MIN_PLUS", "MUL",
-    "AffineExpr", "ArgSpec", "ArrayVar", "ComputeRule", "CyclicDependence",
+    "AffineExpr", "ArgSpec", "ComputeRule", "CyclicDependence",
     "Equation", "Event", "ExecutionPlan", "ExternalRef", "HighLevelSpec",
     "InputRule", "LinkRule", "Module", "Op", "OutputSpec", "Polyhedron",
     "Predicate", "QuasiAffineExpr", "Ref", "RecurrenceSystem", "SystemTrace",
     "TRUE", "ValidationError", "ValueKey", "VectorProgram", "at_least",
     "at_most", "build_execution_plan", "check_canonic", "check_system",
-    "const", "eq", "equals", "even", "execute_plan", "ge", "greater", "gt",
-    "le", "less", "lower_plan", "lt", "make_op", "odd", "run_system",
-    "trace_execution", "var", "vars_",
+    "const", "eq", "equals", "even", "execute_plan", "ge", "greater", "le",
+    "less", "lower_plan", "make_op", "odd", "run_system", "trace_execution",
+    "var",
 ]

@@ -273,8 +273,3 @@ def var(name: str) -> AffineExpr:
 def const(value: Number) -> AffineExpr:
     """Shorthand for :meth:`AffineExpr.const`."""
     return AffineExpr.const(value)
-
-
-def vars_(*names: str) -> tuple[AffineExpr, ...]:
-    """Create several variables at once: ``i, j, k = vars_("i", "j", "k")``."""
-    return tuple(AffineExpr.var(n) for n in names)

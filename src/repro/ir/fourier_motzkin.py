@@ -110,45 +110,6 @@ def is_satisfiable(constraints: Sequence[AffineExpr],
     return True
 
 
-def rational_bounds(constraints: Sequence[AffineExpr], name: str,
-                    other_names: Sequence[str]) -> tuple[Fraction | None, Fraction | None]:
-    """Rational (lo, hi) bounds of ``name`` over the system, eliminating all
-    ``other_names`` first.  ``None`` means unbounded on that side.
-
-    Raises :class:`Infeasible` if the system is empty.
-    """
-    projected = eliminate_all(deduplicate(constraints), other_names)
-    lowers, uppers, free = _split_on(projected, name)
-    for e in free:
-        if e.is_constant() and e.const_term < 0:
-            raise Infeasible(f"{e} >= 0 violated")
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for c, rest in lowers:
-        if not rest.is_constant():
-            raise ValueError("rational_bounds requires all other vars eliminated")
-        bound = -rest.const_term / c
-        lo = bound if lo is None else max(lo, bound)
-    for c, rest in uppers:
-        if not rest.is_constant():
-            raise ValueError("rational_bounds requires all other vars eliminated")
-        bound = -rest.const_term / c
-        hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None and lo > hi:
-        raise Infeasible(f"{name} has empty range [{lo}, {hi}]")
-    return lo, hi
-
-
-def integer_bounds(constraints: Sequence[AffineExpr], name: str,
-                   other_names: Sequence[str]) -> tuple[int | None, int | None]:
-    """Integer (lo, hi) bounds: ceil of the rational lower bound, floor of the
-    rational upper bound."""
-    lo, hi = rational_bounds(constraints, name, other_names)
-    ilo = None if lo is None else -((-lo.numerator) // lo.denominator)
-    ihi = None if hi is None else hi.numerator // hi.denominator
-    return ilo, ihi
-
-
 # -- compiled bound rows (vectorised enumeration support) ---------------------
 #
 # Lattice-point enumeration evaluates per-dimension bounds at every node of

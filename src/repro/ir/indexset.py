@@ -104,16 +104,6 @@ def le(lhs: ExprLike, rhs: ExprLike) -> AffineExpr:
     return AffineExpr.coerce(rhs) - AffineExpr.coerce(lhs)
 
 
-def gt(lhs: ExprLike, rhs: ExprLike) -> AffineExpr:
-    """Strict integer constraint ``lhs > rhs`` (i.e. ``lhs >= rhs + 1``)."""
-    return AffineExpr.coerce(lhs) - AffineExpr.coerce(rhs) - 1
-
-
-def lt(lhs: ExprLike, rhs: ExprLike) -> AffineExpr:
-    """Strict integer constraint ``lhs < rhs``."""
-    return AffineExpr.coerce(rhs) - AffineExpr.coerce(lhs) - 1
-
-
 def eq(lhs: ExprLike, rhs: ExprLike) -> tuple[AffineExpr, AffineExpr]:
     """Equality as a pair of opposite inequalities."""
     diff = AffineExpr.coerce(lhs) - AffineExpr.coerce(rhs)

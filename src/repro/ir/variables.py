@@ -18,18 +18,6 @@ from repro.ir.affine import AffineExpr, ExprLike, Number, QuasiAffineExpr
 IndexExpr = Union[AffineExpr, QuasiAffineExpr]
 
 
-@dataclass(frozen=True)
-class ArrayVar:
-    """A named array variable of fixed rank."""
-
-    name: str
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError("rank must be non-negative")
-
-
 def _coerce_index(entries: Sequence[ExprLike | QuasiAffineExpr]
                   ) -> tuple[IndexExpr, ...]:
     out: list[IndexExpr] = []

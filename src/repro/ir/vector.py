@@ -510,19 +510,6 @@ def execute_gathered(program: VectorProgram, host: HostValues,
     return values
 
 
-def execute_program(program: VectorProgram,
-                    input_sets: Sequence[Mapping[str, Callable]],
-                    ) -> np.ndarray:
-    """Run the program for every input binding set at once.
-
-    Returns the dense ``(len(input_sets), node_count)`` value matrix —
-    int64 when the fast path held, object otherwise.  The fallback is
-    transparent: overflow or non-integer inputs simply rerun the pass on
-    object arrays.
-    """
-    return execute_gathered(program, program.gather().collect(input_sets))
-
-
 # -- the ExecutionPlan front end ---------------------------------------------
 
 def lower_plan(plan: ExecutionPlan) -> VectorProgram:

@@ -1,17 +1,9 @@
-"""The systolic machine: microcode compilation (placement + routing) and a
-cycle-accurate, strictly local simulator — the hardware substrate standing in
-for the paper's VLSI arrays."""
+"""The systolic machine: microcode compilation (placement + routing), its
+lowering to one kernel program, a cycle-accurate, strictly local simulator
+and a per-cell utilization table — the hardware substrate standing in for
+the paper's VLSI arrays."""
 
-from repro.machine.analysis import (
-    CellUtilization,
-    CycleActivity,
-    activity_timeline,
-    cell_utilization,
-    io_schedule,
-    peak_parallelism,
-    render_activity,
-    stream_traffic,
-)
+from repro.machine.analysis import CellUtilization, cell_utilization
 from repro.machine.errors import (
     CapacityError,
     CausalityError,
@@ -26,13 +18,7 @@ from repro.machine.simulator import MachineRun, MachineStats, run
 __all__ = [
     "CapacityError",
     "CellUtilization",
-    "CycleActivity",
-    "activity_timeline",
     "cell_utilization",
-    "io_schedule",
-    "peak_parallelism",
-    "render_activity",
-    "stream_traffic",
     "CausalityError",
     "Hop",
     "Injection",

@@ -1,10 +1,9 @@
-"""Execution-trace analytics for compiled microcode.
+"""Per-cell analytics for compiled microcode.
 
-Beyond the aggregate :class:`~repro.machine.simulator.MachineStats`, these
-helpers expose the *shape* of an execution: per-cycle activity (how many
-cells compute, how many values move), per-stream traffic, and the I/O
-schedule at the array boundary — the kind of information the paper's figures
-annotate by hand.
+Beyond the aggregate :class:`~repro.machine.simulator.MachineStats`, the
+per-cell utilization table exposes the *shape* of an execution: what each
+cell computes, moves and receives, and how busy it is — the kind of
+information the paper's figures annotate by hand.
 """
 
 from __future__ import annotations
@@ -13,60 +12,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from repro.machine.microcode import Microcode
-
-
-@dataclass(frozen=True)
-class CycleActivity:
-    """What happened during one cycle."""
-
-    cycle: int
-    computing_cells: int
-    operations: int
-    hops: int
-    injections: int
-
-
-def activity_timeline(mc: Microcode) -> list[CycleActivity]:
-    """Per-cycle activity profile, first to last cycle."""
-    ops_cells: dict[int, set] = defaultdict(set)
-    ops_count: Counter = Counter()
-    hop_count: Counter = Counter()
-    inj_count: Counter = Counter()
-    for op in mc.operations:
-        ops_cells[op.cycle].add(op.cell)
-        ops_count[op.cycle] += 1
-    for hop in mc.hops:
-        hop_count[hop.cycle] += 1
-    for inj in mc.injections:
-        inj_count[inj.cycle] += 1
-    return [
-        CycleActivity(
-            cycle=t,
-            computing_cells=len(ops_cells.get(t, ())),
-            operations=ops_count.get(t, 0),
-            hops=hop_count.get(t, 0),
-            injections=inj_count.get(t, 0))
-        for t in range(mc.first_cycle, mc.last_cycle + 1)]
-
-
-def stream_traffic(mc: Microcode) -> dict[tuple[str, str], int]:
-    """Total hops per named stream (module, variable) — which data stream
-    loads the wiring most."""
-    counts: Counter = Counter()
-    for hop in mc.hops:
-        counts[hop.stream] += 1
-    return dict(counts)
-
-
-def io_schedule(mc: Microcode) -> dict[tuple[int, ...], list[tuple[int, str]]]:
-    """Injection timetable per boundary cell: ``{cell: [(cycle, input)]}`` —
-    what the host must feed, where and when."""
-    table: dict[tuple[int, ...], list[tuple[int, str]]] = defaultdict(list)
-    for inj in mc.injections:
-        table[inj.cell].append((inj.cycle, inj.input_name))
-    for entries in table.values():
-        entries.sort()
-    return dict(table)
 
 
 @dataclass(frozen=True)
@@ -126,24 +71,3 @@ def cell_utilization(mc: Microcode) -> dict[tuple[int, ...], CellUtilization]:
             occupancy=len(busy.get(cell, ())) / span)
         for cell, cycles in sorted(active.items())}
 
-
-def peak_parallelism(mc: Microcode) -> int:
-    """Maximum simultaneously computing cells — how much of the array is
-    ever exercised at once."""
-    timeline = activity_timeline(mc)
-    return max((a.computing_cells for a in timeline), default=0)
-
-
-def render_activity(mc: Microcode, width: int = 60) -> str:
-    """Compact ASCII activity curve (cells computing per cycle)."""
-    timeline = activity_timeline(mc)
-    if not timeline:
-        return "(no activity)"
-    peak = max(a.computing_cells for a in timeline) or 1
-    lines = ["cycle  cells  ops  hops"]
-    for a in timeline:
-        bar = "#" * round(a.computing_cells / peak * width)
-        lines.append(
-            f"{a.cycle:>5}  {a.computing_cells:>5}  {a.operations:>3}  "
-            f"{a.hops:>4}  {bar}")
-    return "\n".join(lines)

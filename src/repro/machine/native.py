@@ -210,20 +210,19 @@ class NativeMachine:
 
 def _order_group(ops: list) -> list:
     """Lexicographic topological order of one cell's same-cycle operations
-    (smallest original position first among ready nodes) — the pure-python
-    equivalent of the interpreter's networkx ordering."""
+    ``(key_id, op, operand_ids)`` (smallest original position first among
+    ready nodes) — the pure-python equivalent of the interpreter's networkx
+    ordering."""
     if len(ops) <= 1:
         return ops
-    index: dict[ValueKey, int] = {}
-    for i, (_, op) in enumerate(ops):
-        index[op.key] = i
+    index = {kid: i for i, (kid, _, _) in enumerate(ops)}
     indeg = [0] * len(ops)
     edges: list[list[int]] = [[] for _ in ops]
-    for i, (_, op) in enumerate(ops):
-        for operand in op.operands:
-            if operand == op.key:
+    for i, (kid, _, operand_ids) in enumerate(ops):
+        for oid in operand_ids:
+            if oid == kid:
                 continue
-            j = index.get(operand)
+            j = index.get(oid)
             if j is not None:
                 edges[j].append(i)
                 indeg[i] += 1
@@ -238,7 +237,7 @@ def _order_group(ops: list) -> list:
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
     if len(out) < len(ops):
-        _, op = ops[0]
+        _, op, _ = ops[0]
         raise MissingOperandError(
             f"cyclic intra-cycle dependence at cell {op.cell}, "
             f"cycle {op.cycle}")
@@ -295,16 +294,28 @@ def lower(mc: Microcode, trace: SystemTrace,
 
     # Last local use per (cell, value).  Like the interpreter's
     # ``_last_uses`` this scans the *unfiltered* event streams, so an
-    # out-of-range read still pins its operand's register.
+    # out-of-range read still pins its operand's register.  In-window
+    # events reuse their records' ids; only the others are interned here,
+    # in stream order, so every id matches a single interning pass.
     last_use: dict[tuple[int, int], int] = {}
+    op_iter = iter(op_records)
     for op in mc.operations:
-        cid = intern_cell(op.cell)
-        for operand in op.operands:
-            pair = (cid, intern(operand))
+        if first <= op.cycle <= last:
+            _, cid, _, _, operand_ids = next(op_iter)
+        else:
+            cid = intern_cell(op.cell)
+            operand_ids = tuple(intern(o) for o in op.operands)
+        for oid in operand_ids:
+            pair = (cid, oid)
             if op.cycle > last_use.get(pair, _NEVER):
                 last_use[pair] = op.cycle
+    hop_iter = iter(hop_records)
     for h in mc.hops:
-        pair = (intern_cell(h.src), intern(h.key))
+        if first <= h.cycle <= last:
+            _, sid, _, kid, _ = next(hop_iter)
+            pair = (sid, kid)
+        else:
+            pair = (intern_cell(h.src), intern(h.key))
         if h.cycle > last_use.get(pair, _NEVER):
             last_use[pair] = h.cycle
 
@@ -354,13 +365,12 @@ def lower(mc: Microcode, trace: SystemTrace,
         if gk not in groups:
             groups[gk] = []
             group_order.append(gk)
-        groups[gk].append((rec[3], rec[2]))
+        groups[gk].append((rec[3], rec[2], rec[4]))
     entries: list[tuple[int, object, tuple[int, ...]]] = []
     op_produced: list[tuple[int, int]] = []   # (cycle, value id), in order
     for gk in group_order:
         cycle, cid = gk
-        for kid, op in _order_group(groups[gk]):
-            operand_ids = tuple(key_ids[o] for o in op.operands)
+        for kid, op, operand_ids in _order_group(groups[gk]):
             for oid, operand in zip(operand_ids, op.operands):
                 arrived = first_arrival.get((cid, oid))
                 if arrived is None or arrived > cycle:

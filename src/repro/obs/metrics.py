@@ -1,6 +1,6 @@
 """Persistent run metrics: every CLI run can leave a structured record.
 
-A :class:`RunRecord` captures what a ``synthesize`` / ``sweep`` / ``trace``
+A :class:`RunRecord` captures what a ``synthesize`` / ``sweep`` / ``profile``
 invocation did — command, arguments, git revision, the tracer's wire
 (counters, timers, gauges and latency histograms, exactly as
 :meth:`~repro.obs.tracer.Tracer.to_wire` gives them) *and* its span
@@ -10,8 +10,8 @@ when the variable is unset and no explicit directory is given).
 Records accumulate across runs, so the performance trajectory of the
 engine is inspectable long after the individual runs:
 
-* ``repro trace --from-record <file>`` replays a record (span tree,
-  counters, machine stats) in the terminal;
+* ``repro profile --from-record <file>`` replays a record (span tree,
+  counters, machine stats) in the terminal and re-exports its span tree;
 * the benchmark harness keeps its own append-only ``BENCH_<name>.json``
   trajectory next to the repository root (see ``benchmarks/conftest.py``),
   built from the same primitives.
@@ -134,7 +134,7 @@ class RunRecord:
                    extra=dict(data.get("extra", {})))
 
     def render(self) -> str:
-        """Terminal replay of the record (used by ``repro trace
+        """Terminal replay of the record (used by ``repro profile
         --from-record``)."""
         lines = [f"run record: {self.command} "
                  f"({self.started_at or 'unknown time'})"]

@@ -23,7 +23,6 @@ from repro.problems.parenthesization import (
     paren_combine,
     parenthesization_inputs,
     parenthesization_spec,
-    parenthesization_system,
 )
 from repro.problems.recursive_convolution import (
     recursive_convolution_backward,
@@ -55,7 +54,6 @@ __all__ = [
     "paren_combine",
     "parenthesization_inputs",
     "parenthesization_spec",
-    "parenthesization_system",
     "random_inputs",
     "random_instance",
     "recursive_convolution_backward",

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.ir.ops import Op, make_op
-from repro.ir.program import HighLevelSpec, RecurrenceSystem
-from repro.problems.dynamic_programming import dp_spec, dp_system
+from repro.ir.program import HighLevelSpec
+from repro.problems.dynamic_programming import dp_spec
 
 
 def paren_body() -> Op:
@@ -40,11 +40,6 @@ def parenthesization_spec() -> HighLevelSpec:
     """Recurrence (8) instantiated for matrix-chain ordering."""
     spec = dp_spec(paren_body(), paren_combine())
     return spec
-
-
-def parenthesization_system() -> RecurrenceSystem:
-    """The hand-derived two-chain system with parenthesization semantics."""
-    return dp_system(paren_body(), paren_combine())
 
 
 def parenthesization_inputs(dims: Sequence[int]) -> dict[str, Callable]:

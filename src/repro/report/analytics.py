@@ -9,7 +9,7 @@ or more of those stores into the operator's questions:
 * **latency** — engine × problem wall-time tables (count, p50, p95, max),
   built from the per-job samples ``repro sweep`` stashes in
   ``extra["jobs"]`` and the single-design samples of
-  ``synthesize``/``trace`` runs (``extra["workload"]``);
+  ``synthesize``/``profile`` runs (``extra["workload"]``);
 * **cache** — hit/miss/negative-rate tables per cache family (design
   cache, native artifact cache, point-set cache), summed over every
   record's counters;
@@ -72,7 +72,7 @@ def job_samples(records: Sequence[RunRecord],
     """Wall-time samples in seconds, grouped by ``(engine, problem)``.
 
     A sweep record contributes one sample per job (``extra["jobs"]``); a
-    ``synthesize``/``trace`` record contributes its own wall time under
+    ``synthesize``/``profile`` record contributes its own wall time under
     the workload it declared (``extra["workload"]``).
     """
     groups: dict[tuple[str, str], list[float]] = {}

@@ -26,7 +26,7 @@ import numpy as np
 from repro.deps.vectors import DependenceMatrix
 from repro.schedule.linear import LinearSchedule
 from repro.space.diophantine import LinkDecomposer
-from repro.space.smith import det, int_rank
+from repro.space.smith import int_rank
 
 
 @dataclass(frozen=True)
@@ -79,17 +79,6 @@ class SpaceMap:
             " ".join(str(v) for v in row) + (f" +{off}" if off else "")
             for row, off in zip(self.matrix, self.offset))
         return f"S{self.dims}=[{rows}]"
-
-
-def transformation_nonsingular(schedule: LinearSchedule,
-                               space: SpaceMap) -> bool:
-    """Whether ``Π = [T; S]`` is square and non-singular — the paper's
-    sufficient condition for conflict-freedom (2)."""
-    n = len(schedule.dims)
-    if space.label_dim + 1 != n:
-        return False
-    Pi = [list(schedule.coeffs)] + [list(row) for row in space.matrix]
-    return det(Pi) != 0
 
 
 def transformation_full_rank(schedule: LinearSchedule,

@@ -108,20 +108,6 @@ def _displacements_ok(disp: np.ndarray, gaps: Sequence[int],
     return True
 
 
-def adjacency_ok(gc: GlobalConstraint,
-                 dst_sched: LinearSchedule, src_sched: LinearSchedule,
-                 dst_map: SpaceMap, src_map: SpaceMap,
-                 decomposer: LinkDecomposer) -> bool:
-    """Check constraint (10) for every enumerated instance of a link."""
-    if gc.instances == 0:
-        return True
-    dst_t = dst_sched.times(gc.dst_points)
-    src_t = src_sched.times(gc.src_points)
-    gaps = dst_t - src_t
-    disp = dst_map.cells(gc.dst_points) - src_map.cells(gc.src_points)
-    return _displacements_ok(disp, gaps.tolist(), decomposer)
-
-
 class CandidatePool:
     """Each module's locally feasible space maps, enumerated once.
 

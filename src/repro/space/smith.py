@@ -1,11 +1,10 @@
-"""Hermite and Smith normal forms over the integers.
+"""Smith normal form and exact rank over the integers.
 
 The space-mapping condition (3) ``S D = Δ K`` is a system of linear
-*diophantine* equations; their solvability theory rests on these normal
-forms.  Both are computed with exact integer arithmetic (Python ints — no
-overflow) and return the unimodular transforms, so callers can parameterise
-full solution sets and tests can verify ``U A V = smith`` and
-``|det U| = |det V| = 1``.
+*diophantine* equations; its solvability theory rests on this normal form.
+It is computed with exact integer arithmetic (Python ints — no overflow)
+and returns the unimodular transforms, so callers can parameterise full
+solution sets and tests can verify ``U A V = smith``.
 """
 
 from __future__ import annotations
@@ -33,76 +32,6 @@ def _identity(n: int) -> np.ndarray:
     for i in range(n):
         I[i, i] = 1
     return I
-
-
-def det(A) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    M = _as_int_matrix(A)
-    n, m = M.shape
-    if n != m:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    M = M.copy()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k, k] == 0:
-            pivot = next((r for r in range(k + 1, n) if M[r, k] != 0), None)
-            if pivot is None:
-                return 0
-            M[[k, pivot]] = M[[pivot, k]]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i, j] = (M[i, j] * M[k, k] - M[i, k] * M[k, j]) // prev
-        prev = M[k, k]
-    return sign * int(M[n - 1, n - 1])
-
-
-def hermite_normal_form(A) -> tuple[np.ndarray, np.ndarray]:
-    """Column-style Hermite normal form: returns ``(H, V)`` with
-    ``A V = H``, ``V`` unimodular, ``H`` lower-triangular with non-negative
-    entries and each row's pivot strictly dominating the entries to its right
-    (here: to its left, column style).
-    """
-    A = _as_int_matrix(A)
-    m, n = A.shape
-    H = A.copy()
-    V = _identity(n)
-
-    row = 0
-    col = 0
-    while row < m and col < n:
-        # Find a non-zero entry in this row at/after `col`.
-        pivots = [j for j in range(col, n) if H[row, j] != 0]
-        if not pivots:
-            row += 1
-            continue
-        # Euclidean reduction across columns until one non-zero remains.
-        while len(pivots) > 1:
-            pivots.sort(key=lambda j: abs(H[row, j]))
-            j0 = pivots[0]
-            for j in pivots[1:]:
-                q = H[row, j] // H[row, j0]
-                H[:, j] -= q * H[:, j0]
-                V[:, j] -= q * V[:, j0]
-            pivots = [j for j in range(col, n) if H[row, j] != 0]
-        j0 = pivots[0]
-        if j0 != col:
-            H[:, [col, j0]] = H[:, [j0, col]]
-            V[:, [col, j0]] = V[:, [j0, col]]
-        if H[row, col] < 0:
-            H[:, col] = -H[:, col]
-            V[:, col] = -V[:, col]
-        # Reduce earlier columns modulo the pivot.
-        for j in range(col):
-            q = H[row, j] // H[row, col]
-            H[:, j] -= q * H[:, col]
-            V[:, j] -= q * V[:, col]
-        row += 1
-        col += 1
-    return H, V
 
 
 def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,10 +124,3 @@ def int_rank(A) -> int:
             break
     return rank
 
-
-def is_unimodular(M) -> bool:
-    """True iff ``M`` is square, integral, with determinant ±1."""
-    M = _as_int_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        return False
-    return abs(det(M)) == 1

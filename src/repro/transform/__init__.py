@@ -3,12 +3,6 @@ pipelining variables, eliminating broadcasts, and choosing accumulation
 directions — deriving canonic-form recurrences from natural broadcast-form
 statements."""
 
-from repro.transform.catalog import (
-    convolution_reduction,
-    convolution_transform_inputs,
-    matvec_reduction,
-    matvec_transform_inputs,
-)
 from repro.transform.reductions import (
     TransformError,
     WeightedReduction,
@@ -22,10 +16,6 @@ __all__ = [
     "TransformError",
     "WeightedReduction",
     "build_recurrence",
-    "convolution_reduction",
-    "convolution_transform_inputs",
     "fused",
-    "matvec_reduction",
-    "matvec_transform_inputs",
     "propagation_direction",
 ]

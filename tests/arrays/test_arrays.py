@@ -11,7 +11,6 @@ from repro.arrays import (
     Interconnect,
     LINEAR_BIDIR,
     VLSIArray,
-    classify_pair,
     variable_flows,
 )
 from repro.arrays.dataflow import Flow
@@ -94,13 +93,3 @@ class TestFlows:
         flows = self.flows_w2()
         assert flows["w"].describe() == "stays"
         assert "speed 1/2" in flows["x"].describe()
-
-    def test_classify_pair(self):
-        flows = self.flows_w2()
-        assert classify_pair(flows["y"], flows["x"]) == \
-            "move in the same direction at different speeds"
-        opposite = Flow("z", (0, 1), (-1,), 1)
-        assert classify_pair(flows["y"], opposite) == \
-            "move in opposite directions"
-        assert classify_pair(flows["w"], flows["x"]) == "one stays"
-        assert classify_pair(flows["w"], flows["w"]) == "both stay"

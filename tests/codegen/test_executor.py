@@ -16,8 +16,9 @@ from repro.codegen import (
     native_available,
 )
 from repro.ir.ops import ADD, IDENTITY, MAC, MAX, MIN, MIN_PLUS, MUL, make_op
-from repro.ir.vector import build_program, execute_program, fused_int_kernel
+from repro.ir.vector import build_program, fused_int_kernel
 from repro.machine.native import execute_tiered
+from tests.ir.vector_oracle import execute_program
 
 pytestmark = pytest.mark.skipif(
     not native_available(), reason="no C toolchain on this machine")

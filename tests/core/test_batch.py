@@ -33,6 +33,7 @@ class TestSweepSmoke:
         report = run_sweep(SMOKE, workers=2, cache_dir=tmp_path)
         assert len(report.results) == 4
         assert report.workers == 2
+        assert gc.get_freeze_count() == 0    # the pool's freeze is undone
         assert report.cache_hits == 0 and report.cache_misses == 4
         # dp needs a bidirectional diagonal; the pure-linear pattern can't
         # place it — that failure is recorded, not raised.

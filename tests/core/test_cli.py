@@ -97,8 +97,7 @@ class TestEngineRegistry:
                     if "--engine" in action.option_strings:
                         assert tuple(action.choices) == ENGINES, name
                         found.append(name)
-        assert sorted(set(found)) == ["profile", "sweep", "synthesize",
-                                      "trace"]
+        assert sorted(set(found)) == ["profile", "sweep", "synthesize"]
 
     def test_registry_contains_native(self):
         from repro.machine.engines import ENGINE_HELP, ENGINES
@@ -223,24 +222,29 @@ class TestCell:
         assert "t=" in out or "idle" in out
 
 
-class TestTrace:
+class TestProfile:
     def test_exports_and_summary(self, tmp_path, capsys):
         out_base = str(tmp_path / "smoke")
-        assert main(["trace", "--problem", "dp", "--interconnect", "fig1",
+        assert main(["profile", "--problem", "dp", "--interconnect", "fig1",
                      "--n", "7", "--out", out_base]) == 0
         out = capsys.readouterr().out
         assert "per-cell utilization" in out
         assert "events:" in out and "fire=" in out
         jsonl = tmp_path / "smoke.events.jsonl"
         chrome = tmp_path / "smoke.trace.json"
-        assert jsonl.is_file() and chrome.is_file()
+        for path in (jsonl, chrome, tmp_path / "smoke.collapsed",
+                     tmp_path / "smoke.profile.json"):
+            assert path.stat().st_size > 0, path
         events = read_jsonl(jsonl)
         assert events and {e.kind for e in events} >= {"fire", "hop"}
         doc = json.loads(chrome.read_text())
         assert doc["traceEvents"] and doc["displayTimeUnit"] == "ms"
+        # Verification always runs, so its spans are always in the profile.
+        stacks = (tmp_path / "smoke.collapsed").read_text()
+        assert "verify.reference" in stacks and "verify.machine" in stacks
 
     def test_engines_export_identical_jsonl(self, tmp_path):
-        argv = ["trace", "--problem", "dp", "--interconnect", "fig1",
+        argv = ["profile", "--problem", "dp", "--interconnect", "fig1",
                 "--n", "6"]
         assert main(argv + ["--engine", "native",
                             "--out", str(tmp_path / "c")]) == 0
@@ -251,32 +255,33 @@ class TestTrace:
 
     def test_from_record_replay(self, tmp_path, capsys):
         metrics = tmp_path / "metrics"
-        assert main(["trace", "--problem", "dp", "--interconnect", "fig1",
+        assert main(["profile", "--problem", "dp", "--interconnect", "fig1",
                      "--n", "6", "--out", str(tmp_path / "t"),
                      "--stats", "--metrics-dir", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "run record:" in out
         records = list(metrics.glob("run-*.json"))
         assert len(records) == 1
-        assert main(["trace", "--from-record", str(records[0])]) == 0
+        assert main(["profile", "--from-record", str(records[0]),
+                     "--out", str(tmp_path / "replay")]) == 0
         replay = capsys.readouterr().out
-        assert "run record: trace" in replay
+        assert "run record: profile" in replay
         assert "cycles" in replay            # machine stats replayed
+        assert "verify.machine" in (tmp_path / "replay.collapsed").read_text()
 
     def test_from_record_bad_file(self, tmp_path):
         bad = tmp_path / "nope.json"
         bad.write_text("{}")
         with pytest.raises(SystemExit, match="cannot read run record"):
-            main(["trace", "--from-record", str(bad)])
+            main(["profile", "--from-record", str(bad)])
 
-    @pytest.mark.parametrize("command", ["trace", "profile"])
-    def test_from_record_non_object(self, tmp_path, command):
+    def test_from_record_non_object(self, tmp_path):
         """A record file whose top level is not a JSON object exits with
         a message, not a traceback."""
         bad = tmp_path / "run-list.json"
         bad.write_text("[]")
         with pytest.raises(SystemExit, match="cannot read run record"):
-            main([command, "--from-record", str(bad)])
+            main(["profile", "--from-record", str(bad)])
 
     def test_profile_from_sweep_record(self, tmp_path, capsys):
         metrics = tmp_path / "metrics"

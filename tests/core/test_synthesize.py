@@ -1,11 +1,8 @@
 """End-to-end synthesis: the paper's designs, exactly."""
 
-import pytest
-
-from repro.arrays import FIG1_UNIDIRECTIONAL, FIG2_EXTENDED, LINEAR_BIDIR
-from repro.core import synthesize, synthesize_uniform, verify_design
+from repro.arrays import FIG2_EXTENDED
+from repro.core import synthesize, verify_design
 from repro.problems import (
-    convolution_backward,
     convolution_inputs,
     dp_inputs,
     dp_system,
@@ -86,15 +83,6 @@ class TestConvolutionDesigns:
         report = verify_design(conv_design_backward,
                                convolution_inputs(x, w))
         assert report.ok, report.failures
-
-    def test_uniform_wrapper_rejects_multimodule(self, dp_sys, dp_params):
-        with pytest.raises(ValueError):
-            synthesize_uniform(dp_sys, dp_params, FIG1_UNIDIRECTIONAL)
-
-    def test_uniform_wrapper_works(self, conv_params):
-        d = synthesize_uniform(convolution_backward(), conv_params,
-                               LINEAR_BIDIR)
-        assert d.schedules["conv"].coeffs == (1, 1)
 
 
 class TestDesignObject:

@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 
 from repro.arrays import LINEAR_BIDIR
-from repro.core import synthesize_uniform, verify_design
+from repro.core import synthesize, verify_design
 from repro.deps import module_dependence_matrix
 from repro.ir import check_system, run_system
 from repro.ir.affine import var
 from repro.problems import classify_design, convolution_inputs
 from repro.reference import convolve
-from repro.transform import (
-    StreamSpec,
-    build_recurrence,
+from repro.transform import StreamSpec, build_recurrence, propagation_direction
+from tests.core.transform_catalog import (
     convolution_reduction,
     convolution_transform_inputs,
     matvec_reduction,
     matvec_transform_inputs,
-    propagation_direction,
 )
 
 RNG = random.Random(99)
@@ -80,7 +78,7 @@ class TestDerivedConvolution:
         paper's hand-written (4) does."""
         params = {"n": 10, "s": 3}
         system = build_recurrence(convolution_reduction(), "backward")
-        design = synthesize_uniform(system, params, LINEAR_BIDIR)
+        design = synthesize(system, params, LINEAR_BIDIR)
         assert design.schedules["conv"].coeffs == (1, 1)
         assert design.space_maps["conv"].matrix == ((0, 1),)
         flows = design.flows()["conv"]
@@ -93,7 +91,7 @@ class TestDerivedConvolution:
     def test_derived_design_verifies_on_machine(self):
         params = {"n": 9, "s": 3}
         system = build_recurrence(convolution_reduction(), "backward")
-        design = synthesize_uniform(system, params, LINEAR_BIDIR)
+        design = synthesize(system, params, LINEAR_BIDIR)
         x = [RNG.randint(-5, 5) for _ in range(params["n"])]
         w = [RNG.randint(-3, 3) for _ in range(params["s"])]
         report = verify_design(design, convolution_transform_inputs(x, w))
@@ -137,7 +135,7 @@ class TestDerivedMatvec:
         n = 5
         params = {"n": n}
         system = build_recurrence(matvec_reduction(), "backward")
-        design = synthesize_uniform(system, params, LINEAR_BIDIR)
+        design = synthesize(system, params, LINEAR_BIDIR)
         A = [[RNG.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         x = [RNG.randint(-4, 4) for _ in range(n)]
         report = verify_design(design, matvec_transform_inputs(A, x))

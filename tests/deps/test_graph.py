@@ -4,15 +4,11 @@ import pytest
 
 from repro.deps import (
     DependenceMatrix,
-    check_schedule_against_dag,
     critical_path_length,
     dependence_dag,
     levels,
-    trace_dag,
 )
-from repro.ir import trace_execution
 from repro.ir.indexset import Polyhedron
-from repro.problems import dp_inputs, dp_system
 from repro.schedule import LinearSchedule
 
 
@@ -45,17 +41,5 @@ class TestDependenceDag:
         g = dependence_dag(dom, D, {})
         good = LinearSchedule(("i", "k"), (1, 1))
         bad = LinearSchedule(("i", "k"), (1, -1))
-        assert check_schedule_against_dag(g, good.time)
-        assert not check_schedule_against_dag(g, bad.time)
-
-
-class TestTraceDag:
-    def test_dp_trace_dag_acyclic_and_deep(self):
-        n = 6
-        system = dp_system()
-        seeds = list(range(1, n))
-        trace = trace_execution(system, {"n": n}, dp_inputs(seeds))
-        g = trace_dag(trace)
-        assert g.number_of_nodes() == len(trace.events)
-        # The DP dependence chain grows with n.
-        assert critical_path_length(g) >= n - 2
+        assert all(good.time(u) < good.time(v) for u, v in g.edges)
+        assert not all(bad.time(u) < bad.time(v) for u, v in g.edges)

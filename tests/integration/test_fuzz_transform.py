@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.arrays import LINEAR_BIDIR
-from repro.core import synthesize_uniform
+from repro.core import SynthesisOptions, synthesize
 from repro.ir import run_system
 from repro.ir.affine import const, var
 from repro.ir.ops import ADD, MUL
@@ -92,8 +92,8 @@ def test_random_reductions_end_to_end(shape_a, shape_b, direction, values):
 
     # 2. Synthesize; skip instances the linear array cannot host.
     try:
-        design = synthesize_uniform(system, PARAMS, LINEAR_BIDIR,
-                                    time_bound=2)
+        design = synthesize(system, PARAMS, LINEAR_BIDIR,
+                            SynthesisOptions(time_bound=2))
     except (NoScheduleExists, NoSpaceMapExists):
         assume(False)
         return

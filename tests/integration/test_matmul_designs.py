@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.arrays import HEX_6, MESH_4
-from repro.core import synthesize_uniform, verify_design
+from repro.core import synthesize, verify_design
 from repro.problems import matmul_inputs, matmul_system
 
 N = 4
@@ -22,7 +22,7 @@ def random_matrices(seed=0):
 class TestMeshMatmul:
     @pytest.fixture(scope="class")
     def design(self):
-        return synthesize_uniform(matmul_system(), PARAMS, MESH_4)
+        return synthesize(matmul_system(), PARAMS, MESH_4)
 
     def test_schedule_is_i_plus_j_plus_k(self, design):
         """The classic wavefront: T(i,j,k) = i + j + k."""
@@ -49,12 +49,12 @@ class TestMeshMatmul:
 
 class TestHexMatmul:
     def test_hex_design_verifies(self):
-        design = synthesize_uniform(matmul_system(), PARAMS, HEX_6)
+        design = synthesize(matmul_system(), PARAMS, HEX_6)
         A, B = random_matrices(2)
         report = verify_design(design, matmul_inputs(A, B))
         assert report.ok, report.failures
 
     def test_hex_at_least_as_cheap_as_mesh(self):
-        mesh = synthesize_uniform(matmul_system(), PARAMS, MESH_4)
-        hexd = synthesize_uniform(matmul_system(), PARAMS, HEX_6)
+        mesh = synthesize(matmul_system(), PARAMS, MESH_4)
+        hexd = synthesize(matmul_system(), PARAMS, HEX_6)
         assert hexd.cell_count <= mesh.cell_count

@@ -8,7 +8,7 @@
 import pytest
 
 from repro.arrays import FIG1_UNIDIRECTIONAL, FIG2_EXTENDED, LINEAR_BIDIR
-from repro.core import restructure, synthesize, synthesize_uniform, verify_design
+from repro.core import restructure, synthesize, verify_design
 from repro.ir import check_system, run_system
 from repro.problems import (
     convolution_backward,
@@ -66,8 +66,7 @@ class TestTinyConvolution:
 
     def test_single_tap_synthesizes(self):
         params = {"n": 5, "s": 1}
-        design = synthesize_uniform(convolution_backward(), params,
-                                    LINEAR_BIDIR)
+        design = synthesize(convolution_backward(), params, LINEAR_BIDIR)
         report = verify_design(design,
                                convolution_inputs([1, 2, 3, 4, 5], [2]))
         assert report.ok, report.failures
@@ -76,7 +75,6 @@ class TestTinyConvolution:
     def test_n_equals_s(self):
         params = {"n": 4, "s": 4}
         x, w = [1, -1, 2, -2], [1, 2, 3, 4]
-        design = synthesize_uniform(convolution_backward(), params,
-                                    LINEAR_BIDIR)
+        design = synthesize(convolution_backward(), params, LINEAR_BIDIR)
         report = verify_design(design, convolution_inputs(x, w))
         assert report.ok, report.failures

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ir.affine import AffineExpr, QuasiAffineExpr, const, var, vars_
+from repro.ir.affine import AffineExpr, QuasiAffineExpr, const, var
 
 NAMES = ("i", "j", "k")
 
@@ -32,10 +32,6 @@ class TestConstruction:
     def test_const(self):
         assert const(5).evaluate({}) == 5
 
-    def test_vars_shorthand(self):
-        i, j = vars_("i", "j")
-        assert (i + j).evaluate({"i": 2, "j": 3}) == 5
-
     def test_zero_coefficients_dropped(self):
         e = AffineExpr({"i": 0, "j": 1})
         assert e.variables() == frozenset({"j"})
@@ -58,7 +54,7 @@ class TestConstruction:
 
 class TestArithmetic:
     def test_add_sub(self):
-        i, j = vars_("i", "j")
+        i, j = var("i"), var("j")
         e = 2 * i + j - 3
         assert e.evaluate({"i": 4, "j": 1}) == 6
 
@@ -119,14 +115,14 @@ class TestEvaluation:
 
 class TestSubstitution:
     def test_simultaneous(self):
-        i, j = vars_("i", "j")
+        i, j = var("i"), var("j")
         e = i + j
         # i -> j, j -> i simultaneously.
         swapped = e.substitute({"i": j, "j": i})
         assert swapped == e
 
     def test_substitute_expression(self):
-        i, j = vars_("i", "j")
+        i, j = var("i"), var("j")
         e = 2 * i
         assert e.substitute({"i": j - 1}) == 2 * j - 2
 

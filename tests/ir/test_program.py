@@ -21,7 +21,7 @@ from repro.ir import (
     le,
 )
 from repro.ir.affine import var
-from repro.ir.indexset import eq, lt
+from repro.ir.indexset import eq
 from repro.ir.predicates import at_least
 from repro.problems import dp_spec
 from repro.reference import min_plus_dp

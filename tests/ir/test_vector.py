@@ -33,9 +33,9 @@ from repro.ir.vector import (
     _checked_add,
     _checked_mul,
     build_program,
-    execute_program,
     fused_int_kernel,
 )
+from tests.ir.vector_oracle import execute_program
 
 #: Deliberate fallbacks raise the one-time int64 fallback RuntimeWarning,
 #: which this suite otherwise treats as an error.

@@ -272,7 +272,8 @@ class TestFallbackLadder:
     def test_composite_with_custom_component_falls_back(self):
         """``h(prev, f(...))`` with a non-stock ``h`` (even one carrying
         its own int64 kernel) never reaches the executor."""
-        from repro.ir.vector import build_program, execute_program
+        from repro.ir.vector import build_program
+        from tests.ir.vector_oracle import execute_program
 
         lowest = make_op("lowest", 2, min, int_kernel=np.minimum)
         body = compose_accumulate(lowest, ADD)

@@ -14,8 +14,9 @@ from repro.problems import (
     dp_system,
     matmul_inputs,
     matmul_system,
+    paren_body,
+    paren_combine,
     parenthesization_inputs,
-    parenthesization_system,
     recursive_convolution_backward,
     recursive_convolution_forward,
     recursive_convolution_inputs,
@@ -106,7 +107,7 @@ class TestParenthesization:
     ])
     def test_matches_reference(self, dims):
         n = len(dims)
-        system = parenthesization_system()
+        system = dp_system(paren_body(), paren_combine())
         res = run_system(system, {"n": n}, parenthesization_inputs(dims))
         ref = matrix_chain(dims)
         for key, value in res.items():

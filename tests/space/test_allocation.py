@@ -13,7 +13,6 @@ from repro.space import (
     conflict_free,
     enumerate_space_maps,
     flows_realisable,
-    transformation_nonsingular,
 )
 from repro.space.allocation import entry_preference, transformation_full_rank
 
@@ -60,11 +59,10 @@ class TestConflictFreedom:
 
     def test_nonsingular_pi(self):
         s = SpaceMap(("i", "k"), ((0, 1),))
-        assert transformation_nonsingular(CONV_T, s)
         assert transformation_full_rank(CONV_T, s)
         degenerate = SpaceMap(("i", "k"), ((1, 1),))
         # T=(1,1), S=(1,1): Π singular.
-        assert not transformation_nonsingular(CONV_T, degenerate)
+        assert not transformation_full_rank(CONV_T, degenerate)
 
 
 class TestFlows:

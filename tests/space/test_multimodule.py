@@ -11,9 +11,9 @@ from repro.schedule import ModuleSchedulingProblem, solve_multimodule
 from repro.space import (
     ModuleSpaceProblem,
     NoSpaceMapExists,
-    adjacency_ok,
     solve_multimodule_space,
 )
+from tests.space.allocator_oracle import adjacency_ok
 
 
 @pytest.fixture(scope="module")
