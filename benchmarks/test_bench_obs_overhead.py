@@ -1,9 +1,9 @@
 """Benchmark O — telemetry overhead on the warm sweep path.
 
-The whole observability stack (span tree, stage-duration histograms, all
-held by the one tracer) is opt-in: with tracing disabled a stage costs one dict
-bump, with tracing enabled it additionally allocates a span node and feeds
-the per-stage histogram.  This benchmark pins the price of "enabled" where
+The whole observability stack (counters, timers and the span tree, all
+held by the one tracer) is opt-in: with tracing disabled a stage costs one
+dict bump, with tracing enabled it additionally allocates a span node.
+This benchmark pins the price of "enabled" where
 it matters — a warm sweep, whose jobs are cache loads and therefore all
 overhead-sensitive bookkeeping, no solver time to hide behind — and gates
 it at **< 5%**.

@@ -37,7 +37,8 @@ Surface groups:
   ``$REPRO_WORKERS``), and resumable manifests (:class:`SweepManifest`,
   :func:`read_manifest`, :class:`ManifestError`);
 * persistent cache — :class:`DesignCache` (sharded ``ab/cd/<key>.json``
-  store with an index and :meth:`~DesignCache.prune`),
+  store, listed by scanning its entry files, with
+  :meth:`~DesignCache.prune`),
   :class:`PruneReport`, :func:`cache_key`,
   :func:`cache_key_from_fingerprint`, :func:`system_fingerprint`;
 * fuzzing — :func:`fuzz` (budgeted random round-trips of the nonuniform
@@ -47,16 +48,17 @@ Surface groups:
 * errors — :class:`SynthesisError` and its concrete subclasses;
 * naming — :func:`resolve_interconnect`, :data:`STOCK_INTERCONNECTS`;
 * observability — the tracer (:data:`TRACER`, also named
-  :data:`METRICS`), the one registry of counters, timers, gauges,
-  :class:`Histogram` latency distributions and spans, with its profiling
-  exports (:func:`collapsed_stacks`, :func:`spans_to_chrome_trace`), live
-  sweep progress (:class:`ProgressEvent`,
-  :class:`CLIProgress`, :class:`JsonlHeartbeat`, :func:`read_heartbeat`),
+  :data:`METRICS`), the one registry of counters, timers and spans, with
+  its profiling exports (:func:`collapsed_stacks`,
+  :func:`spans_to_chrome_trace`), live sweep progress
+  (:class:`ProgressEvent`, :class:`CLIProgress`, :class:`JsonlHeartbeat`,
+  :func:`read_heartbeat`),
   cycle-level machine event logs (:class:`EventLog`,
   :class:`MachineEvent`), persistent run metrics (:class:`RunRecord`,
   :func:`write_run_record`, :func:`load_run_record`, :func:`metrics_dir`)
   and run-record analytics (:func:`load_records`, :func:`render_report`,
-  :func:`report_dict` — the engine behind ``repro report``).
+  :func:`report_dict` — the engine behind ``repro report``, whose stage
+  latency table comes from the records' span trees).
 """
 
 from repro.arrays.interconnect import (
@@ -132,7 +134,6 @@ from repro.obs import (
     CLIProgress,
     EventLog,
     EventSink,
-    Histogram,
     JsonlHeartbeat,
     MachineEvent,
     ProgressEvent,
@@ -161,7 +162,6 @@ __all__ = [
     "EventSink",
     "ExploredDesign",
     "FuzzReport",
-    "Histogram",
     "INTERCONNECT_ALIASES",
     "Interconnect",
     "JsonlHeartbeat",

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro.api import (
     ENGINES,
+    PROBLEM_BUILDERS,
     DesignCache,
     SweepSpec,
     SynthesisOptions,
@@ -54,7 +55,6 @@ from repro.problems import (
     convolution_forward,
     dp_system,
     input_factory,
-    matmul_system,
     random_inputs,
 )
 from repro.ir import trace_execution
@@ -92,13 +92,6 @@ from repro.report import (
 #: (machine stats, event counts, exported file paths).
 RUN_EXTRA: dict = {}
 
-PROBLEMS = {
-    "dp": (dp_system, ("n",)),
-    "conv-backward": (convolution_backward, ("n", "s")),
-    "conv-forward": (convolution_forward, ("n", "s")),
-    "matmul": (matmul_system, ("n",)),
-}
-
 
 def _interconnect(name: str):
     try:
@@ -119,7 +112,7 @@ def _csv(text: str) -> list[str]:
 
 
 def cmd_synthesize(args) -> int:
-    builder, needed = PROBLEMS[args.problem]
+    builder, needed = PROBLEM_BUILDERS[args.problem]
     params = {"n": args.n}
     if "s" in needed:
         params["s"] = args.s
@@ -180,9 +173,9 @@ def cmd_explore(args) -> int:
 def cmd_sweep(args) -> int:
     problems = _csv(args.problems)
     for prob in problems:
-        if prob not in PROBLEMS:
+        if prob not in PROBLEM_BUILDERS:
             raise SystemExit(f"unknown problem {prob!r}; choose from "
-                             f"{sorted(PROBLEMS)}")
+                             f"{sorted(PROBLEM_BUILDERS)}")
     interconnects = tuple(_interconnect(name)
                           for name in _csv(args.interconnects))
     try:
@@ -207,7 +200,7 @@ def cmd_sweep(args) -> int:
         sinks.append(JsonlHeartbeat(args.heartbeat))
     report = run_sweep(
         spec,
-        workers=0 if args.serial else args.workers,
+        workers=args.workers,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         cross_check=not args.no_cross_check,
@@ -232,11 +225,10 @@ def cmd_sweep(args) -> int:
     if args.heartbeat:
         print(f"heartbeat: {args.heartbeat}")
     if args.manifest:
-        resumed = int(TRACER.gauges.get("sweep.jobs_resumed", 0))
         info = read_manifest(args.manifest)
         print(f"manifest: {args.manifest} "
               f"({len(info['completed'])}/{info['total']} journaled, "
-              f"{resumed} restored this run)")
+              f"{report.resumed} restored this run)")
     if args.stats:
         print()
         print(report.summary())
@@ -289,7 +281,9 @@ def cmd_profile(args) -> int:
     ``<out>.trace.json`` (Chrome ``trace_event``), and the span forest as
     ``<out>.collapsed`` (folded stacks — feed to flamegraph.pl or drop into
     speedscope) and ``<out>.profile.json`` (Chrome ``trace_event``).  Open
-    either JSON file in Perfetto or ``chrome://tracing``.  With
+    either JSON file in Perfetto or ``chrome://tracing``.  It prints the
+    verification report and, after the exports, exits 1 when the design
+    fails it.  With
     ``--from-record`` it replays a persisted
     :class:`~repro.obs.metrics.RunRecord` in the terminal instead, and
     re-exports the record's span tree when it carries one.
@@ -307,7 +301,7 @@ def cmd_profile(args) -> int:
         return 0
 
     TRACER.enable()          # regardless of --stats: spans ARE the output
-    builder, needed = PROBLEMS[args.problem]
+    builder, needed = PROBLEM_BUILDERS[args.problem]
     params = {"n": args.n}
     if "s" in needed:
         params["s"] = args.s
@@ -316,7 +310,7 @@ def cmd_profile(args) -> int:
     design = synthesize(system, params, _interconnect(args.interconnect),
                         options)
     inputs = _random_inputs(args.problem, params, args.seed)
-    verify_design(design, inputs, engine=options.engine)
+    report = verify_design(design, inputs, engine=options.engine)
     trace = trace_execution(system, params, inputs)
     mc = compile_design(trace, design.schedules, design.space_maps,
                         design.interconnect.decomposer())
@@ -341,6 +335,8 @@ def cmd_profile(args) -> int:
           f"{s.operations} ops, {s.hops} hops, "
           f"utilization {s.utilization:.0%}")
     print("events: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
+    print(f"verification: {report}  (seed={args.seed}, "
+          f"engine={options.engine})")
     print()
     print(cell_utilization_table(cell_utilization(mc),
                                  "per-cell utilization",
@@ -354,7 +350,7 @@ def cmd_profile(args) -> int:
                              "engine": options.engine}
     span_paths = _export_spans(TRACER.spans(), out)
     RUN_EXTRA["exports"] = [jsonl_path, chrome_path, *span_paths]
-    return 0
+    return 0 if report.ok else 1
 
 
 def _export_spans(spans: list[Span], out: str) -> list[str]:
@@ -421,8 +417,7 @@ def cmd_fuzz(args) -> int:
     from repro.fuzz import fuzz, load_corpus, replay_corpus
 
     if args.replay:
-        results = replay_corpus(args.corpus_dir,
-                                pipeline=not args.no_pipeline)
+        results = replay_corpus(args.corpus_dir)
         if not results:
             print(f"no corpus artifacts under {args.corpus_dir}")
             return 0
@@ -444,7 +439,7 @@ def cmd_fuzz(args) -> int:
     report = fuzz(max_examples=args.examples, budget=args.budget,
                   seed=args.seed, corpus_dir=args.corpus_dir,
                   max_failures=args.max_failures, db_dir=args.db,
-                  log=print, pipeline=not args.no_pipeline)
+                  log=print)
     print(report.summary())
     known = len(load_corpus(args.corpus_dir))
     print(f"corpus: {known} artifacts under {args.corpus_dir}")
@@ -488,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="synthesize one design",
                        parents=[common])
-    p.add_argument("--problem", choices=sorted(PROBLEMS), default="dp")
+    p.add_argument("--problem", choices=sorted(PROBLEM_BUILDERS),
+                   default="dp")
     p.add_argument("--interconnect", default="fig1")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--s", type=int, default=4)
@@ -527,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-bound", type=int, default=3)
     p.add_argument("--space-bound", type=int, default=1)
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: cpu_count-1, min 1)")
-    p.add_argument("--serial", action="store_true",
-                   help="run in-process without a worker pool (debugging)")
+                   help="worker processes (default: cpu_count-1, min 1; "
+                        "0 runs in-process without a worker pool, for "
+                        "debugging)")
     p.add_argument("--no-cache", action="store_true",
                    help="skip the persistent design cache")
     p.add_argument("--cache-dir", default=None,
@@ -580,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
              "log (JSON-lines + Chrome trace_event) and the span tree "
              "(collapsed stacks + Chrome trace_event), or replay a run "
              "record")
-    p.add_argument("--problem", choices=sorted(PROBLEMS), default="dp")
+    p.add_argument("--problem", choices=sorted(PROBLEM_BUILDERS),
+                   default="dp")
     p.add_argument("--interconnect", default="fig1")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--s", type=int, default=4)
@@ -657,9 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", action="store_true",
                    help="re-run every corpus artifact instead of "
                         "generating new examples")
-    p.add_argument("--no-pipeline", action="store_true",
-                   help="skip the pass-pipeline fourth comparison point "
-                        "of each case (faster, less coverage)")
     p.set_defaults(fn=cmd_fuzz)
     return parser
 
@@ -688,7 +682,7 @@ def main(argv=None) -> int:
             command=args.command,
             argv=list(argv) if argv is not None else sys.argv[1:],
             started_at=started, wall_time=wall, git_sha=git_sha(),
-            stats=TRACER.to_wire(), spans=TRACER.span_dicts(),
+            stats=TRACER.snapshot(), spans=TRACER.span_dicts(),
             machine_stats=RUN_EXTRA.get("machine_stats"),
             extra=extra)
         path = write_run_record(record, record_root)

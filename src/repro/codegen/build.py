@@ -183,9 +183,6 @@ def load_or_build(source: str = EXECUTOR_SOURCE,
             pass
         return None, f"compiler failed to run: {exc}"
     compile_ms = round((time.perf_counter() - t0) * 1e3, 3)
-    # Observed directly (not via a span) so compile latency is visible
-    # even with tracing off.
-    TRACER.observe("native.compile_s", compile_ms / 1e3)
     if proc.returncode != 0:
         try:
             os.unlink(tmp_so)

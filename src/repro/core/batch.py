@@ -35,9 +35,9 @@ Execution model:
   boundaries;
 * a failed job records its :class:`~repro.util.errors.SynthesisError`
   in its :class:`SweepResult` instead of killing the sweep;
-* per-job wall time and the job's tracer wire (counters, timers, gauges,
-  histograms and span trees) travel back with each result and are merged
-  into the parent's :data:`~repro.obs.TRACER`;
+* per-job wall time and the job's tracer snapshot (counters and timers)
+  and span trees travel back with each result and are merged into the
+  parent's :data:`~repro.obs.TRACER`;
 * with ``cross_check=True`` one cached entry per sweep (the cheapest, to
   keep warm runs fast) is re-synthesized from scratch and compared against
   the stored payload — a standing guard against stale or corrupted caches.
@@ -61,6 +61,7 @@ from repro.core.cache import (
     system_fingerprint,
 )
 from repro.core.design import Design
+from repro.core.explore import non_dominated
 from repro.core.globals import link_constraints
 from repro.core.manifest import SweepManifest
 from repro.core.nonuniform import synthesize
@@ -287,7 +288,10 @@ class SweepResult:
 
 @dataclass
 class SweepReport:
-    """Everything a sweep produced, plus the bookkeeping around it."""
+    """Everything a sweep produced, plus the bookkeeping around it.
+
+    ``resumed`` counts the jobs restored from a sweep manifest this run.
+    """
 
     results: list[SweepResult]
     wall_time: float
@@ -295,6 +299,7 @@ class SweepReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cross_check: str | None = None
+    resumed: int = 0
 
     @property
     def ok_results(self) -> list[SweepResult]:
@@ -307,21 +312,11 @@ class SweepReport:
     def pareto(self) -> list[SweepResult]:
         """Successful results not dominated in (completion time, cells),
         one representative per distinct point, sorted by completion time."""
-        ok = self.ok_results
-        front: list[SweepResult] = []
-        seen: set[tuple[int, int]] = set()
-        for r in sorted(ok, key=lambda r: (r.completion_time, r.cells,
-                                           r._sort_key())):
-            tag = (r.completion_time, r.cells)
-            if tag in seen:
-                continue
-            if any(o.completion_time <= r.completion_time
-                   and o.cells <= r.cells
-                   and (o.completion_time, o.cells) != tag for o in ok):
-                continue
-            seen.add(tag)
-            front.append(r)
-        return front
+        ranked = sorted(self.ok_results,
+                        key=lambda r: (r.completion_time, r.cells,
+                                       r._sort_key()))
+        return non_dominated(ranked,
+                             lambda r: (r.completion_time, r.cells))
 
     def summary(self) -> str:
         lines = [
@@ -347,6 +342,7 @@ class SweepReport:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cross_check": self.cross_check,
+            "resumed": self.resumed,
             "results": [r.to_dict() for r in self.results],
         }
 
@@ -360,7 +356,7 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
 
     Stats protocol: a *worker* process resets the tracer, so at the end of
     the job ``result.stats`` is exactly the job's own
-    :meth:`~repro.obs.tracer.Tracer.to_wire` — with ``tracing``, plus its
+    :meth:`~repro.obs.tracer.Tracer.snapshot` — with ``tracing``, plus its
     root span trees under ``"spans"`` — and the parent folds it in with
     :func:`_merge_stats`.  On the serial path the tracer belongs to the
     caller and is **left untouched**: the job accrues into it directly,
@@ -414,7 +410,7 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
                 "solve_time": wall,
             })
     if in_worker:
-        result.stats = TRACER.to_wire()
+        result.stats = TRACER.snapshot()
         roots = TRACER.spans()
         if roots:
             # Ship the trees; drop the worker-side copies so a reused pool
@@ -472,7 +468,7 @@ def _result_from_payload(job: SweepJob, key: str,
 
 
 def _merge_stats(stats: dict) -> None:
-    """Fold a worker job's stats — its tracer wire and span trees — into
+    """Fold a worker job's stats — its tracer snapshot and span trees — into
     the parent's tracer (the serial path needs no merge: it accrued
     directly)."""
     TRACER.merge_wire(stats)
@@ -623,8 +619,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
     """
     jobs = spec.jobs() if isinstance(spec, SweepSpec) else list(spec)
     nworkers = default_workers() if workers is None else max(0, int(workers))
-    TRACER.set_gauge("sweep.workers", nworkers)
-    tracker = SweepProgress.create(progress, registry=TRACER)
+    tracker = SweepProgress.create(progress)
     t0 = time.perf_counter()
     cache = DesignCache(cache_dir) if use_cache else None
     cache_root = str(cache.root) if cache is not None else None
@@ -660,7 +655,6 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
             if tracker is not None:
                 tracker.job_done(ok=result.ok, cache_hit=result.cache_hit,
                                  label=result.label(), resumed=True)
-        TRACER.set_gauge("sweep.jobs_resumed", len(restored))
 
     def _finished(result: SweepResult) -> None:
         if journal is not None:
@@ -719,4 +713,5 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
                        workers=nworkers,
                        cache_hits=hits,
                        cache_misses=len(pending),
-                       cross_check=check)
+                       cross_check=check,
+                       resumed=len(restored))

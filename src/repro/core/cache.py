@@ -40,11 +40,11 @@ directory.  Failed
 syntheses are cached too (negative entries): re-running a sweep does not
 re-discover infeasibility the hard way.
 
-**Index.**  Every store appends one JSON line to ``index.jsonl`` carrying
-the entry's headline metadata (status, cells, completion time, size).
-``__len__``, :meth:`entries`, :meth:`pareto` and :meth:`prune` read the
-index instead of statting the world; :meth:`rebuild_index` regenerates it
-from the entry files when it is lost or stale.
+**Listing.**  ``__len__``, :meth:`entries`, :meth:`pareto` and
+:meth:`prune` scan the entry files themselves: each current-format entry
+contributes its headline fields (key, status, cells, completion time) with
+its size and modification time from ``stat``.  The entry files are the
+only record of what the cache holds, so no second store can go stale.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ except ImportError:                                   # non-POSIX platforms
 
 from repro.arrays.interconnect import Interconnect
 from repro.core.design import Design
+from repro.core.explore import non_dominated
 from repro.core.globals import link_constraints
 from repro.core.options import SynthesisOptions
 from repro.ir.program import RecurrenceSystem
 from repro.obs import TRACER
-from repro.util.journal import append_record, encode_record, read_records
 
 #: Environment variable overriding the cache directory.
 CACHE_ENV_VAR = "REPRO_DESIGN_CACHE"
@@ -200,9 +200,6 @@ class DesignCache:
     a cached design verifies exactly like a fresh one.
     """
 
-    #: Name of the append-only metadata index at the cache root.
-    INDEX_NAME = "index.jsonl"
-
     def __init__(self, root: "str | os.PathLike | None" = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
 
@@ -211,10 +208,6 @@ class DesignCache:
         if len(key) < 4:
             return self.root / f"{key}.json"
         return self.root / key[:2] / key[2:4] / f"{key}.json"
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / self.INDEX_NAME
 
     @contextlib.contextmanager
     def _shard_lock(self, shard: Path):
@@ -263,8 +256,7 @@ class DesignCache:
         return payload
 
     def store(self, key: str, payload: dict) -> Path:
-        """Atomically write ``payload`` under ``key`` (last writer wins)
-        and append its metadata to the index."""
+        """Atomically write ``payload`` under ``key`` (last writer wins)."""
         path = self.path_for(key)
         shard = path.parent
         shard.mkdir(parents=True, exist_ok=True)
@@ -285,38 +277,9 @@ class DesignCache:
         TRACER.count("cache.stores")
         if payload.get("status") == "error":
             TRACER.count("cache.negative_stores")
-        self._index_append({"key": key,
-                            "status": payload.get("status", "ok"),
-                            "cells": payload.get("cells"),
-                            "completion_time": payload.get(
-                                "completion_time"),
-                            "bytes": len(body),
-                            "ts": time.time()})
         return path
 
-    # -- the index -----------------------------------------------------------
-
-    def _index_append(self, record: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        append_record(self.index_path, record)
-
-    def _read_index(self) -> "dict[str, dict] | None":
-        """Live records by key (last writer wins, deletions applied), or
-        ``None`` when no index exists yet."""
-        try:
-            records = read_records(self.index_path)
-        except FileNotFoundError:
-            return None
-        live: dict[str, dict] = {}
-        for record in records:
-            key = record.get("key")
-            if not key:
-                continue
-            if record.get("deleted"):
-                live.pop(key, None)
-            else:
-                live[key] = record
-        return live
+    # -- listing -------------------------------------------------------------
 
     def _iter_entry_paths(self) -> Iterator[Path]:
         """Every sharded entry file on disk."""
@@ -324,12 +287,12 @@ class DesignCache:
             return
         yield from self.root.glob("??/??/*.json")
 
-    def rebuild_index(self) -> int:
-        """Regenerate ``index.jsonl`` from the entry files (the recovery
-        path for a lost or externally-mutated cache); returns the entry
-        count."""
+    def entries(self) -> list[dict]:
+        """One record per readable current-format entry, key-sorted:
+        ``key``, ``status``, ``cells``, ``completion_time``, ``bytes``
+        (file size) and ``ts`` (modification time)."""
         records = []
-        for path in sorted(self._iter_entry_paths()):
+        for path in self._iter_entry_paths():
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     payload = json.load(fh)
@@ -345,64 +308,29 @@ class DesignCache:
                                 "completion_time"),
                             "bytes": stat.st_size,
                             "ts": stat.st_mtime})
-        body = "".join(encode_record(r) for r in records)
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            os.replace(tmp, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return len(records)
-
-    def entries(self) -> list[dict]:
-        """The index's live records, key-sorted (rebuilding the index
-        from disk when none exists yet)."""
-        live = self._read_index()
-        if live is None:
-            if self.rebuild_index() == 0:
-                return []
-            live = self._read_index() or {}
-        return [live[k] for k in sorted(live)]
+        records.sort(key=lambda r: r["key"])
+        return records
 
     def pareto(self) -> list[dict]:
-        """Index records of successful designs not dominated in
-        (completion time, cells) — the cache-wide selection question,
-        answered without opening a single entry file."""
-        ok = [r for r in self.entries()
-              if r.get("status") == "ok"
-              and r.get("completion_time") is not None
-              and r.get("cells") is not None]
-        front = []
-        seen: set[tuple] = set()
-        for r in sorted(ok, key=lambda r: (r["completion_time"],
-                                           r["cells"], r["key"])):
-            tag = (r["completion_time"], r["cells"])
-            if tag in seen:
-                continue
-            if any(o["completion_time"] <= r["completion_time"]
-                   and o["cells"] <= r["cells"]
-                   and (o["completion_time"], o["cells"]) != tag
-                   for o in ok):
-                continue
-            seen.add(tag)
-            front.append(r)
-        return front
+        """:meth:`entries` records of successful designs not dominated in
+        (completion time, cells) — the cache-wide selection question."""
+        ok = sorted((r for r in self.entries()
+                     if r["status"] == "ok"
+                     and r["completion_time"] is not None
+                     and r["cells"] is not None),
+                    key=lambda r: (r["completion_time"], r["cells"],
+                                   r["key"]))
+        return non_dominated(ok, lambda r: (r["completion_time"],
+                                            r["cells"]))
 
     # -- pruning -------------------------------------------------------------
 
     def prune(self, *, max_age_days: "float | None" = None,
               max_bytes: "int | None" = None) -> PruneReport:
         """Evict entries older than ``max_age_days``, then oldest-first
-        until the cache fits ``max_bytes``; compacts the index afterwards.
-        An entry that cannot be unlinked counts in
-        :attr:`PruneReport.failed`.  Evictions land in the
-        ``cache.evictions`` / ``cache.evicted_bytes`` counters."""
+        until the cache fits ``max_bytes``.  An entry that cannot be
+        unlinked counts in :attr:`PruneReport.failed`.  Evictions land in
+        the ``cache.evictions`` / ``cache.evicted_bytes`` counters."""
         report = PruneReport()
         records = self.entries()
         report.examined = len(records)
@@ -410,21 +338,18 @@ class DesignCache:
         survivors = []
         doomed: list[tuple[dict, str]] = []
         for r in records:
-            age_days = (now - r.get("ts", now)) / 86400.0
+            age_days = (now - r["ts"]) / 86400.0
             if max_age_days is not None and age_days > max_age_days:
                 doomed.append((r, "age"))
             else:
                 survivors.append(r)
         if max_bytes is not None:
-            total = sum(r.get("bytes", 0) for r in survivors)
-            for r in sorted(survivors, key=lambda r: r.get("ts", 0.0)):
+            total = sum(r["bytes"] for r in survivors)
+            for r in sorted(survivors, key=lambda r: r["ts"]):
                 if total <= max_bytes:
                     break
                 doomed.append((r, "size"))
-                total -= r.get("bytes", 0)
-            doomed_keys = {r["key"] for r, _ in doomed}
-            survivors = [r for r in survivors
-                         if r["key"] not in doomed_keys]
+                total -= r["bytes"]
         for r, reason in doomed:
             path = self.path_for(r["key"])
             try:
@@ -438,8 +363,6 @@ class DesignCache:
             report.by_reason[reason] = report.by_reason.get(reason, 0) + 1
             TRACER.count("cache.evictions")
             TRACER.count("cache.evicted_bytes", size)
-        if report.removed:
-            self.rebuild_index()
         return report
 
     # -- designs -------------------------------------------------------------
@@ -471,18 +394,10 @@ class DesignCache:
         return self.path_for(key).is_file()
 
     def __len__(self) -> int:
-        """Entry count from the index (no directory walk); falls back to
-        a one-time rebuild when the index is absent."""
-        if not self.root.is_dir():
-            return 0
-        live = self._read_index()
-        if live is None:
-            return self.rebuild_index()
-        return len(live)
+        return len(self.entries())
 
     def clear(self) -> int:
-        """Delete every entry and the index; returns
-        how many entries were removed."""
+        """Delete every entry; returns how many entries were removed."""
         removed = 0
         for path in list(self._iter_entry_paths()):
             try:
@@ -490,10 +405,6 @@ class DesignCache:
                 removed += 1
             except OSError:
                 pass
-        try:
-            self.index_path.unlink()
-        except OSError:
-            pass
         return removed
 
     def __repr__(self) -> str:

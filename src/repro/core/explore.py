@@ -13,7 +13,7 @@ Tables 1 and 2: which named designs (W1/W2/R2) arise from which recurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from repro.schedule.linear import LinearSchedule
 from repro.core.options import SynthesisOptions
 from repro.schedule.solver import valid_candidates
 from repro.space.allocation import cells_used, enumerate_space_maps
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -127,20 +129,29 @@ def explore_interconnects(system: RecurrenceSystem,
     return results
 
 
+def non_dominated(items: Sequence[T],
+                  point: Callable[[T], tuple[int, int]]) -> list[T]:
+    """The items whose (time, cells) ``point`` no other item dominates, in
+    input order, keeping the first item of each distinct point.
+
+    The one Pareto routine: sweep reports, the design cache and
+    :func:`pareto_front` all select through it.
+    """
+    points = [point(item) for item in items]
+    front: list[T] = []
+    seen: set[tuple[int, int]] = set()
+    for item, (t, c) in zip(items, points):
+        if (t, c) in seen:
+            continue
+        if any(ot <= t and oc <= c and (ot, oc) != (t, c)
+               for ot, oc in points):
+            continue
+        seen.add((t, c))
+        front.append(item)
+    return front
+
+
 def pareto_front(designs: list[ExploredDesign]) -> list[ExploredDesign]:
     """Designs not dominated in (makespan, cells) — the paper's T/P
     optimality trade-off."""
-    front: list[ExploredDesign] = []
-    for d in designs:
-        if not any(o.makespan <= d.makespan and o.cells <= d.cells
-                   and (o.makespan, o.cells) != (d.makespan, d.cells)
-                   for o in designs):
-            front.append(d)
-    unique: list[ExploredDesign] = []
-    seen: set[tuple[int, int]] = set()
-    for d in front:
-        tag = (d.makespan, d.cells)
-        if tag not in seen:
-            seen.add(tag)
-            unique.append(d)
-    return unique
+    return non_dominated(designs, lambda d: (d.makespan, d.cells))

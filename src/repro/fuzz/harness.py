@@ -21,12 +21,11 @@ Stages, in order, with the outcome taxonomy each can produce:
    object arrays on fallback under both) run the compiled design; each
    must reproduce the oracle's values exactly *and* emit the
    byte-identical canonical event stream (``canonical_order`` then JSONL).
-7. **pipeline** (on by default, ``pipeline=False`` opts out) — the last
-   comparison point: the case is round-tripped *again* through the pass
-   pipeline from its high-level spec (exercising the ``decompose-chains``
-   ingest pass), and the resulting design dict, machine values and
-   canonical event stream of the C tier must match the system-entry run
-   byte for byte.
+7. **pipeline** — the last comparison point: the case is round-tripped
+   *again* through the pass pipeline from its high-level spec (exercising
+   the ``decompose-chains`` ingest pass), and the resulting design dict,
+   machine values and canonical event stream of the C tier must match the
+   system-entry run byte for byte.
 
 Any unexpected exception anywhere is a ``bug`` — error-path hygiene is
 part of the contract being fuzzed.
@@ -98,7 +97,7 @@ def _run_tier(tier: str, mc, trace, inputs, sink):
                    sink=sink)
 
 
-def run_case(desc: CaseDescriptor, pipeline: bool = True) -> CaseOutcome:
+def run_case(desc: CaseDescriptor) -> CaseOutcome:
     """Round-trip ``desc``; never raises — failures become outcomes."""
     try:
         oracle = evaluate(desc)
@@ -165,35 +164,33 @@ def run_case(desc: CaseDescriptor, pipeline: bool = True) -> CaseOutcome:
                            f"canonical event streams differ across engines "
                            f"(lines per engine: {sizes})")
 
-    if pipeline:
-        # Fourth comparison point: the same case again, through the pass
-        # pipeline from its *spec* (decompose-chains does the restructuring
-        # this time).  The one-shot path above already restructured the
-        # same spec, so any infeasibility here is a divergence, not an
-        # honest reject.
-        try:
-            state = run_pipeline(spec, params, interconnect, options)
-            pdesign = state.design
-            if pdesign.to_dict() != design.to_dict():
-                return CaseOutcome(
-                    "bug", "pipeline",
-                    "pass-pipeline design differs from the system-entry "
-                    "design")
-            ptrace = trace_execution(pdesign.system, params, inputs)
-            pmc = compile_design(ptrace, pdesign.schedules,
-                                 pdesign.space_maps,
-                                 interconnect.decomposer())
-            log = EventLog()
-            machine = _run_tier(ENGINE_ORDER[-1], pmc, ptrace, inputs, log)
-            if machine.results != oracle:
-                return CaseOutcome("bug", "pipeline",
-                                   _diff(machine.results, oracle))
-            log.events = canonical_order(log.events)
-            if log.to_jsonl() != streams[ENGINE_ORDER[-1]]:
-                return CaseOutcome(
-                    "bug", "pipeline",
-                    "pass-pipeline canonical event stream differs from the "
-                    "system-entry native stream")
-        except Exception:
-            return CaseOutcome("bug", "pipeline", traceback.format_exc())
+    # Fourth comparison point: the same case again, through the pass
+    # pipeline from its *spec* (decompose-chains does the restructuring
+    # this time).  The one-shot path above already restructured the
+    # same spec, so any infeasibility here is a divergence, not an
+    # honest reject.
+    try:
+        state = run_pipeline(spec, params, interconnect, options)
+        pdesign = state.design
+        if pdesign.to_dict() != design.to_dict():
+            return CaseOutcome(
+                "bug", "pipeline",
+                "pass-pipeline design differs from the system-entry "
+                "design")
+        ptrace = trace_execution(pdesign.system, params, inputs)
+        pmc = compile_design(ptrace, pdesign.schedules, pdesign.space_maps,
+                             interconnect.decomposer())
+        log = EventLog()
+        machine = _run_tier(ENGINE_ORDER[-1], pmc, ptrace, inputs, log)
+        if machine.results != oracle:
+            return CaseOutcome("bug", "pipeline",
+                               _diff(machine.results, oracle))
+        log.events = canonical_order(log.events)
+        if log.to_jsonl() != streams[ENGINE_ORDER[-1]]:
+            return CaseOutcome(
+                "bug", "pipeline",
+                "pass-pipeline canonical event stream differs from the "
+                "system-entry native stream")
+    except Exception:
+        return CaseOutcome("bug", "pipeline", traceback.format_exc())
     return CaseOutcome("ok")

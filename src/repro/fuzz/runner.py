@@ -149,15 +149,14 @@ def _signature(outcome: CaseOutcome) -> tuple:
 
 def fuzz(max_examples: int = 100, budget: float = 60.0, seed: int = 0,
          corpus_dir=None, max_failures: int = 3, batch_size: int = 20,
-         db_dir=None, log=None, pipeline: bool = True) -> FuzzReport:
+         db_dir=None, log=None) -> FuzzReport:
     """Fuzz the nonuniform pipeline until a budget is hit.
 
     Stops when ``max_examples`` cases ran, ``budget`` seconds elapsed or
     ``max_failures`` distinct failure signatures were collected.  Each
     failure is shrunk by hypothesis; the minimal descriptor is saved under
     ``corpus_dir`` (unless ``None``) and reported in the returned
-    :class:`FuzzReport`.  ``pipeline=False`` skips the pass-pipeline
-    fourth comparison point of each case (faster, less coverage).
+    :class:`FuzzReport`.
     """
     _require_hypothesis()
     started = time.monotonic()
@@ -181,7 +180,7 @@ def fuzz(max_examples: int = 100, budget: float = 60.0, seed: int = 0,
             if time.monotonic() - started > budget:
                 report.budget_exhausted = True
                 assume(False)
-            outcome = run_case(desc, pipeline=pipeline)
+            outcome = run_case(desc)
             report.examples_run += 1
             report.counts[outcome.status] = (
                 report.counts.get(outcome.status, 0) + 1)
@@ -223,14 +222,14 @@ def fuzz(max_examples: int = 100, budget: float = 60.0, seed: int = 0,
     return report
 
 
-def replay_corpus(corpus_dir, pipeline: bool = True) -> list[tuple]:
+def replay_corpus(corpus_dir) -> list[tuple]:
     """Re-run every corpus artifact; returns ``(artifact, outcome, ok)``
     triples (``ok`` per the artifact's ``expect`` contract)."""
     from repro.fuzz.corpus import load_corpus
 
     results = []
     for artifact in load_corpus(corpus_dir):
-        outcome = run_case(artifact["descriptor"], pipeline=pipeline)
+        outcome = run_case(artifact["descriptor"])
         expect = artifact["expect"]
         ok = (not outcome.is_bug if expect is None
               else outcome.status == expect)

@@ -3,19 +3,17 @@
 All opt-in and zero-cost on hot paths when unused:
 
 * :mod:`repro.obs.tracer` — the process-wide :data:`TRACER`, the one
-  registry of counters, timers, gauges, latency histograms and spans, with
-  one mergeable wire form (:meth:`Tracer.to_wire`), the list of stage
-  names (:data:`STAGES`) and the profiling exports
-  (:func:`collapsed_stacks` flamegraph format, Chrome trace);
-* :mod:`repro.obs.telemetry` — the mergeable :class:`Histogram` behind
-  the tracer's latency distributions;
+  registry of counters, timers and spans, with one mergeable flat form
+  (:meth:`Tracer.snapshot`), the list of stage names (:data:`STAGES`)
+  and the profiling exports (:func:`collapsed_stacks` flamegraph format,
+  Chrome trace);
 * :mod:`repro.obs.events` — the cycle-level machine event vocabulary with
   JSON-lines and Chrome ``trace_event`` (Perfetto) exporters;
 * :mod:`repro.obs.progress` — structured live sweep progress
   (:class:`ProgressEvent`, CLI rendering, JSONL heartbeat);
 * :mod:`repro.obs.metrics` — persistent :class:`RunRecord` files under
-  ``$REPRO_METRICS_DIR`` capturing each CLI run's tracer wire, spans and
-  machine statistics.
+  ``$REPRO_METRICS_DIR`` capturing each CLI run's counters, timers, spans
+  and machine statistics.
 
 Nothing here imports from the engine, so every layer can report into
 :data:`TRACER`.
@@ -46,7 +44,6 @@ from repro.obs.progress import (
     SweepProgress,
     read_heartbeat,
 )
-from repro.obs.telemetry import Histogram, percentile
 from repro.obs.tracer import (
     METRICS,
     STAGES,
@@ -63,7 +60,6 @@ __all__ = [
     "EVENT_KINDS",
     "EventLog",
     "EventSink",
-    "Histogram",
     "JsonlHeartbeat",
     "MachineEvent",
     "METRICS",
@@ -82,7 +78,6 @@ __all__ = [
     "list_run_records",
     "load_run_record",
     "metrics_dir",
-    "percentile",
     "read_heartbeat",
     "read_jsonl",
     "render_spans",

@@ -1,10 +1,10 @@
 """Persistent run metrics: every CLI run can leave a structured record.
 
 A :class:`RunRecord` captures what a ``synthesize`` / ``sweep`` / ``profile``
-invocation did — command, arguments, git revision, the tracer's wire
-(counters, timers, gauges and latency histograms, exactly as
-:meth:`~repro.obs.tracer.Tracer.to_wire` gives them) *and* its span
-tree, machine statistics when a design was executed — as one JSON file
+invocation did — command, arguments, git revision, the tracer's counters
+and timers (exactly as :meth:`~repro.obs.tracer.Tracer.snapshot` gives
+them) *and* its span tree, machine statistics when a design was
+executed — as one JSON file
 under the metrics directory (``$REPRO_METRICS_DIR``; recording is off
 when the variable is unset and no explicit directory is given).
 Records accumulate across runs, so the performance trajectory of the
@@ -36,8 +36,9 @@ from repro.obs.tracer import Span, render_spans
 METRICS_ENV_VAR = "REPRO_METRICS_DIR"
 
 #: Bump on incompatible RunRecord layout changes.
-#: v2: ``stats`` holds the whole tracer wire (gauges and histograms
-#: included); ``extra["telemetry"]`` is gone.
+#: v2: ``stats`` holds the whole tracer snapshot; ``extra["telemetry"]``
+#: is gone.  Older v2 records carry two more ``stats`` keys (last values
+#: and per-stage distributions), which nothing reads.
 RECORD_FORMAT_VERSION = 2
 
 _sequence = 0
@@ -96,7 +97,7 @@ class RunRecord:
     started_at: str = ""                     # ISO-8601, UTC
     wall_time: float = 0.0
     git_sha: str | None = None
-    stats: dict = field(default_factory=dict)     # Tracer.to_wire()
+    stats: dict = field(default_factory=dict)     # Tracer.snapshot()
     spans: list[dict] = field(default_factory=list)
     machine_stats: dict | None = None
     extra: dict = field(default_factory=dict)

@@ -14,10 +14,6 @@ tracker which computes throughput and ETA and fans structured
   post-mortem after an interrupted sweep — reads every intact event even
   when the last line was torn;
 * anything implementing :class:`ProgressSink`.
-
-The tracker also publishes ``sweep.throughput`` / ``sweep.eta_s`` /
-``sweep.jobs_done`` gauges into the tracer, so the run record carries the
-final progress numbers as well.
 """
 
 from __future__ import annotations
@@ -157,14 +153,12 @@ class SweepProgress:
     """The tracker :func:`~repro.core.batch.run_sweep` drives.
 
     Computes cumulative counts, throughput and ETA with an injectable
-    clock, fans events to every sink (a sink that raises is dropped, never
-    killing the sweep), and mirrors the headline numbers into metrics
-    gauges when a registry is attached.
+    clock and fans events to every sink (a sink that raises is dropped,
+    never killing the sweep).
     """
 
     sinks: Sequence[ProgressSink] = ()
     clock: Callable[[], float] = time.perf_counter
-    registry: "object | None" = None       # a Tracer, if any
     total: int = 0
     done: int = 0
     failed: int = 0
@@ -174,8 +168,8 @@ class SweepProgress:
     _dead: list = field(default_factory=list)
 
     @classmethod
-    def create(cls, sinks: "ProgressSink | Iterable[ProgressSink] | None",
-               registry=None) -> "SweepProgress | None":
+    def create(cls, sinks: "ProgressSink | Iterable[ProgressSink] | None"
+               ) -> "SweepProgress | None":
         """Normalise run_sweep's ``progress=`` argument (single sink,
         iterable of sinks, or None)."""
         if sinks is None:
@@ -183,7 +177,7 @@ class SweepProgress:
         if hasattr(sinks, "emit"):
             sinks = (sinks,)
         sinks = tuple(sinks)
-        return cls(sinks=sinks, registry=registry) if sinks else None
+        return cls(sinks=sinks) if sinks else None
 
     def start(self, total: int) -> None:
         self.total = total
@@ -217,12 +211,6 @@ class SweepProgress:
                               cache_hits=self.cache_hits,
                               resumed=self.resumed, elapsed=elapsed,
                               throughput=throughput, eta_s=eta, label=label)
-        if self.registry is not None:
-            self.registry.set_gauge("sweep.jobs_done", self.done)
-            self.registry.set_gauge("sweep.jobs_failed", self.failed)
-            self.registry.set_gauge("sweep.throughput", throughput)
-            self.registry.set_gauge("sweep.eta_s",
-                                    eta if eta is not None else 0.0)
         for sink in self.sinks:
             if sink in self._dead:
                 continue

@@ -1,5 +1,4 @@
-"""The tracer: the engine's one registry of counters, timers, gauges,
-latency histograms and spans.
+"""The tracer: the engine's one registry of counters, timers and spans.
 
 The synthesis pipeline is a tree of stages (a sweep contains jobs, a job
 contains schedule/space solves, a verification contains compile and machine
@@ -13,14 +12,13 @@ tree of :class:`Span` nodes when tracing is *enabled*:
   (``verify.compile`` under a warm-cache path) do not double-count.
 * When tracing is disabled the fast path allocates no span nodes — one dict
   bump for the re-entrancy depth and one for the timer.
-* While tracing, every closed stage also feeds a per-name latency
-  :class:`~repro.obs.telemetry.Histogram`; :meth:`Tracer.observe` and
-  :meth:`Tracer.set_gauge` record other distributions and last values.
-* :meth:`Tracer.to_wire` is the one mergeable serialised form of the flat
-  data (counters, timers, gauges, histograms) and
-  :meth:`Tracer.merge_wire` folds one in.  ``core.batch`` workers ship it
-  back per job with their span trees, which merge under the active span
-  with :meth:`Tracer.graft`; a RunRecord stores the same wire.
+* :meth:`Tracer.snapshot` is the one mergeable serialised form of the
+  flat data (counters and timers) and :meth:`Tracer.merge_wire` folds one
+  in.  ``core.batch`` workers ship it back per job with their span trees,
+  which merge under the active span with :meth:`Tracer.graft`; a
+  RunRecord stores the same snapshot.  Stage latency distributions are
+  not kept here: ``repro report`` computes them from the span trees
+  the records store.
 
 The process-wide instance is :data:`TRACER`.  :data:`STAGES` lists every
 stage name the engine opens a span under.
@@ -31,8 +29,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from typing import Callable, Iterator
-
-from repro.obs.telemetry import Histogram
 
 #: Every stage name the engine opens a span under.  The last entry,
 #: ``"pass."``, is a prefix: the pass manager opens ``pass.<name>`` for
@@ -133,11 +129,10 @@ def render_spans(spans: "list[Span]", indent: str = "  ") -> str:
 
 
 class Tracer:
-    """Counters, timers, gauges and histograms plus an optional span tree.
+    """Counters and timers plus an optional span tree.
 
     The flat ``counters``/``timers`` dicts are always maintained; the span
-    tree and the per-stage latency histograms only while :attr:`enabled`
-    is true.
+    tree only while :attr:`enabled` is true.
 
     ``clock`` is injectable for deterministic tests.
     """
@@ -146,8 +141,6 @@ class Tracer:
                  clock: Callable[[], float] = time.perf_counter) -> None:
         self.counters: dict[str, int] = {}
         self.timers: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
         self.enabled = False
         self._clock = clock
         self._roots: list[Span] = []
@@ -168,8 +161,6 @@ class Tracer:
         alone)."""
         self.counters.clear()
         self.timers.clear()
-        self.gauges.clear()
-        self.histograms.clear()
         self._roots.clear()
         self._stack.clear()
         self._active.clear()
@@ -181,16 +172,6 @@ class Tracer:
         if self.enabled and self._stack:
             span = self._stack[-1]
             span.counters[name] = span.counters.get(name, 0) + delta
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
-
-    def observe(self, name: str, value: float) -> None:
-        """Add one observation to the histogram ``name``."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram(name)
-        hist.observe(value)
 
     @contextmanager
     def span(self, name: str, **attrs) -> Iterator["Span | None"]:
@@ -223,10 +204,6 @@ class Tracer:
             else:
                 del self._active[name]
                 self.timers[name] = self.timers.get(name, 0.0) + elapsed
-                if self.enabled:
-                    # Stage durations also feed the per-name latency
-                    # histogram (percentiles across calls/runs).
-                    self.observe(name, elapsed)
             if node is not None:
                 node.duration = elapsed
                 if self._stack and self._stack[-1] is node:
@@ -262,37 +239,20 @@ class Tracer:
     # -- reporting -----------------------------------------------------------
 
     def snapshot(self) -> dict[str, dict]:
-        """The flat view — key-sorted within each section and JSON-stable."""
+        """The flat view, the mergeable and JSON-safe form of everything
+        but the span tree: key-sorted within each section."""
         return {"counters": {k: self.counters[k]
                              for k in sorted(self.counters)},
                 "timers": {k: self.timers[k] for k in sorted(self.timers)}}
 
-    def to_wire(self) -> dict:
-        """The mergeable, JSON-safe form of everything but the span tree:
-        :meth:`snapshot` plus gauges and histograms, key-sorted."""
-        wire = self.snapshot()
-        wire["gauges"] = {k: self.gauges[k] for k in sorted(self.gauges)}
-        # An empty histogram carries no information; keep it off the wire.
-        wire["histograms"] = {k: self.histograms[k].to_wire()
-                              for k in sorted(self.histograms)
-                              if self.histograms[k].count}
-        return wire
-
     def merge_wire(self, wire: dict) -> None:
-        """Fold another tracer's :meth:`to_wire` form in.  Per metric it is
-        associative: counters and timers add (counters are charged to the
-        active span too), gauges take the last write, histograms merge."""
+        """Fold another tracer's :meth:`snapshot` in: counters and timers
+        add, and counters are charged to the active span too.  Any other
+        key is ignored."""
         for name, delta in wire.get("counters", {}).items():
             self.count(name, delta)
         for name, value in wire.get("timers", {}).items():
             self.timers[name] = self.timers.get(name, 0.0) + value
-        self.gauges.update(wire.get("gauges", {}))
-        for name, hist_wire in wire.get("histograms", {}).items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                self.histograms[name] = Histogram.from_wire(name, hist_wire)
-            else:
-                hist.merge_wire(hist_wire)
 
     def report(self) -> str:
         """Human-readable summary: flat entries, then the span tree when

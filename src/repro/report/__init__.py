@@ -8,7 +8,6 @@ from repro.report.analytics import (
     delta_records_table,
     latency_table,
     load_records,
-    merged_histograms,
     render_report,
     report_dict,
     stage_table,
@@ -36,7 +35,6 @@ __all__ = [
     "format_grid",
     "latency_table",
     "load_records",
-    "merged_histograms",
     "module_table",
     "render_array",
     "render_cell_actions",

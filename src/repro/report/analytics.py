@@ -1,10 +1,10 @@
 """Aggregate analytics over persisted run records: ``repro report``.
 
 A sweep campaign leaves hundreds of :class:`~repro.obs.metrics.RunRecord`
-files behind (one per CLI invocation, each carrying per-job wall times
-and the tracer wire: counters, timers, gauges and merged latency
-histograms).  This module turns one
-or more of those stores into the operator's questions:
+files behind (one per CLI invocation, each carrying per-job wall times,
+the tracer's counters and timers, and the span trees, worker jobs'
+included).  This module turns one or more of those stores into the
+operator's questions:
 
 * **latency** — engine × problem wall-time tables (count, p50, p95, max),
   built from the per-job samples ``repro sweep`` stashes in
@@ -13,10 +13,11 @@ or more of those stores into the operator's questions:
 * **cache** — hit/miss/negative-rate tables per cache family (design
   cache, native artifact cache, point-set cache), summed over every
   record's counters;
-* **stages** — latency distributions of the traced stages, by merging the
-  histograms of every record's ``stats`` wire (the same associative merge
-  the sweep workers use, so a report over N records equals one record
-  over the union of their runs);
+* **stages** — exact latency distributions of the traced stages, one
+  sample per span of every record's span trees (a span nested under a
+  span of its own name is part of that outer sample, not a sample of its
+  own), so a report over N records equals one record over the union of
+  their runs;
 * **delta** — the same latency table diffed against a *baseline*: either
   a second record store (directory) or a ``BENCH_<name>.json`` trajectory
   file from the benchmark harness, in which case the newest entry is
@@ -35,7 +36,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.obs.metrics import RunRecord, list_run_records, load_run_record
-from repro.obs.telemetry import Histogram, percentile
 from repro.report.tables import format_grid
 
 #: Counter-name prefixes of each cache family shown by the cache table:
@@ -46,6 +46,19 @@ CACHE_FAMILIES: tuple[tuple[str, str, str, str], ...] = (
      "native.negative_hits"),
     ("points", "points.cache_hit", "points.cache_miss", ""),
 )
+
+
+def _percentile(sorted_values: Sequence[float], q: float,
+                ) -> "float | None":
+    """The q-th percentile (0..100) of an ascending sequence, by linear
+    interpolation; ``None`` on an empty sequence."""
+    if not sorted_values:
+        return None
+    rank = (len(sorted_values) - 1) * (q / 100.0)
+    lo = int(rank)
+    hi = min(lo + 1, len(sorted_values) - 1)
+    frac = rank - lo
+    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
 def load_records(sources: Iterable["str | os.PathLike"],
@@ -103,8 +116,8 @@ def latency_dict(records: Sequence[RunRecord]) -> list[dict]:
         samples = sorted(samples)
         out.append({
             "engine": engine, "problem": problem, "count": len(samples),
-            "p50_s": percentile(samples, 50),
-            "p95_s": percentile(samples, 95),
+            "p50_s": _percentile(samples, 50),
+            "p95_s": _percentile(samples, 95),
             "max_s": samples[-1] if samples else None,
         })
     return out
@@ -166,42 +179,58 @@ def cache_table(records: Sequence[RunRecord], title: str = "") -> str:
     return f"{title}\n{table}" if title else table
 
 
-# -- stages (merged telemetry histograms) --------------------------------------
+# -- stages (span trees) -------------------------------------------------------
 
-def merged_histograms(records: Sequence[RunRecord],
-                      ) -> dict[str, Histogram]:
-    """All records' latency histograms, merged per stage name.
+def stage_samples(records: Sequence[RunRecord]) -> dict[str, list[float]]:
+    """Span durations in seconds, grouped by stage name, over every
+    record's span trees.
 
-    Uses the same associative wire merge the sweep workers use, so the
-    result is independent of record order.
+    A span whose name is already open among its ancestors is skipped: a
+    stage that re-enters itself counts once, for its outermost frame —
+    the rule the tracer's flat timers follow.
     """
-    merged: dict[str, Histogram] = {}
+    samples: dict[str, list[float]] = {}
+    open_names: set[str] = set()
+
+    def walk(node: Mapping) -> None:
+        name = node["name"]
+        outermost = name not in open_names
+        if outermost:
+            samples.setdefault(name, []).append(
+                node.get("duration_ms", 0.0) / 1000)
+            open_names.add(name)
+        for child in node.get("children", ()):
+            walk(child)
+        if outermost:
+            open_names.discard(name)
+
     for rec in records:
-        for name, wire in rec.stats.get("histograms", {}).items():
-            hist = merged.get(name)
-            if hist is None:
-                merged[name] = Histogram.from_wire(name, wire)
-            else:
-                hist.merge_wire(wire)
-    return merged
+        for root in rec.spans:
+            walk(root)
+    return samples
 
 
 def stage_dict(records: Sequence[RunRecord]) -> list[dict]:
     out = []
-    for name, hist in sorted(merged_histograms(records).items()):
-        summary = hist.summary()
-        out.append({"stage": name, **summary})
+    for name, samples in sorted(stage_samples(records).items()):
+        samples = sorted(samples)
+        out.append({
+            "stage": name, "count": len(samples),
+            "mean": sum(samples) / len(samples),
+            "min": samples[0], "max": samples[-1],
+            **{f"p{q}": _percentile(samples, q) for q in (50, 90, 95, 99)},
+        })
     return out
 
 
 def stage_table(records: Sequence[RunRecord], title: str = "") -> str:
-    """Latency distribution per traced stage, from merged histograms."""
+    """Latency distribution per traced stage, from the span trees."""
     entries = stage_dict(records)
     if not entries:
-        body = "(no telemetry histograms in these records)"
+        body = "(no traced spans in these records)"
         return f"{title}\n{body}" if title else body
-    rows = [[e["stage"], str(e["count"]), _ms(e.get("mean")),
-             _ms(e.get("p50")), _ms(e.get("p95")), _ms(e.get("max"))]
+    rows = [[e["stage"], str(e["count"]), _ms(e["mean"]),
+             _ms(e["p50"]), _ms(e["p95"]), _ms(e["max"])]
             for e in entries]
     table = format_grid(
         ["stage", "n", "mean ms", "p50 ms", "p95 ms", "max ms"], rows)

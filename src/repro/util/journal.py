@@ -1,7 +1,7 @@
 """Append-only JSONL journals that tolerate a torn tail.
 
-The design cache's ``index.jsonl`` and the sweep manifest share one shape:
-each record is one canonical JSON line (sorted keys, compact separators)
+The sweep manifest and the progress heartbeat share one shape: each
+record is one canonical JSON line (sorted keys, compact separators)
 written with a single ``write``, so a writer killed mid-append leaves at
 most one torn final line.  Readers skip blank lines and lines that do not
 decode to a JSON object, keeping everything before the tear.

@@ -6,8 +6,9 @@ import pytest
 
 from repro.core import SweepSpec, SynthesisOptions, run_sweep
 from repro.core.batch import _execute_job, _merge_stats
-from repro.obs import TRACER
+from repro.obs import TRACER, RunRecord
 from repro.report import sweep_pareto_table, sweep_table
+from repro.report.analytics import stage_dict
 
 SMOKE = SweepSpec(
     problems=("dp", "conv-backward"),
@@ -154,15 +155,16 @@ class TestStatsProtocol:
     def test_worker_wire_round_trip_matches_serial(self, tmp_path):
         """One job run in worker mode and merged leaves the parent tracer
         as the same job run serially does: same counters, same timer
-        names, same histogram counts."""
+        names, same stage sample counts in the span trees."""
         job = SweepSpec(problems=("dp",), interconnects=("fig1",),
                         param_grid=({"n": 5},), verify_seeds=2).jobs()[0]
         was_enabled = TRACER.enabled
 
         def parent_view():
-            wire = TRACER.to_wire()
+            wire = TRACER.snapshot()
+            record = RunRecord(command="sweep", spans=TRACER.span_dicts())
             return (wire["counters"], sorted(wire["timers"]),
-                    {k: h["count"] for k, h in wire["histograms"].items()})
+                    {e["stage"]: e["count"] for e in stage_dict([record])})
 
         try:
             # Warm the in-process memos so both measured runs start alike.
@@ -395,25 +397,15 @@ class TestPooledExecution:
 
 class TestMergeStats:
     def test_telemetry_wire_merges_into_registry(self):
-        from repro.obs import Histogram
-
-        hist = Histogram("sentinel.stage")
-        hist.observe(0.125)
         stats = {"counters": {"sentinel.count": 2},
-                 "timers": {"sentinel.stage": 0.125},
-                 "gauges": {"sentinel.gauge": 2.5},
-                 "histograms": {"sentinel.stage": hist.to_wire()}}
+                 "timers": {"sentinel.stage": 0.125}}
         try:
             _merge_stats(stats)
             assert TRACER.counters["sentinel.count"] == 2
             assert TRACER.timers["sentinel.stage"] == 0.125
-            assert TRACER.gauges["sentinel.gauge"] == 2.5
-            assert TRACER.histograms["sentinel.stage"].count == 1
         finally:
             TRACER.counters.pop("sentinel.count", None)
             TRACER.timers.pop("sentinel.stage", None)
-            TRACER.gauges.pop("sentinel.gauge", None)
-            TRACER.histograms.pop("sentinel.stage", None)
 
 
 class TestDefaultWorkers:
@@ -437,6 +429,8 @@ class TestDefaultWorkers:
         monkeypatch.setenv("REPRO_WORKERS", "many")
         assert default_workers() >= 1
 
-    def test_sweep_publishes_worker_gauge(self, tmp_path):
-        run_sweep(SMOKE, workers=2, use_cache=False, cross_check=False)
-        assert TRACER.gauges["sweep.workers"] == 2
+    def test_sweep_report_carries_worker_count(self, tmp_path):
+        report = run_sweep(SMOKE, workers=2, use_cache=False,
+                           cross_check=False)
+        assert report.workers == 2
+        assert report.to_dict()["workers"] == 2

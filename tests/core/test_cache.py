@@ -167,7 +167,6 @@ class TestShardedLayout:
         (sharded,) = tmp_path.glob("??/??/*.json")
         flat = tmp_path / sharded.name
         sharded.rename(flat)
-        (tmp_path / DesignCache.INDEX_NAME).unlink()
         cache = DesignCache(tmp_path)
         key = flat.stem
         assert key not in cache
@@ -177,42 +176,42 @@ class TestShardedLayout:
         assert again.cache_hits == 0 and again.cache_misses == 1
         assert cache.path_for(key).is_file() and key in cache
 
-    def test_len_uses_index_not_a_walk(self, tmp_path):
+    def test_len_counts_entry_files(self, tmp_path):
         cache = DesignCache(tmp_path)
         for i in range(4):
             cache.store(f"ab{i}d{'0' * 6}", {"status": "ok"})
         assert len(cache) == 4
-        # Orphan file not in the index stays invisible until a rebuild.
+        # A stray JSON file without the format field is not an entry.
         orphan = tmp_path / "zz" / "yy" / "zzyyorphan.json"
         orphan.parent.mkdir(parents=True)
         orphan.write_text("{}")
         assert len(cache) == 4
-        cache.rebuild_index()
-        assert len(cache) == 4            # orphan has no format field
 
-    def test_index_tolerates_torn_tail(self, tmp_path):
+    def test_scan_skips_torn_entry(self, tmp_path):
         cache = DesignCache(tmp_path)
         cache.store("abcd" + "0" * 6, {"status": "ok"})
-        intact = cache.index_path.read_bytes()
-        with open(cache.index_path, "a", encoding="utf-8") as fh:
-            fh.write('\n{"key":"abce000000","sta')   # writer died here
+        torn = cache.path_for("abce" + "0" * 6)
+        torn.parent.mkdir(parents=True, exist_ok=True)
+        torn.write_text('{"format": 2, "key": "abce000000", "sta')
         assert len(cache) == 1
         assert [r["key"] for r in cache.entries()] == ["abcd" + "0" * 6]
-        # The intact record is one canonical line: sorted keys, compact.
-        record = json.loads(intact)
-        assert intact.decode() == json.dumps(
-            record, sort_keys=True, separators=(",", ":")) + "\n"
 
-    def test_rebuild_index_after_loss(self, tmp_path):
+    def test_entries_read_from_entry_files(self, tmp_path):
         cache = DesignCache(tmp_path)
-        cache.store("abcd" + "0" * 6, {"status": "ok", "cells": 3,
-                                       "completion_time": 5})
-        cache.index_path.unlink()
-        assert cache.rebuild_index() == 1
+        key = "abcd" + "0" * 6
+        path = cache.store(key, {"status": "ok", "cells": 3,
+                                 "completion_time": 5})
+        # A metadata journal left at the root by an older layout is
+        # not read.
+        (tmp_path / "index.jsonl").write_text(
+            '{"key":"ffff000000","status":"ok"}\n')
         (entry,) = cache.entries()
-        assert entry["cells"] == 3 and entry["status"] == "ok"
+        stat = path.stat()
+        assert entry == {"key": key, "status": "ok", "cells": 3,
+                         "completion_time": 5, "bytes": stat.st_size,
+                         "ts": stat.st_mtime}
 
-    def test_pareto_from_index(self, tmp_path):
+    def test_pareto_from_entry_scan(self, tmp_path):
         cache = DesignCache(tmp_path)
         cache.store("aaaa" + "0" * 6, {"status": "ok", "cells": 2,
                                        "completion_time": 10})
@@ -246,11 +245,20 @@ class TestPrune:
         assert report.removed == 1 and report.by_reason == {"size": 1}
         assert [e["key"][:4] for e in cache.entries()] == ["new0"]
 
-    def test_prune_counts_unremovable_entries(self, tmp_path):
+    def test_prune_counts_unremovable_entries(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
         cache = DesignCache(tmp_path)
         key = "abcd" + "0" * 6
-        cache.store(key, {"status": "ok"})
-        cache.path_for(key).unlink()          # entry vanished from disk
+        doomed = cache.store(key, {"status": "ok"})
+        unlink = Path.unlink
+
+        def refuse(path, *args, **kwargs):
+            if path == doomed:
+                raise PermissionError(path)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", refuse)
         report = cache.prune(max_age_days=0)
         assert report.removed == 0 and report.failed == 1
         assert "1 failed" in str(report)
@@ -284,11 +292,9 @@ def _store_keys(root, keys, writer, start):
 class TestConcurrentWriters:
     def test_two_processes_share_one_shard(self, tmp_path):
         """Two processes store interleaved keys of one shard, one key from
-        both: the per-shard lock and single-write index appends keep every
-        entry and index record whole."""
+        both: the per-shard lock and atomic replace keep every entry
+        whole."""
         import multiprocessing
-
-        from repro.util.journal import read_records
 
         shared = "abcd" + "shared"
         keys = {w: [f"abcd{w}{i:04d}" for i in range(200)] for w in "xy"}
@@ -312,8 +318,6 @@ class TestConcurrentWriters:
             assert payload is not None and payload["key"] == key
             assert payload["status"] == "ok"
         assert cache.load(shared)["writer"] in ("x", "y")
-        records = read_records(cache.index_path)
-        assert len(records) == len(keys["x"]) + len(keys["y"])
-        assert {r["key"] for r in records} == distinct
+        assert {r["key"] for r in cache.entries()} == distinct
         assert len(cache) == len(distinct)
         assert not list(tmp_path.glob("ab/cd/*.tmp"))

@@ -132,7 +132,7 @@ class TestSweep:
 
     def test_verify_seeds(self, tmp_path, capsys):
         argv = ["sweep", "--problems", "dp", "--interconnects", "fig1",
-                "--n", "6", "--serial", "--cache-dir", str(tmp_path),
+                "--n", "6", "--workers", "0", "--cache-dir", str(tmp_path),
                 "--verify-seeds", "3", "--stats"]
         assert main(argv) == 0
         cold = capsys.readouterr().out
@@ -230,6 +230,7 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "per-cell utilization" in out
         assert "events:" in out and "fire=" in out
+        assert "verification: VerificationReport(OK)" in out
         jsonl = tmp_path / "smoke.events.jsonl"
         chrome = tmp_path / "smoke.trace.json"
         for path in (jsonl, chrome, tmp_path / "smoke.collapsed",
@@ -242,6 +243,26 @@ class TestProfile:
         # Verification always runs, so its spans are always in the profile.
         stacks = (tmp_path / "smoke.collapsed").read_text()
         assert "verify.reference" in stacks and "verify.machine" in stacks
+
+    def test_failed_verification_exits_1(self, tmp_path, capsys,
+                                         monkeypatch):
+        from repro import cli
+        from repro.core.verify import VerificationReport
+
+        def failing_verify(design, inputs, **kwargs):
+            return VerificationReport(machine_matches_reference=False,
+                                      failures=["machine != reference"])
+
+        monkeypatch.setattr(cli, "verify_design", failing_verify)
+        out_base = str(tmp_path / "bad")
+        assert main(["profile", "--problem", "dp", "--interconnect", "fig1",
+                     "--n", "5", "--out", out_base]) == 1
+        out = capsys.readouterr().out
+        assert "verification: VerificationReport(FAILED: machine != " \
+            "reference)" in out
+        # The exports are still written: they are what a failure is
+        # debugged from.
+        assert (tmp_path / "bad.events.jsonl").stat().st_size > 0
 
     def test_engines_export_identical_jsonl(self, tmp_path):
         argv = ["profile", "--problem", "dp", "--interconnect", "fig1",
@@ -373,8 +394,8 @@ class TestSweepManifest:
     def test_manifest_resume_via_cli(self, tmp_path, capsys):
         manifest = tmp_path / "sweep.manifest"
         argv = ["sweep", "--problems", "dp", "--interconnects", "fig1,fig2",
-                "--n", "5,6", "--serial", "--no-cache", "--no-cross-check",
-                "--manifest", str(manifest)]
+                "--n", "5,6", "--workers", "0", "--no-cache",
+                "--no-cross-check", "--manifest", str(manifest)]
         assert main(argv) == 0
         cold = capsys.readouterr().out
         assert "4/4 journaled, 0 restored this run" in cold
@@ -392,7 +413,7 @@ class TestSweepManifest:
 class TestCacheCommand:
     def _populate(self, tmp_path):
         assert main(["sweep", "--problems", "dp", "--interconnects",
-                     "fig1,fig2", "--n", "5", "--serial",
+                     "fig1,fig2", "--n", "5", "--workers", "0",
                      "--no-cross-check", "--cache-dir", str(tmp_path)]) == 0
 
     def test_info(self, tmp_path, capsys):

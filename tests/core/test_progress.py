@@ -8,7 +8,6 @@ from repro.obs import (
     CLIProgress,
     JsonlHeartbeat,
     ProgressEvent,
-    Tracer,
     read_heartbeat,
 )
 from repro.obs.progress import SweepProgress
@@ -95,16 +94,6 @@ class TestSweepProgressTracker:
         assert second.throughput == 1.0
         assert second.eta_s == 2.0
         assert sink.events[-1].cache_hits == 1
-
-    def test_gauges_mirrored_into_registry(self):
-        reg = Tracer()
-        tracker = SweepProgress.create(Collector(), registry=reg)
-        tracker.clock = FakeClock()
-        tracker.start(2)
-        tracker.job_done(ok=False, cache_hit=False, label="x")
-        assert reg.gauges["sweep.jobs_done"] == 1
-        assert reg.gauges["sweep.jobs_failed"] == 1
-        assert "sweep.throughput" in reg.gauges
 
     def test_broken_sink_dropped_not_fatal(self):
         class Broken:

@@ -191,3 +191,12 @@ class TestExploration:
                 b.makespan <= a.makespan and b.cells <= a.cells
                 and (b.makespan, b.cells) != (a.makespan, a.cells)
                 for b in designs)
+
+    def test_non_dominated_keeps_order_and_first_of_each_point(self):
+        from repro.core.explore import non_dominated
+
+        items = [("a", 5, 3), ("b", 4, 4), ("c", 5, 3), ("d", 6, 3),
+                 ("e", 4, 4), ("f", 3, 9)]
+        front = non_dominated(items, lambda i: (i[1], i[2]))
+        assert [i[0] for i in front] == ["a", "b", "f"]
+        assert non_dominated([], lambda i: i) == []

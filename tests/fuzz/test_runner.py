@@ -84,7 +84,7 @@ class TestFuzzLoop:
 
         from repro.fuzz.harness import CaseOutcome
 
-        def flaky_run_case(desc, pipeline=True):
+        def flaky_run_case(desc):
             # Everything with n > 3 is "broken": the shrinker should hand
             # the loop a minimal failing example, and repeats of the same
             # signature must not add artifacts.

@@ -13,7 +13,6 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 from repro.core import SweepSpec, read_manifest, run_sweep
-from repro.obs import TRACER
 from repro.report import sweep_pareto_table, sweep_table
 
 SPEC = SweepSpec(problems=("dp",), interconnects=("fig1", "fig2"),
@@ -67,7 +66,7 @@ class TestKillAndResume:
                             cross_check=False, manifest=manifest)
         # Only the two unfinished jobs executed.
         assert resumed.cache_misses == 2
-        assert TRACER.gauges["sweep.jobs_resumed"] == 2
+        assert resumed.resumed == 2
 
         reference = run_sweep(SPEC, workers=0, use_cache=False,
                               cross_check=False)

@@ -4,15 +4,14 @@ import json
 
 import pytest
 
-from repro.obs import Histogram
-from repro.obs.metrics import RunRecord, write_run_record
+from repro.obs import Tracer
+from repro.obs.metrics import RunRecord, load_run_record, write_run_record
 from repro.report import (
     bench_delta_table,
     cache_table,
     delta_records_table,
     latency_table,
     load_records,
-    merged_histograms,
     render_report,
     report_dict,
     stage_table,
@@ -23,14 +22,15 @@ from repro.report.analytics import (
     job_samples,
     latency_dict,
     stage_dict,
+    stage_samples,
     summed_counters,
 )
 
 
-def _sweep_record(jobs, counters=None, telemetry=None):
+def _sweep_record(jobs, counters=None, spans=()):
     return RunRecord(
         command="sweep", argv=["--problems", "dp"], wall_time=1.0,
-        stats={"counters": counters or {}, **(telemetry or {})},
+        stats={"counters": counters or {}}, spans=list(spans),
         extra={"jobs": jobs})
 
 
@@ -143,36 +143,104 @@ class TestCaches:
         assert "no cache activity" in cache_table([_sweep_record([])])
 
 
-def _telemetry(stage_values):
-    histograms = {}
-    for name, values in stage_values.items():
-        h = Histogram(name)
-        for v in values:
-            h.observe(v)
-        histograms[name] = h.to_wire()
-    return {"histograms": histograms}
+def _span(name, seconds, *children):
+    out = {"name": name, "duration_ms": round(seconds * 1000, 3)}
+    if children:
+        out["children"] = list(children)
+    return out
+
+
+def _spans(stage_values):
+    """One root span per sample, as a record stores them."""
+    return [_span(name, v) for name, values in stage_values.items()
+            for v in values]
 
 
 class TestStages:
-    def test_merged_histograms_union_of_records(self):
-        a = _sweep_record([], telemetry=_telemetry({"solve": [0.1, 0.2]}))
-        b = _sweep_record([], telemetry=_telemetry({"solve": [0.3],
-                                                    "verify": [0.05]}))
-        merged = merged_histograms([a, b])
-        assert merged["solve"].count == 3
-        assert merged["verify"].count == 1
+    def test_stage_dict_union_of_records(self):
+        a = _sweep_record([], spans=_spans({"solve": [0.1, 0.2]}))
+        b = _sweep_record([], spans=_spans({"solve": [0.3],
+                                            "verify": [0.05]}))
+        counts = {e["stage"]: e["count"] for e in stage_dict([a, b])}
+        assert counts == {"solve": 3, "verify": 1}
+        assert stage_dict([a, b]) == stage_dict([b, a])
 
     def test_stage_dict_summary(self):
-        rec = _sweep_record([], telemetry=_telemetry({"solve": [0.1, 0.3]}))
+        rec = _sweep_record([], spans=_spans({"solve": [0.1, 0.3]}))
         entries = stage_dict([rec])
         assert entries[0]["stage"] == "solve"
         assert entries[0]["count"] == 2
         assert entries[0]["mean"] == pytest.approx(0.2)
+        assert (entries[0]["min"], entries[0]["max"]) == (0.1, 0.3)
+        assert entries[0]["p50"] == pytest.approx(0.2)
+        assert set(entries[0]) == {"stage", "count", "mean", "min", "max",
+                                   "p50", "p90", "p95", "p99"}
+
+    def test_stage_percentiles_are_exact(self):
+        values = [i / 1000 for i in range(1, 2001)]
+        rec = _sweep_record([], spans=_spans({"solve": values}))
+        (entry,) = stage_dict([rec])
+        assert entry["count"] == 2000
+        assert entry["p50"] == pytest.approx(1.0005)
+        assert entry["p99"] == pytest.approx(1.98001)
+        assert (entry["min"], entry["max"]) == (0.001, 2.0)
 
     def test_stage_table_and_empty_message(self):
-        rec = _sweep_record([], telemetry=_telemetry({"solve": [0.1]}))
+        rec = _sweep_record([], spans=_spans({"solve": [0.1]}))
         assert "solve" in stage_table([rec])
-        assert "no telemetry histograms" in stage_table([_sweep_record([])])
+        assert "no traced spans" in stage_table([_sweep_record([])])
+
+    def test_nested_spans_are_samples_reentered_ones_are_not(self):
+        tree = _span("sweep.solve", 0.5,
+                     _span("sweep.job", 0.2,
+                           _span("pipeline", 0.15,
+                                 _span("pipeline", 0.1))),
+                     _span("sweep.job", 0.25))
+        samples = stage_samples([_sweep_record([], spans=[tree])])
+        assert samples == {"sweep.solve": [0.5],
+                           "sweep.job": [0.2, 0.25],
+                           "pipeline": [0.15]}
+
+    def test_stages_match_the_tracer_timers(self):
+        """A traced run's stage totals are its flat timers: both charge
+        the outermost frame of a re-entered stage only."""
+        ticks = iter(range(100))
+        tr = Tracer(clock=lambda: float(next(ticks)))
+        tr.enable()
+        with tr.span("sweep.solve"):
+            for _ in range(2):
+                with tr.span("sweep.job"):
+                    with tr.span("sweep.job"):
+                        pass
+        rec = _sweep_record([], spans=tr.span_dicts())
+        totals = {e["stage"]: e["mean"] * e["count"]
+                  for e in stage_dict([rec])}
+        assert totals == pytest.approx(tr.timers)
+
+    def test_format2_record_with_retired_sections_loads_and_reports(
+            self, tmp_path):
+        """Records written before spans became the only source still carry
+        ``gauges`` and ``histograms`` in ``stats``: they load, and the
+        report reads their spans and counters and nothing else."""
+        path = tmp_path / "run-old.json"
+        path.write_text(json.dumps({
+            "format": 2, "command": "sweep", "wall_time": 1.0,
+            "stats": {"counters": {"cache.hits": 1, "cache.misses": 1},
+                      "timers": {"sweep.job": 0.3},
+                      "gauges": {"sweep.workers": 2.0},
+                      "histograms": {"sweep.job": {
+                          "buckets": [1.0], "bucket_counts": [7, 0],
+                          "count": 7, "total": 0.7, "min": 0.1,
+                          "max": 0.1, "samples": []}}},
+            "spans": _spans({"sweep.job": [0.1, 0.2]}),
+            "extra": {"jobs": JOBS}}), encoding="utf-8")
+        (rec,) = load_records([path])
+        assert rec.stats["gauges"] == {"sweep.workers": 2.0}
+        out = report_dict([rec])
+        assert [(e["stage"], e["count"]) for e in out["stages"]] == \
+            [("sweep.job", 2)]
+        assert out["caches"][0]["hits"] == 1
+        assert "sweep.job" in render_report([load_run_record(path)])
 
 
 class TestDeltas:
@@ -215,7 +283,7 @@ class TestWholeReport:
     def _records(self):
         return [_sweep_record(
             JOBS, counters={"cache.hits": 3, "cache.misses": 1},
-            telemetry=_telemetry({"solve": [0.1, 0.2]}))]
+            spans=_spans({"solve": [0.1, 0.2]}))]
 
     def test_report_dict_sections(self):
         out = report_dict(self._records())
