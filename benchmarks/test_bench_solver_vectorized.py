@@ -48,14 +48,6 @@ def test_bit_identical_to_reference(name, deps, domain):
     assert fast == slow  # schedule, makespan, optima order, count
 
 
-def test_lp_early_exit_agrees():
-    for name, deps, domain in _dp_workloads():
-        full = optimal_schedule(deps, domain, PARAMS)
-        pruned = optimal_schedule(deps, domain, PARAMS, use_lp_bound=True)
-        assert pruned.schedule == full.schedule
-        assert pruned.makespan == full.makespan
-
-
 def _median_seconds(fn, repeats=5):
     samples = []
     for _ in range(repeats):

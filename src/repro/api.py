@@ -21,11 +21,10 @@ Surface groups:
   binding or multi-seed batch), :class:`SynthesisOptions`,
   :class:`Design`, :func:`random_inputs` / :func:`input_factory` for
   seeded problem instances;
-* execution engines — the :class:`Engine` registry (``"interpreted"``,
-  the oracle, and ``"native"``, the tiered fast engine; members are str
-  subclasses, so plain strings keep working everywhere),
-  :func:`coerce_engine`, :data:`ENGINES`, plus the native backend's
-  feature gate :func:`native_available`;
+* execution — :func:`verify_design` and the machine take
+  ``engine="native"`` (default, the tiered fast engine) or
+  ``engine="interpreted"`` (the cycle-by-cycle oracle), and
+  :func:`native_available` gates the native backend's C tier;
 * pass pipeline — :class:`Pass`, :class:`PassPipeline`,
   :class:`PipelineState`, :func:`default_pipeline` (the exact lowering
   :func:`synthesize` runs), :func:`make_pass` / :func:`available_passes`
@@ -106,7 +105,6 @@ from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
 from repro.core.verify import VerificationReport, verify_design
 from repro.codegen.toolchain import native_available
-from repro.machine.engines import ENGINES, Engine, coerce_engine
 from repro.rewrite import (
     Pass,
     PassPipeline,
@@ -156,8 +154,6 @@ __all__ = [
     "CellUtilization",
     "Design",
     "DesignCache",
-    "ENGINES",
-    "Engine",
     "EventLog",
     "EventSink",
     "ExploredDesign",
@@ -193,7 +189,6 @@ __all__ = [
     "cache_key",
     "cache_key_from_fingerprint",
     "cell_utilization",
-    "coerce_engine",
     "collapsed_stacks",
     "default_cache_dir",
     "default_pipeline",

@@ -35,13 +35,11 @@ from dataclasses import asdict
 from pathlib import Path
 
 from repro.api import (
-    ENGINES,
     PROBLEM_BUILDERS,
     DesignCache,
     SweepSpec,
     SynthesisOptions,
     available_passes,
-    coerce_engine,
     explore_uniform,
     read_manifest,
     resolve_interconnect,
@@ -59,7 +57,6 @@ from repro.problems import (
 )
 from repro.ir import trace_execution
 from repro.machine import cell_utilization, compile_design, run
-from repro.machine.engines import ENGINE_HELP
 from repro.obs import (
     CLIProgress,
     EventLog,
@@ -117,12 +114,9 @@ def cmd_synthesize(args) -> int:
     if "s" in needed:
         params["s"] = args.s
     system = builder()
-    options = SynthesisOptions(engine=args.engine)
-    design = synthesize(system, params, _interconnect(args.interconnect),
-                        options)
+    design = synthesize(system, params, _interconnect(args.interconnect))
     RUN_EXTRA["workload"] = {"problem": args.problem, "params": params,
-                             "interconnect": args.interconnect,
-                             "engine": options.engine}
+                             "interconnect": args.interconnect}
     print(module_table(design, f"{args.problem} on {args.interconnect} "
                                f"({params})"))
     print()
@@ -131,17 +125,13 @@ def cmd_synthesize(args) -> int:
         if args.seeds > 1:
             report = verify_design(
                 design, input_factory(args.problem, params),
-                engine=options.engine,
                 seeds=range(args.seed, args.seed + args.seeds))
             print(f"\nverification: {report}  "
-                  f"(seeds={args.seed}..{args.seed + args.seeds - 1}, "
-                  f"engine={options.engine})")
+                  f"(seeds={args.seed}..{args.seed + args.seeds - 1})")
         else:
             report = verify_design(
-                design, _random_inputs(args.problem, params, args.seed),
-                engine=options.engine)
-            print(f"\nverification: {report}  (seed={args.seed}, "
-                  f"engine={options.engine})")
+                design, _random_inputs(args.problem, params, args.seed))
+            print(f"\nverification: {report}  (seed={args.seed})")
         if report.machine_stats:
             s = report.machine_stats
             RUN_EXTRA["machine_stats"] = asdict(s)
@@ -188,8 +178,7 @@ def cmd_sweep(args) -> int:
                          "and parameter value")
     grid = tuple({"n": n, "s": s} for n in ns for s in ss)
     options = SynthesisOptions(time_bound=args.time_bound,
-                               space_bound=args.space_bound,
-                               engine=args.engine)
+                               space_bound=args.space_bound)
     spec = SweepSpec(problems=tuple(problems), interconnects=interconnects,
                      param_grid=grid, options=options,
                      verify_seeds=args.verify_seeds)
@@ -208,8 +197,8 @@ def cmd_sweep(args) -> int:
         manifest=args.manifest)
     RUN_EXTRA["jobs"] = [
         {"problem": r.problem, "params": dict(r.params),
-         "interconnect": r.interconnect, "engine": options.engine,
-         "ok": r.ok, "cache_hit": r.cache_hit, "wall_time": r.wall_time}
+         "interconnect": r.interconnect, "ok": r.ok,
+         "cache_hit": r.cache_hit, "wall_time": r.wall_time}
         for r in report.results]
     print(sweep_table(
         report.results,
@@ -229,10 +218,18 @@ def cmd_sweep(args) -> int:
         print(f"manifest: {args.manifest} "
               f"({len(info['completed'])}/{info['total']} journaled, "
               f"{report.resumed} restored this run)")
+    # A failed verification or a corrupt cache entry fails the sweep even
+    # without --stats: neither is an infeasibility the grid may contain.
+    unverified = [r for r in report.results if r.verified is False]
+    for r in unverified:
+        print(f"verify FAILED: {r.label()}: {r.verify_failures[0]}")
+    mismatch = (report.cross_check or "").startswith("MISMATCH")
+    if mismatch:
+        print(f"cross-check: {report.cross_check}")
     if args.stats:
         print()
         print(report.summary())
-    return 0 if report.ok_results else 1
+    return 1 if unverified or mismatch or not report.ok_results else 0
 
 
 def cmd_cache(args) -> int:
@@ -245,7 +242,7 @@ def cmd_cache(args) -> int:
         print(f"cache: {cache.root}")
         print(f"entries: {len(entries)} ({ok} ok, {len(entries) - ok} "
               f"negative), {size / 1024:.1f} KiB")
-        front = cache.pareto()
+        front = cache.pareto(entries)
         if front:
             rows = [[str(e["completion_time"]), str(e["cells"]),
                      e["key"][:12]] for e in front]
@@ -306,18 +303,17 @@ def cmd_profile(args) -> int:
     if "s" in needed:
         params["s"] = args.s
     system = builder()
-    options = SynthesisOptions(engine=args.engine)
-    design = synthesize(system, params, _interconnect(args.interconnect),
-                        options)
+    design = synthesize(system, params, _interconnect(args.interconnect))
     inputs = _random_inputs(args.problem, params, args.seed)
-    report = verify_design(design, inputs, engine=options.engine)
+    report = verify_design(design, inputs)
     trace = trace_execution(system, params, inputs)
     mc = compile_design(trace, design.schedules, design.space_maps,
                         design.interconnect.decomposer())
     log = EventLog()
-    machine = run(mc, trace, inputs, engine=options.engine, sink=log)
+    machine = run(mc, trace, inputs, engine="native", sink=log)
 
-    # Canonical order makes the exports byte-identical across engines.
+    # Canonical order makes the exports byte-identical to the
+    # interpreter's stream.
     log.events = canonical_order(log.events)
 
     out = args.out or f"profile-{args.problem}-n{args.n}"
@@ -329,14 +325,12 @@ def cmd_profile(args) -> int:
     s = machine.stats
     lo, hi = log.cycle_range()
     counts = log.counts_by_kind()
-    print(f"profile: {args.problem} on {args.interconnect} ({params}), "
-          f"engine={options.engine}")
+    print(f"profile: {args.problem} on {args.interconnect} ({params})")
     print(f"machine: {s.cycles} cycles [{lo}, {hi}], {s.cells_used} cells, "
           f"{s.operations} ops, {s.hops} hops, "
           f"utilization {s.utilization:.0%}")
     print("events: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
-    print(f"verification: {report}  (seed={args.seed}, "
-          f"engine={options.engine})")
+    print(f"verification: {report}  (seed={args.seed})")
     print()
     print(cell_utilization_table(cell_utilization(mc),
                                  "per-cell utilization",
@@ -346,8 +340,7 @@ def cmd_profile(args) -> int:
     RUN_EXTRA["machine_stats"] = asdict(s)
     RUN_EXTRA["event_counts"] = counts
     RUN_EXTRA["workload"] = {"problem": args.problem, "params": params,
-                             "interconnect": args.interconnect,
-                             "engine": options.engine}
+                             "interconnect": args.interconnect}
     span_paths = _export_spans(TRACER.spans(), out)
     RUN_EXTRA["exports"] = [jsonl_path, chrome_path, *span_paths]
     return 0 if report.ok else 1
@@ -459,13 +452,6 @@ def cmd_passes(args) -> int:
     return 0
 
 
-def _engine_flag(p: argparse.ArgumentParser, lead: str) -> None:
-    """``--engine`` with the registry's choices; retired names map to
-    their replacement with a ``DeprecationWarning``."""
-    p.add_argument("--engine", type=coerce_engine, choices=ENGINES,
-                   default="native", help=f"{lead}: {ENGINE_HELP}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -493,10 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed for the random verification inputs")
     p.add_argument("--seeds", type=int, default=1, metavar="S",
-                   help="verify S seeded random instances (seed..seed+S-1); "
-                        "with --engine native all S run in one batched "
-                        "pass")
-    _engine_flag(p, "machine execution engine for --verify")
+                   help="verify S seeded random instances (seed..seed+S-1) "
+                        "in one batched pass")
     p.set_defaults(fn=cmd_synthesize)
 
     p = sub.add_parser("explore", help="enumerate convolution designs",
@@ -536,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "consistency check")
     p.add_argument("--verify-seeds", type=int, default=0, metavar="S",
                    help="verify every solved design on S seeded random "
-                        "instances (0 = skip)")
-    _engine_flag(p, "execution engine for --verify-seeds")
+                        "instances (0 = skip; a failure exits 1)")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write the full sweep report as JSON")
     p.add_argument("--progress", action="store_true",
@@ -583,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=4)
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed for the machine's host inputs")
-    _engine_flag(p, "execution engine for verification and the event log "
-                    "(both engines produce the identical stream)")
     p.add_argument("--out", default=None, metavar="PREFIX",
                    help="output prefix (default: profile-<problem>-n<n>)")
     p.add_argument("--cells", type=int, default=12, metavar="N",
@@ -597,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report", parents=[common],
-        help="aggregate RunRecord stores into latency (engine x problem "
+        help="aggregate RunRecord stores into latency (per problem "
              "p50/p95/max), cache hit-rate and stage tables, with an "
              "optional delta against a baseline store or BENCH_*.json")
     p.add_argument("records", nargs="*", metavar="DIR_OR_FILE",
@@ -605,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "$REPRO_METRICS_DIR)")
     p.add_argument("--baseline", default=None, metavar="PATH",
                    help="a baseline record directory (p50 delta per "
-                        "engine x problem) or a BENCH_<name>.json "
+                        "problem) or a BENCH_<name>.json "
                         "trajectory file (newest vs previous entry)")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="also write the report as JSON")

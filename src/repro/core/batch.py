@@ -145,8 +145,7 @@ class SweepSpec:
 
     ``verify_seeds > 0`` makes every solved design (fresh or cached) run
     through :func:`~repro.core.verify.verify_design` with that many seeded
-    random instances; ``options.engine`` picks the execution backend —
-    ``"native"`` (default) checks all seeds in one batched pass.
+    random instances on the native engine, all seeds in one batched pass.
     """
 
     problems: tuple[str, ...]
@@ -188,7 +187,6 @@ class SweepResult:
     interconnect: str
     key: str
     ok: bool
-    engine: str = ""
     cache_hit: bool = False
     cells: int | None = None
     completion_time: int | None = None
@@ -201,17 +199,6 @@ class SweepResult:
     design_payload: dict | None = None
     verify_seeds: int = 0               # seeds cross-checked (0 = not asked)
     verify_failures: list[str] = field(default_factory=list)
-
-    @property
-    def identity(self) -> str:
-        """Engine-qualified job identity, ``<cache key>::<engine>``.
-
-        The cache key deliberately excludes the engine (it does not change
-        the synthesized design), so two jobs differing only in engine share
-        ``key``.  Anything that must treat them as distinct jobs — manifest
-        journaling, cross-check attribution — keys by this instead.
-        """
-        return f"{self.key}::{self.engine}"
 
     @property
     def verified(self) -> "bool | None":
@@ -239,7 +226,6 @@ class SweepResult:
             "interconnect": self.interconnect,
             "key": self.key,
             "ok": self.ok,
-            "engine": self.engine,
             "cache_hit": self.cache_hit,
             "cells": self.cells,
             "completion_time": self.completion_time,
@@ -265,7 +251,6 @@ class SweepResult:
             interconnect=payload["interconnect"],
             key=payload["key"],
             ok=payload["ok"],
-            engine=payload.get("engine", ""),
             cache_hit=payload.get("cache_hit", False),
             cells=payload.get("cells"),
             completion_time=payload.get("completion_time"),
@@ -280,10 +265,8 @@ class SweepResult:
         )
 
     def _sort_key(self) -> tuple:
-        # Engine last: same-key jobs under different engines get a stable
-        # relative order, keeping multi-engine reports byte-stable.
         return (self.problem, self.interconnect,
-                tuple(sorted(self.params.items())), self.engine)
+                tuple(sorted(self.params.items())))
 
 
 @dataclass
@@ -384,7 +367,6 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
         result = SweepResult(
             problem=job.problem, params=job.params_dict,
             interconnect=job.interconnect.name, key=key, ok=True,
-            engine=f"{job.options.engine}",
             cells=design.cell_count,
             completion_time=design.completion_time,
             wall_time=wall, solve_time=wall,
@@ -397,7 +379,6 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
         result = SweepResult(
             problem=job.problem, params=job.params_dict,
             interconnect=job.interconnect.name, key=key, ok=False,
-            engine=f"{job.options.engine}",
             wall_time=wall, solve_time=wall,
             error_type=type(error).__name__, error=str(error),
             error_module=error.module)
@@ -436,7 +417,6 @@ def _verify_result(job: SweepJob, design: Design,
         factory = input_factory(job.problem, job.params_dict)
         with TRACER.span("sweep.verify"):
             report = verify_design(design, factory,
-                                   engine=job.options.engine,
                                    seeds=range(job.verify_seeds))
         result.verify_seeds = report.seeds_checked
         result.verify_failures = list(report.failures)
@@ -452,7 +432,6 @@ def _result_from_payload(job: SweepJob, key: str,
         return SweepResult(
             problem=job.problem, params=job.params_dict,
             interconnect=job.interconnect.name, key=key, ok=True,
-            engine=f"{job.options.engine}",
             cache_hit=True, cells=payload["cells"],
             completion_time=payload["completion_time"], wall_time=wall,
             solve_time=payload.get("solve_time", 0.0),
@@ -460,7 +439,6 @@ def _result_from_payload(job: SweepJob, key: str,
     return SweepResult(
         problem=job.problem, params=job.params_dict,
         interconnect=job.interconnect.name, key=key, ok=False,
-        engine=f"{job.options.engine}",
         cache_hit=True, wall_time=wall,
         solve_time=payload.get("solve_time", 0.0),
         error_type=payload.get("error_type"), error=payload.get("error"),
@@ -536,19 +514,13 @@ def _run_pool(jobs: Sequence[SweepJob], nworkers: int,
 
 def _cross_check(results: Sequence[SweepResult],
                  jobs_by_key: Mapping[str, SweepJob]) -> str | None:
-    """Re-synthesize the cheapest cached success and compare payloads.
-
-    ``jobs_by_key`` maps engine-qualified identities (see
-    :attr:`SweepResult.identity`) so a cached result is always checked
-    against its *own* job's builder and options — never a same-key job
-    that differs only in engine.
-    """
-    hits = [r for r in results if r.cache_hit and r.ok
-            and r.identity in jobs_by_key]
+    """Re-synthesize the cheapest cached success and compare payloads;
+    ``jobs_by_key`` maps each cache key to the job that owns it."""
+    hits = [r for r in results if r.cache_hit and r.ok]
     if not hits:
         return None
     probe = min(hits, key=lambda r: (r.solve_time, r._sort_key()))
-    job = jobs_by_key[probe.identity]
+    job = jobs_by_key[probe.key]
     fresh = synthesize(job.builder(), job.params_dict, job.interconnect,
                        job.options)
     TRACER.count("sweep.cross_checks")
@@ -579,12 +551,6 @@ def _key_jobs(jobs: Sequence[SweepJob]) -> list[str]:
                                                job.interconnect,
                                                job.options))
     return keys
-
-
-def _job_identity(key: str, job: SweepJob) -> str:
-    """Engine-qualified identity of one job — the counterpart of
-    :attr:`SweepResult.identity` computed before any result exists."""
-    return f"{key}::{job.options.engine}"
 
 
 def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
@@ -630,27 +596,21 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
     pending: list[SweepJob] = []
     jobs_by_key: dict[str, SweepJob] = {}
 
-    # Key every job up front when anything needs identities (a cache to
-    # probe or a manifest to match).  With neither, builders never run in
-    # the parent at all — the crash-recovery path depends on that.  The
-    # cache key excludes the engine, so manifest matching and job lookup
-    # go through the engine-qualified identity: two jobs differing only
-    # in engine share a key but must journal (and restore) separately.
+    # Key every job up front when anything needs keys (a cache to probe
+    # or a manifest to match).  With neither, builders never run in the
+    # parent at all — the crash-recovery path depends on that.
     keys: "list[str] | None" = None
-    idents: "list[str] | None" = None
     if cache is not None or manifest is not None:
         with TRACER.span("sweep.keys"):
             keys = _key_jobs(jobs)
-            idents = [_job_identity(key, job)
-                      for key, job in zip(keys, jobs)]
-            jobs_by_key.update(zip(idents, jobs))
+            jobs_by_key.update(zip(keys, jobs))
 
     journal: "SweepManifest | None" = None
     restored: set[str] = set()
     if manifest is not None:
-        journal = SweepManifest.open(manifest, idents)
+        journal = SweepManifest.open(manifest, keys)
         for result in journal.restore():
-            restored.add(result.identity)
+            restored.add(result.key)
             results.append(result)
             if tracker is not None:
                 tracker.job_done(ok=result.ok, cache_hit=result.cache_hit,
@@ -668,7 +628,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
         with TRACER.span("sweep.probe"):
             for idx, job in enumerate(jobs):
                 key = keys[idx] if keys is not None else None
-                if idents is not None and idents[idx] in restored:
+                if key in restored:
                     continue
                 p0 = time.perf_counter()
                 payload = cache.load(key) if cache is not None else None

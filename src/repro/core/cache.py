@@ -40,11 +40,12 @@ directory.  Failed
 syntheses are cached too (negative entries): re-running a sweep does not
 re-discover infeasibility the hard way.
 
-**Listing.**  ``__len__``, :meth:`entries`, :meth:`pareto` and
-:meth:`prune` scan the entry files themselves: each current-format entry
-contributes its headline fields (key, status, cells, completion time) with
-its size and modification time from ``stat``.  The entry files are the
-only record of what the cache holds, so no second store can go stale.
+**Listing.**  ``__len__``, :meth:`entries` and :meth:`prune` scan the
+entry files themselves, and :meth:`pareto` ranks the records of one such
+scan: each current-format entry contributes its headline fields (key,
+status, cells, completion time) with its size and modification time from
+``stat``.  The entry files are the only record of what the cache holds,
+so no second store can go stale.
 """
 
 from __future__ import annotations
@@ -311,10 +312,13 @@ class DesignCache:
         records.sort(key=lambda r: r["key"])
         return records
 
-    def pareto(self) -> list[dict]:
-        """:meth:`entries` records of successful designs not dominated in
-        (completion time, cells) — the cache-wide selection question."""
-        ok = sorted((r for r in self.entries()
+    @staticmethod
+    def pareto(records: "list[dict]") -> list[dict]:
+        """The :meth:`entries` ``records`` of successful designs not
+        dominated in (completion time, cells) — the cache-wide selection
+        question.  The caller passes the records it already scanned, so
+        one listing serves both its counts and the front."""
+        ok = sorted((r for r in records
                      if r["status"] == "ok"
                      and r["completion_time"] is not None
                      and r["cells"] is not None),

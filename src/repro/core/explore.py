@@ -47,17 +47,10 @@ class ExploredDesign:
 
 def explore_uniform(system: RecurrenceSystem, params: Mapping[str, int],
                     interconnect: Interconnect,
-                    time_bound: int = 2, space_bound: int = 1,
-                    options: SynthesisOptions | None = None
+                    time_bound: int = 2, space_bound: int = 1
                     ) -> list[ExploredDesign]:
     """Enumerate all designs of a single-module system, sorted by
-    (completion time, #cells, movement signature).
-
-    An ``options`` object overrides the individual bound arguments.
-    """
-    if options is not None:
-        time_bound = options.time_bound
-        space_bound = options.space_bound
+    (completion time, #cells, movement signature)."""
     if len(system.modules) != 1:
         raise ValueError("explore_uniform handles single-module systems")
     (name, module), = system.modules.items()
@@ -101,8 +94,7 @@ def explore_uniform(system: RecurrenceSystem, params: Mapping[str, int],
 def explore_interconnects(system: RecurrenceSystem,
                           params: Mapping[str, int],
                           interconnects: Sequence[Interconnect],
-                          options: SynthesisOptions | None = None,
-                          **synthesize_kwargs
+                          options: SynthesisOptions | None = None
                           ) -> list[tuple[Interconnect, "Design | None"]]:
     """Synthesize one design per interconnection pattern (Section V:
     "different interconnection patterns may result in different classes of
@@ -118,8 +110,7 @@ def explore_interconnects(system: RecurrenceSystem,
     results: list[tuple[Interconnect, Design | None]] = []
     for ic in interconnects:
         try:
-            design = synthesize(system, params, ic, options,
-                                **synthesize_kwargs)
+            design = synthesize(system, params, ic, options)
         except (NoScheduleExists, NoSpaceMapExists):
             design = None
         results.append((ic, design))

@@ -4,14 +4,11 @@ A million-design sweep takes hours; losing it to a reboot, an OOM kill or
 a fat-fingered ^C means re-paying every completed job.  The manifest is
 the sweep's write-ahead journal: one *header* line identifying the job
 set, then one *done* line per completed job carrying the full
-:class:`~repro.core.batch.SweepResult` payload.  Jobs are journaled by
-their **engine-qualified identity** (``<cache key>::<engine>``, see
-:attr:`~repro.core.batch.SweepResult.identity`): the cache key excludes
-the engine, so two jobs differing only in engine share a key — each must
-get its own done-record or resuming would silently drop one of them.  ``run_sweep(...,
-manifest=path)`` opens the journal before executing anything and appends
-as results land, fsync'ing in batches (``fsync_every``), so the file on
-disk is never more than a batch behind reality.
+:class:`~repro.core.batch.SweepResult` payload under the job's
+design-cache key.  ``run_sweep(..., manifest=path)`` opens the journal
+before executing anything and appends as results land, fsync'ing in
+batches (``fsync_every``), so the file on disk is never more than a batch
+behind reality.
 
 Resuming is the same call: if the file already holds done-records for the
 same job set, those jobs are *restored* from the journal — not probed,
@@ -44,9 +41,9 @@ if TYPE_CHECKING:                                       # pragma: no cover
     from repro.core.batch import SweepResult
 
 #: Bump when the journal layout changes incompatibly.
-#: v2: done-records are keyed by engine-qualified job identity
-#: (``<cache key>::<engine>``) instead of the bare cache key.
-MANIFEST_VERSION = 2
+#: v3: done-records are keyed by the bare cache key again (v2 keyed them
+#: by ``<cache key>::<engine>``, and its results carried an engine).
+MANIFEST_VERSION = 3
 
 #: Default completion-records-per-fsync.  Batching amortises the sync
 #: cost at ~no durability loss: a crash forfeits at most a batch of
@@ -59,8 +56,7 @@ class ManifestError(ValueError):
 
 
 def jobs_fingerprint(keys: Iterable[str]) -> str:
-    """Order-independent SHA-256 identity of a sweep's job-identity set
-    (``run_sweep`` passes engine-qualified identities, not cache keys)."""
+    """Order-independent SHA-256 identity of a sweep's job-key set."""
     digest = hashlib.sha256()
     for key in sorted(keys):
         digest.update(key.encode("ascii"))
@@ -72,7 +68,7 @@ class SweepManifest:
     """The journal behind ``run_sweep(..., manifest=...)``.
 
     Lifecycle: :meth:`open` parses-or-creates the file and exposes
-    :attr:`completed` (job identity → recorded result payload); the sweep calls
+    :attr:`completed` (cache key → recorded result payload); the sweep calls
     :meth:`record` per finished job and :meth:`close` at the end.  The
     file handle stays open for the sweep's duration — appends are one
     ``write`` each, fsync'd every ``fsync_every`` records and on close.
@@ -93,9 +89,9 @@ class SweepManifest:
     @classmethod
     def open(cls, path: "str | os.PathLike", job_keys: Iterable[str],
              fsync_every: int = DEFAULT_FSYNC_EVERY) -> "SweepManifest":
-        """Create the journal for ``job_keys`` (engine-qualified job
-        identities), or resume the existing one (validating that it
-        journals the same job set)."""
+        """Create the journal for ``job_keys`` (the jobs' cache keys), or
+        resume the existing one (validating that it journals the same job
+        set)."""
         manifest = cls(path, fsync_every=fsync_every)
         keys = list(job_keys)
         manifest.total = len(keys)
@@ -148,13 +144,12 @@ class SweepManifest:
     # -- journaling ----------------------------------------------------------
 
     def record(self, result: "SweepResult") -> None:
-        """Journal one finished job (idempotent per job identity)."""
-        ident = result.identity
-        if ident in self.completed:
+        """Journal one finished job (idempotent per cache key)."""
+        if result.key in self.completed:
             return
         payload = result.to_dict()
-        self.completed[ident] = payload
-        self._append({"kind": "done", "key": ident,
+        self.completed[result.key] = payload
+        self._append({"kind": "done", "key": result.key,
                       "result": payload})
         TRACER.count("sweep.manifest_recorded")
         self._since_fsync += 1

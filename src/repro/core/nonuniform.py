@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.arrays.interconnect import Interconnect
 from repro.core.design import Design
-from repro.core.options import _UNSET, SynthesisOptions, resolve_options
+from repro.core.options import SynthesisOptions
 from repro.ir.program import HighLevelSpec, RecurrenceSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,11 +46,7 @@ def synthesize(source: "RecurrenceSystem | HighLevelSpec",
                params: Mapping[str, int],
                interconnect: Interconnect,
                options: SynthesisOptions | None = None, *,
-               pipeline: "PassPipeline | None" = None,
-               time_bound=_UNSET,
-               space_bound=_UNSET,
-               schedule_offsets=_UNSET,
-               space_offsets=_UNSET) -> Design:
+               pipeline: "PassPipeline | None" = None) -> Design:
     """Synthesize a design for ``source`` on ``interconnect``.
 
     ``source`` is a canonic :class:`RecurrenceSystem`, or a
@@ -58,14 +54,11 @@ def synthesize(source: "RecurrenceSystem | HighLevelSpec",
     performs the Section III restructuring first (what
     :func:`repro.core.restructure.restructure` does standalone).
 
-    Search bounds come from ``options`` (a :class:`SynthesisOptions`); the
-    individual ``time_bound``/``space_bound``/``schedule_offsets``/
-    ``space_offsets`` kwargs are retired and raise :class:`TypeError` with
-    a migration hint.  ``pipeline`` overrides the default pass pipeline;
-    it must still produce a design (end in ``lower-microcode``).
+    Search bounds come from ``options`` (a :class:`SynthesisOptions`).
+    ``pipeline`` overrides the default pass pipeline; it must still
+    produce a design (end in ``lower-microcode``).
     """
-    opts = resolve_options(options, time_bound, space_bound,
-                           schedule_offsets, space_offsets)
+    opts = options or SynthesisOptions()
     # Imported here, not at module top: repro.rewrite.pipeline imports the
     # restructurer through the repro.core package, which imports us.
     from repro.rewrite.pipeline import run_pipeline

@@ -111,7 +111,7 @@ def _check_results(report: VerificationReport, machine_results: Mapping,
 
 
 def _verify_looped(design: Design, report: VerificationReport, decomposer,
-                   input_sets, prefixes, strict_capacity: bool) -> None:
+                   input_sets, prefixes) -> None:
     """The interpreted oracle: a from-scratch reference evaluation and a
     cycle-by-cycle machine run per input set, nothing cached."""
     for prefix, inputs in zip(prefixes, input_sets):
@@ -122,7 +122,7 @@ def _verify_looped(design: Design, report: VerificationReport, decomposer,
                 mc = compile_design(trace, design.schedules,
                                     design.space_maps, decomposer)
             with TRACER.span("verify.machine"):
-                machine = run(mc, trace, inputs, strict=strict_capacity)
+                machine = run(mc, trace, inputs)
                 _annotate_machine(machine.stats)
         except Exception as exc:  # machine errors are design failures
             report.machine_matches_reference = False
@@ -135,8 +135,7 @@ def _verify_looped(design: Design, report: VerificationReport, decomposer,
 
 
 def _verify_batched(design: Design, report: VerificationReport, decomposer,
-                    cache, input_sets, prefixes,
-                    strict_capacity: bool) -> None:
+                    cache, input_sets, prefixes) -> None:
     """All input sets through one batched value pass, reference and
     machine alike (the native engine); per-seed mismatches are reported
     with their prefix.
@@ -166,7 +165,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
                 mc = compile_design(trace, design.schedules,
                                     design.space_maps, decomposer)
                 machine = cache["nmachine"] = lower(mc, trace)
-            if strict_capacity and machine.strict_error is not None:
+            if machine.strict_error is not None:
                 raise CapacityError(machine.strict_error)
     except Exception as exc:  # machine errors are design failures
         report.machine_matches_reference = False
@@ -205,7 +204,6 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
 
 
 def verify_design(design: Design, inputs,
-                  strict_capacity: bool = True,
                   engine: "Engine | str" = "native",
                   seeds=None) -> VerificationReport:
     """Run all symbolic and physical checks; never raises on a *design*
@@ -273,8 +271,7 @@ def verify_design(design: Design, inputs,
 
     if cache is not None:
         _verify_batched(design, report, decomposer, cache, input_sets,
-                        prefixes, strict_capacity)
+                        prefixes)
     else:
-        _verify_looped(design, report, decomposer, input_sets, prefixes,
-                       strict_capacity)
+        _verify_looped(design, report, decomposer, input_sets, prefixes)
     return report

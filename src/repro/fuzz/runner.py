@@ -64,6 +64,10 @@ ARG_SHAPES = (
 
 INTERCONNECTS = ("fig1", "fig2", "mesh", "hex")
 
+#: Examples per hypothesis run; batch ``b`` of a fuzz run uses seed
+#: ``seed + b``.
+BATCH_SIZE = 20
+
 
 def _require_hypothesis() -> None:
     if not HAVE_HYPOTHESIS:
@@ -148,7 +152,7 @@ def _signature(outcome: CaseOutcome) -> tuple:
 
 
 def fuzz(max_examples: int = 100, budget: float = 60.0, seed: int = 0,
-         corpus_dir=None, max_failures: int = 3, batch_size: int = 20,
+         corpus_dir=None, max_failures: int = 3,
          db_dir=None, log=None) -> FuzzReport:
     """Fuzz the nonuniform pipeline until a budget is hit.
 
@@ -168,7 +172,7 @@ def fuzz(max_examples: int = 100, budget: float = 60.0, seed: int = 0,
     while (report.examples_run < max_examples
            and time.monotonic() - started < budget
            and len(report.failures) < max_failures):
-        count = min(batch_size, max_examples - report.examples_run)
+        count = min(BATCH_SIZE, max_examples - report.examples_run)
         state: dict = {}
 
         @hypothesis_seed(seed + batch)

@@ -28,10 +28,7 @@ from repro.ir.predicates import (
     at_least,
     at_most,
     equals,
-    even,
     greater,
-    less,
-    odd,
 )
 from repro.ir.program import (
     ArgSpec,
@@ -52,7 +49,6 @@ __all__ = [
     "Predicate", "QuasiAffineExpr", "Ref", "RecurrenceSystem", "SystemTrace",
     "TRUE", "ValidationError", "ValueKey", "VectorProgram", "at_least",
     "at_most", "build_execution_plan", "check_canonic", "check_system",
-    "const", "eq", "equals", "even", "execute_plan", "ge", "greater", "le",
-    "less", "lower_plan", "make_op", "odd", "run_system", "trace_execution",
-    "var",
+    "const", "eq", "equals", "execute_plan", "ge", "greater", "le",
+    "lower_plan", "make_op", "run_system", "trace_execution", "var",
 ]

@@ -29,7 +29,6 @@ import numpy as np
 from repro.ir.affine import AffineExpr, Number, QuasiAffineExpr
 from repro.ir.predicates import (
     Compare,
-    Parity,
     Predicate,
     QuasiEq,
     QuasiGreater,
@@ -112,9 +111,6 @@ def atom_mask(atom, dims: Sequence[str], points: np.ndarray,
         if atom.rel == ">=":
             return scaled >= 0
         return scaled > 0
-    if isinstance(atom, Parity):
-        values = eval_affine_int(atom.expr, dims, points, params)
-        return values % atom.modulus == atom.residue
     if isinstance(atom, QuasiEq):
         lhs = eval_affine_int(atom.lhs, dims, points, params)
         rhs = eval_quasi_int(atom.rhs, dims, points, params)

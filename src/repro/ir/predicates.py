@@ -3,11 +3,10 @@
 The paper's computational model (Section II.A) restricts conditional
 assignments to predicates that "depend only on the values of the loop indices
 and not on the values of the variables".  The dynamic-programming system of
-Section IV needs three atom kinds:
+Section IV needs two atom kinds:
 
 * affine comparisons (``k = i + 1``, ``k > i + 1``),
-* parity tests (``i + j`` even / odd),
-* quasi-affine equalities (``k = floor((i+j)/2)``).
+* quasi-affine comparisons (``k = floor((i+j)/2)``).
 
 A :class:`Predicate` is a conjunction of such atoms; disjunctions are not
 needed (guards of distinct rules supply the case split).
@@ -49,28 +48,6 @@ class Compare(Atom):
 
     def __repr__(self) -> str:
         return f"({self.expr} {self.rel} 0)"
-
-
-@dataclass(frozen=True)
-class Parity(Atom):
-    """``expr mod modulus == residue`` (affine expr, integer point)."""
-
-    expr: AffineExpr
-    residue: int
-    modulus: int = 2
-
-    def __post_init__(self) -> None:
-        if self.modulus <= 0:
-            raise ValueError("modulus must be positive")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError("residue out of range")
-
-    def holds(self, point: Mapping[str, Number]) -> bool:
-        value = self.expr.evaluate_int(point)
-        return value % self.modulus == self.residue
-
-    def __repr__(self) -> str:
-        return f"({self.expr} ≡ {self.residue} mod {self.modulus})"
 
 
 @dataclass(frozen=True)
@@ -150,15 +127,6 @@ def at_least(lhs: ExprLike, rhs: _RhsLike) -> Predicate:
     return Predicate([Compare(left - right, ">=")])
 
 
-def less(lhs: ExprLike, rhs: _RhsLike) -> Predicate:
-    """Predicate ``lhs < rhs``."""
-    left = AffineExpr.coerce(lhs)
-    right = _coerce_rhs(rhs)
-    if isinstance(right, QuasiAffineExpr):
-        return Predicate([QuasiLess(left, right, strict=True)])
-    return Predicate([Compare(right - left, ">")])
-
-
 def at_most(lhs: ExprLike, rhs: _RhsLike) -> Predicate:
     """Predicate ``lhs <= rhs``."""
     left = AffineExpr.coerce(lhs)
@@ -166,16 +134,6 @@ def at_most(lhs: ExprLike, rhs: _RhsLike) -> Predicate:
     if isinstance(right, QuasiAffineExpr):
         return Predicate([QuasiLess(left, right, strict=False)])
     return Predicate([Compare(right - left, ">=")])
-
-
-def even(expr: ExprLike) -> Predicate:
-    """Predicate ``expr`` is even."""
-    return Predicate([Parity(AffineExpr.coerce(expr), 0, 2)])
-
-
-def odd(expr: ExprLike) -> Predicate:
-    """Predicate ``expr`` is odd."""
-    return Predicate([Parity(AffineExpr.coerce(expr), 1, 2)])
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """The single registry of execution engines.
 
-Every place that dispatches on an execution strategy — the simulator,
-verification, :class:`~repro.core.options.SynthesisOptions`, the CLI's
-``--engine`` flags — draws from this enum.
+The two places that dispatch on an execution strategy — the simulator's
+``run(..., engine=)`` and ``verify_design(..., engine=)`` — draw from this
+enum.
 
 :class:`Engine` subclasses :class:`str`, so string-based callers
 (``run(..., engine="native")``, serialized run records) keep working;
@@ -40,12 +40,6 @@ ENGINES: tuple[str, ...] = tuple(e.value for e in Engine)
 
 #: Engine names folded into ``native``; still accepted, with a warning.
 RETIRED_ENGINES: dict[str, str] = {"compiled": "native", "vector": "native"}
-
-#: ``--engine`` help body, shared by every CLI subcommand.
-ENGINE_HELP = ("'interpreted' is the cycle-by-cycle oracle; 'native' runs "
-               "the lowered table on one cached C executor, falling back "
-               "to ndarray kernels without a compiler and to exact object "
-               "arrays for Fraction/bignum inputs")
 
 
 def coerce_engine(engine: "Engine | str") -> str:

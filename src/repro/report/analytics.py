@@ -6,7 +6,7 @@ the tracer's counters and timers, and the span trees, worker jobs'
 included).  This module turns one or more of those stores into the
 operator's questions:
 
-* **latency** — engine × problem wall-time tables (count, p50, p95, max),
+* **latency** — per-problem wall-time tables (count, p50, p95, max),
   built from the per-job samples ``repro sweep`` stashes in
   ``extra["jobs"]`` and the single-design samples of
   ``synthesize``/``profile`` runs (``extra["workload"]``);
@@ -80,29 +80,26 @@ def load_records(sources: Iterable["str | os.PathLike"],
 
 # -- latency -------------------------------------------------------------------
 
-def job_samples(records: Sequence[RunRecord],
-                ) -> dict[tuple[str, str], list[float]]:
-    """Wall-time samples in seconds, grouped by ``(engine, problem)``.
+def job_samples(records: Sequence[RunRecord]) -> dict[str, list[float]]:
+    """Wall-time samples in seconds, grouped by problem.
 
     A sweep record contributes one sample per job (``extra["jobs"]``); a
     ``synthesize``/``profile`` record contributes its own wall time under
-    the workload it declared (``extra["workload"]``).
+    the workload it declared (``extra["workload"]``).  Older records also
+    name an ``engine`` there; it is ignored.
     """
-    groups: dict[tuple[str, str], list[float]] = {}
+    groups: dict[str, list[float]] = {}
     for rec in records:
         jobs = rec.extra.get("jobs")
         if jobs:
             for job in jobs:
-                key = (str(job.get("engine", "?")),
-                       str(job.get("problem", "?")))
-                groups.setdefault(key, []).append(
+                groups.setdefault(str(job.get("problem", "?")), []).append(
                     float(job.get("wall_time", 0.0)))
             continue
         workload = rec.extra.get("workload")
         if workload:
-            key = (str(workload.get("engine", "?")),
-                   str(workload.get("problem", "?")))
-            groups.setdefault(key, []).append(float(rec.wall_time))
+            groups.setdefault(str(workload.get("problem", "?")),
+                              []).append(float(rec.wall_time))
     return groups
 
 
@@ -112,10 +109,10 @@ def _ms(value: "float | None") -> str:
 
 def latency_dict(records: Sequence[RunRecord]) -> list[dict]:
     out = []
-    for (engine, problem), samples in sorted(job_samples(records).items()):
+    for problem, samples in sorted(job_samples(records).items()):
         samples = sorted(samples)
         out.append({
-            "engine": engine, "problem": problem, "count": len(samples),
+            "problem": problem, "count": len(samples),
             "p50_s": _percentile(samples, 50),
             "p95_s": _percentile(samples, 95),
             "max_s": samples[-1] if samples else None,
@@ -124,15 +121,15 @@ def latency_dict(records: Sequence[RunRecord]) -> list[dict]:
 
 
 def latency_table(records: Sequence[RunRecord], title: str = "") -> str:
-    """The engine × problem wall-time table (count / p50 / p95 / max)."""
+    """The per-problem wall-time table (count / p50 / p95 / max)."""
     entries = latency_dict(records)
     if not entries:
         body = "(no latency samples in these records)"
         return f"{title}\n{body}" if title else body
-    rows = [[e["engine"], e["problem"], str(e["count"]), _ms(e["p50_s"]),
+    rows = [[e["problem"], str(e["count"]), _ms(e["p50_s"]),
              _ms(e["p95_s"]), _ms(e["max_s"])] for e in entries]
     table = format_grid(
-        ["engine", "problem", "jobs", "p50 ms", "p95 ms", "max ms"], rows)
+        ["problem", "jobs", "p50 ms", "p95 ms", "max ms"], rows)
     return f"{title}\n{table}" if title else table
 
 
@@ -248,15 +245,13 @@ def _pct(current: float, base: float) -> str:
 
 def delta_records_dict(records: Sequence[RunRecord],
                        baseline: Sequence[RunRecord]) -> list[dict]:
-    current = {(e["engine"], e["problem"]): e
-               for e in latency_dict(records)}
-    base = {(e["engine"], e["problem"]): e
-            for e in latency_dict(baseline)}
+    current = {e["problem"]: e for e in latency_dict(records)}
+    base = {e["problem"]: e for e in latency_dict(baseline)}
     out = []
-    for key in sorted(set(current) | set(base)):
-        cur, ref = current.get(key), base.get(key)
+    for problem in sorted(set(current) | set(base)):
+        cur, ref = current.get(problem), base.get(problem)
         out.append({
-            "engine": key[0], "problem": key[1],
+            "problem": problem,
             "p50_s": cur["p50_s"] if cur else None,
             "baseline_p50_s": ref["p50_s"] if ref else None,
         })
@@ -266,7 +261,7 @@ def delta_records_dict(records: Sequence[RunRecord],
 def delta_records_table(records: Sequence[RunRecord],
                         baseline: Sequence[RunRecord],
                         title: str = "") -> str:
-    """Current vs. baseline record-set p50 per engine × problem."""
+    """Current vs. baseline record-set p50 per problem."""
     entries = delta_records_dict(records, baseline)
     if not entries:
         body = "(nothing to compare)"
@@ -276,9 +271,9 @@ def delta_records_table(records: Sequence[RunRecord],
         cur, ref = e["p50_s"], e["baseline_p50_s"]
         delta = _pct(cur, ref) if cur is not None and ref is not None \
             else "-"
-        rows.append([e["engine"], e["problem"], _ms(cur), _ms(ref), delta])
+        rows.append([e["problem"], _ms(cur), _ms(ref), delta])
     table = format_grid(
-        ["engine", "problem", "p50 ms", "baseline p50 ms", "delta"], rows)
+        ["problem", "p50 ms", "baseline p50 ms", "delta"], rows)
     return f"{title}\n{table}" if title else table
 
 
@@ -348,7 +343,7 @@ def render_report(records: Sequence[RunRecord],
     """The full ``repro report`` text: latency, caches, stages, delta."""
     blocks = [
         f"report over {len(records)} run record(s)",
-        latency_table(records, "latency by engine x problem"),
+        latency_table(records, "latency by problem"),
         cache_table(records, "cache effectiveness"),
         stage_table(records, "stage latency (merged telemetry)"),
     ]

@@ -12,17 +12,11 @@ small coefficients, and the bound is a caller-visible parameter.
 The search is vectorised: the full ``(2*bound+1)^dim`` candidate grid is
 materialised once (and memoized per ``(dim, bound)``), validity ``C @ D >= 1``
 is one matrix comparison, and all makespans come from a single
-``C @ points.T`` product.  With ``use_lp_bound=True`` the scan walks the
-valid candidates in ``(L1, lex)`` order and stops as soon as the running
-optimum meets the LP lower bound — the chosen schedule and makespan are
-provably identical to the exhaustive scan (any unscanned candidate has a
-makespan no smaller and a strictly worse tie-break), but ``optima`` may then
-be a subset and ``candidates_examined`` smaller.
+``C @ points.T`` product.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -106,8 +100,8 @@ def valid_coefficient_vectors(deps: DependenceMatrix, dim: int,
 
 
 def optimal_schedule(deps: DependenceMatrix, domain: Polyhedron,
-                     params: Mapping[str, int], bound: int = 3,
-                     use_lp_bound: bool = False) -> ScheduleSolution:
+                     params: Mapping[str, int], bound: int = 3
+                     ) -> ScheduleSolution:
     """Exhaustively find the valid schedule minimising the makespan.
 
     Ties are broken by smaller coefficient L1 norm, then lexicographically —
@@ -123,11 +117,9 @@ def optimal_schedule(deps: DependenceMatrix, domain: Polyhedron,
         raise NoScheduleExists(
             f"no valid schedule with coefficients in [-{bound}, {bound}] "
             f"for dependencies {deps}", bounds=bound)
-    if use_lp_bound:
-        solution = _bounded_scan(dims, candidates, points, deps, domain,
-                                 params)
-    else:
-        solution = _full_scan(dims, candidates, points)
+    times = candidates @ points.T
+    spans = times.max(axis=1) - times.min(axis=1)
+    solution = _assemble(dims, candidates, spans, int(candidates.shape[0]))
     TRACER.count("solver.searches")
     TRACER.count("solver.candidates_examined", solution.candidates_examined)
     return solution
@@ -157,59 +149,6 @@ def _assemble(dims: tuple[str, ...], candidates: np.ndarray,
             optima.append(sched)
     assert chosen is not None
     return ScheduleSolution(chosen, best_span, tuple(optima), examined)
-
-
-def _full_scan(dims: tuple[str, ...], candidates: np.ndarray,
-               points: np.ndarray) -> ScheduleSolution:
-    times = candidates @ points.T
-    spans = times.max(axis=1) - times.min(axis=1)
-    return _assemble(dims, candidates, spans, int(candidates.shape[0]))
-
-
-_SCAN_CHUNK = 64
-
-
-def _bounded_scan(dims: tuple[str, ...], candidates: np.ndarray,
-                  points: np.ndarray, deps: DependenceMatrix,
-                  domain: Polyhedron, params: Mapping[str, int]
-                  ) -> ScheduleSolution:
-    """Scan candidates in (L1, lex) order, chunk by chunk, stopping once the
-    best makespan so far meets the LP lower bound.  Unscanned candidates all
-    carry a strictly worse (makespan, L1, lex) key, so the chosen schedule
-    and its makespan match the exhaustive scan exactly."""
-    target = math.ceil(lp_lower_bound(deps, domain, params) - 1e-9)
-    l1s = np.abs(candidates).sum(axis=1)
-    keys = tuple(candidates[:, k] for k in range(candidates.shape[1] - 1,
-                                                 -1, -1)) + (l1s,)
-    order = np.lexsort(keys)
-    ranked = candidates[order]
-    best_span: int | None = None
-    kept: list[np.ndarray] = []
-    kept_spans: list[np.ndarray] = []
-    examined = 0
-    for start in range(0, ranked.shape[0], _SCAN_CHUNK):
-        chunk = ranked[start:start + _SCAN_CHUNK]
-        times = chunk @ points.T
-        spans = times.max(axis=1) - times.min(axis=1)
-        kept.append(chunk)
-        kept_spans.append(spans)
-        examined += int(chunk.shape[0])
-        chunk_best = int(spans.min())
-        if best_span is None or chunk_best < best_span:
-            best_span = chunk_best
-        if best_span <= target:
-            TRACER.count("solver.lp_early_exits")
-            TRACER.count("solver.candidates_skipped",
-                        int(ranked.shape[0]) - examined)
-            break
-    scanned = np.concatenate(kept, axis=0)
-    scanned_spans = np.concatenate(kept_spans)
-    # Restore grid (lex) order among the scanned candidates so the optima
-    # replay sees them in the same sequence as the exhaustive scan.
-    scanned_order = np.lexsort(
-        tuple(scanned[:, k] for k in range(scanned.shape[1] - 1, -1, -1)))
-    return _assemble(dims, scanned[scanned_order],
-                     scanned_spans[scanned_order], examined)
 
 
 def lp_lower_bound(deps: DependenceMatrix, domain: Polyhedron,

@@ -40,15 +40,9 @@ class TestApiSurface:
 
 
 class TestSynthesisOptions:
-    def test_legacy_kwargs_rejected_with_migration_hint(self):
-        # The loose kwargs spent a release as DeprecationWarning; they now
-        # fail fast, and the message must name the replacement spelling.
-        with pytest.raises(TypeError,
-                           match=r"SynthesisOptions\(time_bound=3\)"):
-            synthesize(dp_system(), {"n": 6}, FIG2_EXTENDED, time_bound=3)
-
     def test_options_plus_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="legacy kwargs"):
+        # Bounds have one spelling: the options object.
+        with pytest.raises(TypeError, match="time_bound"):
             synthesize(dp_system(), {"n": 6}, FIG2_EXTENDED,
                        SynthesisOptions(), time_bound=3)
 
@@ -63,17 +57,12 @@ class TestSynthesisOptions:
         with pytest.raises(ValueError, match="out of range"):
             SynthesisOptions(time_bound=0)
 
-    def test_engine_validated(self):
-        assert SynthesisOptions().engine == "native"
-        for engine in ("interpreted", "native"):
-            assert SynthesisOptions(engine=engine).engine == engine
-        with pytest.raises(ValueError, match="unknown engine"):
-            SynthesisOptions(engine="quantum")
-
     def test_engine_not_in_cache_key(self):
-        # Execution strategy must not split the design cache.
-        assert SynthesisOptions(engine="interpreted").to_dict() == \
-            SynthesisOptions(engine="native").to_dict()
+        # The cache-key form holds the search bounds and nothing else: the
+        # engine that later runs a design does not choose it.
+        assert sorted(SynthesisOptions().to_dict()) == [
+            "schedule_offsets", "space_bound", "space_offsets",
+            "time_bound"]
 
     def test_dict_round_trip(self):
         opts = SynthesisOptions(time_bound=4, space_bound=2,
@@ -103,14 +92,11 @@ class TestRetiredEngines:
         assert got.machine_stats == want.machine_stats
         assert got.seeds_checked == want.seeds_checked == 3
 
-    @pytest.mark.parametrize("name", ["compiled", "vector"])
-    def test_options_map_to_native(self, name):
-        with pytest.warns(DeprecationWarning, match=repr(name)):
-            assert SynthesisOptions(engine=name).engine == "native"
-
     def test_unknown_names_still_raise(self):
+        from repro.machine.engines import coerce_engine
+
         with pytest.raises(ValueError, match="unknown engine"):
-            api.coerce_engine("quantum")
+            coerce_engine("quantum")
         with pytest.raises(ValueError, match="interpreted, native"):
             api.verify_design(None, {}, engine="Compiled")
 

@@ -370,16 +370,14 @@ class TestPooledExecution:
         assert sweep_table(pooled.results) == sweep_table(serial.results)
 
     def test_same_params_two_engines_both_charge_stats(self):
-        """Regression: the cache key excludes the engine, so two jobs
-        differing only in engine share it — each must still be accepted
-        and charge its own stats delta."""
+        """Regression: results are accepted by job index, not by cache
+        key.  Two jobs differing only in ``verify_seeds`` share a key —
+        each must still be accepted and charge its own stats delta."""
         jobs = [job
-                for engine in ("interpreted", "native")
+                for seeds in (1, 2)
                 for job in SweepSpec(
                     problems=("dp",), interconnects=("fig1",),
-                    param_grid=({"n": 5},),
-                    options=SynthesisOptions(engine=engine),
-                    verify_seeds=2).jobs()]
+                    param_grid=({"n": 5},), verify_seeds=seeds).jobs()]
         counter = "space.assignments_examined"
         before = TRACER.snapshot()["counters"].get(counter, 0)
         report = run_sweep(jobs, workers=2, use_cache=False,
@@ -387,8 +385,7 @@ class TestPooledExecution:
         after = TRACER.snapshot()["counters"].get(counter, 0)
         assert len(report.results) == 2
         assert report.results[0].key == report.results[1].key
-        assert {r.engine for r in report.results} == {"interpreted",
-                                                      "native"}
+        assert sorted(r.verify_seeds for r in report.results) == [1, 2]
         deltas = [r.stats["counters"].get(counter, 0)
                   for r in report.results]
         assert all(deltas)

@@ -220,7 +220,7 @@ class TestShardedLayout:
         cache.store("cccc" + "0" * 6, {"status": "ok", "cells": 9,
                                        "completion_time": 11})  # dominated
         cache.store("dddd" + "0" * 6, {"status": "error"})
-        front = cache.pareto()
+        front = cache.pareto(cache.entries())
         assert [r["key"][:4] for r in front] == ["bbbb", "aaaa"]
 
 

@@ -34,16 +34,7 @@ class TestSynthesize:
                      "--verify", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "verification: VerificationReport(OK)" in out
-        assert "(seed=7, engine=native)" in out
-
-    def test_verify_interpreted_engine(self, capsys):
-        assert main(["synthesize", "--problem", "conv-backward",
-                     "--n", "8", "--s", "3", "--interconnect", "linear",
-                     "--verify", "--engine", "interpreted", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "verification: VerificationReport(OK)" in out
-        assert "engine=interpreted" in out
-        assert "verify.machine" in out    # --stats shows the verify stages
+        assert "(seed=7)" in out
 
     def test_verify_vector_engine(self, capsys):
         # The native engine's ndarray tier, as on a machine without cc.
@@ -53,57 +44,33 @@ class TestSynthesize:
                          "--stats"]) == 0
         out = capsys.readouterr().out
         assert "verification: VerificationReport(OK)" in out
-        assert "engine=native" in out
         assert "vector.exec" in out       # kernel stages in the span tree
 
     def test_verify_vector_multi_seed(self, capsys):
-        # The retired name still parses: it runs native, with a warning.
-        with pytest.warns(DeprecationWarning, match="'vector' is retired"):
+        # All seeds in one batched pass on the native engine's ndarray tier.
+        with tier("vector"):
             assert main(["synthesize", "--problem", "dp", "--n", "6",
                          "--interconnect", "fig1", "--verify",
-                         "--engine", "vector", "--seed", "3",
-                         "--seeds", "8"]) == 0
+                         "--seed", "3", "--seeds", "8"]) == 0
         out = capsys.readouterr().out
         assert "verification: VerificationReport(OK)" in out
-        assert "(seeds=3..10, engine=native)" in out
+        assert "(seeds=3..10)" in out
 
     def test_verify_native_engine(self, capsys):
         # Works with or without a C toolchain: the native engine degrades
         # to its ndarray tier, so verification stays OK either way.
         assert main(["synthesize", "--problem", "dp", "--n", "6",
-                     "--interconnect", "fig1",
-                     "--verify", "--engine", "native", "--stats"]) == 0
+                     "--interconnect", "fig1", "--verify", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "verification: VerificationReport(OK)" in out
-        assert "engine=native" in out
+        assert "verify.machine" in out    # --stats shows the verify stages
 
 
 class TestEngineRegistry:
-    def test_cli_choices_follow_the_registry(self):
-        # Satellite contract: every --engine flag derives its choices from
-        # the Engine registry, so a new engine appears everywhere at once.
-        import argparse
-
-        from repro.cli import build_parser
+    def test_registry_contains_native(self):
         from repro.machine.engines import ENGINES
 
-        found = []
-        subparser_actions = [
-            a for a in build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)]
-        for sub in subparser_actions:
-            for name, parser in sub.choices.items():
-                for action in parser._actions:
-                    if "--engine" in action.option_strings:
-                        assert tuple(action.choices) == ENGINES, name
-                        found.append(name)
-        assert sorted(set(found)) == ["profile", "sweep", "synthesize"]
-
-    def test_registry_contains_native(self):
-        from repro.machine.engines import ENGINE_HELP, ENGINES
-
         assert ENGINES == ("interpreted", "native")
-        assert all(f"'{name}'" in ENGINE_HELP for name in ENGINES)
 
 
 class TestSweep:
@@ -141,6 +108,36 @@ class TestSweep:
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert "verify: 1 design(s), 3 seeded runs, 0 failure(s)" in warm
+
+    def test_failed_verification_exits_1(self, monkeypatch, capsys):
+        from repro.core import batch
+        from repro.core.verify import VerificationReport
+
+        def failing_verify(design, inputs, seeds, **kwargs):
+            return VerificationReport(
+                machine_matches_reference=False, seeds_checked=len(seeds),
+                failures=[f"seed {s}: machine != reference" for s in seeds])
+
+        monkeypatch.setattr(batch, "verify_design", failing_verify)
+        assert main(["sweep", "--problems", "dp", "--interconnects", "fig1",
+                     "--n", "6", "--workers", "0", "--no-cache",
+                     "--verify-seeds", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "verify FAILED: dp(n=6) on fig1-unidirectional: seed 0: " \
+            "machine != reference" in out
+
+    def test_cross_check_mismatch_exits_1(self, tmp_path, capsys):
+        argv = ["sweep", "--problems", "dp", "--interconnects", "fig1",
+                "--n", "6", "--workers", "0", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        (entry,) = tmp_path.glob("??/??/*.json")
+        payload = json.loads(entry.read_text())
+        payload["design"]["params"]["n"] = 7          # a corrupt entry
+        entry.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "cross-check: MISMATCH at dp(n=6) on fig1-unidirectional" in out
 
     def test_unknown_problem(self):
         with pytest.raises(SystemExit, match="unknown problem"):
@@ -265,12 +262,25 @@ class TestProfile:
         assert (tmp_path / "bad.events.jsonl").stat().st_size > 0
 
     def test_engines_export_identical_jsonl(self, tmp_path):
-        argv = ["profile", "--problem", "dp", "--interconnect", "fig1",
-                "--n", "6"]
-        assert main(argv + ["--engine", "native",
-                            "--out", str(tmp_path / "c")]) == 0
-        assert main(argv + ["--engine", "interpreted",
-                            "--out", str(tmp_path / "i")]) == 0
+        # The exported stream (native engine) is the interpreter's stream.
+        from repro.api import resolve_interconnect, synthesize
+        from repro.ir import trace_execution
+        from repro.machine import compile_design, run
+        from repro.obs import EventLog, canonical_order
+        from repro.problems import dp_system, random_inputs
+
+        assert main(["profile", "--problem", "dp", "--interconnect", "fig1",
+                     "--n", "6", "--out", str(tmp_path / "c")]) == 0
+        params = {"n": 6}
+        design = synthesize(dp_system(), params, resolve_interconnect("fig1"))
+        inputs = random_inputs("dp", params, 0)
+        trace = trace_execution(design.system, params, inputs)
+        mc = compile_design(trace, design.schedules, design.space_maps,
+                            design.interconnect.decomposer())
+        log = EventLog()
+        run(mc, trace, inputs, engine="interpreted", sink=log)
+        log.events = canonical_order(log.events)
+        log.write_jsonl(tmp_path / "i.events.jsonl")
         assert (tmp_path / "c.events.jsonl").read_text() \
             == (tmp_path / "i.events.jsonl").read_text()
 
@@ -423,6 +433,24 @@ class TestCacheCommand:
         out = capsys.readouterr().out
         assert "entries: 2 (2 ok, 0 negative)" in out
         assert "completion" in out            # the cache-wide Pareto table
+
+    def test_info_reads_each_entry_once(self, tmp_path, capsys,
+                                        monkeypatch):
+        from repro.core import cache as cache_module
+
+        self._populate(tmp_path)
+        reads = []
+
+        def counting_open(path, *args, **kwargs):
+            if str(path).endswith(".json"):
+                reads.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "open", counting_open,
+                            raising=False)
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        assert "entries: 2" in capsys.readouterr().out
+        assert len(reads) == 2 and len(set(reads)) == 2
 
     def test_prune_needs_a_limit(self, tmp_path):
         with pytest.raises(SystemExit, match="max-age-days"):

@@ -34,30 +34,29 @@ def _sweep_record(jobs, counters=None, spans=()):
         extra={"jobs": jobs})
 
 
-def _single_record(engine, problem, wall_time, command="synthesize"):
+def _single_record(problem, wall_time, command="synthesize"):
     return RunRecord(
         command=command, wall_time=wall_time,
         extra={"workload": {"problem": problem, "params": {"n": 8},
-                            "interconnect": "fig1", "engine": engine}})
+                            "interconnect": "fig1"}})
 
 
-def _job(engine, problem, wall_time, ok=True, cache_hit=False):
+def _job(problem, wall_time, ok=True, cache_hit=False):
     return {"problem": problem, "params": {"n": 8}, "interconnect": "fig1",
-            "engine": engine, "ok": ok, "cache_hit": cache_hit,
-            "wall_time": wall_time}
+            "ok": ok, "cache_hit": cache_hit, "wall_time": wall_time}
 
 
-JOBS = [_job("interpreter", "dp", 0.010),
-        _job("interpreter", "dp", 0.030),
-        _job("interpreter", "conv-forward", 0.020),
-        _job("compiled", "dp", 0.005)]
+JOBS = [_job("dp", 0.010),
+        _job("dp", 0.030),
+        _job("conv-forward", 0.020),
+        _job("conv-backward", 0.005)]
 
 
 class TestLoadRecords:
     def test_directory_and_file_sources(self, tmp_path):
         store = tmp_path / "metrics"
         p1 = write_run_record(_sweep_record(JOBS), store)
-        p2 = write_run_record(_single_record("compiled", "dp", 0.5), store)
+        p2 = write_run_record(_single_record("dp", 0.5), store)
         assert p1 and p2
         assert len(load_records([store])) == 2
         assert len(load_records([p1])) == 1
@@ -89,19 +88,23 @@ class TestLoadRecords:
 
 
 class TestLatency:
-    def test_job_samples_group_by_engine_problem(self):
+    def test_job_samples_group_by_problem(self):
         groups = job_samples([_sweep_record(JOBS)])
-        assert groups[("interpreter", "dp")] == [0.010, 0.030]
-        assert groups[("compiled", "dp")] == [0.005]
+        assert groups == {"dp": [0.010, 0.030], "conv-forward": [0.020],
+                          "conv-backward": [0.005]}
+        # Older records also name an engine per job; it splits nothing.
+        old = [dict(job, engine=engine) for job, engine in
+               zip(JOBS, ("interpreter", "compiled", "native", "native"))]
+        assert job_samples([_sweep_record(old)]) == groups
 
     def test_single_run_contributes_record_wall_time(self):
-        groups = job_samples([_single_record("native", "dp", 0.25)])
-        assert groups[("native", "dp")] == [0.25]
+        groups = job_samples([_single_record("dp", 0.25)])
+        assert groups["dp"] == [0.25]
 
     def test_latency_dict_percentiles(self):
         entries = latency_dict([_sweep_record(JOBS)])
-        by_key = {(e["engine"], e["problem"]): e for e in entries}
-        dp = by_key[("interpreter", "dp")]
+        by_key = {e["problem"]: e for e in entries}
+        dp = by_key["dp"]
         assert dp["count"] == 2
         assert dp["p50_s"] == pytest.approx(0.020)
         assert dp["max_s"] == 0.030
@@ -109,7 +112,7 @@ class TestLatency:
     def test_latency_table_renders_ms(self):
         table = latency_table([_sweep_record(JOBS)], "latency")
         assert table.startswith("latency\n")
-        assert "interpreter" in table
+        assert "conv-forward" in table
         assert "20.0" in table      # p50 of 10ms/30ms
 
     def test_empty_records_message(self):
@@ -245,16 +248,16 @@ class TestStages:
 
 class TestDeltas:
     def test_delta_records_table_pct(self):
-        current = [_sweep_record([_job("interpreter", "dp", 0.010)])]
-        baseline = [_sweep_record([_job("interpreter", "dp", 0.020)])]
+        current = [_sweep_record([_job("dp", 0.010)])]
+        baseline = [_sweep_record([_job("dp", 0.020)])]
         table = delta_records_table(current, baseline)
         assert "-50.0%" in table
 
     def test_delta_handles_one_sided_keys(self):
-        current = [_sweep_record([_job("interpreter", "dp", 0.010)])]
-        baseline = [_sweep_record([_job("native", "dp", 0.020)])]
+        current = [_sweep_record([_job("dp", 0.010)])]
+        baseline = [_sweep_record([_job("conv-forward", 0.020)])]
         table = delta_records_table(current, baseline)
-        assert "interpreter" in table and "native" in table
+        assert "dp" in table and "conv-forward" in table
         # no common key -> every delta column is "-"
         assert "%" not in table.splitlines()[-1]
 
@@ -288,8 +291,8 @@ class TestWholeReport:
     def test_report_dict_sections(self):
         out = report_dict(self._records())
         assert out["records"] == 1
-        assert {e["engine"] for e in out["latency"]} == {"interpreter",
-                                                         "compiled"}
+        assert {e["problem"] for e in out["latency"]} == {
+            "dp", "conv-forward", "conv-backward"}
         assert out["caches"][0]["family"] == "design"
         assert out["stages"][0]["stage"] == "solve"
         assert "delta" not in out and "bench_delta" not in out
@@ -310,7 +313,7 @@ class TestWholeReport:
     def test_render_report_composes_blocks(self):
         text = render_report(self._records())
         assert text.startswith("report over 1 run record(s)")
-        assert "latency by engine x problem" in text
+        assert "latency by problem" in text
         assert "cache effectiveness" in text
         assert "stage latency (merged telemetry)" in text
 

@@ -192,11 +192,3 @@ class TestVectorizedEquivalence:
             return
         fast = optimal_schedule(deps, dom, {}, bound=2)
         assert fast == slow
-
-    @pytest.mark.parametrize("make_deps,params", CASES)
-    def test_lp_early_exit_same_optimum(self, make_deps, params):
-        full = optimal_schedule(make_deps(), CONV_DOMAIN, params)
-        pruned = optimal_schedule(make_deps(), CONV_DOMAIN, params,
-                                  use_lp_bound=True)
-        assert pruned.schedule == full.schedule
-        assert pruned.makespan == full.makespan

@@ -10,40 +10,27 @@ Usage::
 
     python tools/dump_api_surface.py            # rewrite the snapshot
     python tools/dump_api_surface.py --check    # exit 1 on drift (CI)
-
-Normalisation: sentinel defaults (``<object object at 0x...>``) print as
-``<UNSET>`` so the snapshot is stable across processes, and Enum classes
-dump their members instead of their metaclass constructor signature
-(which differs across Python minor versions).
 """
 
 from __future__ import annotations
 
 import difflib
-import enum
 import inspect
-import re
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SNAPSHOT = REPO / "tests" / "data" / "api_surface.txt"
 
-_ADDR = re.compile(r"<object object at 0x[0-9a-f]+>")
-
 
 def _signature(obj) -> str:
     try:
-        sig = str(inspect.signature(obj))
+        return str(inspect.signature(obj))
     except (ValueError, TypeError):
         return "(...)"
-    return _ADDR.sub("<UNSET>", sig)
 
 
 def describe(name: str, obj: object) -> str:
-    if isinstance(obj, type) and issubclass(obj, enum.Enum):
-        members = ", ".join(m.name for m in obj)
-        return f"{name}: enum [{members}]"
     if isinstance(obj, type):
         return f"{name}: class {_signature(obj)}"
     if callable(obj):
