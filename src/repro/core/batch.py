@@ -606,11 +606,15 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
             jobs_by_key.update(zip(keys, jobs))
 
     journal: "SweepManifest | None" = None
-    restored: set[str] = set()
+    # Journaled results per key: the manifest records a key once, so a
+    # restored record stands for one job and later same-key jobs run again.
+    restored: dict[str, int] = {}
+    resumed = 0
     if manifest is not None:
         journal = SweepManifest.open(manifest, keys)
         for result in journal.restore():
-            restored.add(result.key)
+            restored[result.key] = restored.get(result.key, 0) + 1
+            resumed += 1
             results.append(result)
             if tracker is not None:
                 tracker.job_done(ok=result.ok, cache_hit=result.cache_hit,
@@ -628,7 +632,8 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
         with TRACER.span("sweep.probe"):
             for idx, job in enumerate(jobs):
                 key = keys[idx] if keys is not None else None
-                if key in restored:
+                if restored.get(key):
+                    restored[key] -= 1
                     continue
                 p0 = time.perf_counter()
                 payload = cache.load(key) if cache is not None else None
@@ -674,4 +679,4 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
                        cache_hits=hits,
                        cache_misses=len(pending),
                        cross_check=check,
-                       resumed=len(restored))
+                       resumed=resumed)

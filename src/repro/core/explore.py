@@ -73,7 +73,7 @@ def explore_uniform(system: RecurrenceSystem, params: Mapping[str, int],
         schedule = LinearSchedule(module.dims, coeffs)
         for smap in enumerate_space_maps(
                 module.dims, interconnect.label_dim, deps, schedule,
-                decomposer, pts, bound=space_bound):
+                decomposer, bound=space_bound):
             design = Design(system=system, params=dict(params),
                             interconnect=interconnect,
                             schedules={name: schedule},

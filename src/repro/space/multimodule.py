@@ -32,10 +32,10 @@ skips.  Three steps rely on this:
   cells, so the bounded search finds the same replacement, if any.
 * **Enumerate once.**  A :class:`CandidatePool` filters each module's
   matrices once (full rank and flow realisability depend on the matrix
-  alone, and conflict-freedom is translation-invariant), expands each
-  plan's offsets in the original order without re-checking, and freezes
-  every candidate's occupied cells and key fragment.  One pool serves the
-  plain, translated and escalation solves of one allocation.
+  alone), computes each matrix's distinct cells once, expands each plan's
+  offsets in the original order by shifting those cells, and freezes every
+  candidate's occupied cells and key fragment.  One pool serves the plain,
+  translated and escalation solves of one allocation.
 
 Adjacency verdicts are memoized per candidate-index pair and endpoint cells
 are precomputed once per (constraint, candidate), so the hot loop is set
@@ -44,6 +44,7 @@ unions and dictionary lookups.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,10 +56,9 @@ from repro.schedule.constraints import GlobalConstraint
 from repro.schedule.linear import LinearSchedule
 from repro.space.allocation import (
     SpaceMap,
-    cells_used,
     entry_preference,
     feasible_matrices,
-    with_offsets,
+    offset_vectors,
 )
 from repro.space.diophantine import LinkDecomposer
 from repro.util.errors import SynthesisError
@@ -121,9 +121,23 @@ class CandidatePool:
     def __init__(self, decomposer: LinkDecomposer, label_dim: int) -> None:
         self.decomposer = decomposer
         self.label_dim = label_dim
-        self._matrices: dict[tuple[str, int], list[SpaceMap]] = {}
-        self._frozen: dict[tuple[str, SpaceMap], tuple[frozenset, tuple]] = {}
+        self._bases: dict[tuple[str, int], list[tuple]] = {}
         self._lists: dict[tuple, tuple[list, list, list]] = {}
+
+    def _base_matrices(self, p: ModuleSpaceProblem) -> list[tuple]:
+        """Per feasible matrix: the map, its cells at offset 0 (as a set and
+        as an array of the distinct cells) and its rows' key fragments."""
+        bases = []
+        for base in feasible_matrices(p.dims, self.label_dim, p.deps,
+                                      p.schedule, self.decomposer,
+                                      bound=p.bound):
+            cells = frozenset(map(tuple, base.cells(p.points).tolist()))
+            distinct = np.array(list(cells), dtype=np.int64)
+            rows = [tuple(entry_preference(entry) for entry in row)
+                    for row in base.matrix]
+            bases.append((base, cells,
+                          distinct.reshape(len(cells), self.label_dim), rows))
+        return bases
 
     def candidates(self, p: ModuleSpaceProblem
                    ) -> tuple[list[SpaceMap], list[frozenset], list[tuple]]:
@@ -132,24 +146,19 @@ class CandidatePool:
         found = self._lists.get((p.name, p.bound, offsets))
         if found is not None:
             return found
-        matrices = self._matrices.get((p.name, p.bound))
-        if matrices is None:
-            matrices = list(feasible_matrices(
-                p.dims, self.label_dim, p.deps, p.schedule, self.decomposer,
-                p.points, bound=p.bound))
-            self._matrices[(p.name, p.bound)] = matrices
+        bases = self._bases.get((p.name, p.bound))
+        if bases is None:
+            bases = self._bases[(p.name, p.bound)] = self._base_matrices(p)
+        offs = offset_vectors(offsets, self.label_dim)
         maps, cells, keys = [], [], []
-        for cand in with_offsets(matrices, offsets, self.label_dim):
-            frozen = self._frozen.get((p.name, cand))
-            if frozen is None:
-                frozen = (frozenset(cells_used(cand, p.points)),
-                          tuple(entry_preference(entry)
-                                for row, off in zip(cand.matrix, cand.offset)
-                                for entry in row + (off,)))
-                self._frozen[(p.name, cand)] = frozen
-            maps.append(cand)
-            cells.append(frozen[0])
-            keys.append(frozen[1])
+        for base, zero_cells, distinct, rows in bases:
+            for off in offs:
+                maps.append(SpaceMap(base.dims, base.matrix, off))
+                # An offset shifts every cell alike.
+                cells.append(frozenset(map(tuple, (distinct + off).tolist()))
+                             if any(off) else zero_cells)
+                keys.append(tuple(itertools.chain.from_iterable(
+                    row + (entry_preference(o),) for row, o in zip(rows, off))))
         found = self._lists[(p.name, p.bound, offsets)] = (maps, cells, keys)
         return found
 

@@ -1,4 +1,4 @@
-"""Smith normal form and exact rank over the integers.
+"""Smith normal form over the integers.
 
 The space-mapping condition (3) ``S D = Δ K`` is a system of linear
 *diophantine* equations; its solvability theory rests on this normal form.
@@ -101,26 +101,3 @@ def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             return U2 @ U, D2, V @ V2
         k += 1
     return U, D, V
-
-
-def int_rank(A) -> int:
-    """Exact rank of an integer matrix (fraction-free elimination)."""
-    M = _as_int_matrix(A).copy()
-    m, n = M.shape
-    rank = 0
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if M[r, col] != 0), None)
-        if pivot is None:
-            continue
-        M[[row, pivot]] = M[[pivot, row]]
-        for r in range(row + 1, m):
-            if M[r, col] != 0:
-                # Fraction-free row elimination.
-                M[r, :] = M[r, :] * M[row, col] - M[row, :] * M[r, col]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-

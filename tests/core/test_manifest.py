@@ -1,5 +1,6 @@
 """Sweep manifests: journaling, resume validation, torn-tail tolerance."""
 
+import dataclasses
 import json
 
 import pytest
@@ -169,6 +170,20 @@ class TestRunSweepIntegration:
         assert final.kind == "end"
         assert final.resumed == final.total == 4
         assert "resumed" in final.render()
+
+    def test_same_key_jobs_each_keep_a_result(self, tmp_path):
+        """Jobs differing only in ``verify_seeds`` share a cache key and one
+        journal record; a resumed sweep restores one and reruns the other."""
+        job, = SweepSpec(problems=("dp",), interconnects=("fig1",),
+                         param_grid=({"n": 5},)).jobs()
+        jobs = [job, dataclasses.replace(job, verify_seeds=1)]
+        path = tmp_path / "sweep.jsonl"
+        for _ in range(2):
+            report = run_sweep(jobs, workers=0, cache_dir=tmp_path / "cache",
+                               cross_check=False, manifest=path)
+            assert len(report.results) == 2
+        assert report.resumed == 1 and report.cache_hits == 1
+        assert len(read_manifest(path)["completed"]) == 1
 
     def test_cache_hits_are_journaled(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

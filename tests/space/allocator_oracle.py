@@ -3,9 +3,11 @@
 This is the backtracker :func:`repro.space.solve_multimodule_space` used
 before it became a branch and bound: it visits every feasible joint
 assignment and keeps the smallest ``(cells, flat)`` key.  Its module-level
-enumeration and cell counting are the matching originals too (a conflict
-check per offset, a per-element ``int()`` cell set), so the oracle shares
-only the feasibility predicates with the code under test.
+enumeration and cell counting are the matching originals too (one
+``itertools.product`` scan with a scalar rank test, a flow test and a
+conflict check per offset, and a per-element ``int()`` cell set), so the
+oracle shares only the pointwise predicates ``conflict_free`` and
+``flows_realisable`` with the code under test.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.space.allocation import (
     conflict_free,
     entry_preference,
     flows_realisable,
-    transformation_full_rank,
 )
 from repro.space.diophantine import LinkDecomposer
 from repro.space.multimodule import (
@@ -32,6 +33,41 @@ from repro.space.multimodule import (
     MultiSpaceSolution,
     NoSpaceMapExists,
 )
+
+
+def int_rank(A) -> int:
+    """Exact rank of an integer matrix (fraction-free elimination on
+    Python ints, so no overflow)."""
+    M = np.array([[int(v) for v in row] for row in A], dtype=object)
+    if M.ndim != 2:
+        raise ValueError("expected a matrix")
+    m, n = M.shape
+    rank = 0
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, m) if M[r, col] != 0), None)
+        if pivot is None:
+            continue
+        M[[row, pivot]] = M[[pivot, row]]
+        for r in range(row + 1, m):
+            if M[r, col] != 0:
+                # Fraction-free row elimination.
+                M[r, :] = M[r, :] * M[row, col] - M[row, :] * M[r, col]
+        rank += 1
+        row += 1
+        if row == m:
+            break
+    return rank
+
+
+def transformation_full_rank(schedule: LinearSchedule,
+                             space: SpaceMap) -> bool:
+    """Whether ``Π = [T; S]`` has full *column* rank — the generalisation of
+    the paper's non-singularity requirement to non-square transformations
+    (it makes ``Π`` injective on all of ``Z^n``, i.e. conflict-free for every
+    problem size, not just the enumerated one)."""
+    Pi = [list(schedule.coeffs)] + [list(row) for row in space.matrix]
+    return int_rank(Pi) == len(schedule.dims)
 
 
 def enumerate_space_maps(dims: Sequence[str], label_dim: int,

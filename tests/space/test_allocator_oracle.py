@@ -297,7 +297,7 @@ def test_paper_design_space_enumerations_match_oracle(build):
                 module.dims, 1, deps, schedule, decomposer, pts,
                 offsets=offsets))
             got = list(enumerate_space_maps(
-                module.dims, 1, deps, schedule, decomposer, pts,
+                module.dims, 1, deps, schedule, decomposer,
                 offsets=offsets))
             assert got == want
 

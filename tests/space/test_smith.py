@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.space import smith_normal_form
-from repro.space.smith import int_rank
+
+from tests.space.allocator_oracle import int_rank
 
 
 def is_unimodular(M) -> bool:

@@ -5,8 +5,11 @@ The snapshot lives at ``tests/data/design_fingerprints.json``.  It holds
 the case list itself (the distinct cases of the end-to-end benchmark's
 ``DESIGN_POOL`` and ``SWEEP_GRID``) and, per case, the sha256 of the
 sorted-key JSON of ``Design.to_dict()``, or the type name of the
-``SynthesisError`` the case raises.  A solver change that is meant to be
-exact (faster search, same winners) must leave every entry unchanged.
+``SynthesisError`` the case raises, and the summed
+``space.assignments_examined`` counter of the whole grid.  A solver change
+that is meant to be exact (faster search, same winners) must leave every
+entry unchanged; one that changes how many joint assignments the space
+search visits must say so by rewriting the snapshot.
 
 Usage::
 
@@ -16,7 +19,8 @@ Usage::
 ``--write`` takes the case list from ``benchmarks/e2e/workloads.py``;
 ``--check`` reads it from the snapshot, so it needs only ``src/``.  Both
 synthesize serially and print the wall time and the summed
-``space.assignments_examined`` counter.
+``space.assignments_examined`` and ``space.candidates_enumerated``
+counters.
 """
 
 from __future__ import annotations
@@ -75,18 +79,23 @@ def benchmark_cases() -> list[dict]:
              "interconnect": c.interconnect} for c in cases]
 
 
-def compute(cases: list[dict]) -> dict[str, str]:
+COUNTERS = ("space.assignments_examined", "space.candidates_enumerated")
+
+
+def compute(cases: list[dict]) -> tuple[dict[str, str], dict[str, int]]:
+    """The fingerprint of every case and the grid's summed ``COUNTERS``."""
     from repro.obs import TRACER
 
     sources = _sources()
-    before = TRACER.counters.get("space.assignments_examined", 0)
+    before = {name: TRACER.counters.get(name, 0) for name in COUNTERS}
     t0 = time.perf_counter()
     prints = {case_label(c): fingerprint(c, sources) for c in cases}
     wall = time.perf_counter() - t0
-    examined = TRACER.counters.get("space.assignments_examined", 0) - before
+    counts = {name: TRACER.counters.get(name, 0) - before[name]
+              for name in COUNTERS}
     print(f"{len(cases)} cases synthesized in {wall:.1f} s; "
-          f"space.assignments_examined={examined}")
-    return prints
+          + ", ".join(f"{name}={n}" for name, n in counts.items()))
+    return prints, counts
 
 
 def main(argv: list[str]) -> int:
@@ -98,20 +107,28 @@ def main(argv: list[str]) -> int:
                   file=sys.stderr)
             return 1
         committed = json.loads(SNAPSHOT.read_text())
-        current = compute(committed["cases"])
+        current, counts = compute(committed["cases"])
         drift = [(label, want, current.get(label))
                  for label, want in committed["fingerprints"].items()
                  if current.get(label) != want]
+        examined = counts["space.assignments_examined"]
+        if examined != committed.get("assignments_examined"):
+            drift.append(("space.assignments_examined",
+                          committed.get("assignments_examined"), examined))
         if not drift:
             print(f"design fingerprints match {SNAPSHOT}")
             return 0
         for label, want, got in drift:
             print(f"{label}: expected {want}, got {got}", file=sys.stderr)
-        print(f"\n{len(drift)} design(s) drifted", file=sys.stderr)
+        print(f"\n{len(drift)} snapshot entries drifted", file=sys.stderr)
         return 1
     if "--write" in argv:
         cases = benchmark_cases()
-        snapshot = {"cases": cases, "fingerprints": compute(cases)}
+        prints, counts = compute(cases)
+        snapshot = {"cases": cases,
+                    "assignments_examined":
+                        counts["space.assignments_examined"],
+                    "fingerprints": prints}
         SNAPSHOT.parent.mkdir(parents=True, exist_ok=True)
         SNAPSHOT.write_text(json.dumps(snapshot, indent=1) + "\n")
         print(f"wrote {SNAPSHOT} ({len(cases)} cases)")
