@@ -31,10 +31,9 @@ Surface groups:
   (the registry of its five passes) and :func:`run_pipeline` for partial
   lowerings with access to intermediate state;
 * batch sweeps — :class:`SweepSpec`, :func:`run_sweep` (cache misses
-  on one process pool, with ``manifest=`` resume), :class:`SweepReport`,
-  :data:`PROBLEM_BUILDERS`, :func:`default_workers` (honours
-  ``$REPRO_WORKERS``), and resumable manifests (:class:`SweepManifest`,
-  :func:`read_manifest`, :class:`ManifestError`);
+  on one process pool; re-running a killed sweep against the same cache
+  resumes it), :class:`SweepReport`, :data:`PROBLEM_BUILDERS` and
+  :func:`default_workers` (honours ``$REPRO_WORKERS``);
 * persistent cache — :class:`DesignCache` (sharded ``ab/cd/<key>.json``
   store, listed by scanning its entry files, with
   :meth:`~DesignCache.prune`),
@@ -85,11 +84,6 @@ from repro.core.cache import (
     system_fingerprint,
 )
 from repro.core.design import Design
-from repro.core.manifest import (
-    ManifestError,
-    SweepManifest,
-    read_manifest,
-)
 from repro.core.errors import (
     NoScheduleExists,
     NoSpaceMapExists,
@@ -164,7 +158,6 @@ __all__ = [
     "METRICS",
     "METRICS_ENV_VAR",
     "MachineEvent",
-    "ManifestError",
     "NoScheduleExists",
     "NoSpaceMapExists",
     "PROBLEM_BUILDERS",
@@ -177,7 +170,6 @@ __all__ = [
     "RunRecord",
     "STOCK_INTERCONNECTS",
     "SweepJob",
-    "SweepManifest",
     "SweepReport",
     "SweepResult",
     "SweepSpec",
@@ -206,7 +198,6 @@ __all__ = [
     "pareto_front",
     "random_inputs",
     "read_heartbeat",
-    "read_manifest",
     "render_report",
     "replay_corpus",
     "report_dict",

@@ -41,7 +41,6 @@ from repro.api import (
     SynthesisOptions,
     available_passes,
     explore_uniform,
-    read_manifest,
     resolve_interconnect,
     run_sweep,
     synthesize,
@@ -193,8 +192,7 @@ def cmd_sweep(args) -> int:
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         cross_check=not args.no_cross_check,
-        progress=sinks or None,
-        manifest=args.manifest)
+        progress=sinks or None)
     RUN_EXTRA["jobs"] = [
         {"problem": r.problem, "params": dict(r.params),
          "interconnect": r.interconnect, "ok": r.ok,
@@ -213,11 +211,6 @@ def cmd_sweep(args) -> int:
         print(f"\nwrote {args.json}")
     if args.heartbeat:
         print(f"heartbeat: {args.heartbeat}")
-    if args.manifest:
-        info = read_manifest(args.manifest)
-        print(f"manifest: {args.manifest} "
-              f"({len(info['completed'])}/{info['total']} journaled, "
-              f"{report.resumed} restored this run)")
     # A failed verification or a corrupt cache entry fails the sweep even
     # without --stats: neither is an infeasibility the grid may contain.
     unverified = [r for r in report.results if r.verified is False]
@@ -514,7 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the persistent design cache")
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (default: $REPRO_DESIGN_CACHE or "
-                        "~/.cache/repro-designs)")
+                        "~/.cache/repro-designs); every finished job is "
+                        "stored as it lands, so re-running a killed sweep "
+                        "with the same cache resumes it")
     p.add_argument("--no-cross-check", action="store_true",
                    help="skip re-synthesizing one cached entry as a "
                         "consistency check")
@@ -529,10 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heartbeat", default=None, metavar="FILE",
                    help="append every progress event as one JSON line to "
                         "FILE (tail-able; survives an interrupted sweep)")
-    p.add_argument("--manifest", default=None, metavar="FILE",
-                   help="journal completions to FILE and resume from it: "
-                        "a re-run with the same grid skips every job "
-                        "already recorded (survives kill -9 mid-sweep)")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser(

@@ -19,7 +19,6 @@ from repro.core.cache import (
     cache_key_from_fingerprint,
     system_fingerprint,
 )
-from repro.core.manifest import ManifestError, SweepManifest, read_manifest
 from repro.core.coarse import CoarseTiming, coarse_timing
 from repro.core.design import Design
 from repro.core.errors import (
@@ -44,14 +43,12 @@ __all__ = [
     "Design",
     "DesignCache",
     "ExploredDesign",
-    "ManifestError",
     "NoScheduleExists",
     "NoSpaceMapExists",
     "PROBLEM_BUILDERS",
     "PruneReport",
     "RestructureError",
     "SweepJob",
-    "SweepManifest",
     "SweepReport",
     "SweepResult",
     "SweepSpec",
@@ -66,7 +63,6 @@ __all__ = [
     "explore_uniform",
     "link_constraints",
     "pareto_front",
-    "read_manifest",
     "restructure",
     "run_sweep",
     "synthesize",

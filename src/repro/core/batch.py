@@ -21,13 +21,12 @@ Execution model:
   fingerprinted once per distinct builder, then each (params,
   interconnect, options) binding keys off that fingerprint — so the warm
   path never pays per-job synthesis-IR construction;
-* with ``manifest=`` the sweep opens a
-  :class:`~repro.core.manifest.SweepManifest` journal: jobs already
-  recorded there are *restored* verbatim (not probed, not executed) and
-  every fresh completion is journaled, so a killed sweep resumes where it
-  died;
-* the parent probes the :class:`~repro.core.cache.DesignCache` for the
-  rest — hits (including cached *failures*) never reach a worker;
+* the parent probes the :class:`~repro.core.cache.DesignCache` for every
+  job — hits (including cached *failures*) never reach a worker;
+* every finished job is stored in the cache as it completes (one atomic
+  file per key), so re-running the same sweep against the same cache
+  resumes a killed one: finished jobs hit, only the rest execute, and the
+  report tables render byte-identically to the uninterrupted run's;
 * misses go to one process pool (``workers`` processes, default
   ``os.cpu_count() - 1``, min 1, overridable via ``$REPRO_WORKERS``), one
   task per job, results taken as they complete; ``workers=0`` forces the
@@ -63,7 +62,6 @@ from repro.core.cache import (
 from repro.core.design import Design
 from repro.core.explore import non_dominated
 from repro.core.globals import link_constraints
-from repro.core.manifest import SweepManifest
 from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
 from repro.core.verify import verify_design
@@ -239,31 +237,6 @@ class SweepResult:
             "verify_failures": list(self.verify_failures),
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "SweepResult":
-        """Inverse of :meth:`to_dict` — how a
-        :class:`~repro.core.manifest.SweepManifest` restores journaled
-        results.  ``stats`` stays empty: worker deltas were merged into
-        the recording process and do not belong in a journal."""
-        return cls(
-            problem=payload["problem"],
-            params=dict(payload["params"]),
-            interconnect=payload["interconnect"],
-            key=payload["key"],
-            ok=payload["ok"],
-            cache_hit=payload.get("cache_hit", False),
-            cells=payload.get("cells"),
-            completion_time=payload.get("completion_time"),
-            wall_time=payload.get("wall_time", 0.0),
-            solve_time=payload.get("solve_time", 0.0),
-            error_type=payload.get("error_type"),
-            error=payload.get("error"),
-            error_module=payload.get("error_module"),
-            design_payload=payload.get("design"),
-            verify_seeds=payload.get("verify_seeds", 0),
-            verify_failures=list(payload.get("verify_failures") or ()),
-        )
-
     def _sort_key(self) -> tuple:
         return (self.problem, self.interconnect,
                 tuple(sorted(self.params.items())))
@@ -271,10 +244,7 @@ class SweepResult:
 
 @dataclass
 class SweepReport:
-    """Everything a sweep produced, plus the bookkeeping around it.
-
-    ``resumed`` counts the jobs restored from a sweep manifest this run.
-    """
+    """Everything a sweep produced, plus the bookkeeping around it."""
 
     results: list[SweepResult]
     wall_time: float
@@ -282,7 +252,6 @@ class SweepReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cross_check: str | None = None
-    resumed: int = 0
 
     @property
     def ok_results(self) -> list[SweepResult]:
@@ -325,17 +294,16 @@ class SweepReport:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cross_check": self.cross_check,
-            "resumed": self.resumed,
             "results": [r.to_dict() for r in self.results],
         }
 
 
 def _execute_job(job: SweepJob, cache_root: "str | None",
-                 use_cache: bool, tracing: bool = False,
+                 tracing: bool = False,
                  in_worker: bool = False) -> SweepResult:
     """Synthesize one job (worker side or serial path), verify it when
-    asked, and cache the outcome — the solved design, or the failure as a
-    negative entry.
+    asked, and cache the outcome under ``cache_root`` (``None``: no cache)
+    — the solved design, or the failure as a negative entry.
 
     Stats protocol: a *worker* process resets the tracer, so at the end of
     the job ``result.stats`` is exactly the job's own
@@ -373,7 +341,7 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
             design_payload=design.to_dict())
         if job.verify_seeds > 0:
             _verify_result(job, design, result)
-        if use_cache:
+        if cache_root is not None:
             DesignCache(cache_root).put(key, design, solve_time=wall)
     else:
         result = SweepResult(
@@ -382,7 +350,7 @@ def _execute_job(job: SweepJob, cache_root: "str | None",
             wall_time=wall, solve_time=wall,
             error_type=type(error).__name__, error=str(error),
             error_module=error.module)
-        if use_cache:
+        if cache_root is not None:
             DesignCache(cache_root).store(key, {
                 "status": "error",
                 "error_type": type(error).__name__,
@@ -455,16 +423,16 @@ def _merge_stats(stats: dict) -> None:
             TRACER.graft(span_dict)
 
 
-def _pool_job(job: SweepJob, cache_root: "str | None", use_cache: bool,
+def _pool_job(job: SweepJob, cache_root: "str | None",
               tracing: bool) -> SweepResult:
     """Pool-worker entry point.  ``_execute_job`` is looked up on every
     call, so a wrapper installed on this module before the pool forks runs
     in the workers too."""
-    return _execute_job(job, cache_root, use_cache, tracing, in_worker=True)
+    return _execute_job(job, cache_root, tracing, in_worker=True)
 
 
 def _run_pool(jobs: Sequence[SweepJob], nworkers: int,
-              cache_root: "str | None", use_cache: bool,
+              cache_root: "str | None",
               on_result: Callable[[SweepResult], None]
               ) -> list[SweepResult]:
     """Run cache misses on one process pool: one task per job, results
@@ -492,7 +460,7 @@ def _run_pool(jobs: Sequence[SweepJob], nworkers: int,
     try:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             for idx, job in enumerate(jobs):
-                futures[pool.submit(_pool_job, job, cache_root, use_cache,
+                futures[pool.submit(_pool_job, job, cache_root,
                                     TRACER.enabled)] = idx
             for fut in as_completed(futures):
                 accept(futures[fut], fut.result())
@@ -505,8 +473,7 @@ def _run_pool(jobs: Sequence[SweepJob], nworkers: int,
         TRACER.count("sweep.worker_retries", len(retry))
         for idx in retry:
             # The serial path accrues stats straight into this tracer.
-            accept(idx, _execute_job(jobs[idx], cache_root, use_cache),
-                   merge=False)
+            accept(idx, _execute_job(jobs[idx], cache_root), merge=False)
     finally:
         gc.unfreeze()
     return [by_index[idx] for idx in range(len(jobs))]
@@ -559,8 +526,7 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
               cache_dir: "str | os.PathLike | None" = None,
               cross_check: bool = True,
               progress: "ProgressSink | Iterable[ProgressSink] | None"
-              = None,
-              manifest: "str | os.PathLike | None" = None) -> SweepReport:
+              = None) -> SweepReport:
     """Run every job of ``spec``; never raises on per-job infeasibility.
 
     ``workers=None`` uses :func:`default_workers` (which honours
@@ -571,17 +537,14 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
     (problem, interconnect, params) so downstream tables are byte-stable
     regardless of completion order.
 
-    ``manifest`` names a :class:`~repro.core.manifest.SweepManifest`
-    journal file: completions already recorded there are restored without
-    re-executing anything, every fresh completion is appended as it lands,
-    and the resulting report renders byte-identically to the uninterrupted
-    run's.
+    To resume a killed sweep, run it again with the same ``cache_dir``:
+    every job that finished before the kill was stored in the cache, so
+    it hits, and only the unfinished jobs execute.
 
     ``progress`` takes one sink or an iterable of sinks (see
     :mod:`repro.obs.progress`): a structured event is emitted when totals
-    are known, after every finished job (cache hits and manifest-restored
-    jobs included) and on completion, carrying cumulative counts,
-    throughput and ETA.
+    are known, after every finished job (cache hits included) and on
+    completion, carrying cumulative counts, throughput and ETA.
     """
     jobs = spec.jobs() if isinstance(spec, SweepSpec) else list(spec)
     nworkers = default_workers() if workers is None else max(0, int(workers))
@@ -596,47 +559,24 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
     pending: list[SweepJob] = []
     jobs_by_key: dict[str, SweepJob] = {}
 
-    # Key every job up front when anything needs keys (a cache to probe
-    # or a manifest to match).  With neither, builders never run in the
-    # parent at all — the crash-recovery path depends on that.
-    keys: "list[str] | None" = None
-    if cache is not None or manifest is not None:
-        with TRACER.span("sweep.keys"):
-            keys = _key_jobs(jobs)
-            jobs_by_key.update(zip(keys, jobs))
-
-    journal: "SweepManifest | None" = None
-    # Journaled results per key: the manifest records a key once, so a
-    # restored record stands for one job and later same-key jobs run again.
-    restored: dict[str, int] = {}
-    resumed = 0
-    if manifest is not None:
-        journal = SweepManifest.open(manifest, keys)
-        for result in journal.restore():
-            restored[result.key] = restored.get(result.key, 0) + 1
-            resumed += 1
-            results.append(result)
-            if tracker is not None:
-                tracker.job_done(ok=result.ok, cache_hit=result.cache_hit,
-                                 label=result.label(), resumed=True)
-
     def _finished(result: SweepResult) -> None:
-        if journal is not None:
-            journal.record(result)
         if tracker is not None:
             tracker.job_done(ok=result.ok, cache_hit=result.cache_hit,
                              label=result.label())
 
+    # Without a cache, builders never run in the parent at all — the
+    # crash-recovery path depends on that.
     hits = 0
-    try:
+    if cache is None:
+        pending = jobs
+    else:
+        with TRACER.span("sweep.keys"):
+            keys = _key_jobs(jobs)
+            jobs_by_key.update(zip(keys, jobs))
         with TRACER.span("sweep.probe"):
-            for idx, job in enumerate(jobs):
-                key = keys[idx] if keys is not None else None
-                if restored.get(key):
-                    restored[key] -= 1
-                    continue
+            for job, key in zip(jobs, keys):
                 p0 = time.perf_counter()
-                payload = cache.load(key) if cache is not None else None
+                payload = cache.load(key)
                 if payload is None:
                     pending.append(job)
                     continue
@@ -649,21 +589,18 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
                 results.append(result)
                 _finished(result)
 
-        with TRACER.span("sweep.solve"):
-            if not pending:
-                pass
-            elif nworkers == 0 or len(pending) == 1:
-                for job in pending:
-                    result = _execute_job(job, cache_root, use_cache)
-                    results.append(result)
-                    _finished(result)
-            else:
-                results.extend(_run_pool(
-                    pending, min(nworkers, len(pending)), cache_root,
-                    use_cache, _finished))
-    finally:
-        if journal is not None:
-            journal.close()
+    with TRACER.span("sweep.solve"):
+        if not pending:
+            pass
+        elif nworkers == 0 or len(pending) == 1:
+            for job in pending:
+                result = _execute_job(job, cache_root)
+                results.append(result)
+                _finished(result)
+        else:
+            results.extend(_run_pool(
+                pending, min(nworkers, len(pending)), cache_root,
+                _finished))
 
     check = None
     if cross_check:
@@ -678,5 +615,4 @@ def run_sweep(spec: "SweepSpec | Iterable[SweepJob]", *,
                        workers=nworkers,
                        cache_hits=hits,
                        cache_misses=len(pending),
-                       cross_check=check,
-                       resumed=resumed)
+                       cross_check=check)

@@ -288,6 +288,18 @@ class DesignCache:
             return
         yield from self.root.glob("??/??/*.json")
 
+    def _remove_orphans(self) -> None:
+        """Delete the temp files of writers killed between ``mkstemp`` and
+        ``os.replace``.  :meth:`store` holds the shard lock across that
+        window, so a ``*.tmp`` file seen under the lock is an orphan."""
+        if not self.root.is_dir():
+            return
+        for shard in {tmp.parent for tmp in self.root.glob("??/??/*.tmp")}:
+            with self._shard_lock(shard):
+                for tmp in shard.glob("*.tmp"):
+                    with contextlib.suppress(OSError):
+                        tmp.unlink()
+
     def entries(self) -> list[dict]:
         """One record per readable current-format entry, key-sorted:
         ``key``, ``status``, ``cells``, ``completion_time``, ``bytes``
@@ -334,7 +346,9 @@ class DesignCache:
         """Evict entries older than ``max_age_days``, then oldest-first
         until the cache fits ``max_bytes``.  An entry that cannot be
         unlinked counts in :attr:`PruneReport.failed`.  Evictions land in
-        the ``cache.evictions`` / ``cache.evicted_bytes`` counters."""
+        the ``cache.evictions`` / ``cache.evicted_bytes`` counters.
+        Orphaned temp files of killed writers are always deleted."""
+        self._remove_orphans()
         report = PruneReport()
         records = self.entries()
         report.examined = len(records)
@@ -401,7 +415,9 @@ class DesignCache:
         return len(self.entries())
 
     def clear(self) -> int:
-        """Delete every entry; returns how many entries were removed."""
+        """Delete every entry and every orphaned temp file; returns how
+        many entries were removed."""
+        self._remove_orphans()
         removed = 0
         for path in list(self._iter_entry_paths()):
             try:

@@ -1,28 +1,56 @@
 """Live sweep progress: structured events, CLI rendering, JSONL heartbeat.
 
-A million-design sweep is only operable if its state is visible while it
-runs.  :func:`repro.core.batch.run_sweep` drives a :class:`SweepProgress`
+A long sweep is only operable if its state is visible while it runs.
+:func:`repro.core.batch.run_sweep` drives a :class:`SweepProgress`
 tracker which computes throughput and ETA and fans structured
 :class:`ProgressEvent`\\ s out to any number of sinks:
 
 * :class:`CLIProgress` — a single self-updating terminal line (plain
   line-per-update when the stream is not a TTY), throttled so a fast warm
   sweep does not drown in redraws;
-* :class:`JsonlHeartbeat` — one JSON object per event appended to a file
-  through the shared journal helper (:mod:`repro.util.journal`): one
-  ``write`` per line, file reopened per event, so a tail/monitor — or a
-  post-mortem after an interrupted sweep — reads every intact event even
-  when the last line was torn;
+* :class:`JsonlHeartbeat` — one canonical JSON object per event (sorted
+  keys, compact separators) appended to a file: one ``write`` per line,
+  file reopened per event, so a tail/monitor — or a post-mortem after an
+  interrupted sweep — reads every intact event even when the last line
+  was torn;
 * anything implementing :class:`ProgressSink`.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
-from repro.util.journal import append_record, read_records
+
+def _append_record(path: "str | os.PathLike", record: Mapping) -> None:
+    """Append ``record`` as one canonical JSON line in a single ``write``
+    — POSIX appends of a line this size are atomic, so a writer killed
+    mid-append leaves at most one torn final line."""
+    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+
+
+def _read_records(path: "str | os.PathLike") -> list[dict]:
+    """Every intact record of the JSONL file at ``path``, in write order:
+    blank lines and lines that do not decode to a JSON object (a torn
+    tail) are skipped.  Raises :class:`FileNotFoundError` when absent."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue                # torn tail: the writer died mid-append
+            if isinstance(record, dict):
+                records.append(record)
+    return records
 
 
 @dataclass(frozen=True)
@@ -40,7 +68,6 @@ class ProgressEvent:
     done: int = 0
     failed: int = 0
     cache_hits: int = 0
-    resumed: int = 0                 # jobs restored from a sweep manifest
     elapsed: float = 0.0
     throughput: float = 0.0          # finished jobs per second
     eta_s: "float | None" = None
@@ -52,8 +79,6 @@ class ProgressEvent:
                      "cache_hits": self.cache_hits,
                      "elapsed_s": round(self.elapsed, 6),
                      "throughput": round(self.throughput, 3)}
-        if self.resumed:
-            out["resumed"] = self.resumed
         if self.eta_s is not None:
             out["eta_s"] = round(self.eta_s, 3)
         if self.label:
@@ -67,8 +92,6 @@ class ProgressEvent:
             bits.append(f"{self.failed} failed")
         if self.cache_hits:
             bits.append(f"{self.cache_hits} cached")
-        if self.resumed:
-            bits.append(f"{self.resumed} resumed")
         bits.append(f"{self.throughput:.1f} jobs/s")
         if self.eta_s is not None and self.kind != "end":
             bits.append(f"eta {self.eta_s:.1f}s")
@@ -131,7 +154,7 @@ class JsonlHeartbeat:
         self.path = path
 
     def emit(self, event: ProgressEvent) -> None:
-        append_record(self.path, event.to_dict())
+        _append_record(self.path, event.to_dict())
 
 
 def read_heartbeat(path) -> list[ProgressEvent]:
@@ -141,11 +164,10 @@ def read_heartbeat(path) -> list[ProgressEvent]:
                 kind=data["kind"], total=data["total"],
                 done=data.get("done", 0), failed=data.get("failed", 0),
                 cache_hits=data.get("cache_hits", 0),
-                resumed=data.get("resumed", 0),
                 elapsed=data.get("elapsed_s", 0.0),
                 throughput=data.get("throughput", 0.0),
                 eta_s=data.get("eta_s"), label=data.get("label", ""))
-            for data in read_records(path)]
+            for data in _read_records(path)]
 
 
 @dataclass
@@ -163,7 +185,6 @@ class SweepProgress:
     done: int = 0
     failed: int = 0
     cache_hits: int = 0
-    resumed: int = 0
     _t0: float = 0.0
     _dead: list = field(default_factory=list)
 
@@ -184,17 +205,13 @@ class SweepProgress:
         self._t0 = self.clock()
         self._emit("start", "")
 
-    def job_done(self, *, ok: bool, cache_hit: bool, label: str,
-                 resumed: bool = False) -> None:
-        """One job finished — executed, cache-hit, or (``resumed=True``)
-        restored from a sweep manifest without re-running anything."""
+    def job_done(self, *, ok: bool, cache_hit: bool, label: str) -> None:
+        """One job finished — executed or cache-hit."""
         self.done += 1
         if not ok:
             self.failed += 1
         if cache_hit:
             self.cache_hits += 1
-        if resumed:
-            self.resumed += 1
         self._emit("job", label)
 
     def finish(self) -> None:
@@ -208,8 +225,7 @@ class SweepProgress:
             eta = max(self.total - self.done, 0) / throughput
         event = ProgressEvent(kind=kind, total=self.total, done=self.done,
                               failed=self.failed,
-                              cache_hits=self.cache_hits,
-                              resumed=self.resumed, elapsed=elapsed,
+                              cache_hits=self.cache_hits, elapsed=elapsed,
                               throughput=throughput, eta_s=eta, label=label)
         for sink in self.sinks:
             if sink in self._dead:

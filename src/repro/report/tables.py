@@ -31,15 +31,11 @@ def format_grid(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-#: Historical private alias; new code uses :func:`format_grid`.
-_format_grid = format_grid
-
-
 def flow_table(flows: Mapping[str, Flow], title: str = "") -> str:
     """One design's variable movements as a table row set."""
     rows = [[var, f.describe(), str(f.dependence)]
             for var, f in sorted(flows.items())]
-    table = _format_grid(["variable", "movement", "dependence"], rows)
+    table = format_grid(["variable", "movement", "dependence"], rows)
     return f"{title}\n{table}" if title else table
 
 
@@ -58,7 +54,7 @@ def design_table(entries: Sequence[tuple[str, ExploredDesign]],
         rows.append([name, str(sched.as_expr()), str(d.makespan),
                      str(d.cells)] +
                     [d.flows[v].describe() for v in variables])
-    table = _format_grid(headers, rows)
+    table = format_grid(headers, rows)
     return f"{title}\n{table}" if title else table
 
 
@@ -83,7 +79,7 @@ def sweep_table(results: Sequence, title: str = "") -> str:
             str(r.cells) if r.ok else "-",
             "ok" if r.ok else (r.error_type or "failed"),
         ])
-    table = _format_grid(
+    table = format_grid(
         ["problem", "params", "interconnect", "completion", "cells",
          "status"], rows)
     return f"{title}\n{table}" if title else table
@@ -97,7 +93,7 @@ def sweep_pareto_table(front: Sequence, title: str = "") -> str:
             else "(no feasible designs)"
     rows = [[str(r.completion_time), str(r.cells), r.problem,
              _params_cell(r.params), r.interconnect] for r in front]
-    table = _format_grid(
+    table = format_grid(
         ["completion", "cells", "problem", "params", "interconnect"], rows)
     return f"{title}\n{table}" if title else table
 
@@ -109,7 +105,7 @@ def module_table(design: Design, title: str = "") -> str:
         rows.append([name,
                      str(design.schedules[name].as_expr()),
                      repr(design.space_maps[name])])
-    table = _format_grid(["module", "time function", "space map"], rows)
+    table = format_grid(["module", "time function", "space map"], rows)
     body = f"{title}\n{table}" if title else table
     lo, hi = design.time_range()
     return (f"{body}\ncells: {design.cell_count}   "
@@ -134,7 +130,7 @@ def cell_utilization_table(utilization: Mapping, title: str = "",
              str(u.hops_out), str(u.injections),
              f"[{u.first_active}, {u.last_active}]",
              f"{u.occupancy:.0%}"] for u in cells]
-    table = _format_grid(
+    table = format_grid(
         ["cell", "ops", "hops in", "hops out", "inject", "active",
          "occupancy"], rows)
     if elided:

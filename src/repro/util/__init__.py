@@ -1,2 +1,1 @@
-"""Small shared utilities: the base synthesis error, append-only JSONL
-journals and lazy imports."""
+"""Small shared utilities: the base synthesis error and lazy imports."""

@@ -119,7 +119,7 @@ class TestStatsProtocol:
         job = SMOKE.jobs()[0]
         TRACER.count("sentinel.noise", 3)
         try:
-            result = _execute_job(job, str(tmp_path), True)
+            result = _execute_job(job, str(tmp_path))
             assert "sentinel.noise" not in result.stats.get("counters", {})
             assert result.stats["counters"]      # the job did count things
         finally:
@@ -129,7 +129,7 @@ class TestStatsProtocol:
         job = SMOKE.jobs()[0]
         TRACER.count("sentinel.parent_only", 5)
         try:
-            result = _execute_job(job, str(tmp_path), True, in_worker=True)
+            result = _execute_job(job, str(tmp_path), in_worker=True)
             # The worker path starts from a clean registry, so the parent's
             # sentinel neither leaks into the delta nor survives the reset.
             assert "sentinel.parent_only" not in result.stats["counters"]
@@ -141,7 +141,7 @@ class TestStatsProtocol:
         job = SMOKE.jobs()[0]
         was_enabled = TRACER.enabled
         try:
-            result = _execute_job(job, str(tmp_path), True, tracing=True,
+            result = _execute_job(job, str(tmp_path), tracing=True,
                                   in_worker=True)
             shipped = result.stats.get("spans")
             assert shipped and shipped[0]["name"] == "sweep.job"
@@ -168,12 +168,12 @@ class TestStatsProtocol:
 
         try:
             # Warm the in-process memos so both measured runs start alike.
-            _execute_job(job, str(tmp_path / "warm"), True)
+            _execute_job(job, str(tmp_path / "warm"))
             TRACER.reset()
             TRACER.enable()
-            _execute_job(job, str(tmp_path / "serial"), True)
+            _execute_job(job, str(tmp_path / "serial"))
             serial = parent_view()
-            result = _execute_job(job, str(tmp_path / "worker"), True,
+            result = _execute_job(job, str(tmp_path / "worker"),
                                   tracing=True, in_worker=True)
             TRACER.reset()
             TRACER.enable()

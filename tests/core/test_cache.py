@@ -1,8 +1,10 @@
 """The persistent design cache: payload round-trips and key stability."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,8 +248,6 @@ class TestPrune:
         assert [e["key"][:4] for e in cache.entries()] == ["new0"]
 
     def test_prune_counts_unremovable_entries(self, tmp_path, monkeypatch):
-        from pathlib import Path
-
         cache = DesignCache(tmp_path)
         key = "abcd" + "0" * 6
         doomed = cache.store(key, {"status": "ok"})
@@ -278,6 +278,42 @@ class TestPrune:
         before = TRACER.counters.get("cache.evictions", 0)
         cache.prune(max_age_days=0)
         assert TRACER.counters.get("cache.evictions", 0) == before + 1
+
+
+#: A writer killed between ``mkstemp`` and ``os.replace``: it leaves its
+#: temp file in the shard and exits with status 9.
+KILLED_WRITER = (
+    "import os, sys\n"
+    "from repro.core import DesignCache\n"
+    "os.replace = lambda *args: os._exit(9)\n"
+    "DesignCache(sys.argv[1]).store(sys.argv[2], {'status': 'ok'})\n")
+
+
+class TestOrphanedTempFiles:
+    KEY = "abcd" + "0" * 6
+
+    def _killed_store(self, root):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", KILLED_WRITER, str(root), self.KEY],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 9, proc.stderr
+        assert len(list(root.glob("ab/cd/*.tmp"))) == 1
+
+    def test_clear_removes_orphans(self, tmp_path):
+        self._killed_store(tmp_path)
+        cache = DesignCache(tmp_path)
+        assert cache.clear() == 0
+        assert not list(tmp_path.glob("ab/cd/*.tmp"))
+
+    def test_prune_removes_orphans(self, tmp_path):
+        self._killed_store(tmp_path)
+        cache = DesignCache(tmp_path)
+        cache.store("abcd" + "1" * 6, {"status": "ok"})
+        report = cache.prune(max_bytes=0)
+        assert report.removed == 1
+        assert not list(tmp_path.glob("ab/cd/*.tmp"))
 
 
 def _store_keys(root, keys, writer, start):

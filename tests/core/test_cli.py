@@ -400,26 +400,6 @@ class TestStatsAndMetrics:
         assert len(list(metrics.glob("run-*.json"))) == 1
 
 
-class TestSweepManifest:
-    def test_manifest_resume_via_cli(self, tmp_path, capsys):
-        manifest = tmp_path / "sweep.manifest"
-        argv = ["sweep", "--problems", "dp", "--interconnects", "fig1,fig2",
-                "--n", "5,6", "--workers", "0", "--no-cache",
-                "--no-cross-check", "--manifest", str(manifest)]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
-        assert "4/4 journaled, 0 restored this run" in cold
-        assert main(argv) == 0
-        warm = capsys.readouterr().out
-        assert "4/4 journaled, 4 restored this run" in warm
-
-        def tables(text):
-            return [ln for ln in text.splitlines()
-                    if ln.startswith(("|", "+"))]
-
-        assert tables(warm) == tables(cold)
-
-
 class TestCacheCommand:
     def _populate(self, tmp_path):
         assert main(["sweep", "--problems", "dp", "--interconnects",

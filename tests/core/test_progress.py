@@ -179,13 +179,13 @@ class TestHeartbeat:
         assert [(e.kind, e.total) for e in events] == [("start", 3)]
 
     def test_lines_are_canonical_journal_records(self, tmp_path):
-        from repro.util.journal import encode_record
-
+        """One line per event: sorted keys, compact separators."""
         path = tmp_path / "hb.jsonl"
         event = ProgressEvent(kind="job", total=2, done=1, label="dp(n=4)")
         JsonlHeartbeat(path).emit(event)
-        assert path.read_text(encoding="utf-8") == \
-            encode_record(event.to_dict())
+        assert path.read_text(encoding="utf-8") == (
+            '{"cache_hits":0,"done":1,"elapsed_s":0.0,"failed":0,'
+            '"kind":"job","label":"dp(n=4)","throughput":0.0,"total":2}\n')
 
 
 class TestRunSweepProgress:
