@@ -1,4 +1,4 @@
-"""A sample of the committed design fingerprints, re-derived.
+"""A sample of the committed design and lowering fingerprints, re-derived.
 
 ``tools/check_design_fingerprints.py --check`` re-synthesizes all of
 ``tests/data/design_fingerprints.json`` (a CI step); this keeps a few cheap
@@ -32,6 +32,14 @@ def test_snapshot_lists_every_case_once():
     assert set(CASES) == set(SNAPSHOT["fingerprints"])
 
 
+def test_every_feasible_case_pins_its_lowering():
+    feasible = {label for label, fp in SNAPSHOT["fingerprints"].items()
+                if fp.startswith("sha256:")}
+    assert set(SNAPSHOT["lowerings"]) == feasible
+
+
 @pytest.mark.parametrize("label", SAMPLE)
 def test_design_matches_snapshot(label):
-    assert tool.fingerprint(CASES[label]) == SNAPSHOT["fingerprints"][label]
+    design, lowering = tool.fingerprints(CASES[label])
+    assert design == SNAPSHOT["fingerprints"][label]
+    assert lowering == SNAPSHOT["lowerings"].get(label)

@@ -11,6 +11,13 @@ that is meant to be exact (faster search, same winners) must leave every
 entry unchanged; one that changes how many joint assignments the space
 search visits must say so by rewriting the snapshot.
 
+Every feasible case also pins its lowering: the sha256 of the allocate
+pass's ``Microcode`` (injections, operations and hops in list order,
+placement sorted by value key, ops by name), of the ``MachineStats`` of
+``native.lower(microcode, trace, record_events=True)`` and of that call's
+canonical structural event stream.  A change to how designs are compiled
+or lowered that is meant to be exact must leave these unchanged too.
+
 Usage::
 
     python tools/check_design_fingerprints.py --write   # rebuild the snapshot
@@ -54,19 +61,59 @@ def case_label(case: dict) -> str:
     return f"{case['problem']}({params})@{case['interconnect']}"
 
 
-def fingerprint(case: dict, sources: dict | None = None) -> str:
-    """``sha256:<hex>`` of the design, or ``error:<SynthesisError type>``."""
+def _value_free_trace(state):
+    """A trace of ``state``'s system with structure and no values."""
+    from repro.ir.evaluate import structural_trace
+
+    return structural_trace(state.system, state.params)
+
+
+def lowering_fingerprint(state) -> str:
+    """``sha256:<hex>`` of the allocate pass's microcode and its lowering:
+    the lowered machine's statistics and structural event stream."""
+    from dataclasses import asdict
+
+    from repro.machine.native import lower
+
+    mc = state.microcode
+    machine = lower(mc, _value_free_trace(state), record_events=True)
+    body = {
+        "injections": [[repr(e.key), e.cell, e.cycle, e.input_name,
+                        e.input_index] for e in mc.injections],
+        "operations": [[repr(o.key), o.cell, o.cycle,
+                        None if o.op is None else o.op.name,
+                        [repr(k) for k in o.operands], o.stream]
+                       for o in mc.operations],
+        "hops": [[repr(h.key), h.src, h.dst, h.cycle, h.stream]
+                 for h in mc.hops],
+        "placement": sorted([k.module, k.var, k.point, t, cell]
+                            for k, (t, cell) in mc.placement.items()),
+        "cycles": [mc.first_cycle, mc.last_cycle],
+        "stats": asdict(machine.stats),
+        "events": [e.to_dict() for e in machine.events],
+    }
+    blob = json.dumps(body, sort_keys=True).encode()
+    return "sha256:" + hashlib.sha256(blob).hexdigest()
+
+
+def fingerprints(case: dict, sources: dict | None = None
+                 ) -> tuple[str, str | None]:
+    """``(design, lowering)`` of one case.  ``design`` is ``sha256:<hex>``
+    of the design, or ``error:<SynthesisError type>``; ``lowering`` is
+    :func:`lowering_fingerprint`, ``None`` for an infeasible case."""
     from repro import api
 
     sources = sources or _sources()
     try:
-        design = api.synthesize(sources[case["problem"]](),
-                                dict(case["params"]),
-                                api.resolve_interconnect(case["interconnect"]))
+        state = api.run_pipeline(sources[case["problem"]](),
+                                 dict(case["params"]),
+                                 api.resolve_interconnect(case["interconnect"]),
+                                 api.SynthesisOptions())
     except api.SynthesisError as exc:
-        return f"error:{type(exc).__name__}"
-    blob = json.dumps(design.to_dict(), sort_keys=True).encode()
-    return "sha256:" + hashlib.sha256(blob).hexdigest()
+        return f"error:{type(exc).__name__}", None
+    blob = json.dumps(state.design.to_dict(), sort_keys=True).encode()
+    return ("sha256:" + hashlib.sha256(blob).hexdigest(),
+            lowering_fingerprint(state))
 
 
 def benchmark_cases() -> list[dict]:
@@ -82,20 +129,28 @@ def benchmark_cases() -> list[dict]:
 COUNTERS = ("space.assignments_examined", "space.candidates_enumerated")
 
 
-def compute(cases: list[dict]) -> tuple[dict[str, str], dict[str, int]]:
-    """The fingerprint of every case and the grid's summed ``COUNTERS``."""
+def compute(cases: list[dict]
+            ) -> tuple[dict[str, str], dict[str, str], dict[str, int]]:
+    """The design and lowering fingerprints of every case and the grid's
+    summed ``COUNTERS``."""
     from repro.obs import TRACER
 
     sources = _sources()
     before = {name: TRACER.counters.get(name, 0) for name in COUNTERS}
     t0 = time.perf_counter()
-    prints = {case_label(c): fingerprint(c, sources) for c in cases}
+    prints: dict[str, str] = {}
+    lowerings: dict[str, str] = {}
+    for case in cases:
+        label = case_label(case)
+        prints[label], lowering = fingerprints(case, sources)
+        if lowering is not None:
+            lowerings[label] = lowering
     wall = time.perf_counter() - t0
     counts = {name: TRACER.counters.get(name, 0) - before[name]
               for name in COUNTERS}
-    print(f"{len(cases)} cases synthesized in {wall:.1f} s; "
+    print(f"{len(cases)} cases synthesized and lowered in {wall:.1f} s; "
           + ", ".join(f"{name}={n}" for name, n in counts.items()))
-    return prints, counts
+    return prints, lowerings, counts
 
 
 def main(argv: list[str]) -> int:
@@ -107,10 +162,16 @@ def main(argv: list[str]) -> int:
                   file=sys.stderr)
             return 1
         committed = json.loads(SNAPSHOT.read_text())
-        current, counts = compute(committed["cases"])
+        current, lowerings, counts = compute(committed["cases"])
         drift = [(label, want, current.get(label))
                  for label, want in committed["fingerprints"].items()
                  if current.get(label) != want]
+        if set(lowerings) != set(committed.get("lowerings", {})):
+            drift.append(("lowered cases", sorted(committed.get(
+                "lowerings", {})), sorted(lowerings)))
+        drift += [(f"{label} lowering", want, lowerings.get(label))
+                  for label, want in committed.get("lowerings", {}).items()
+                  if lowerings.get(label) != want]
         examined = counts["space.assignments_examined"]
         if examined != committed.get("assignments_examined"):
             drift.append(("space.assignments_examined",
@@ -124,11 +185,12 @@ def main(argv: list[str]) -> int:
         return 1
     if "--write" in argv:
         cases = benchmark_cases()
-        prints, counts = compute(cases)
+        prints, lowerings, counts = compute(cases)
         snapshot = {"cases": cases,
                     "assignments_examined":
                         counts["space.assignments_examined"],
-                    "fingerprints": prints}
+                    "fingerprints": prints,
+                    "lowerings": lowerings}
         SNAPSHOT.parent.mkdir(parents=True, exist_ok=True)
         SNAPSHOT.write_text(json.dumps(snapshot, indent=1) + "\n")
         print(f"wrote {SNAPSHOT} ({len(cases)} cases)")
