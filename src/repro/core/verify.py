@@ -23,11 +23,7 @@ import numpy as np
 
 from repro.core.design import Design
 from repro.deps.extract import system_dependence_matrices
-from repro.ir.evaluate import (
-    build_execution_plan,
-    structural_trace,
-    trace_execution,
-)
+from repro.ir.evaluate import SystemTrace, build_execution_plan, trace_execution
 from repro.ir.vector import HostGather, lower_plan
 from repro.machine.engines import Engine, coerce_engine
 from repro.machine.errors import CapacityError
@@ -161,7 +157,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
         with TRACER.span("verify.compile"):
             machine = cache.get("nmachine")
             if machine is None:
-                trace = structural_trace(design.system, design.params, plan)
+                trace = SystemTrace(plan)
                 mc = compile_design(trace, design.schedules,
                                     design.space_maps, decomposer)
                 machine = cache["nmachine"] = lower(mc, trace)

@@ -10,7 +10,6 @@ assignment/conditional-assignment statements.
 from repro.ir.affine import AffineExpr, QuasiAffineExpr, const, var
 from repro.ir.evaluate import (
     CyclicDependence,
-    Event,
     ExecutionPlan,
     SystemTrace,
     ValueKey,
@@ -44,7 +43,7 @@ from repro.ir.variables import ExternalRef, Ref
 __all__ = [
     "ADD", "IDENTITY", "MAC", "MAX", "MIN", "MIN_PLUS", "MUL",
     "AffineExpr", "ArgSpec", "ComputeRule", "CyclicDependence",
-    "Equation", "Event", "ExecutionPlan", "ExternalRef", "HighLevelSpec",
+    "Equation", "ExecutionPlan", "ExternalRef", "HighLevelSpec",
     "InputRule", "LinkRule", "Module", "Op", "OutputSpec", "Polyhedron",
     "Predicate", "QuasiAffineExpr", "Ref", "RecurrenceSystem", "SystemTrace",
     "TRUE", "ValidationError", "ValueKey", "VectorProgram", "at_least",

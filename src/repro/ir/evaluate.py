@@ -1,12 +1,16 @@
 """Reference (sequential) execution of a :class:`RecurrenceSystem`.
 
 This evaluator is the semantic ground truth for everything downstream: the
-systolic machine simulator must produce exactly these values, and the
-dependence edges recorded here drive both design verification and machine
-microcode generation.
+systolic machine must produce exactly these values.  Its
+:class:`ExecutionPlan` is the one structural record of a system execution:
+every stage that needs to know which rule produces a value, which values it
+reads, which host input it fetches or which host result it becomes takes
+that fact from the plan — the microcode compiler, the native lowering and
+the kernel program of verification alike.
 
-Values are identified by :class:`ValueKey` ``(module, var, point)``.
-Execution is split into two phases:
+Values are identified by :class:`ValueKey` ``(module, var, point)`` at the
+API edge and by dense node ids inside the plan.  Execution is split into two
+phases:
 
 * :func:`build_execution_plan` — resolve, for every defined value, which
   rule fires and which values it reads (vectorised first-match guard
@@ -21,17 +25,18 @@ Execution is split into two phases:
   chains cannot hit Python's recursion limit) and no per-value dict
   hashing on the hot path.
 
-``trace_execution`` composes the two and is drop-in compatible with the
-historical recursive evaluator, including its failure modes: missing input
-bindings and out-of-domain references raise :class:`KeyError`, cyclic
-systems raise :class:`CyclicDependence`, uncovered guards raise
-:class:`ValueError`.
+A :class:`SystemTrace` is a plan plus the values of one execution;
+``SystemTrace(plan)`` is the value-free trace that placement and routing
+read.  ``trace_execution`` composes the two phases and keeps the historical
+recursive evaluator's failure modes: missing input bindings and
+out-of-domain references raise :class:`KeyError`, cyclic systems raise
+:class:`CyclicDependence`, uncovered guards raise :class:`ValueError`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -53,78 +58,6 @@ class ValueKey:
         return f"{self.module}::{self.var}{self.point}"
 
 
-@dataclass
-class Event:
-    """One executed rule: the value produced and the values consumed."""
-
-    key: ValueKey
-    rule: Rule
-    operands: tuple[ValueKey, ...]   # empty for InputRule
-    value: object
-
-
-class SystemTrace:
-    """Full record of a system execution.
-
-    ``events`` maps every produced value to its :class:`Event`;
-    ``results`` maps host output keys to final values;
-    ``domains`` caches the enumerated domain of each module.
-
-    Event materialization is *lazy*: :func:`execute_plan` parks the raw
-    value buffer on the trace and the per-value :class:`Event` objects are
-    only built when ``events`` is first read.  Verification value-passes and
-    sweeps, which consume only ``results``, never pay for them; consumers of
-    the dependence record (microcode compilation, the dependence graph) see
-    exactly the dict the eager evaluator used to build.
-    """
-
-    def __init__(self, system: RecurrenceSystem, params: dict[str, int],
-                 events: "dict[ValueKey, Event] | None" = None,
-                 results: "dict[tuple[int, ...], object] | None" = None,
-                 domains: "dict[str, list[tuple[int, ...]]] | None" = None):
-        self.system = system
-        self.params = params
-        self.results: dict[tuple[int, ...], object] = (
-            results if results is not None else {})
-        self.domains: dict[str, list[tuple[int, ...]]] = (
-            domains if domains is not None else {})
-        self._events: dict[ValueKey, Event] = (
-            events if events is not None else {})
-        #: deferred event source: ``(plan, values)`` — consumed on first
-        #: ``events`` access.
-        self._pending: "tuple[ExecutionPlan, list[object]] | None" = None
-
-    @property
-    def events(self) -> "dict[ValueKey, Event]":
-        if self._pending is not None:
-            plan, values = self._pending
-            self._pending = None
-            events = self._events
-            keys, rules = plan.keys, plan.rules
-            operand_keys = plan.operand_keys
-            for nid in plan.order:
-                key = keys[nid]
-                events[key] = Event(key, rules[nid], operand_keys[nid],
-                                    values[nid])
-        return self._events
-
-    @events.setter
-    def events(self, value: "dict[ValueKey, Event]") -> None:
-        self._events = value
-        self._pending = None
-
-    def value(self, key: ValueKey) -> object:
-        return self.events[key].value
-
-    def consumers(self) -> dict[ValueKey, list[ValueKey]]:
-        """Invert the producer->operand edges: who reads each value."""
-        out: dict[ValueKey, list[ValueKey]] = {}
-        for event in self.events.values():
-            for op_key in event.operands:
-                out.setdefault(op_key, []).append(event.key)
-        return out
-
-
 class CyclicDependence(Exception):
     """The system's dependencies contain a cycle (no valid schedule exists)."""
 
@@ -135,16 +68,20 @@ class ExecutionPlan:
 
     Parallel arrays over dense value ids: ``keys[i]`` is the value's
     identity, ``rules[i]`` the rule that produces it, ``operands[i]`` the
-    ids it reads (empty for inputs), ``input_calls[i]`` the pre-evaluated
-    ``(input_name, index)`` for :class:`InputRule` nodes, and ``order`` a
-    dependence-respecting evaluation order of all ids.
+    ids it reads (empty for inputs) and ``operand_keys[i]`` their keys,
+    ``input_calls[i]`` the pre-evaluated ``(input_name, index)`` for
+    :class:`InputRule` nodes, ``rows[i]`` the row of the value's point in
+    ``points[keys[i].module]`` (each module's enumerated domain), and
+    ``order`` a dependence-respecting evaluation order of all ids.
+    ``outputs`` pairs every host result key with the id of its value.
     """
 
     system: RecurrenceSystem
     params: dict[str, int]
-    domains: dict[str, list[tuple[int, ...]]]
+    points: dict[str, np.ndarray]
     keys: list[ValueKey]
     rules: list[Rule]
+    rows: list[int]
     operands: list[tuple[int, ...]]
     operand_keys: list[tuple[ValueKey, ...]]
     input_calls: list[tuple[str, tuple[int, ...]] | None]
@@ -154,6 +91,25 @@ class ExecutionPlan:
     @property
     def node_count(self) -> int:
         return len(self.keys)
+
+
+@dataclass
+class SystemTrace:
+    """One execution of ``plan``: ``values[i]`` is the value of node ``i``
+    (``None`` for a value-free trace, which records structure only) and
+    ``results`` maps host output keys to final values."""
+
+    plan: ExecutionPlan
+    values: "list[object] | None" = None
+    results: dict[tuple[int, ...], object] = field(default_factory=dict)
+
+    @property
+    def system(self) -> RecurrenceSystem:
+        return self.plan.system
+
+    @property
+    def params(self) -> dict[str, int]:
+        return self.plan.params
 
 
 def _guard_rows(rule_guard, dims, pts, rows, params) -> np.ndarray:
@@ -188,28 +144,22 @@ def build_execution_plan(system: RecurrenceSystem,
                          params: Mapping[str, int]) -> ExecutionPlan:
     """Resolve rules, operands and evaluation order — no values involved."""
     params = dict(params)
-    domains: dict[str, list[tuple[int, ...]]] = {}
-    domain_sets: dict[str, set[tuple[int, ...]]] = {}
-    pts_arrays: dict[str, np.ndarray] = {}
-    for name, module in system.modules.items():
-        pts = list(module.domain.points(params))
-        domains[name] = pts
-        domain_sets[name] = set(pts)
-        pts_arrays[name] = np.array(pts, dtype=np.int64).reshape(
-            len(pts), len(module.dims))
+    pts_arrays = {name: module.domain.points_array(params)
+                  for name, module in system.modules.items()}
+    pt_tuples = {name: list(map(tuple, pts.tolist()))
+                 for name, pts in pts_arrays.items()}
 
     keys: list[ValueKey] = []
     rules: list[Rule] = []
+    node_rows: list[int] = []
     key_ids: dict[ValueKey, int] = {}
-    # (module, dims, row indices) per node, for operand evaluation below.
-    node_rows: list[tuple[str, int]] = []
 
     def scalar_error(key: ValueKey):
         """Re-raise the exact error the recursive evaluator produced for a
         reference that resolves to no computed value."""
-        if key.module not in domain_sets:
+        if key.module not in pt_tuples:
             raise KeyError(key.module)
-        if key.point not in domain_sets[key.module]:
+        if key.point not in set(pt_tuples[key.module]):
             raise KeyError(
                 f"reference to {key} outside the domain of module {key.module}")
         module = system.modules[key.module]
@@ -245,16 +195,14 @@ def build_execution_plan(system: RecurrenceSystem,
                 eqn.select(binding)  # raises ValueError("no rule guard holds")
     # Assign dense ids (per rule group, rows ascending — any order works,
     # the worklist re-orders by dependence).
-    rule_of_node: list[Rule] = []
     for name, var, rule, rows in selection:
+        points = pt_tuples[name]
         for row in rows.tolist():
-            point = tuple(pts_arrays[name][row].tolist())
-            key = ValueKey(name, var, point)
+            key = ValueKey(name, var, points[row])
             key_ids[key] = len(keys)
             keys.append(key)
-            rule_of_node.append(rule)
-            node_rows.append((name, row))
-    rules = rule_of_node
+            rules.append(rule)
+            node_rows.append(row)
 
     # Pass 2 — operand resolution per (rule, rows) group, vectorised over
     # the group's point rows.
@@ -324,11 +272,10 @@ def build_execution_plan(system: RecurrenceSystem,
 
     outputs: list[tuple[tuple[int, ...], int]] = []
     for out in system.outputs:
-        out_pts = list(out.domain.points(params))
-        arr = np.array(out_pts, dtype=np.int64).reshape(
-            len(out_pts), len(out.domain.dims))
+        arr = out.domain.points_array(params)
         host_cols = [eval_index_int(e, out.domain.dims, arr, params)
                      for e in out.key]
+        out_pts = list(map(tuple, arr.tolist()))
         host_rows = (list(map(tuple, np.column_stack(host_cols).tolist()))
                      if host_cols else [() for _ in out_pts])
         for p, host_key in zip(out_pts, host_rows):
@@ -338,10 +285,11 @@ def build_execution_plan(system: RecurrenceSystem,
                 scalar_error(key)
             outputs.append((host_key, nid))
 
-    return ExecutionPlan(system=system, params=params, domains=domains,
-                         keys=keys, rules=rules, operands=operands,
-                         operand_keys=operand_keys, input_calls=input_calls,
-                         order=order, outputs=outputs)
+    return ExecutionPlan(system=system, params=params, points=pts_arrays,
+                         keys=keys, rules=rules, rows=node_rows,
+                         operands=operands, operand_keys=operand_keys,
+                         input_calls=input_calls, order=order,
+                         outputs=outputs)
 
 
 def execute_plan(plan: ExecutionPlan,
@@ -350,8 +298,6 @@ def execute_plan(plan: ExecutionPlan,
     missing = set(plan.system.input_names) - set(inputs)
     if missing:
         raise KeyError(f"missing input bindings: {sorted(missing)}")
-    trace = SystemTrace(plan.system, dict(plan.params))
-    trace.domains = plan.domains
     values: list[object] = [None] * plan.node_count
     rules = plan.rules
     operands = plan.operands
@@ -366,15 +312,13 @@ def execute_plan(plan: ExecutionPlan,
         else:  # InputRule
             name, idx = input_calls[nid]
             values[nid] = inputs[name](*idx)
-    trace._pending = (plan, values)
-    for host_key, nid in plan.outputs:
-        trace.results[host_key] = values[nid]
-    return trace
+    return SystemTrace(plan, values, {host_key: values[nid]
+                                      for host_key, nid in plan.outputs})
 
 
 def trace_execution(system: RecurrenceSystem, params: Mapping[str, int],
                     inputs: Mapping[str, Callable]) -> SystemTrace:
-    """Execute the system and record every event.
+    """Execute the system and record the value of every node.
 
     ``inputs`` binds each declared input name to a callable receiving the
     evaluated index of the :class:`InputRule`.
@@ -389,21 +333,3 @@ def run_system(system: RecurrenceSystem, params: Mapping[str, int],
                inputs: Mapping[str, Callable]) -> dict[tuple[int, ...], object]:
     """Execute and return only the host results."""
     return trace_execution(system, params, inputs).results
-
-
-def structural_trace(system: RecurrenceSystem,
-                     params: Mapping[str, int],
-                     plan: "ExecutionPlan | None" = None) -> SystemTrace:
-    """Dependence-only trace: every event carries ``value=None``.
-
-    Placement and routing (:func:`~repro.machine.microcode.compile_design`)
-    read only keys, rules and operand edges, so this is enough to validate a
-    design's physical feasibility — channel capacity, locality, causality —
-    without binding any host inputs.  Pass ``plan`` when the caller has
-    already built it for the same system and parameters."""
-    if plan is None:
-        plan = build_execution_plan(system, params)
-    trace = SystemTrace(system, dict(plan.params))
-    trace.domains = plan.domains
-    trace._pending = (plan, [None] * plan.node_count)
-    return trace

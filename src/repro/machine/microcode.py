@@ -2,8 +2,9 @@
 
 A design assigns every computation of every module a (time, cell) via its
 schedule and space map.  This compiler turns the *structure* of a system
-execution — which rule fires at each point and which values it reads, never
-the values themselves — into three event streams:
+execution — which rule fires at each point and which values it reads, as
+recorded by its :class:`~repro.ir.evaluate.ExecutionPlan`, never the values
+themselves — into three event streams:
 
 * **injections** — host inputs entering boundary cells at fixed cycles;
 * **operations** — a cell applying an op to values in its register file
@@ -31,9 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
-from repro.ir.arrayeval import eval_index_int
 from repro.ir.evaluate import SystemTrace, ValueKey
 from repro.ir.statements import ComputeRule, InputRule, LinkRule
 from repro.machine.errors import CapacityError, CausalityError, LocalityError
@@ -102,60 +100,45 @@ class Microcode:
 def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
                    space_maps: Mapping[str, object],
                    decomposer: LinkDecomposer) -> Microcode:
-    """Lower an executed system trace onto the array.
+    """Lower a system execution onto the array.
 
-    ``schedules`` / ``space_maps`` map module names to
-    :class:`~repro.schedule.linear.LinearSchedule` /
+    Reads only the structure of ``trace.plan`` (rules, operand edges,
+    host input calls), never values, so a value-free
+    ``SystemTrace(plan)`` is enough.  ``schedules`` / ``space_maps`` map
+    module names to :class:`~repro.schedule.linear.LinearSchedule` /
     :class:`~repro.space.allocation.SpaceMap`.
     """
+    plan = trace.plan
+    keys, rules = plan.keys, plan.rules
+    operands, operand_keys = plan.operands, plan.operand_keys
     mc = Microcode()
-    # Placement of every value: batch T and S per module over the point
-    # array instead of evaluating them key by key.
+    # Placement of every value: one T and one S evaluation per module over
+    # its domain array, read back through each node's point row.
     with TRACER.span("machine.compile.placement"):
-        by_module: dict[str, list[ValueKey]] = {}
-        for key in trace.events:
-            by_module.setdefault(key.module, []).append(key)
-        for mod, keys in by_module.items():
-            ndims = len(trace.system.modules[mod].dims)
-            pts = np.array([k.point for k in keys],
-                           dtype=np.int64).reshape(len(keys), ndims)
-            times = schedules[mod].times(pts).tolist()
-            cells = list(map(tuple, space_maps[mod].cells(pts).tolist()))
-            for key, t, cell in zip(keys, times, cells):
-                mc.placement[key] = (int(t), cell)
+        slots: dict[str, tuple[list, list]] = {}
+        place: list[tuple[int, Cell]] = [None] * plan.node_count
+        for nid, (key, row) in enumerate(zip(keys, plan.rows)):
+            slot = slots.get(key.module)
+            if slot is None:
+                pts = plan.points[key.module]
+                slot = slots[key.module] = (
+                    schedules[key.module].times(pts).tolist(),
+                    list(map(tuple, space_maps[key.module].cells(pts).tolist())))
+            place[nid] = (slot[0][row], slot[1][row])
+        mc.placement = dict(zip(keys, place))
 
-    times = [t for t, _ in mc.placement.values()]
+    times = [t for t, _ in place]
     mc.first_cycle = min(times) if times else 0
     mc.last_cycle = max(times) if times else 0
 
-    # Injection indices: evaluate each InputRule's index expressions over
-    # the whole batch of points selecting that rule.
-    inj_index: dict[ValueKey, tuple[int, ...]] = {}
-    with TRACER.span("machine.compile.injections"):
-        inj_groups: dict[tuple[str, int], tuple[object, list[ValueKey]]] = {}
-        for key, event in trace.events.items():
-            if isinstance(event.rule, InputRule):
-                group = inj_groups.setdefault(
-                    (key.module, id(event.rule)), (event.rule, []))
-                group[1].append(key)
-        for (mod, _), (rule, keys) in inj_groups.items():
-            dims = trace.system.modules[mod].dims
-            pts = np.array([k.point for k in keys],
-                           dtype=np.int64).reshape(len(keys), len(dims))
-            cols = [eval_index_int(e, dims, pts, trace.params)
-                    for e in rule.index]
-            rows = (map(tuple, np.column_stack(cols).tolist()) if cols
-                    else (() for _ in keys))
-            for key, idx in zip(keys, rows):
-                inj_index[key] = idx
-
-    seen_hops: set[tuple[ValueKey, Cell, Cell, int]] = set()
+    seen_hops: set[tuple[int, Cell, Cell, int]] = set()
     # Channel reservations: one value per (link, stream, cycle).
-    reservations: dict[tuple[Cell, Cell, tuple[str, str], int], ValueKey] = {}
+    reservations: dict[tuple[Cell, Cell, tuple[str, str], int], int] = {}
 
-    def route(value: ValueKey, consumer: ValueKey, min_gap: int) -> None:
-        t_src, c_src = mc.placement[value]
-        t_dst, c_dst = mc.placement[consumer]
+    def route(vid: int, cid: int, min_gap: int) -> None:
+        t_src, c_src = place[vid]
+        t_dst, c_dst = place[cid]
+        value, consumer = keys[vid], keys[cid]
         gap = t_dst - t_src
         disp = tuple(b - a for a, b in zip(c_src, c_dst))
         if gap < min_gap or (gap == 0 and any(v != 0 for v in disp)):
@@ -182,7 +165,7 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
             while cycle <= latest:
                 channel = (pos, nxt, stream, cycle)
                 holder = reservations.get(channel)
-                if holder is None or holder == value:
+                if holder is None or holder == vid:
                     break
                 cycle += 1
             else:
@@ -190,56 +173,57 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
                     f"{value} -> {consumer}: channel {pos}->{nxt} of stream "
                     f"{stream} is saturated in cycles "
                     f"[{earliest}, {latest}]")
-            reservations[(pos, nxt, stream, cycle)] = value
-            tag = (value, pos, nxt, cycle)
+            reservations[(pos, nxt, stream, cycle)] = vid
+            tag = (vid, pos, nxt, cycle)
             if tag not in seen_hops:
                 seen_hops.add(tag)
                 mc.hops.append(Hop(value, pos, nxt, cycle, stream))
             pos = nxt
             t_prev = cycle
 
-    # First pass: build operations/injections and collect route requests.
-    route_requests: list[tuple[ValueKey, ValueKey, int]] = []
-    for key, event in trace.events.items():
-        t, cell = mc.placement[key]
-        rule = event.rule
+    # First pass: build operations/injections and collect route requests
+    # (value id, consumer id, minimum gap).
+    route_requests: list[tuple[int, int, int]] = []
+    for nid in plan.order:
+        key = keys[nid]
+        t, cell = place[nid]
+        rule = rules[nid]
         stream = (key.module, key.var)
         if isinstance(rule, InputRule):
-            mc.injections.append(Injection(key, cell, t, rule.input_name,
-                                           inj_index[key]))
+            input_name, input_index = plan.input_calls[nid]
+            mc.injections.append(Injection(key, cell, t, input_name,
+                                           input_index))
             continue
         if isinstance(rule, LinkRule):
-            src = event.operands[0]
-            route_requests.append((src, key, rule.min_gap))
+            route_requests.append((operands[nid][0], nid, rule.min_gap))
             mc.operations.append(Operation(key, cell, t, None,
-                                           event.operands, stream))
+                                           operand_keys[nid], stream))
             continue
         # ComputeRule: route every cross-point operand; same-point operands
         # are intra-cycle reads.
-        for operand in event.operands:
-            if operand == key:
+        for op_id in operands[nid]:
+            if op_id == nid:
                 raise CausalityError(f"{key} depends on itself")
-            t_op, c_op = mc.placement[operand]
+            t_op, c_op = place[op_id]
             if (t_op, c_op) == (t, cell):
                 continue  # same cell, same cycle: forwarding inside the cell
-            route_requests.append((operand, key, 1 if c_op != cell else 0))
+            route_requests.append((op_id, nid, 1 if c_op != cell else 0))
             if c_op == cell and t_op >= t:
                 raise CausalityError(
-                    f"{key} at t={t} reads {operand} produced at t={t_op}")
+                    f"{key} at t={t} reads {keys[op_id]} produced at t={t_op}")
         mc.operations.append(Operation(key, cell, t, rule.op,
-                                       event.operands, stream))
+                                       operand_keys[nid], stream))
 
     # Second pass: route earliest-deadline-first, so transfers with tight
     # windows claim channel slots before slack-rich ones push them out.
-    def deadline(request: tuple[ValueKey, ValueKey, int]) -> tuple:
-        value, consumer, _ = request
-        t_dst, _ = mc.placement[consumer]
-        t_src, _ = mc.placement[value]
+    def deadline(request: tuple[int, int, int]) -> tuple:
+        vid, cid, _ = request
+        t_dst, t_src = place[cid][0], place[vid][0]
         return (t_dst, t_dst - t_src)
 
     with TRACER.span("machine.compile.routing"):
-        for value, consumer, min_gap in sorted(route_requests, key=deadline):
-            route(value, consumer, min_gap)
+        for vid, cid, min_gap in sorted(route_requests, key=deadline):
+            route(vid, cid, min_gap)
 
     mc.injections.sort(key=lambda e: (e.cycle, e.cell))
     mc.operations.sort(key=lambda e: (e.cycle, e.cell))

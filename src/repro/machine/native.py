@@ -64,7 +64,6 @@ import numpy as np
 
 from repro.codegen.build import NativeExecutor, load_or_build
 from repro.codegen.executor import UnsupportedForNative, encode_program
-from repro.ir.arrayeval import eval_index_int
 from repro.ir.evaluate import SystemTrace, ValueKey
 from repro.ir.vector import (
     HostValues,
@@ -254,7 +253,9 @@ def lower(mc: Microcode, trace: SystemTrace,
     kernel program with its encoded code.  With ``record_events`` the
     cycle-level event stream (injection, fire, hop, output,
     register-reclaim) is also derived structurally — it matches the
-    interpreter's live emission event for event.
+    interpreter's live emission event for event.  Host output keys and
+    the never-reclaimed output values come from ``trace.plan.outputs``;
+    the trace's values are not read.
     """
     first, last = mc.first_cycle, mc.last_cycle
     injections = [e for e in mc.injections if first <= e.cycle <= last]
@@ -390,13 +391,10 @@ def lower(mc: Microcode, trace: SystemTrace,
     produced_set = set(produced)
 
     # -- protected output values (never reclaimed) --------------------------
-    protected: set[int] = set()
-    system, params = trace.system, trace.params
-    for out in system.outputs:
-        for p in out.domain.points(params):
-            vid = key_ids.get(ValueKey(out.module, out.var, p))
-            if vid is not None:
-                protected.add(vid)
+    plan = trace.plan
+    output_keys = [(plan.keys[nid], host_key)
+                   for host_key, nid in plan.outputs]
+    protected = {key_ids[key] for key, _ in output_keys if key in key_ids}
 
     # -- register pressure: vectorised interval-overlap sweep ---------------
     # A value occupies a register in a cell from its first arrival until the
@@ -449,22 +447,11 @@ def lower(mc: Microcode, trace: SystemTrace,
 
     # -- host outputs -------------------------------------------------------
     outputs: list[tuple[tuple[int, ...], int]] = []
-    output_keys: list[tuple[ValueKey, tuple[int, ...]]] = []
-    for out in system.outputs:
-        pts = list(out.domain.points(params))
-        arr = np.array(pts, dtype=np.int64).reshape(
-            len(pts), len(out.domain.dims))
-        cols = [eval_index_int(e, out.domain.dims, arr, params)
-                for e in out.key]
-        host_rows = (list(map(tuple, np.column_stack(cols).tolist()))
-                     if cols else [() for _ in pts])
-        for p, host_key in zip(pts, host_rows):
-            key = ValueKey(out.module, out.var, p)
-            vid = key_ids.get(key)
-            if vid is None or vid not in produced_set:
-                raise MissingOperandError(f"output {key} was never computed")
-            outputs.append((host_key, vid))
-            output_keys.append((key, host_key))
+    for key, host_key in output_keys:
+        vid = key_ids.get(key)
+        if vid is None or vid not in produced_set:
+            raise MissingOperandError(f"output {key} was never computed")
+        outputs.append((host_key, vid))
 
     # -- structural event stream --------------------------------------------
     # Everything the interpreter emits live is a structural property of the

@@ -39,7 +39,6 @@ STAGES: tuple[str, ...] = (
     "synthesize.schedule",
     "synthesize.space",
     "machine.compile.placement",
-    "machine.compile.injections",
     "machine.compile.routing",
     "vector.lower",
     "vector.gather",

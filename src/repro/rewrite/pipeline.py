@@ -19,8 +19,7 @@ The historical one-shot ``synthesize`` body is re-expressed as:
    value-free trace (link bandwidth is outside the solvers' model) and the
    winning candidate's microcode skeleton is kept on the state.
 5. ``lower-microcode`` — package the :class:`~repro.core.design.Design`
-   and guarantee the cell program exists (compiling it if a custom
-   pipeline skipped the allocate-time check).
+   beside the cell program the ``allocate`` pass compiled.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.core.design import Design
 from repro.core.globals import link_constraints
 from repro.core.restructure import restructure
 from repro.deps.extract import system_dependence_matrices
-from repro.ir.evaluate import structural_trace
+from repro.ir.evaluate import SystemTrace, build_execution_plan
 from repro.ir.program import HighLevelSpec, Module, RecurrenceSystem
 from repro.ir.statements import ComputeRule
 from repro.ir.vector import fused_int_kernel
@@ -212,7 +211,8 @@ class AllocatePass(Pass):
             returns ``(microcode, None)`` or ``(None, failure)``."""
             nonlocal check_trace
             if check_trace is None:
-                check_trace = structural_trace(system, params)
+                check_trace = SystemTrace(
+                    build_execution_plan(system, params))
             try:
                 mc = compile_design(check_trace, schedules, candidate.maps,
                                     decomposer)
@@ -272,27 +272,21 @@ class AllocatePass(Pass):
 
 class LowerMicrocodePass(Pass):
     name = "lower-microcode"
-    description = ("package the Design and guarantee the value-free cell "
-                   "program (injections, operations, hops) exists for the "
-                   "chosen placement")
+    description = ("package the Design with the value-free cell program "
+                   "(injections, operations, hops) the allocate pass "
+                   "compiled for the chosen placement")
 
     def run(self, state: PipelineState) -> PipelineState:
         system: RecurrenceSystem = state.require("system", "decompose-chains")
         schedules = state.require("schedules", "schedule")
         space_maps = state.require("space_maps", "allocate")
-        params = dict(state.params)
-        microcode = state.microcode
-        if microcode is None:
-            # A custom pipeline skipped the allocate-time compile check.
-            trace = structural_trace(system, params)
-            microcode = compile_design(trace, schedules, space_maps,
-                                       state.interconnect.decomposer())
-        design = Design(system=system, params=params,
+        state.require("microcode", "allocate")
+        design = Design(system=system, params=dict(state.params),
                         interconnect=state.interconnect,
                         schedules=dict(schedules),
                         space_maps=dict(space_maps),
                         constraints=list(state.constraints or ()))
-        return state.replace(microcode=microcode, design=design)
+        return state.replace(design=design)
 
 
 #: The passes of the default lowering, in order.

@@ -18,7 +18,11 @@ from repro.core.globals import link_constraints
 from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
 from repro.deps.extract import system_dependence_matrices
-from repro.ir.evaluate import structural_trace, trace_execution
+from repro.ir.evaluate import (
+    SystemTrace,
+    build_execution_plan,
+    trace_execution,
+)
 from repro.machine.errors import MachineError
 from repro.machine.microcode import compile_design
 from repro.machine.simulator import run
@@ -92,7 +96,7 @@ def _legacy_synthesize(system, params, interconnect,
     def lowering_failure(candidate):
         nonlocal check_trace
         if check_trace is None:
-            check_trace = structural_trace(system, params)
+            check_trace = SystemTrace(build_execution_plan(system, params))
         try:
             compile_design(check_trace, schedules, candidate.maps, decomposer)
         except MachineError as exc:

@@ -64,14 +64,14 @@ FIB10 = ValueKey("fib", "x", (10,))
 
 def kernel_values(plan, input_sets, program=None):
     """Per binding set, every node's value from the kernel program of
-    ``plan``, keyed like the events of :func:`execute_plan`."""
+    ``plan``, keyed by ``plan.keys``."""
     program = lower_plan(plan) if program is None else program
     return [dict(zip(plan.keys, row))
             for row in execute_program(program, input_sets).tolist()]
 
 
 def interpreted_values(plan, inputs):
-    return {k: e.value for k, e in execute_plan(plan, inputs).events.items()}
+    return dict(zip(plan.keys, execute_plan(plan, inputs).values))
 
 
 def assert_matches_plan(plan, inputs, program=None):
@@ -285,25 +285,13 @@ class TestBatchAxis:
             assert got == interpreted_values(plan, bindings)
 
 
-class TestLazyEvents:
-    def test_execute_plan_defers_event_build(self):
-        plan = build_execution_plan(fib_system(), {})
-        trace = execute_plan(plan, {"seed": lambda i: 1})
-        assert trace._pending is not None      # no Event objects built yet
-        assert trace.results[(10,)] == 55      # results stay eager
-        events = trace.events
-        assert trace._pending is None
-        assert events[ValueKey("fib", "x", (10,))].value == 55
-
-    def test_trace_execution_contract_unchanged(self):
+class TestTraceValues:
+    def test_values_align_with_plan_keys(self):
         trace = trace_execution(fib_system(), {}, {"seed": lambda i: 1})
-        assert trace.events[ValueKey("fib", "x", (5,))].value == 5
-
-    def test_events_setter_clears_pending(self):
-        plan = build_execution_plan(fib_system(), {})
-        trace = execute_plan(plan, {"seed": lambda i: 1})
-        trace.events = {}
-        assert trace.events == {}
+        assert trace.results[(10,)] == 55
+        values = dict(zip(trace.plan.keys, trace.values))
+        assert values[ValueKey("fib", "x", (5,))] == 5
+        assert len(trace.values) == trace.plan.node_count
 
 
 @pytest.mark.skipif(not native_available(),

@@ -108,7 +108,7 @@ class TestExecution:
                             LINEAR_BIDIR.decomposer())
         stats = run(mc, trace, inputs).stats
         assert stats.cells_used == 3            # s cells
-        assert stats.operations == len(trace.events) - stats.injections
+        assert stats.operations == trace.plan.node_count - stats.injections
         assert 0 < stats.utilization <= 1
         assert not stats.capacity_violations
 

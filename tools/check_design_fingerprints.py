@@ -63,9 +63,9 @@ def case_label(case: dict) -> str:
 
 def _value_free_trace(state):
     """A trace of ``state``'s system with structure and no values."""
-    from repro.ir.evaluate import structural_trace
+    from repro.ir.evaluate import SystemTrace, build_execution_plan
 
-    return structural_trace(state.system, state.params)
+    return SystemTrace(build_execution_plan(state.system, state.params))
 
 
 def lowering_fingerprint(state) -> str:
