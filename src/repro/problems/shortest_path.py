@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-from repro.ir.ops import ADD, MIN, make_op
+from repro.ir.ops import MIN, MIN_PLUS
 from repro.ir.program import HighLevelSpec, RecurrenceSystem
 from repro.problems.dynamic_programming import dp_inputs, dp_spec, dp_system
 from repro.reference.dp import min_plus_dp
@@ -24,11 +24,11 @@ from repro.reference.dp import min_plus_dp
 
 def shortest_path_spec() -> HighLevelSpec:
     """Recurrence (8) with min-plus semantics."""
-    return dp_spec(make_op("plus", 2, lambda a, b: a + b), MIN)
+    return dp_spec(MIN_PLUS, MIN)
 
 
 def shortest_path_system() -> RecurrenceSystem:
-    return dp_system(make_op("plus", 2, lambda a, b: a + b), MIN)
+    return dp_system(MIN_PLUS, MIN)
 
 
 def shortest_path_inputs(hop_costs: Sequence[float]) -> dict[str, Callable]:

@@ -142,14 +142,11 @@ class SchedulePass(Pass):
             try:
                 time_solution = solve_multimodule(
                     problems, constraints, bound=opts.time_bound,
-                    offsets=opts.schedule_offsets)
+                    offsets=(0,))
             except NoScheduleExists:
-                if tuple(opts.schedule_offsets) == (0,):
-                    time_solution = solve_multimodule(
-                        problems, constraints, bound=opts.time_bound,
-                        offsets=range(-opts.time_bound, opts.time_bound + 1))
-                else:
-                    raise
+                time_solution = solve_multimodule(
+                    problems, constraints, bound=opts.time_bound,
+                    offsets=range(-opts.time_bound, opts.time_bound + 1))
         schedules = normalise_start(time_solution.schedules, problems,
                                     start=0)
         return state.replace(deps=deps, constraints=tuple(constraints),
@@ -172,14 +169,11 @@ class AllocatePass(Pass):
         params = dict(state.params)
         interconnect = state.interconnect
         space_bound = opts.space_bound
-        space_offsets = opts.space_offsets
         decomposer = interconnect.decomposer()
         points = {name: module.domain.points_array(params)
                   for name, module in system.modules.items()}
 
         def offsets_for(name: str, plan: str) -> Sequence[int]:
-            if space_offsets is not None:
-                return space_offsets
             if plan == "plain":
                 return (0,)
             # "translated" plan: allow small offsets for low-dimensional
@@ -193,8 +187,6 @@ class AllocatePass(Pass):
                 return (-1, 0, 1)
             return (0,)
 
-        plans = (["plain"] if space_offsets is not None
-                 else ["plain", "translated"])
         best = None
         best_mc = None
         last_error: NoSpaceMapExists | None = None
@@ -227,7 +219,7 @@ class AllocatePass(Pass):
         # with strictly fewer cells, so the plain count bounds its search.
         pool = CandidatePool(decomposer, interconnect.label_dim)
         with TRACER.span("synthesize.space"):
-            for plan in plans:
+            for plan in ("plain", "translated"):
                 space_problems = [
                     ModuleSpaceProblem(name, system.modules[name].dims,
                                        deps[name], points[name],

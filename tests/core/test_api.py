@@ -47,9 +47,8 @@ class TestSynthesisOptions:
                        SynthesisOptions(), time_bound=3)
 
     def test_frozen_and_hashable(self):
-        opts = SynthesisOptions(schedule_offsets=[0, 1])
-        assert opts.schedule_offsets == (0, 1)   # sequences normalise
-        assert hash(opts) == hash(SynthesisOptions(schedule_offsets=(0, 1)))
+        opts = SynthesisOptions(time_bound=4)
+        assert hash(opts) == hash(SynthesisOptions(time_bound=4))
         with pytest.raises(AttributeError):
             opts.time_bound = 5
 
@@ -61,12 +60,10 @@ class TestSynthesisOptions:
         # The cache-key form holds the search bounds and nothing else: the
         # engine that later runs a design does not choose it.
         assert sorted(SynthesisOptions().to_dict()) == [
-            "schedule_offsets", "space_bound", "space_offsets",
-            "time_bound"]
+            "space_bound", "time_bound"]
 
     def test_dict_round_trip(self):
-        opts = SynthesisOptions(time_bound=4, space_bound=2,
-                                schedule_offsets=(0, 1), space_offsets=None)
+        opts = SynthesisOptions(time_bound=4, space_bound=2)
         assert SynthesisOptions.from_dict(opts.to_dict()) == opts
 
 

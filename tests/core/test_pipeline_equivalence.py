@@ -49,8 +49,10 @@ def _legacy_synthesize(system, params, interconnect,
     """The pre-pipeline one-shot lowering, vendored as the oracle."""
     time_bound = opts.time_bound
     space_bound = opts.space_bound
-    schedule_offsets = opts.schedule_offsets
-    space_offsets = opts.space_offsets
+    # The offset ranges were options then; these are the defaults every
+    # caller used, which the pipeline now fixes.
+    schedule_offsets = (0,)
+    space_offsets = None
     params = dict(params)
     deps = system_dependence_matrices(system)
     constraints = link_constraints(system, params)
