@@ -68,12 +68,12 @@ class ExecutionPlan:
 
     Parallel arrays over dense value ids: ``keys[i]`` is the value's
     identity, ``rules[i]`` the rule that produces it, ``operands[i]`` the
-    ids it reads (empty for inputs) and ``operand_keys[i]`` their keys,
-    ``input_calls[i]`` the pre-evaluated ``(input_name, index)`` for
-    :class:`InputRule` nodes, ``rows[i]`` the row of the value's point in
-    ``points[keys[i].module]`` (each module's enumerated domain), and
-    ``order`` a dependence-respecting evaluation order of all ids.
-    ``outputs`` pairs every host result key with the id of its value.
+    ids it reads (empty for inputs), ``input_calls[i]`` the pre-evaluated
+    ``(input_name, index)`` for :class:`InputRule` nodes, ``rows[i]`` the
+    row of the value's point in ``points[keys[i].module]`` (each module's
+    enumerated domain), and ``order`` a dependence-respecting evaluation
+    order of all ids.  ``outputs`` pairs every host result key with the id
+    of its value.
     """
 
     system: RecurrenceSystem
@@ -83,7 +83,6 @@ class ExecutionPlan:
     rules: list[Rule]
     rows: list[int]
     operands: list[tuple[int, ...]]
-    operand_keys: list[tuple[ValueKey, ...]]
     input_calls: list[tuple[str, tuple[int, ...]] | None]
     order: list[int]
     outputs: list[tuple[tuple[int, ...], int]]   # (host key, value id)
@@ -207,7 +206,6 @@ def build_execution_plan(system: RecurrenceSystem,
     # Pass 2 — operand resolution per (rule, rows) group, vectorised over
     # the group's point rows.
     operands: list[tuple[int, ...]] = [()] * len(keys)
-    operand_keys: list[tuple[ValueKey, ...]] = [()] * len(keys)
     input_calls: list[tuple[str, tuple[int, ...]] | None] = [None] * len(keys)
     cursor = 0
     for name, var, rule, rows in selection:
@@ -231,23 +229,19 @@ def build_execution_plan(system: RecurrenceSystem,
                 if src_id is None:
                     scalar_error(src_key)
                 operands[nid] = (src_id,)
-                operand_keys[nid] = (src_key,)
             continue
         # ComputeRule
         per_ref = [(_operand_points(ref.index, dims, pts, rows, params),
                     ref.var) for ref in rule.operands]
         for pos, nid in enumerate(ids):
             op_ids = []
-            op_keys = []
             for ref_rows, ref_var in per_ref:
                 op_key = ValueKey(name, ref_var, ref_rows[pos])
                 op_id = key_ids.get(op_key)
                 if op_id is None:
                     scalar_error(op_key)
                 op_ids.append(op_id)
-                op_keys.append(op_key)
             operands[nid] = tuple(op_ids)
-            operand_keys[nid] = tuple(op_keys)
 
     # Pass 3 — iterative worklist (Kahn) over the dependence-id graph.
     n = len(keys)
@@ -287,9 +281,8 @@ def build_execution_plan(system: RecurrenceSystem,
 
     return ExecutionPlan(system=system, params=params, points=pts_arrays,
                          keys=keys, rules=rules, rows=node_rows,
-                         operands=operands, operand_keys=operand_keys,
-                         input_calls=input_calls, order=order,
-                         outputs=outputs)
+                         operands=operands, input_calls=input_calls,
+                         order=order, outputs=outputs)
 
 
 def execute_plan(plan: ExecutionPlan,

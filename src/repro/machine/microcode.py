@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.ir.evaluate import SystemTrace, ValueKey
-from repro.ir.statements import ComputeRule, InputRule, LinkRule
+from repro.ir.statements import InputRule, LinkRule
 from repro.machine.errors import CapacityError, CausalityError, LocalityError
 from repro.obs import TRACER
 from repro.space.diophantine import LinkDecomposer
@@ -109,8 +109,7 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
     :class:`~repro.space.allocation.SpaceMap`.
     """
     plan = trace.plan
-    keys, rules = plan.keys, plan.rules
-    operands, operand_keys = plan.operands, plan.operand_keys
+    keys, rules, operands = plan.keys, plan.rules, plan.operands
     mc = Microcode()
     # Placement of every value: one T and one S evaluation per module over
     # its domain array, read back through each node's point row.
@@ -118,12 +117,13 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
         slots: dict[str, tuple[list, list]] = {}
         place: list[tuple[int, Cell]] = [None] * plan.node_count
         for nid, (key, row) in enumerate(zip(keys, plan.rows)):
-            slot = slots.get(key.module)
+            mod = key.module
+            slot = slots.get(mod)
             if slot is None:
-                pts = plan.points[key.module]
-                slot = slots[key.module] = (
-                    schedules[key.module].times(pts).tolist(),
-                    list(map(tuple, space_maps[key.module].cells(pts).tolist())))
+                pts = plan.points[mod]
+                slot = slots[mod] = (
+                    schedules[mod].times(pts).tolist(),
+                    list(map(tuple, space_maps[mod].cells(pts).tolist())))
             place[nid] = (slot[0][row], slot[1][row])
         mc.placement = dict(zip(keys, place))
 
@@ -197,7 +197,7 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
         if isinstance(rule, LinkRule):
             route_requests.append((operands[nid][0], nid, rule.min_gap))
             mc.operations.append(Operation(key, cell, t, None,
-                                           operand_keys[nid], stream))
+                                           (keys[operands[nid][0]],), stream))
             continue
         # ComputeRule: route every cross-point operand; same-point operands
         # are intra-cycle reads.
@@ -211,8 +211,9 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
             if c_op == cell and t_op >= t:
                 raise CausalityError(
                     f"{key} at t={t} reads {keys[op_id]} produced at t={t_op}")
-        mc.operations.append(Operation(key, cell, t, rule.op,
-                                       operand_keys[nid], stream))
+        mc.operations.append(Operation(
+            key, cell, t, rule.op,
+            tuple([keys[op_id] for op_id in operands[nid]]), stream))
 
     # Second pass: route earliest-deadline-first, so transfers with tight
     # windows claim channel slots before slack-rich ones push them out.

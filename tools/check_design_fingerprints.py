@@ -105,9 +105,9 @@ def fingerprints(case: dict, sources: dict | None = None
 
     sources = sources or _sources()
     try:
+        interconnect = api.resolve_interconnect(case["interconnect"])
         state = api.run_pipeline(sources[case["problem"]](),
-                                 dict(case["params"]),
-                                 api.resolve_interconnect(case["interconnect"]),
+                                 dict(case["params"]), interconnect,
                                  api.SynthesisOptions())
     except api.SynthesisError as exc:
         return f"error:{type(exc).__name__}", None
