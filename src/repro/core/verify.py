@@ -23,7 +23,11 @@ import numpy as np
 
 from repro.core.design import Design
 from repro.deps.extract import system_dependence_matrices
-from repro.ir.evaluate import SystemTrace, build_execution_plan, trace_execution
+from repro.ir.evaluate import (
+    SystemTrace,
+    build_execution_plan,
+    trace_execution,
+)
 from repro.ir.vector import HostGather, lower_plan
 from repro.machine.engines import Engine, coerce_engine
 from repro.machine.errors import CapacityError

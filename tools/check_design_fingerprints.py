@@ -61,22 +61,17 @@ def case_label(case: dict) -> str:
     return f"{case['problem']}({params})@{case['interconnect']}"
 
 
-def _value_free_trace(state):
-    """A trace of ``state``'s system with structure and no values."""
-    from repro.ir.evaluate import SystemTrace, build_execution_plan
-
-    return SystemTrace(build_execution_plan(state.system, state.params))
-
-
 def lowering_fingerprint(state) -> str:
     """``sha256:<hex>`` of the allocate pass's microcode and its lowering:
     the lowered machine's statistics and structural event stream."""
     from dataclasses import asdict
 
+    from repro.ir.evaluate import SystemTrace, build_execution_plan
     from repro.machine.native import lower
 
     mc = state.microcode
-    machine = lower(mc, _value_free_trace(state), record_events=True)
+    plan = build_execution_plan(state.system, state.params)
+    machine = lower(mc, SystemTrace(plan), record_events=True)
     body = {
         "injections": [[repr(e.key), e.cell, e.cycle, e.input_name,
                         e.input_index] for e in mc.injections],
