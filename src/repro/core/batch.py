@@ -61,7 +61,6 @@ from repro.core.cache import (
 )
 from repro.core.design import Design
 from repro.core.explore import non_dominated
-from repro.core.globals import link_constraints
 from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
 from repro.core.verify import verify_design
@@ -213,9 +212,7 @@ class SweepResult:
         """Rebuild the full design (successful results only)."""
         if not self.ok or self.design_payload is None:
             raise ValueError(f"{self.label()}: no design (job failed)")
-        design = Design.from_dict(self.design_payload, system)
-        design.constraints = link_constraints(system, design.params)
-        return design
+        return Design.from_dict(self.design_payload, system)
 
     def to_dict(self) -> dict:
         return {

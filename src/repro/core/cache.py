@@ -68,7 +68,6 @@ except ImportError:                                   # non-POSIX platforms
 from repro.arrays.interconnect import Interconnect
 from repro.core.design import Design
 from repro.core.explore import non_dominated
-from repro.core.globals import link_constraints
 from repro.core.options import SynthesisOptions
 from repro.ir.program import RecurrenceSystem
 from repro.obs import TRACER
@@ -197,8 +196,7 @@ class DesignCache:
 
     The low-level surface (:meth:`load`, :meth:`store`) moves raw payload
     dicts; the high-level surface (:meth:`get`, :meth:`put`) moves
-    :class:`Design` objects, re-deriving the global constraints on load so
-    a cached design verifies exactly like a fresh one.
+    :class:`Design` objects.
     """
 
     def __init__(self, root: "str | os.PathLike | None" = None) -> None:
@@ -391,9 +389,7 @@ class DesignCache:
         payload = self.load(key)
         if payload is None or payload.get("status") != "ok":
             return None
-        design = Design.from_dict(payload["design"], system)
-        design.constraints = link_constraints(system, design.params)
-        return design
+        return Design.from_dict(payload["design"], system)
 
     def put(self, key: str, design: Design, *,
             solve_time: float = 0.0) -> Path:

@@ -5,7 +5,6 @@ count, completion time, and per-variable data flows."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -14,7 +13,6 @@ from repro.arrays.interconnect import Interconnect
 from repro.arrays.model import ArrayRegion, VLSIArray
 from repro.deps.extract import system_dependence_matrices
 from repro.ir.program import RecurrenceSystem
-from repro.schedule.constraints import GlobalConstraint
 from repro.schedule.linear import LinearSchedule
 from repro.space.allocation import SpaceMap, cells_used
 
@@ -32,22 +30,18 @@ class Design:
     interconnect: Interconnect
     schedules: dict[str, LinearSchedule]
     space_maps: dict[str, SpaceMap]
-    constraints: list[GlobalConstraint] = field(default_factory=list)
 
-    _points_cache: dict[str, np.ndarray] = field(default_factory=dict,
-                                                 repr=False)
     #: value-independent verification artifacts (execution plan, microcode,
-    #: lowered machine, symbolic-check outcome) keyed by stage name — filled
-    #: lazily by :func:`repro.core.verify.verify_design`'s native engine.
+    #: lowered machine, symbolic-check outcome) keyed by stage name — the
+    #: synthesis pipeline hands over its plan, and
+    #: :func:`repro.core.verify.verify_design`'s native engine fills the
+    #: rest lazily.  Never persisted.
     _exec_cache: dict[str, object] = field(default_factory=dict, repr=False)
 
     def module_points(self, name: str) -> np.ndarray:
-        if name not in self._points_cache:
-            module = self.system.modules[name]
-            pts = list(module.domain.points(self.params))
-            self._points_cache[name] = np.array(
-                pts, dtype=np.int64).reshape(len(pts), len(module.dims))
-        return self._points_cache[name]
+        """The module's enumerated domain: the shared, read-only array
+        every stage of synthesis and verification reads."""
+        return self.system.modules[name].domain.points_array(self.params)
 
     def time(self, module: str, point) -> int:
         return self.schedules[module].time(point)

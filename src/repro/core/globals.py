@@ -8,59 +8,52 @@ Section V derives the inequalities::
     σ(i, j, j) >= max[λ(i, j, i+1), μ(i, j, j-1)]    (from A5)
 
 by inspecting the inter-module statements.  We compute the same constraints
-*extensionally*: every link rule is enumerated over its guarded domain, and
-each (destination point, source point) pair becomes an instance of a
-:class:`GlobalConstraint`.  The enumeration is exact for the given parameter
-values, handles quasi-affine index maps (the ``(i+j)/2`` boundaries) without
-special cases, and feeds both the timing solver (gap >= min_gap) and the
-space solver (link distance <= gap).
+*extensionally* from the system's :class:`~repro.ir.evaluate.ExecutionPlan`:
+every link node of the plan is one instance, its destination point the
+node's own point and its source point that of its one operand.  The plan
+has already resolved which rule fires where (first-match guards) and where
+each quasi-affine index map (the ``(i+j)/2`` boundaries) points, so the
+instances are exact for the plan's parameter values.  They feed the timing
+solver (gap >= min_gap), the space solver (link distance <= gap) and the
+global-gap check of verification.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
-from repro.ir.program import RecurrenceSystem
+from repro.ir.evaluate import ExecutionPlan
+from repro.ir.statements import LinkRule
 from repro.schedule.constraints import GlobalConstraint
 
 
-def link_constraints(system: RecurrenceSystem,
-                     params: Mapping[str, int]) -> list[GlobalConstraint]:
-    """One :class:`GlobalConstraint` per link rule, instances enumerated.
+def link_constraints(plan: ExecutionPlan) -> list[GlobalConstraint]:
+    """One :class:`GlobalConstraint` per link rule that fires somewhere.
 
-    Constraints are named by the rule's label (A1..A5) when present,
-    otherwise ``dst_module.dst_var[rule_index]``.
+    Constraints come in module, equation and rule order, instances in the
+    module's point order.  They are named by the rule's label (A1..A5)
+    when present, otherwise ``dst_module.dst_var[rule_index]``.
     """
+    groups: dict[tuple[str, str, int], list[int]] = {}
+    for nid, rule in enumerate(plan.rules):
+        if isinstance(rule, LinkRule):
+            key = plan.keys[nid]
+            groups.setdefault((key.module, key.var, id(rule)), []).append(nid)
+    rows = np.asarray(plan.rows, dtype=np.int64)
     constraints: list[GlobalConstraint] = []
-    domains = {name: list(m.domain.points(params))
-               for name, m in system.modules.items()}
-    for module_name, module in system.modules.items():
+    for module_name, module in plan.system.modules.items():
         for eqn in module.equations.values():
             for rule_idx, rule in enumerate(eqn.rules):
-                if not hasattr(rule, "source"):
+                nids = groups.get((module_name, eqn.var, id(rule)))
+                if not isinstance(rule, LinkRule) or not nids:
                     continue
-                dst_pts: list[tuple[int, ...]] = []
-                src_pts: list[tuple[int, ...]] = []
-                for p in domains[module_name]:
-                    binding = {**params, **dict(zip(module.dims, p))}
-                    if not eqn.defined_at(binding):
-                        continue
-                    # First-match semantics: the rule constrains only the
-                    # points where it actually fires.
-                    if eqn.select(binding) is not rule:
-                        continue
-                    dst_pts.append(p)
-                    src_pts.append(rule.source.evaluate(binding))
-                if not dst_pts:
-                    continue
+                src_ids = [plan.operands[nid][0] for nid in nids]
                 name = rule.label or f"{module_name}.{eqn.var}[{rule_idx}]"
                 constraints.append(GlobalConstraint(
                     name=name,
                     dst_module=module_name,
                     src_module=rule.source.module,
-                    dst_points=np.array(dst_pts, dtype=np.int64),
-                    src_points=np.array(src_pts, dtype=np.int64),
+                    dst_points=plan.points[module_name][rows[nids]],
+                    src_points=plan.points[rule.source.module][rows[src_ids]],
                     min_gap=rule.min_gap))
     return constraints

@@ -35,8 +35,3 @@ class SynthesisOptions:
         """JSON-safe canonical form (part of the design-cache key)."""
         return {"time_bound": self.time_bound,
                 "space_bound": self.space_bound}
-
-    @staticmethod
-    def from_dict(data: dict) -> "SynthesisOptions":
-        return SynthesisOptions(time_bound=data["time_bound"],
-                                space_bound=data["space_bound"])

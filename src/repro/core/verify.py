@@ -4,14 +4,19 @@ A design passes when *both* of these agree:
 
 1. **Symbolic checks** — condition (1) per module, condition (2)
    conflict-freedom over the enumerated domains, the global timing gaps of
-   every link instance, and flow realisability of every dependence;
+   every link instance (read from the system's execution plan by
+   :func:`~repro.core.globals.link_constraints`, so a design rebuilt from
+   its payload is checked exactly like a fresh one), and flow
+   realisability of every dependence;
 2. **Physical execution** — the design compiles to microcode (placement +
    routing raise on any causality/locality violation) and the cycle-accurate
    machine, fed only host inputs at the boundary, reproduces the reference
    evaluator's results bit for bit.
 
 The checks are deliberately independent of the solvers: they re-derive
-everything from the system and the (T, S) assignments.
+everything from the system and the (T, S) assignments.  The native engine
+reuses the execution plan the synthesis pipeline handed the design (or
+builds and caches it once); the interpreted oracle builds its own.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.design import Design
+from repro.core.globals import link_constraints
 from repro.deps.extract import system_dependence_matrices
 from repro.ir.evaluate import (
+    ExecutionPlan,
     SystemTrace,
     build_execution_plan,
     trace_execution,
@@ -61,7 +68,7 @@ class VerificationReport:
 
 
 def _symbolic_checks(design: Design, report: VerificationReport,
-                     decomposer) -> None:
+                     decomposer, plan: ExecutionPlan) -> None:
     """Conditions (1)–(3) and the global gaps — value-independent."""
     deps = system_dependence_matrices(design.system)
     for name in design.system.modules:
@@ -83,13 +90,22 @@ def _symbolic_checks(design: Design, report: VerificationReport,
             report.failures.append(
                 f"module {name}: some dependence flow is not realisable")
 
-    for gc in design.constraints:
+    for gc in link_constraints(plan):
         dst_t = design.schedules[gc.dst_module].times(gc.dst_points)
         src_t = design.schedules[gc.src_module].times(gc.src_points)
         if not gc.timing_ok(dst_t, src_t):
             report.global_gaps_ok = False
             report.failures.append(
                 f"global constraint {gc.name}: gap below {gc.min_gap}")
+
+
+def _cached_plan(design: Design, cache: dict) -> ExecutionPlan:
+    """The design's execution plan, built at most once."""
+    plan = cache.get("plan")
+    if plan is None:
+        plan = cache["plan"] = build_execution_plan(design.system,
+                                                    design.params)
+    return plan
 
 
 def _annotate_machine(stats: MachineStats) -> None:
@@ -150,10 +166,7 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
     if not input_sets:
         return
     with TRACER.span("verify.reference"):
-        plan = cache.get("plan")
-        if plan is None:
-            plan = cache["plan"] = build_execution_plan(
-                design.system, design.params)
+        plan = _cached_plan(design, cache)
         vplan = cache.get("vplan")
         if vplan is None:
             vplan = cache["vplan"] = lower_plan(plan)
@@ -236,7 +249,6 @@ def verify_design(design: Design, inputs,
     decomposer = design.interconnect.decomposer()
     cache = design._exec_cache if engine == "native" else None
 
-
     with TRACER.span("verify.symbolic"):
         if cache is not None and "symbolic" in cache:
             flags, failures = cache["symbolic"]
@@ -244,7 +256,9 @@ def verify_design(design: Design, inputs,
              report.global_gaps_ok, report.flows_ok) = flags
             report.failures.extend(failures)
         else:
-            _symbolic_checks(design, report, decomposer)
+            plan = (build_execution_plan(design.system, design.params)
+                    if cache is None else _cached_plan(design, cache))
+            _symbolic_checks(design, report, decomposer, plan)
             if cache is not None:
                 cache["symbolic"] = (
                     (report.schedule_valid, report.conflict_free,

@@ -34,9 +34,9 @@ class PipelineState:
     :class:`~repro.ir.program.HighLevelSpec` (optional entry point) and
     the restructured :class:`~repro.ir.program.RecurrenceSystem`, which a
     pass that rewrites it replaces rather than mutates.  The back half is
-    filled in stage by stage: link constraints and schedules, space maps,
-    the value-free microcode skeleton, and finally the packaged
-    :class:`~repro.core.design.Design`.
+    filled in stage by stage: the execution plan with the link constraints
+    read from it and the schedules, space maps, the value-free microcode
+    skeleton, and finally the packaged :class:`~repro.core.design.Design`.
     """
 
     params: Mapping[str, int]
@@ -44,6 +44,7 @@ class PipelineState:
     options: object                      # core.options.SynthesisOptions
     spec: object | None = None           # ir.program.HighLevelSpec
     system: object | None = None         # ir.program.RecurrenceSystem
+    plan: object | None = None           # ir.evaluate.ExecutionPlan
     deps: Mapping[str, object] | None = None
     constraints: Sequence[object] | None = None
     schedules: Mapping[str, object] | None = None

@@ -9,17 +9,20 @@ The historical one-shot ``synthesize`` body is re-expressed as:
 2. ``fuse-accumulators`` — attach composed exact int64 kernels to the
    accumulator composites of the system (ndarray fast path); values and
    event streams are unchanged.
-3. ``schedule`` — per-module dependence matrices, global link
-   constraints, joint linear time functions (with the paper's offset
+3. ``schedule`` — per-module dependence matrices, the system's
+   :class:`~repro.ir.evaluate.ExecutionPlan` (built once per synthesis; a
+   cyclic system has no schedule), the global link constraints read from
+   it, and joint linear time functions (with the paper's offset
    escalation), normalised to start at cycle 0.
 4. ``allocate`` — joint space maps under flow realisability,
    conflict-freedom and adjacency, with plan escalation; each plan's
    candidate that beats the incumbent (the translated plan is searched
-   only below the plain plan's cell count) is compile-checked on a
-   value-free trace (link bandwidth is outside the solvers' model) and the
-   winning candidate's microcode skeleton is kept on the state.
+   only below the plain plan's cell count) is compile-checked on the
+   plan's value-free trace (link bandwidth is outside the solvers' model)
+   and the winning candidate's microcode skeleton is kept on the state.
 5. ``lower-microcode`` — package the :class:`~repro.core.design.Design`
-   beside the cell program the ``allocate`` pass compiled.
+   beside the cell program the ``allocate`` pass compiled, handing it the
+   execution plan for native verification.
 """
 
 from __future__ import annotations
@@ -31,7 +34,11 @@ from repro.core.design import Design
 from repro.core.globals import link_constraints
 from repro.core.restructure import restructure
 from repro.deps.extract import system_dependence_matrices
-from repro.ir.evaluate import SystemTrace, build_execution_plan
+from repro.ir.evaluate import (
+    CyclicDependence,
+    SystemTrace,
+    build_execution_plan,
+)
 from repro.ir.program import HighLevelSpec, Module, RecurrenceSystem
 from repro.ir.statements import ComputeRule
 from repro.ir.vector import fused_int_kernel
@@ -120,23 +127,26 @@ class FuseAccumulatorsPass(Pass):
 
 class SchedulePass(Pass):
     name = "schedule"
-    description = ("extract dependence matrices and link constraints, "
-                   "jointly solve linear time functions (offset escalation "
-                   "on demand), normalise start to cycle 0")
+    description = ("build the execution plan, take the link constraints "
+                   "from it, jointly solve linear time functions (offset "
+                   "escalation on demand), normalise start to cycle 0")
 
     def run(self, state: PipelineState) -> PipelineState:
         system: RecurrenceSystem = state.require("system", "decompose-chains")
         opts = state.options
-        params = dict(state.params)
         deps = system_dependence_matrices(system)
-        constraints = link_constraints(system, params)
 
-        problems = []
         with TRACER.span("synthesize.enumerate"):
-            for name, module in system.modules.items():
-                arr = module.domain.points_array(params)
-                problems.append(ModuleSchedulingProblem(
-                    name, module.dims, deps[name], arr))
+            try:
+                plan = build_execution_plan(system, state.params)
+            except CyclicDependence as exc:
+                # A value that depends on itself has no time to run at.
+                raise NoScheduleExists(
+                    f"cyclic dependence: {exc}") from exc
+            constraints = link_constraints(plan)
+            problems = [ModuleSchedulingProblem(name, module.dims, deps[name],
+                                                plan.points[name])
+                        for name, module in system.modules.items()]
 
         with TRACER.span("synthesize.schedule"):
             try:
@@ -149,7 +159,8 @@ class SchedulePass(Pass):
                     offsets=range(-opts.time_bound, opts.time_bound + 1))
         schedules = normalise_start(time_solution.schedules, problems,
                                     start=0)
-        return state.replace(deps=deps, constraints=tuple(constraints),
+        return state.replace(plan=plan, deps=deps,
+                             constraints=tuple(constraints),
                              schedules=schedules)
 
 
@@ -165,13 +176,11 @@ class AllocatePass(Pass):
         schedules = state.require("schedules", "schedule")
         deps = state.require("deps", "schedule")
         constraints = state.require("constraints", "schedule")
-        opts = state.options
-        params = dict(state.params)
+        check_trace = SystemTrace(state.require("plan", "schedule"))
+        points = check_trace.plan.points
+        space_bound = state.options.space_bound
         interconnect = state.interconnect
-        space_bound = opts.space_bound
         decomposer = interconnect.decomposer()
-        points = {name: module.domain.points_array(params)
-                  for name, module in system.modules.items()}
 
         def offsets_for(name: str, plan: str) -> Sequence[int]:
             if plan == "plain":
@@ -190,7 +199,6 @@ class AllocatePass(Pass):
         best = None
         best_mc = None
         last_error: NoSpaceMapExists | None = None
-        check_trace = None
 
         def lowering(candidate):
             """Physical feasibility of a candidate beyond the solvers'
@@ -201,10 +209,6 @@ class AllocatePass(Pass):
             one physical channel twice in the same cycle.  Compile the
             candidate's placement and routing over a value-free trace;
             returns ``(microcode, None)`` or ``(None, failure)``."""
-            nonlocal check_trace
-            if check_trace is None:
-                check_trace = SystemTrace(
-                    build_execution_plan(system, params))
             try:
                 mc = compile_design(check_trace, schedules, candidate.maps,
                                     decomposer)
@@ -272,12 +276,15 @@ class LowerMicrocodePass(Pass):
         system: RecurrenceSystem = state.require("system", "decompose-chains")
         schedules = state.require("schedules", "schedule")
         space_maps = state.require("space_maps", "allocate")
+        plan = state.require("plan", "schedule")
         state.require("microcode", "allocate")
         design = Design(system=system, params=dict(state.params),
                         interconnect=state.interconnect,
                         schedules=dict(schedules),
-                        space_maps=dict(space_maps),
-                        constraints=list(state.constraints or ()))
+                        space_maps=dict(space_maps))
+        # Native verification reads the plan from here instead of
+        # building it again; nothing in the cache is persisted.
+        design._exec_cache["plan"] = plan
         return state.replace(design=design)
 
 

@@ -62,10 +62,6 @@ class TestSynthesisOptions:
         assert sorted(SynthesisOptions().to_dict()) == [
             "space_bound", "time_bound"]
 
-    def test_dict_round_trip(self):
-        opts = SynthesisOptions(time_bound=4, space_bound=2)
-        assert SynthesisOptions.from_dict(opts.to_dict()) == opts
-
 
 class TestRetiredEngines:
     """``"compiled"`` and ``"vector"`` were folded into ``"native"``: they

@@ -22,7 +22,7 @@ class TestCoarseTiming:
     def test_coarse_is_lower_bound_of_actual(self):
         """τ(i^s) >= T(i^s) must hold for the final schedules: the combine
         time σ of every (i,j) is at least the coarse availability."""
-        from repro.core import link_constraints, synthesize
+        from repro.core import synthesize
         from repro.arrays import FIG1_UNIDIRECTIONAL
 
         system = dp_system()

@@ -3,7 +3,8 @@ byte for byte.
 
 ``_legacy_synthesize`` below is the pre-pipeline ``core.nonuniform``
 implementation, vendored verbatim (over the exhaustive allocator oracle of
-``tests/space/allocator_oracle.py``): the acceptance oracle.  For every
+``tests/space/allocator_oracle.py`` and the scalar link constraints of
+``tests/core/link_oracle.py``): the acceptance oracle.  For every
 problem the new pipeline must produce the identical design dict *and*
 the identical canonical compiled event stream.
 """
@@ -14,7 +15,6 @@ import pytest
 
 from repro.arrays.interconnect import resolve_interconnect
 from repro.core.design import Design
-from repro.core.globals import link_constraints
 from repro.core.nonuniform import synthesize
 from repro.core.options import SynthesisOptions
 from repro.deps.extract import system_dependence_matrices
@@ -41,6 +41,7 @@ from repro.schedule.multimodule import (
 from repro.schedule.solver import NoScheduleExists
 from repro.space.multimodule import ModuleSpaceProblem, NoSpaceMapExists
 
+from tests.core.link_oracle import scalar_link_constraints
 from tests.space.allocator_oracle import solve_multimodule_space
 
 
@@ -55,7 +56,7 @@ def _legacy_synthesize(system, params, interconnect,
     space_offsets = None
     params = dict(params)
     deps = system_dependence_matrices(system)
-    constraints = link_constraints(system, params)
+    constraints = scalar_link_constraints(system, params)
 
     points = {}
     problems = []
@@ -144,8 +145,7 @@ def _legacy_synthesize(system, params, interconnect,
             raise failure
 
     return Design(system=system, params=params, interconnect=interconnect,
-                  schedules=schedules, space_maps=best.maps,
-                  constraints=constraints)
+                  schedules=schedules, space_maps=best.maps)
 
 
 def _compiled_stream(design, inputs) -> str:

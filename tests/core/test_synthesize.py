@@ -1,12 +1,33 @@
 """End-to-end synthesis: the paper's designs, exactly."""
 
-from repro.arrays import FIG2_EXTENDED
-from repro.core import synthesize, verify_design
+import pytest
+
+from repro.arrays import FIG1_UNIDIRECTIONAL, FIG2_EXTENDED, LINEAR_BIDIR
+from repro.core import NoScheduleExists, synthesize, verify_design
+from repro.core import verify as verify_mod
+from repro.ir import (
+    IDENTITY,
+    ComputeRule,
+    Equation,
+    ExternalRef,
+    LinkRule,
+    Module,
+    OutputSpec,
+    Polyhedron,
+    RecurrenceSystem,
+    Ref,
+    evaluate,
+)
+from repro.ir.affine import var
 from repro.problems import (
     convolution_inputs,
     dp_inputs,
     dp_system,
+    random_inputs,
 )
+from repro.rewrite import pipeline as pipeline_mod
+
+I = var("i")
 
 
 class TestFig1Design:
@@ -97,3 +118,59 @@ class TestDesignObject:
     def test_time_normalised_to_zero(self, dp_design_fig1):
         lo, hi = dp_design_fig1.time_range()
         assert lo == 0
+
+    def test_module_points_are_the_shared_domain_array(self, dp_design_fig1):
+        d = dp_design_fig1
+        pts = d.module_points("m1")
+        assert pts is d.system.modules["m1"].domain.points_array(d.params)
+        assert not pts.flags.writeable
+
+
+
+class TestCyclicSystems:
+    """A value that depends on itself has no schedule: ``synthesize``
+    reports it as :class:`NoScheduleExists`, a ``SynthesisError`` that
+    sweeps record as an infeasible job."""
+
+    DOMAIN = Polyhedron.box({"i": (1, 3)})
+
+    def test_intra_point_cycle(self):
+        x = Equation("x", (ComputeRule(IDENTITY, (Ref.of("y", I),)),))
+        y = Equation("y", (ComputeRule(IDENTITY, (Ref.of("x", I),)),))
+        system = RecurrenceSystem(
+            "loop", [Module("loop", ("i",), self.DOMAIN, [x, y])],
+            outputs=[])
+        with pytest.raises(NoScheduleExists, match="cycl"):
+            synthesize(system, {}, LINEAR_BIDIR)
+
+    def test_link_cycle_between_modules(self):
+        a = Module("A", ("i",), self.DOMAIN,
+                   [Equation("x", (LinkRule(ExternalRef.of("B", "y", I)),))])
+        b = Module("B", ("i",), self.DOMAIN,
+                   [Equation("y", (LinkRule(ExternalRef.of("A", "x", I)),))])
+        system = RecurrenceSystem(
+            "links", [a, b], outputs=[OutputSpec("B", "y", self.DOMAIN, (I,))])
+        with pytest.raises(NoScheduleExists):
+            synthesize(system, {}, LINEAR_BIDIR)
+
+
+def test_synthesis_and_native_verify_build_one_plan(monkeypatch):
+    """The schedule pass builds the execution plan; native verification of
+    the fresh design reuses it instead of building another."""
+    built = []
+    original = evaluate.build_execution_plan
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    for module in (evaluate, pipeline_mod, verify_mod):
+        monkeypatch.setattr(module, "build_execution_plan", counting)
+    params = {"n": 5}
+    design = synthesize(dp_system(), params, FIG1_UNIDIRECTIONAL)
+    assert len(built) == 1
+    report = verify_design(design,
+                           lambda seed: random_inputs("dp", params, seed),
+                           seeds=range(2))
+    assert report.ok, report.failures
+    assert len(built) == 1

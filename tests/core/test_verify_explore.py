@@ -125,11 +125,15 @@ class TestVerifyDesign:
             interconnect=dp_design_fig1.interconnect,
             schedules={**dp_design_fig1.schedules,
                        "comb": dp_design_fig1.schedules["comb"].shifted(-3)},
-            space_maps=dp_design_fig1.space_maps,
-            constraints=dp_design_fig1.constraints)
+            space_maps=dp_design_fig1.space_maps)
         report = verify_design(broken, dp_host_inputs)
         assert not report.ok
         assert not report.global_gaps_ok
+        # A design rebuilt from its payload is checked just the same.
+        rebuilt = Design.from_dict(broken.to_dict(), broken.system)
+        for engine in ("native", "interpreted"):
+            report = verify_design(rebuilt, dp_host_inputs, engine=engine)
+            assert not report.global_gaps_ok, engine
 
 
 class TestExploration:

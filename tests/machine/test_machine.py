@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import link_constraints, synthesize
+from repro.core import synthesize
 from repro.ir import trace_execution
 from repro.machine import (
     CausalityError,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import link_constraints
 from repro.deps import system_dependence_matrices
+from repro.ir.evaluate import build_execution_plan
 from repro.problems import dp_system
 from repro.schedule import (
     GlobalConstraint,
@@ -25,7 +26,7 @@ def dp_problems(n=8):
         pts = np.array(list(module.domain.points(params)), dtype=np.int64)
         problems.append(ModuleSchedulingProblem(name, module.dims,
                                                 deps[name], pts))
-    return problems, link_constraints(system, params)
+    return problems, link_constraints(build_execution_plan(system, params))
 
 
 class TestPaperSolution:

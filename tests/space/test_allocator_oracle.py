@@ -28,6 +28,7 @@ from repro.core.options import SynthesisOptions
 from repro.deps import DependenceMatrix, system_dependence_matrices
 from repro.fuzz import build_spec, load_corpus
 from repro.fuzz.oracle import OracleReject, evaluate
+from repro.ir.evaluate import build_execution_plan
 from repro.problems import convolution_backward, convolution_forward, dp_system
 from repro.schedule import (
     LinearSchedule,
@@ -121,7 +122,7 @@ def dp_setup():
     sched_problems = [
         ModuleSchedulingProblem(name, m.dims, deps[name], pts[name])
         for name, m in system.modules.items()]
-    constraints = link_constraints(system, params)
+    constraints = link_constraints(build_execution_plan(system, params))
     schedules = solve_multimodule(sched_problems, constraints,
                                   bound=3).schedules
     return system, deps, pts, constraints, schedules

@@ -6,6 +6,7 @@ import pytest
 from repro.arrays import FIG1_UNIDIRECTIONAL, FIG2_EXTENDED
 from repro.core import link_constraints
 from repro.deps import system_dependence_matrices
+from repro.ir.evaluate import build_execution_plan
 from repro.problems import dp_system
 from repro.schedule import ModuleSchedulingProblem, solve_multimodule
 from repro.space import (
@@ -27,7 +28,7 @@ def dp_setup():
     sched_problems = [
         ModuleSchedulingProblem(name, m.dims, deps[name], pts[name])
         for name, m in system.modules.items()]
-    constraints = link_constraints(system, params)
+    constraints = link_constraints(build_execution_plan(system, params))
     schedules = solve_multimodule(sched_problems, constraints, bound=3).schedules
     return system, deps, pts, constraints, schedules
 

@@ -66,12 +66,11 @@ def lowering_fingerprint(state) -> str:
     the lowered machine's statistics and structural event stream."""
     from dataclasses import asdict
 
-    from repro.ir.evaluate import SystemTrace, build_execution_plan
+    from repro.ir.evaluate import SystemTrace
     from repro.machine.native import lower
 
     mc = state.microcode
-    plan = build_execution_plan(state.system, state.params)
-    machine = lower(mc, SystemTrace(plan), record_events=True)
+    machine = lower(mc, SystemTrace(state.plan), record_events=True)
     body = {
         "injections": [[repr(e.key), e.cell, e.cycle, e.input_name,
                         e.input_index] for e in mc.injections],
