@@ -42,6 +42,7 @@ from repro.api import (
     available_passes,
     explore_uniform,
     resolve_interconnect,
+    run_pipeline,
     run_sweep,
     synthesize,
     verify_design,
@@ -54,8 +55,8 @@ from repro.problems import (
     input_factory,
     random_inputs,
 )
-from repro.ir import trace_execution
-from repro.machine import cell_utilization, compile_design, run
+from repro.ir import SystemTrace
+from repro.machine import cell_utilization, run
 from repro.obs import (
     CLIProgress,
     EventLog,
@@ -265,8 +266,9 @@ def cmd_profile(args) -> int:
     """Profile one design end to end and export both views of it.
 
     Default mode force-enables the span tracer, synthesizes the requested
-    design, verifies it (adding the ``verify.*`` spans) and executes it
-    once more with an event sink attached.  It writes four files: the
+    design, verifies it (adding the ``verify.*`` spans) and executes the
+    microcode the synthesis pipeline compiled once more, with an event
+    sink attached.  It writes four files: the
     machine's event log as ``<out>.events.jsonl`` (one event per line) and
     ``<out>.trace.json`` (Chrome ``trace_event``), and the span forest as
     ``<out>.collapsed`` (folded stacks — feed to flamegraph.pl or drop into
@@ -295,15 +297,14 @@ def cmd_profile(args) -> int:
     params = {"n": args.n}
     if "s" in needed:
         params["s"] = args.s
-    system = builder()
-    design = synthesize(system, params, _interconnect(args.interconnect))
+    state = run_pipeline(builder(), params, _interconnect(args.interconnect),
+                         SynthesisOptions())
     inputs = _random_inputs(args.problem, params, args.seed)
-    report = verify_design(design, inputs)
-    trace = trace_execution(system, params, inputs)
-    mc = compile_design(trace, design.schedules, design.space_maps,
-                        design.interconnect.decomposer())
+    report = verify_design(state.design, inputs)
+    mc = state.microcode
     log = EventLog()
-    machine = run(mc, trace, inputs, engine="native", sink=log)
+    machine = run(mc, SystemTrace(state.plan), inputs, engine="native",
+                  sink=log)
 
     # Canonical order makes the exports byte-identical to the
     # interpreter's stream.

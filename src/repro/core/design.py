@@ -33,9 +33,10 @@ class Design:
 
     #: value-independent verification artifacts (execution plan, microcode,
     #: lowered machine, symbolic-check outcome) keyed by stage name — the
-    #: synthesis pipeline hands over its plan, and
-    #: :func:`repro.core.verify.verify_design`'s native engine fills the
-    #: rest lazily.  Never persisted.
+    #: synthesis pipeline hands over its plan and microcode, and
+    #: :func:`repro.core.verify.verify_design`'s native engine lowers the
+    #: microcode (then drops it) and fills the rest lazily.  Never
+    #: persisted.
     _exec_cache: dict[str, object] = field(default_factory=dict, repr=False)
 
     def module_points(self, name: str) -> np.ndarray:

@@ -15,8 +15,10 @@ A design passes when *both* of these agree:
 
 The checks are deliberately independent of the solvers: they re-derive
 everything from the system and the (T, S) assignments.  The native engine
-reuses the execution plan the synthesis pipeline handed the design (or
-builds and caches it once); the interpreted oracle builds its own.
+reuses the execution plan and the microcode the synthesis pipeline handed
+the design (or builds and caches the plan and compiles the microcode
+once, as for a design rebuilt from its payload); the interpreted oracle
+builds and compiles its own.
 """
 
 from __future__ import annotations
@@ -174,9 +176,12 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
         with TRACER.span("verify.compile"):
             machine = cache.get("nmachine")
             if machine is None:
+                # Popped: once lowered, the design keeps only the machine.
                 trace = SystemTrace(plan)
-                mc = compile_design(trace, design.schedules,
-                                    design.space_maps, decomposer)
+                mc = cache.pop("microcode", None)
+                if mc is None:
+                    mc = compile_design(trace, design.schedules,
+                                        design.space_maps, decomposer)
                 machine = cache["nmachine"] = lower(mc, trace)
             if machine.strict_error is not None:
                 raise CapacityError(machine.strict_error)
@@ -202,16 +207,14 @@ def _verify_batched(design: Design, report: VerificationReport, decomposer,
             f"{prefixes[0]}machine: {type(exc).__name__}: {exc}")
         return
     report.machine_stats = stats
-    mach_by_key = dict(machine.outputs)
-    pairs = [(host_key, nid, mach_by_key[host_key])
-             for host_key, nid in plan.outputs]
-    eq = (ref_matrix[:, [nid for _, nid, _ in pairs]]
-          == mach_matrix[:, [vid for _, _, vid in pairs]])
+    # Both passes name values by the plan's node ids.
+    cols = [nid for _, nid in plan.outputs]
+    eq = ref_matrix[:, cols] == mach_matrix[:, cols]
     seed_ok = np.asarray(eq.all(axis=1), dtype=bool)
     for s in np.flatnonzero(~seed_ok).tolist():
         report.machine_matches_reference = False
         diffs = [host_key
-                 for (host_key, _, _), ok in zip(pairs, eq[s]) if not ok]
+                 for (host_key, _), ok in zip(plan.outputs, eq[s]) if not ok]
         report.failures.append(f"{prefixes[s]}machine results differ "
                                f"from reference at {diffs[:5]}")
 
@@ -229,9 +232,10 @@ def verify_design(design: Design, inputs,
     shared-object cache (:mod:`repro.machine.native`); without a
     toolchain the passes run as ndarray kernels, and inputs outside exact
     int64 range run on object arrays.  Every value-independent artifact
-    (the plans, the microcode, the lowered machine, the symbolic-check
-    outcome) is cached on the design, so repeated verification — sweeps
-    cross-checking many input seeds — only redoes the value passes.
+    (the plans, the lowered machine, the symbolic-check outcome) is
+    cached on the design, so repeated verification — sweeps
+    cross-checking many input seeds — only redoes the value passes; the
+    microcode is lowered once and then dropped.
     ``engine="interpreted"`` is the from-scratch oracle: reference
     evaluation plus the cycle-by-cycle simulator, nothing cached.
 

@@ -23,9 +23,11 @@ Stages, in order, with the outcome taxonomy each can produce:
    byte-identical canonical event stream (``canonical_order`` then JSONL).
 7. **pipeline** — the last comparison point: the case is round-tripped
    *again* through the pass pipeline from its high-level spec (exercising
-   the ``decompose-chains`` ingest pass), and the resulting design dict,
-   machine values and canonical event stream of the C tier must match the
-   system-entry run byte for byte.
+   the ``decompose-chains`` ingest pass).  The resulting design dict must
+   match the system-entry design, and the microcode the ``allocate`` pass
+   handed over — what native verification runs — must give the machine
+   values and the canonical event stream of the C tier that the
+   independently compiled microcode above gave, byte for byte.
 
 Any unexpected exception anywhere is a ``bug`` — error-path hygiene is
 part of the contract being fuzzed.
@@ -46,7 +48,7 @@ from repro.core.restructure import RestructureError, restructure
 from repro.core.verify import verify_design
 from repro.fuzz.cases import CaseDescriptor, build_inputs, build_spec
 from repro.fuzz.oracle import OracleReject, evaluate
-from repro.ir.evaluate import run_system, trace_execution
+from repro.ir.evaluate import SystemTrace, run_system, trace_execution
 from repro.machine.microcode import compile_design
 from repro.machine.simulator import run
 from repro.obs.events import EventLog, canonical_order
@@ -166,22 +168,19 @@ def run_case(desc: CaseDescriptor) -> CaseOutcome:
 
     # Fourth comparison point: the same case again, through the pass
     # pipeline from its *spec* (decompose-chains does the restructuring
-    # this time).  The one-shot path above already restructured the
-    # same spec, so any infeasibility here is a divergence, not an
-    # honest reject.
+    # this time), running the microcode the allocate pass handed over.
+    # The one-shot path above already restructured the same spec, so any
+    # infeasibility here is a divergence, not an honest reject.
     try:
         state = run_pipeline(spec, params, interconnect, options)
-        pdesign = state.design
-        if pdesign.to_dict() != design.to_dict():
+        if state.design.to_dict() != design.to_dict():
             return CaseOutcome(
                 "bug", "pipeline",
                 "pass-pipeline design differs from the system-entry "
                 "design")
-        ptrace = trace_execution(pdesign.system, params, inputs)
-        pmc = compile_design(ptrace, pdesign.schedules, pdesign.space_maps,
-                             interconnect.decomposer())
         log = EventLog()
-        machine = _run_tier(ENGINE_ORDER[-1], pmc, ptrace, inputs, log)
+        machine = _run_tier(ENGINE_ORDER[-1], state.microcode,
+                            SystemTrace(state.plan), inputs, log)
         if machine.results != oracle:
             return CaseOutcome("bug", "pipeline",
                                _diff(machine.results, oracle))

@@ -4,7 +4,8 @@ A design assigns every computation of every module a (time, cell) via its
 schedule and space map.  This compiler turns the *structure* of a system
 execution — which rule fires at each point and which values it reads, as
 recorded by its :class:`~repro.ir.evaluate.ExecutionPlan`, never the values
-themselves — into three event streams:
+themselves — into three event streams, each record naming its value by
+the plan's node id (``plan.keys[node]`` is its key):
 
 * **injections** — host inputs entering boundary cells at fixed cycles;
 * **operations** — a cell applying an op to values in its register file
@@ -32,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.ir.evaluate import SystemTrace, ValueKey
+from repro.ir.evaluate import SystemTrace
 from repro.ir.statements import InputRule, LinkRule
-from repro.machine.errors import CapacityError, CausalityError, LocalityError
+from repro.machine.errors import (CapacityError, CausalityError,
+                                  LocalityError, MissingOperandError)
 from repro.obs import TRACER
 from repro.space.diophantine import LinkDecomposer
 
@@ -43,9 +45,10 @@ Cell = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Injection:
-    """Host writes ``value_of[key]`` into ``cell``'s registers at ``cycle``."""
+    """Host writes node ``node``'s value into ``cell``'s registers at
+    ``cycle``."""
 
-    key: ValueKey
+    node: int
     cell: Cell
     cycle: int
     input_name: str
@@ -54,26 +57,28 @@ class Injection:
 
 @dataclass(frozen=True)
 class Operation:
-    """``key := op(*operands)`` executed in ``cell`` at ``cycle``.
+    """``node := op(*operands)`` executed in ``cell`` at ``cycle``.
 
-    ``op`` is ``None`` for a copy (link transfer arriving as a register
-    rename).  ``same_cycle`` flags operands produced in this very cell and
-    cycle (intra-cycle forwarding; the simulator orders those topologically).
+    ``operands`` is the plan's own tuple of node ids.  ``op`` is ``None``
+    for a copy (link transfer arriving as a register rename).  Operands
+    produced in this very cell and cycle are intra-cycle forwarding (the
+    engines order those topologically).
     """
 
-    key: ValueKey
+    node: int
     cell: Cell
     cycle: int
     op: object          # repro.ir.ops.Op or None for copy
-    operands: tuple[ValueKey, ...]
+    operands: tuple[int, ...]
     stream: tuple[str, str]   # (module, var) — the physical channel class
 
 
 @dataclass(frozen=True)
 class Hop:
-    """``key`` moves from ``src`` over one link to ``dst`` during ``cycle``."""
+    """Node ``node``'s value moves from ``src`` over one link to ``dst``
+    during ``cycle``."""
 
-    key: ValueKey
+    node: int
     src: Cell
     dst: Cell
     cycle: int
@@ -82,12 +87,13 @@ class Hop:
 
 @dataclass
 class Microcode:
-    """The complete compiled program of the array."""
+    """The complete compiled program of the array; ``placement[node]`` is
+    the ``(cycle, cell)`` of every plan node."""
 
     injections: list[Injection] = field(default_factory=list)
     operations: list[Operation] = field(default_factory=list)
     hops: list[Hop] = field(default_factory=list)
-    placement: dict[ValueKey, tuple[int, Cell]] = field(default_factory=dict)
+    placement: list[tuple[int, Cell]] = field(default_factory=list)
     first_cycle: int = 0
     last_cycle: int = 0
 
@@ -115,7 +121,7 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
     # its domain array, read back through each node's point row.
     with TRACER.span("machine.compile.placement"):
         slots: dict[str, tuple[list, list]] = {}
-        place: list[tuple[int, Cell]] = [None] * plan.node_count
+        place = mc.placement = [None] * plan.node_count
         for nid, (key, row) in enumerate(zip(keys, plan.rows)):
             mod = key.module
             slot = slots.get(mod)
@@ -125,7 +131,6 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
                     schedules[mod].times(pts).tolist(),
                     list(map(tuple, space_maps[mod].cells(pts).tolist())))
             place[nid] = (slot[0][row], slot[1][row])
-        mc.placement = dict(zip(keys, place))
 
     times = [t for t, _ in place]
     mc.first_cycle = min(times) if times else 0
@@ -177,7 +182,7 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
             tag = (vid, pos, nxt, cycle)
             if tag not in seen_hops:
                 seen_hops.add(tag)
-                mc.hops.append(Hop(value, pos, nxt, cycle, stream))
+                mc.hops.append(Hop(vid, pos, nxt, cycle, stream))
             pos = nxt
             t_prev = cycle
 
@@ -191,13 +196,13 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
         stream = (key.module, key.var)
         if isinstance(rule, InputRule):
             input_name, input_index = plan.input_calls[nid]
-            mc.injections.append(Injection(key, cell, t, input_name,
+            mc.injections.append(Injection(nid, cell, t, input_name,
                                            input_index))
             continue
         if isinstance(rule, LinkRule):
             route_requests.append((operands[nid][0], nid, rule.min_gap))
-            mc.operations.append(Operation(key, cell, t, None,
-                                           (keys[operands[nid][0]],), stream))
+            mc.operations.append(Operation(nid, cell, t, None,
+                                           operands[nid], stream))
             continue
         # ComputeRule: route every cross-point operand; same-point operands
         # are intra-cycle reads.
@@ -211,9 +216,8 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
             if c_op == cell and t_op >= t:
                 raise CausalityError(
                     f"{key} at t={t} reads {keys[op_id]} produced at t={t_op}")
-        mc.operations.append(Operation(
-            key, cell, t, rule.op,
-            tuple([keys[op_id] for op_id in operands[nid]]), stream))
+        mc.operations.append(Operation(nid, cell, t, rule.op,
+                                       operands[nid], stream))
 
     # Second pass: route earliest-deadline-first, so transfers with tight
     # windows claim channel slots before slack-rich ones push them out.
@@ -233,3 +237,16 @@ def compile_design(trace: SystemTrace, schedules: Mapping[str, object],
         mc.first_cycle = min(mc.first_cycle, min(h.cycle for h in mc.hops))
         mc.last_cycle = max(mc.last_cycle, max(h.cycle for h in mc.hops))
     return mc
+
+
+def check_node_ids(mc: Microcode, node_count: int) -> None:
+    """Raise :class:`MissingOperandError` if (hand-built) ``mc`` names a
+    value outside ``range(node_count)``."""
+    ids = {r.node for recs in (mc.injections, mc.operations, mc.hops)
+           for r in recs}
+    ids.update(nid for op in mc.operations for nid in op.operands)
+    bad = ids.difference(range(node_count))
+    if bad:
+        raise MissingOperandError(
+            f"microcode names value {min(bad, key=repr)!r}, which is not "
+            f"one of the plan's {node_count} values")

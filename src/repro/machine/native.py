@@ -7,8 +7,9 @@ register files for the pressure statistic.  :func:`lower` turns a
 :class:`~repro.machine.microcode.Microcode` once into a
 :class:`NativeMachine`:
 
-* every :class:`~repro.ir.evaluate.ValueKey` and cell label is interned to a
-  dense id;
+* values keep the dense node ids the microcode already names them by (the
+  :class:`~repro.ir.evaluate.ExecutionPlan`'s); only cell labels are
+  interned;
 * operand availability, hop sources, channel capacities and register
   residency are validated **structurally** — this subsumes the
   interpreter's ``_last_uses`` reclamation and its per-cycle
@@ -24,8 +25,9 @@ register files for the pressure statistic.  :func:`lower` turns a
   (:func:`~repro.ir.vector.build_program`) and its encoded code.
 
 Lowering raises the interpreter's error types (:class:`MissingOperandError`
-for structurally impossible reads).  It is value-independent, so one
-:class:`NativeMachine` serves every execution with different host inputs
+for structurally impossible reads and for node ids outside the plan).  It
+is value-independent, so one :class:`NativeMachine` serves every
+execution with different host inputs
 (the verification engine exploits this when cross-checking a design over
 many input seeds).
 
@@ -73,7 +75,7 @@ from repro.ir.vector import (
     execute_gathered,
 )
 from repro.machine.errors import CapacityError, MissingOperandError
-from repro.machine.microcode import Microcode
+from repro.machine.microcode import Microcode, check_node_ids
 from repro.machine.simulator import MachineRun, MachineStats
 from repro.obs import TRACER
 from repro.obs.events import EventSink, MachineEvent, canonical_order
@@ -155,13 +157,12 @@ class NativeMachine:
     structural property precomputed."""
 
     program: VectorProgram
-    #: (host result key, value id) pairs
+    #: the plan's value keys, indexed by node id
+    keys: list[ValueKey]
+    #: (host result key, node id) pairs
     outputs: list[tuple[tuple[int, ...], int]]
     #: every id that receives a value, in the interpreter's insertion order
     produced: list[int]
-    #: the value key of every id in ``produced``, aligned with it — the
-    #: per-execution ``values`` dict zips these instead of re-indexing
-    produced_keys: list[ValueKey]
     stats: MachineStats
     #: first capacity violation, pre-formatted for the ``strict`` raise
     strict_error: str | None
@@ -200,26 +201,26 @@ class NativeMachine:
             self.replay_events(sink)
         host = self.program.gather().collect((inputs,))
         buf = execute_tiered(self.program, host)[0].tolist()
-        values = (dict(zip(self.produced_keys,
-                           (buf[vid] for vid in self.produced)))
+        keys = self.keys
+        values = ({keys[vid]: buf[vid] for vid in self.produced}
                   if want_values else {})
         results = {host_key: buf[vid] for host_key, vid in self.outputs}
         return MachineRun(values, results, self.copy_stats())
 
 
 def _order_group(ops: list) -> list:
-    """Lexicographic topological order of one cell's same-cycle operations
-    ``(key_id, op, operand_ids)`` (smallest original position first among
-    ready nodes) — the pure-python equivalent of the interpreter's networkx
-    ordering."""
+    """Lexicographic topological order of one cell's same-cycle
+    :class:`~repro.machine.microcode.Operation` records (smallest original
+    position first among ready nodes) — the pure-python equivalent of the
+    interpreter's networkx ordering."""
     if len(ops) <= 1:
         return ops
-    index = {kid: i for i, (kid, _, _) in enumerate(ops)}
+    index = {op.node: i for i, op in enumerate(ops)}
     indeg = [0] * len(ops)
     edges: list[list[int]] = [[] for _ in ops]
-    for i, (kid, _, operand_ids) in enumerate(ops):
-        for oid in operand_ids:
-            if oid == kid:
+    for i, op in enumerate(ops):
+        for oid in op.operands:
+            if oid == op.node:
                 continue
             j = index.get(oid)
             if j is not None:
@@ -236,7 +237,7 @@ def _order_group(ops: list) -> list:
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
     if len(out) < len(ops):
-        _, op, _ = ops[0]
+        op = ops[0]
         raise MissingOperandError(
             f"cyclic intra-cycle dependence at cell {op.cell}, "
             f"cycle {op.cycle}")
@@ -253,81 +254,52 @@ def lower(mc: Microcode, trace: SystemTrace,
     kernel program with its encoded code.  With ``record_events`` the
     cycle-level event stream (injection, fire, hop, output,
     register-reclaim) is also derived structurally — it matches the
-    interpreter's live emission event for event.  Host output keys and
-    the never-reclaimed output values come from ``trace.plan.outputs``;
-    the trace's values are not read.
+    interpreter's live emission event for event.  The microcode's node
+    ids are the program's value ids; ``trace.plan`` supplies their keys,
+    the host output keys and the never-reclaimed output values.  The
+    trace's values are not read.
     """
+    plan = trace.plan
+    keys = plan.keys
+    check_node_ids(mc, plan.node_count)
     first, last = mc.first_cycle, mc.last_cycle
     injections = [e for e in mc.injections if first <= e.cycle <= last]
     operations = [op for op in mc.operations if first <= op.cycle <= last]
     hops = [h for h in mc.hops if first <= h.cycle <= last]
 
-    key_ids: dict[ValueKey, int] = {}
-    keys: list[ValueKey] = []
-
-    def intern(key: ValueKey) -> int:
-        vid = key_ids.get(key)
-        if vid is None:
-            vid = key_ids[key] = len(keys)
-            keys.append(key)
-        return vid
-
     cell_ids: dict[Cell, int] = {}
 
     def intern_cell(cell: Cell) -> int:
-        cid = cell_ids.get(cell)
-        if cid is None:
-            cid = cell_ids[cell] = len(cell_ids)
-        return cid
+        return cell_ids.setdefault(cell, len(cell_ids))
 
-    op_records = []   # (cycle, cell_id, op, key_id, operand_ids)
-    for op in operations:
-        cid = intern_cell(op.cell)
-        operand_ids = tuple(intern(o) for o in op.operands)
-        op_records.append((op.cycle, cid, op, intern(op.key), operand_ids))
-    hop_records = []  # (cycle, src_id, dst_id, key_id, hop)
-    for h in hops:
-        hop_records.append((h.cycle, intern_cell(h.src), intern_cell(h.dst),
-                            intern(h.key), h))
-    inj_records = []  # (cycle, cell_id, key_id, event)
-    for e in injections:
-        inj_records.append((e.cycle, intern_cell(e.cell), intern(e.key), e))
+    op_records = [(op.cycle, intern_cell(op.cell), op) for op in operations]
+    hop_records = [(h.cycle, intern_cell(h.src), intern_cell(h.dst), h)
+                   for h in hops]
+    inj_records = [(e.cycle, intern_cell(e.cell), e) for e in injections]
 
     # Last local use per (cell, value).  Like the interpreter's
     # ``_last_uses`` this scans the *unfiltered* event streams, so an
-    # out-of-range read still pins its operand's register.  In-window
-    # events reuse their records' ids; only the others are interned here,
-    # in stream order, so every id matches a single interning pass.
+    # out-of-range read still pins its operand's register.
     last_use: dict[tuple[int, int], int] = {}
-    op_iter = iter(op_records)
     for op in mc.operations:
-        if first <= op.cycle <= last:
-            _, cid, _, _, operand_ids = next(op_iter)
-        else:
-            cid = intern_cell(op.cell)
-            operand_ids = tuple(intern(o) for o in op.operands)
-        for oid in operand_ids:
+        cid = intern_cell(op.cell)
+        for oid in op.operands:
             pair = (cid, oid)
             if op.cycle > last_use.get(pair, _NEVER):
                 last_use[pair] = op.cycle
-    hop_iter = iter(hop_records)
     for h in mc.hops:
-        if first <= h.cycle <= last:
-            _, sid, _, kid, _ = next(hop_iter)
-            pair = (sid, kid)
-        else:
-            pair = (intern_cell(h.src), intern(h.key))
+        pair = (intern_cell(h.src), h.node)
         if h.cycle > last_use.get(pair, _NEVER):
             last_use[pair] = h.cycle
 
     # -- arrival cycles per (cell, value) -----------------------------------
     arrivals: dict[tuple[int, int], list[int]] = {}
-    for cycle, cid, vid, _ in inj_records:
-        arrivals.setdefault((cid, vid), []).append(cycle)
-    for cycle, cid, _, kid, _ in op_records:
-        arrivals.setdefault((cid, kid), []).append(cycle)
-    for cycle, _, did, kid, _ in hop_records:
-        arrivals.setdefault((did, kid), []).append(cycle)
+    for cycle, cid, e in inj_records:
+        arrivals.setdefault((cid, e.node), []).append(cycle)
+    for cycle, cid, op in op_records:
+        arrivals.setdefault((cid, op.node), []).append(cycle)
+    for cycle, _, did, h in hop_records:
+        arrivals.setdefault((did, h.node), []).append(cycle)
     first_arrival = {pair: min(cs) for pair, cs in arrivals.items()}
 
     # -- hop validation + capacity replay (interpreter's phase-1 order) -----
@@ -339,51 +311,46 @@ def lower(mc: Microcode, trace: SystemTrace,
     hop_records.sort(key=lambda r: r[0])   # stable: original order per cycle
     link_usage: dict[tuple[int, int, tuple[str, str]], int] = {}
     current_cycle: int | None = None
-    for cycle, sid, did, kid, h in hop_records:
+    for cycle, sid, did, h in hop_records:
         if cycle != current_cycle:
             link_usage.clear()
             current_cycle = cycle
-        if first_arrival.get((sid, kid), cycle) >= cycle:
+        if first_arrival.get((sid, h.node), cycle) >= cycle:
             raise MissingOperandError(
-                f"cycle {cycle}: hop of {h.key} out of {h.src} but "
+                f"cycle {cycle}: hop of {keys[h.node]} out of {h.src} but "
                 f"the value is not there")
         channel = (sid, did, h.stream)
         holder = link_usage.get(channel)
-        if holder is not None and holder != kid:
+        if holder is not None and holder != h.node:
             violations.append((cycle, h.src, h.dst, h.stream))
             if strict_error is None:
                 strict_error = (f"cycle {cycle}: stream {h.stream} needs "
                                 f"link {h.src}->{h.dst} twice")
-        link_usage[channel] = kid
+        link_usage[channel] = h.node
 
     # -- operation ordering + operand validation ----------------------------
     # Cycle-major; within a cycle, cells in first-appearance order; within a
     # cell, lexicographic topological order — the interpreter's schedule.
     groups: dict[tuple[int, int], list] = {}
-    group_order: list[tuple[int, int]] = []
-    for rec in sorted(op_records, key=lambda r: r[0]):
-        gk = (rec[0], rec[1])
-        if gk not in groups:
-            groups[gk] = []
-            group_order.append(gk)
-        groups[gk].append((rec[3], rec[2], rec[4]))
+    for cycle, cid, op in sorted(op_records, key=lambda r: r[0]):
+        groups.setdefault((cycle, cid), []).append(op)
     entries: list[tuple[int, object, tuple[int, ...]]] = []
     op_produced: list[tuple[int, int]] = []   # (cycle, value id), in order
-    for gk in group_order:
-        cycle, cid = gk
-        for kid, op, operand_ids in _order_group(groups[gk]):
-            for oid, operand in zip(operand_ids, op.operands):
+    for (cycle, cid), group in groups.items():
+        for op in _order_group(group):
+            for oid in op.operands:
                 arrived = first_arrival.get((cid, oid))
                 if arrived is None or arrived > cycle:
                     raise MissingOperandError(
-                        f"cycle {cycle}, cell {op.cell}: {op.key} needs "
-                        f"{operand}, which never reaches the cell in time")
-            entries.append((kid, op.op, operand_ids))
-            op_produced.append((cycle, kid))
+                        f"cycle {cycle}, cell {op.cell}: {keys[op.node]} "
+                        f"needs {keys[oid]}, which never reaches the cell "
+                        f"in time")
+            entries.append((op.node, op.op, op.operands))
+            op_produced.append((cycle, op.node))
     # ``values`` insertion order in the interpreter: per cycle, injections
     # (phase 2) before operations (phase 3).
-    seq = [(cycle, 0, pos, vid)
-           for pos, (cycle, _, vid, _) in enumerate(inj_records)]
+    seq = [(cycle, 0, pos, e.node)
+           for pos, (cycle, _, e) in enumerate(inj_records)]
     seq += [(cycle, 1, pos, vid)
             for pos, (cycle, vid) in enumerate(op_produced)]
     seq.sort()
@@ -391,10 +358,7 @@ def lower(mc: Microcode, trace: SystemTrace,
     produced_set = set(produced)
 
     # -- protected output values (never reclaimed) --------------------------
-    plan = trace.plan
-    output_keys = [(plan.keys[nid], host_key)
-                   for host_key, nid in plan.outputs]
-    protected = {key_ids[key] for key, _ in output_keys if key in key_ids}
+    protected = {nid for _, nid in plan.outputs}
 
     # -- register pressure: vectorised interval-overlap sweep ---------------
     # A value occupies a register in a cell from its first arrival until the
@@ -431,10 +395,10 @@ def lower(mc: Microcode, trace: SystemTrace,
         np.add.at(deltas, base + np.asarray(ends, dtype=np.int64) + 1, -1)
         max_regs = int(np.cumsum(deltas).max())
 
-    busy = {(cid, cycle) for cycle, cid, _, _, _ in op_records}
-    used_cells = {cid for _, cid, _, _ in inj_records}
-    used_cells.update(cid for _, cid, _, _, _ in op_records)
-    for _, sid, did, _, _ in hop_records:
+    busy = {(cid, cycle) for cycle, cid, _ in op_records}
+    used_cells = {cid for _, cid, _ in inj_records}
+    used_cells.update(cid for _, cid, _ in op_records)
+    for _, sid, did, _ in hop_records:
         used_cells.add(sid)
         used_cells.add(did)
 
@@ -446,12 +410,9 @@ def lower(mc: Microcode, trace: SystemTrace,
         capacity_violations=violations)
 
     # -- host outputs -------------------------------------------------------
-    outputs: list[tuple[tuple[int, ...], int]] = []
-    for key, host_key in output_keys:
-        vid = key_ids.get(key)
-        if vid is None or vid not in produced_set:
-            raise MissingOperandError(f"output {key} was never computed")
-        outputs.append((host_key, vid))
+    for _, nid in plan.outputs:
+        if nid not in produced_set:
+            raise MissingOperandError(f"output {keys[nid]} was never computed")
 
     # -- structural event stream --------------------------------------------
     # Everything the interpreter emits live is a structural property of the
@@ -460,24 +421,24 @@ def lower(mc: Microcode, trace: SystemTrace,
     events: "list[MachineEvent] | None" = None
     if record_events:
         events = []
-        for cycle, _, _, _, h in hop_records:
-            events.append(MachineEvent("hop", cycle, h.dst, repr(h.key),
-                                       src=h.src, stream=h.stream))
-        for cycle, _, _, e in inj_records:
-            events.append(MachineEvent("inject", cycle, e.cell, repr(e.key),
+        for cycle, _, _, h in hop_records:
+            events.append(MachineEvent("hop", cycle, h.dst,
+                                       repr(keys[h.node]), src=h.src,
+                                       stream=h.stream))
+        for cycle, _, e in inj_records:
+            events.append(MachineEvent("inject", cycle, e.cell,
+                                       repr(keys[e.node]),
                                        name=e.input_name))
-        for cycle, _, op, _, _ in op_records:
+        for cycle, _, op in op_records:
             events.append(MachineEvent(
-                "fire", cycle, op.cell, repr(op.key),
+                "fire", cycle, op.cell, repr(keys[op.node]),
                 name=op.op.name if op.op is not None else "copy",
                 stream=op.stream))
-        for key, host_key in output_keys:
-            t_prod, c_prod = mc.placement[key]
-            events.append(MachineEvent("output", t_prod, c_prod, repr(key),
-                                       name=str(host_key)))
-        cells_by_id = [None] * len(cell_ids)
-        for cell, cid in cell_ids.items():
-            cells_by_id[cid] = cell
+        for host_key, nid in plan.outputs:
+            t_prod, c_prod = mc.placement[nid]
+            events.append(MachineEvent("output", t_prod, c_prod,
+                                       repr(keys[nid]), name=str(host_key)))
+        cells_by_id = list(cell_ids)
         for (cid, vid), cycles in arrivals.items():
             if vid in protected:
                 continue
@@ -497,10 +458,10 @@ def lower(mc: Microcode, trace: SystemTrace,
         events = canonical_order(events)
 
     program = build_program(
-        len(keys), entries,
-        [(vid, e.input_name, e.input_index) for _, _, vid, e in inj_records])
+        plan.node_count, entries,
+        [(e.node, e.input_name, e.input_index) for _, _, e in inj_records])
     native_tier(program)
     return NativeMachine(
-        program=program, outputs=outputs, produced=produced,
-        produced_keys=[keys[vid] for vid in produced], stats=stats,
-        strict_error=strict_error, events=events)
+        program=program, keys=keys, outputs=plan.outputs,
+        produced=produced, stats=stats, strict_error=strict_error,
+        events=events)

@@ -14,8 +14,10 @@ local semantics — this is the substrate standing in for the paper's
 * host data enters only through injection events.
 
 The machine recomputes every value from injected inputs; it never peeks at
-the reference trace's values.  :func:`run` returns the machine's results
-keyed like the system outputs, plus execution statistics.
+the reference trace's values.  Registers hold values by plan node id, the
+name the microcode gives them; :func:`run` returns every value under its
+:class:`~repro.ir.evaluate.ValueKey` and the machine's results keyed like
+the system outputs, plus execution statistics.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ nx = lazy_import("networkx")
 from repro.ir.evaluate import SystemTrace, ValueKey
 from repro.machine.engines import Engine, coerce_engine
 from repro.machine.errors import CapacityError, MissingOperandError
-from repro.machine.microcode import Microcode
+from repro.machine.microcode import Microcode, check_node_ids
 from repro.obs.events import EventSink, MachineEvent
 
 Cell = tuple[int, ...]
@@ -68,18 +70,17 @@ class MachineRun:
     stats: MachineStats
 
 
-def _order_same_cycle(ops: list, placement) -> list:
+def _order_same_cycle(ops: list) -> list:
     """Topologically order a cell's same-cycle operations along their
     intra-cycle operand edges (a' and b' feed c' within one cell action)."""
     if len(ops) <= 1:
         return ops
     g = nx.DiGraph()
-    by_key = {op.key: op for op in ops}
     g.add_nodes_from(range(len(ops)))
-    index = {op.key: i for i, op in enumerate(ops)}
+    index = {op.node: i for i, op in enumerate(ops)}
     for i, op in enumerate(ops):
         for operand in op.operands:
-            if operand in by_key and operand != op.key:
+            if operand in index and operand != op.node:
                 g.add_edge(index[operand], i)
     try:
         # Lexicographic topological order: deterministic, keeps original
@@ -92,18 +93,18 @@ def _order_same_cycle(ops: list, placement) -> list:
     return [ops[i] for i in order]
 
 
-def _last_uses(mc: Microcode) -> dict[tuple[Cell, ValueKey], int]:
-    """Last cycle each value is read in each cell — drives register
-    reclamation, so the reported register pressure reflects what a real
-    register file would need, not the whole history."""
-    last: dict[tuple[Cell, ValueKey], int] = {}
+def _last_uses(mc: Microcode) -> dict[tuple[Cell, int], int]:
+    """Last cycle each value (node id) is read in each cell — drives
+    register reclamation, so the reported register pressure reflects what
+    a real register file would need, not the whole history."""
+    last: dict[tuple[Cell, int], int] = {}
     for op in mc.operations:
         for operand in op.operands:
             key = (op.cell, operand)
             if last.get(key, mc.first_cycle - 1) < op.cycle:
                 last[key] = op.cycle
     for hop in mc.hops:
-        key = (hop.src, hop.key)
+        key = (hop.src, hop.node)
         if last.get(key, mc.first_cycle - 1) < hop.cycle:
             last[key] = hop.cycle
     return last
@@ -116,10 +117,11 @@ def run(mc: Microcode, trace: SystemTrace,
     """Execute the microcode cycle by cycle.
 
     ``inputs`` binds host input names to callables (same binding as the
-    reference evaluator).  ``trace`` supplies output bookkeeping (which
-    values are results) — not values.  A value's register is freed after
-    its last local use, so ``stats.max_registers_per_cell`` measures true
-    register pressure.
+    reference evaluator).  ``trace`` supplies the plan (the keys of the
+    microcode's node ids) and output bookkeeping (which values are
+    results) — not values.  A value's register is freed after its last
+    local use, so ``stats.max_registers_per_cell`` measures true register
+    pressure.
 
     ``engine`` selects the execution strategy: ``"interpreted"`` is this
     cycle-by-cycle loop — the semantic oracle; ``"native"`` lowers the
@@ -137,18 +139,25 @@ def run(mc: Microcode, trace: SystemTrace,
 
         return lower(mc, trace, record_events=sink is not None).execute(
             inputs, strict, sink=sink)
+    keys = trace.plan.keys
+    check_node_ids(mc, len(keys))
     # Register files spring into being on first write: explicit .get()
     # probes keep cells that merely relay or read from materialising empty
     # files (a defaultdict here used to inflate the per-cycle pressure scan).
-    registers: dict[Cell, dict[ValueKey, object]] = {}
+    registers: dict[Cell, dict[int, object]] = {}
     values: dict[ValueKey, object] = {}
     stats = MachineStats()
     last_use = _last_uses(mc)
-    # Output values must survive to the end regardless of local use.
-    protected: set[ValueKey] = set()
-    for out in trace.system.outputs:
-        for p in out.domain.points(trace.params):
-            protected.add(ValueKey(out.module, out.var, p))
+    # Output values must survive to the end regardless of local use.  They
+    # come from the system's output spec, not from ``plan.outputs``, so the
+    # oracle does not share the plan's output bookkeeping.
+    system, params = trace.system, trace.params
+    outputs = [(out, p) for out in system.outputs
+               for p in out.domain.points(params)]
+    output_keys = {ValueKey(out.module, out.var, p) for out, p in outputs}
+    output_ids = {key: nid for nid, key in enumerate(keys)
+                  if key in output_keys}
+    protected = set(output_ids.values())
 
     inj_by_cycle: dict[int, list] = defaultdict(list)
     for e in mc.injections:
@@ -166,54 +175,57 @@ def run(mc: Microcode, trace: SystemTrace,
 
     for cycle in range(mc.first_cycle, mc.last_cycle + 1):
         # Phase 1 — link transfers (reads see the pre-cycle register state).
-        link_usage: dict[tuple[Cell, Cell, tuple[str, str]], ValueKey] = {}
-        arrivals: list[tuple[Cell, ValueKey, object]] = []
+        link_usage: dict[tuple[Cell, Cell, tuple[str, str]], int] = {}
+        arrivals: list[tuple[Cell, int, object]] = []
         for hop in hops_by_cycle.get(cycle, ()):
             src_regs = registers.get(hop.src)
-            if src_regs is None or hop.key not in src_regs:
+            if src_regs is None or hop.node not in src_regs:
                 raise MissingOperandError(
-                    f"cycle {cycle}: hop of {hop.key} out of {hop.src} but "
-                    f"the value is not there")
+                    f"cycle {cycle}: hop of {keys[hop.node]} out of "
+                    f"{hop.src} but the value is not there")
             channel = (hop.src, hop.dst, hop.stream)
-            if channel in link_usage and link_usage[channel] != hop.key:
+            if channel in link_usage and link_usage[channel] != hop.node:
                 stats.capacity_violations.append(
                     (cycle, hop.src, hop.dst, hop.stream))
                 if strict:
                     raise CapacityError(
                         f"cycle {cycle}: stream {hop.stream} needs link "
                         f"{hop.src}->{hop.dst} twice")
-            link_usage[channel] = hop.key
-            arrivals.append((hop.dst, hop.key, src_regs[hop.key]))
+            link_usage[channel] = hop.node
+            arrivals.append((hop.dst, hop.node, src_regs[hop.node]))
             all_cells.update((hop.src, hop.dst))
             if sink is not None:
-                sink.emit(MachineEvent("hop", cycle, hop.dst, repr(hop.key),
-                                       src=hop.src, stream=hop.stream))
-        for dst, key, value in arrivals:
-            registers.setdefault(dst, {})[key] = value
+                sink.emit(MachineEvent("hop", cycle, hop.dst,
+                                       repr(keys[hop.node]), src=hop.src,
+                                       stream=hop.stream))
+        for dst, nid, value in arrivals:
+            registers.setdefault(dst, {})[nid] = value
         stats.hops += len(arrivals)
 
         # Phase 2 — host injections.
         for e in inj_by_cycle.get(cycle, ()):
             value = inputs[e.input_name](*e.input_index)
-            registers.setdefault(e.cell, {})[e.key] = value
-            values[e.key] = value
+            registers.setdefault(e.cell, {})[e.node] = value
+            values[keys[e.node]] = value
             stats.injections += 1
             all_cells.add(e.cell)
             if sink is not None:
-                sink.emit(MachineEvent("inject", cycle, e.cell, repr(e.key),
+                sink.emit(MachineEvent("inject", cycle, e.cell,
+                                       repr(keys[e.node]),
                                        name=e.input_name))
 
         # Phase 3 — cell operations (topologically ordered within a cell).
         for cell, ops in ops_by_cycle.get(cycle, {}).items():
-            for op in _order_same_cycle(ops, mc.placement):
+            for op in _order_same_cycle(ops):
                 regs = registers.get(cell)
                 operand_values = []
                 for operand in op.operands:
                     if regs is None or operand not in regs:
+                        held = sorted(repr(keys[nid]) for nid in regs or ())
                         raise MissingOperandError(
-                            f"cycle {cycle}, cell {cell}: {op.key} needs "
-                            f"{operand}, register file has "
-                            f"{sorted(map(repr, regs or ()))[:6]}...")
+                            f"cycle {cycle}, cell {cell}: {keys[op.node]} "
+                            f"needs {keys[operand]}, register file has "
+                            f"{held[:6]}...")
                     operand_values.append(regs[operand])
                 if op.op is None:
                     result = operand_values[0]
@@ -221,14 +233,14 @@ def run(mc: Microcode, trace: SystemTrace,
                     result = op.op(*operand_values)
                 if regs is None:
                     regs = registers[cell] = {}
-                regs[op.key] = result
-                values[op.key] = result
+                regs[op.node] = result
+                values[keys[op.node]] = result
                 busy.add((cell, cycle))
                 stats.operations += 1
                 all_cells.add(cell)
                 if sink is not None:
                     sink.emit(MachineEvent(
-                        "fire", cycle, cell, repr(op.key),
+                        "fire", cycle, cell, repr(keys[op.node]),
                         name=op.op.name if op.op is not None else "copy",
                         stream=op.stream))
         if registers:
@@ -237,24 +249,24 @@ def run(mc: Microcode, trace: SystemTrace,
                 max((len(r) for r in registers.values()), default=0))
         # Reclaim registers whose last local use has passed; drop register
         # files that empty out so they stop contributing to the scan above.
-        reclaimed: list[tuple[Cell, ValueKey]] = []
+        reclaimed: list[tuple[Cell, str]] = []
         for cell in list(registers):
             regs = registers[cell]
-            dead = [key for key in regs
-                    if key not in protected
-                    and last_use.get((cell, key), -10**9) <= cycle]
-            for key in dead:
-                del regs[key]
+            dead = [nid for nid in regs
+                    if nid not in protected
+                    and last_use.get((cell, nid), -10**9) <= cycle]
+            for nid in dead:
+                del regs[nid]
                 if sink is not None:
-                    reclaimed.append((cell, key))
+                    reclaimed.append((cell, repr(keys[nid])))
             if not regs:
                 del registers[cell]
         if sink is not None:
-            # Canonical within-cycle order: register-file iteration
-            # order is an implementation detail the log must not leak.
-            for cell, key in sorted(reclaimed,
-                                    key=lambda r: (r[0], repr(r[1]))):
-                sink.emit(MachineEvent("reclaim", cycle, cell, repr(key)))
+            # Canonical within-cycle order (cell, then the key's repr):
+            # register-file iteration order is an implementation detail
+            # the log must not leak.
+            for cell, key_repr in sorted(reclaimed):
+                sink.emit(MachineEvent("reclaim", cycle, cell, key_repr))
 
     stats.first_cycle = mc.first_cycle
     stats.last_cycle = mc.last_cycle
@@ -264,18 +276,15 @@ def run(mc: Microcode, trace: SystemTrace,
 
     # Collect host results exactly as the system's output spec defines them.
     results: dict[tuple[int, ...], object] = {}
-    system = trace.system
-    params = trace.params
-    for out in system.outputs:
-        for p in out.domain.points(params):
-            binding = {**params, **dict(zip(out.domain.dims, p))}
-            host_key = tuple(e.evaluate_int(binding) for e in out.key)
-            key = ValueKey(out.module, out.var, p)
-            if key not in values:
-                raise MissingOperandError(f"output {key} was never computed")
-            results[host_key] = values[key]
-            if sink is not None:
-                t_prod, c_prod = mc.placement[key]
-                sink.emit(MachineEvent("output", t_prod, c_prod, repr(key),
-                                       name=str(host_key)))
+    for out, p in outputs:
+        binding = {**params, **dict(zip(out.domain.dims, p))}
+        host_key = tuple(e.evaluate_int(binding) for e in out.key)
+        key = ValueKey(out.module, out.var, p)
+        if key not in values:
+            raise MissingOperandError(f"output {key} was never computed")
+        results[host_key] = values[key]
+        if sink is not None:
+            t_prod, c_prod = mc.placement[output_ids[key]]
+            sink.emit(MachineEvent("output", t_prod, c_prod, repr(key),
+                                   name=str(host_key)))
     return MachineRun(values, results, stats)

@@ -36,7 +36,9 @@ class PipelineState:
     pass that rewrites it replaces rather than mutates.  The back half is
     filled in stage by stage: the execution plan with the link constraints
     read from it and the schedules, space maps, the value-free microcode
-    skeleton, and finally the packaged :class:`~repro.core.design.Design`.
+    (records name values by the plan's node ids), and finally the
+    packaged :class:`~repro.core.design.Design`, which carries the plan
+    and the microcode on to native verification.
     """
 
     params: Mapping[str, int]

@@ -20,9 +20,10 @@ The historical one-shot ``synthesize`` body is re-expressed as:
    only below the plain plan's cell count) is compile-checked on the
    plan's value-free trace (link bandwidth is outside the solvers' model)
    and the winning candidate's microcode skeleton is kept on the state.
-5. ``lower-microcode`` — package the :class:`~repro.core.design.Design`
-   beside the cell program the ``allocate`` pass compiled, handing it the
-   execution plan for native verification.
+5. ``lower-microcode`` — package the :class:`~repro.core.design.Design`,
+   handing it the execution plan and the cell program the ``allocate``
+   pass compiled, so native verification lowers that program instead of
+   compiling it again.
 """
 
 from __future__ import annotations
@@ -268,8 +269,8 @@ class AllocatePass(Pass):
 
 class LowerMicrocodePass(Pass):
     name = "lower-microcode"
-    description = ("package the Design with the value-free cell program "
-                   "(injections, operations, hops) the allocate pass "
+    description = ("package the Design and hand it the execution plan and "
+                   "the value-free cell program the allocate pass "
                    "compiled for the chosen placement")
 
     def run(self, state: PipelineState) -> PipelineState:
@@ -277,14 +278,14 @@ class LowerMicrocodePass(Pass):
         schedules = state.require("schedules", "schedule")
         space_maps = state.require("space_maps", "allocate")
         plan = state.require("plan", "schedule")
-        state.require("microcode", "allocate")
+        microcode = state.require("microcode", "allocate")
         design = Design(system=system, params=dict(state.params),
                         interconnect=state.interconnect,
                         schedules=dict(schedules),
                         space_maps=dict(space_maps))
-        # Native verification reads the plan from here instead of
-        # building it again; nothing in the cache is persisted.
-        design._exec_cache["plan"] = plan
+        # Native verification reads both from here instead of building
+        # them again; nothing in the cache is persisted.
+        design._exec_cache.update(plan=plan, microcode=microcode)
         return state.replace(design=design)
 
 

@@ -219,6 +219,29 @@ class TestCell:
         assert "t=" in out or "idle" in out
 
 
+def interpreted_jsonl(n: int, tmp_path) -> str:
+    """The interpreter's canonical event stream of the dp design on fig1 at
+    ``n`` (profile's default seed 0), compiled from scratch, as JSONL."""
+    from repro.api import resolve_interconnect, synthesize
+    from repro.ir import trace_execution
+    from repro.machine import compile_design, run
+    from repro.obs import EventLog, canonical_order
+    from repro.problems import dp_system, random_inputs
+
+    params = {"n": n}
+    design = synthesize(dp_system(), params, resolve_interconnect("fig1"))
+    inputs = random_inputs("dp", params, 0)
+    trace = trace_execution(design.system, params, inputs)
+    mc = compile_design(trace, design.schedules, design.space_maps,
+                        design.interconnect.decomposer())
+    log = EventLog()
+    run(mc, trace, inputs, engine="interpreted", sink=log)
+    log.events = canonical_order(log.events)
+    path = tmp_path / f"interpreted-{n}.events.jsonl"
+    log.write_jsonl(path)
+    return path.read_text()
+
+
 class TestProfile:
     def test_exports_and_summary(self, tmp_path, capsys):
         out_base = str(tmp_path / "smoke")
@@ -240,6 +263,9 @@ class TestProfile:
         # Verification always runs, so its spans are always in the profile.
         stacks = (tmp_path / "smoke.collapsed").read_text()
         assert "verify.reference" in stacks and "verify.machine" in stacks
+        # The stream replays the microcode the pipeline compiled; it is
+        # the interpreter's canonical stream of an independent compile.
+        assert jsonl.read_text() == interpreted_jsonl(7, tmp_path)
 
     def test_failed_verification_exits_1(self, tmp_path, capsys,
                                          monkeypatch):
@@ -263,26 +289,10 @@ class TestProfile:
 
     def test_engines_export_identical_jsonl(self, tmp_path):
         # The exported stream (native engine) is the interpreter's stream.
-        from repro.api import resolve_interconnect, synthesize
-        from repro.ir import trace_execution
-        from repro.machine import compile_design, run
-        from repro.obs import EventLog, canonical_order
-        from repro.problems import dp_system, random_inputs
-
         assert main(["profile", "--problem", "dp", "--interconnect", "fig1",
                      "--n", "6", "--out", str(tmp_path / "c")]) == 0
-        params = {"n": 6}
-        design = synthesize(dp_system(), params, resolve_interconnect("fig1"))
-        inputs = random_inputs("dp", params, 0)
-        trace = trace_execution(design.system, params, inputs)
-        mc = compile_design(trace, design.schedules, design.space_maps,
-                            design.interconnect.decomposer())
-        log = EventLog()
-        run(mc, trace, inputs, engine="interpreted", sink=log)
-        log.events = canonical_order(log.events)
-        log.write_jsonl(tmp_path / "i.events.jsonl")
         assert (tmp_path / "c.events.jsonl").read_text() \
-            == (tmp_path / "i.events.jsonl").read_text()
+            == interpreted_jsonl(6, tmp_path)
 
     def test_from_record_replay(self, tmp_path, capsys):
         metrics = tmp_path / "metrics"

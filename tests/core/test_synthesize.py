@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arrays import FIG1_UNIDIRECTIONAL, FIG2_EXTENDED, LINEAR_BIDIR
-from repro.core import NoScheduleExists, synthesize, verify_design
+from repro.core import Design, NoScheduleExists, synthesize, verify_design
 from repro.core import verify as verify_mod
 from repro.ir import (
     IDENTITY,
@@ -174,3 +174,51 @@ def test_synthesis_and_native_verify_build_one_plan(monkeypatch):
                            seeds=range(2))
     assert report.ok, report.failures
     assert len(built) == 1
+
+
+class TestMicrocodeHandoff:
+    """Native verification lowers the microcode the allocate pass compiled
+    instead of compiling the design again."""
+
+    PARAMS = {"n": 5}
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Every ``compile_design`` call, from the pipeline or from
+        verification."""
+        calls = []
+        original = verify_mod.compile_design
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (pipeline_mod, verify_mod):
+            monkeypatch.setattr(module, "compile_design", counting)
+        return calls
+
+    def verify(self, design):
+        report = verify_design(
+            design, lambda seed: random_inputs("dp", self.PARAMS, seed),
+            seeds=range(2))
+        assert report.ok, report.failures
+
+    def test_fresh_design_compiles_nothing(self, compiled):
+        design = synthesize(dp_system(), self.PARAMS, FIG1_UNIDIRECTIONAL)
+        assert "microcode" in design._exec_cache
+        after_synthesis = len(compiled)
+        self.verify(design)
+        assert len(compiled) == after_synthesis
+        # Lowered once, the microcode is dropped from the design.
+        assert "microcode" not in design._exec_cache
+        self.verify(design)
+        assert len(compiled) == after_synthesis
+
+    def test_rebuilt_design_compiles_once(self, compiled):
+        design = synthesize(dp_system(), self.PARAMS, FIG1_UNIDIRECTIONAL)
+        rebuilt = Design.from_dict(design.to_dict(), design.system)
+        before = len(compiled)
+        self.verify(rebuilt)
+        self.verify(rebuilt)
+        assert len(compiled) == before + 1
+        assert "microcode" not in rebuilt._exec_cache

@@ -41,10 +41,12 @@ def hand_microcode(same_stream: bool) -> tuple[Microcode, object]:
     constructible from one variable, so we fake the second stream tag).
     """
     trace = two_value_trace()
-    k1 = ValueKey("m", "x", (1,))
-    k2 = ValueKey("m", "x", (2,))
+    # Node ids of the plan: m::x(1,) is 0 and m::x(2,) is 1.
+    k1, k2 = 0, 1
+    assert trace.plan.keys[k1] == ValueKey("m", "x", (1,))
+    assert trace.plan.keys[k2] == ValueKey("m", "x", (2,))
     mc = Microcode()
-    mc.placement = {k1: (0, (0,)), k2: (0, (0,))}
+    mc.placement = [(0, (0,)), (0, (0,))]
     mc.first_cycle = 0
     mc.last_cycle = 2
     mc.injections = [

@@ -5,6 +5,7 @@ block, violation lists included.  Shares :mod:`tests.machine.tiers` with
 the equivalence matrix of ``test_vector.py``."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,10 +102,12 @@ def hand_capacity_microcode():
     system = RecurrenceSystem("tiny", [module], outputs=[],
                               input_names=("inp",))
     trace = trace_execution(system, {}, {"inp": lambda i: i * 10})
-    k1 = ValueKey("m", "x", (1,))
-    k2 = ValueKey("m", "x", (2,))
+    # Node ids of the plan: m::x(1,) is 0 and m::x(2,) is 1.
+    k1, k2 = 0, 1
+    assert trace.plan.keys[k1] == ValueKey("m", "x", (1,))
+    assert trace.plan.keys[k2] == ValueKey("m", "x", (2,))
     mc = Microcode()
-    mc.placement = {k1: (0, (0,)), k2: (0, (0,))}
+    mc.placement = [(0, (0,)), (0, (0,))]
     mc.first_cycle = 0
     mc.last_cycle = 2
     mc.injections = [
@@ -162,10 +165,32 @@ class TestCapacityPath:
     def test_missing_hop_source_raises_both(self):
         inputs = {"inp": lambda i: i * 10}
         mc, trace = hand_capacity_microcode()
-        mc.hops[0] = Hop(ValueKey("m", "x", (1,)), (5,), (1,), 1,
-                         ("m", "x"))
+        assert trace.plan.keys[0] == ValueKey("m", "x", (1,))
+        mc.hops[0] = Hop(0, (5,), (1,), 1, ("m", "x"))
         for name, thunk in run_each(mc, trace, inputs, strict=False):
             with pytest.raises(MissingOperandError):
+                thunk()
+
+    @pytest.mark.parametrize("where", ["injection", "operation", "operand",
+                                       "hop"])
+    @pytest.mark.parametrize("node", [2, -1])
+    def test_node_outside_the_plan_raises_everywhere(self, where, node):
+        """Hand-built microcode naming a node id the plan does not have
+        (the plan holds ids 0 and 1) is rejected by the interpreter and
+        by every native tier alike."""
+        inputs = {"inp": lambda i: i * 10}
+        mc, trace = hand_capacity_microcode()
+        assert trace.plan.node_count == 2
+        if where == "injection":
+            mc.injections[0] = replace(mc.injections[0], node=node)
+        elif where == "operation":
+            mc.operations[0] = replace(mc.operations[0], node=node)
+        elif where == "operand":
+            mc.operations[0] = replace(mc.operations[0], operands=(node,))
+        else:
+            mc.hops[0] = replace(mc.hops[0], node=node)
+        for name, thunk in run_each(mc, trace, inputs, strict=False):
+            with pytest.raises(MissingOperandError, match="not one of"):
                 thunk()
 
 

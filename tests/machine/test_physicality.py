@@ -8,12 +8,42 @@ from repro.machine import compile_design
 
 
 @pytest.fixture(scope="module")
-def fig2_microcode(dp_design_fig2, dp_host_inputs):
+def fig2_trace(dp_design_fig2, dp_host_inputs):
     design = dp_design_fig2
-    trace = trace_execution(design.system, design.params, dp_host_inputs)
-    mc = compile_design(trace, design.schedules, design.space_maps,
+    return trace_execution(design.system, design.params, dp_host_inputs)
+
+
+@pytest.fixture(scope="module")
+def fig2_microcode(dp_design_fig2, fig2_trace):
+    design = dp_design_fig2
+    mc = compile_design(fig2_trace, design.schedules, design.space_maps,
                         design.interconnect.decomposer())
     return design, mc
+
+
+class TestRecordsNamePlanNodes:
+    def test_placement_is_indexed_by_node_id(self, fig2_microcode,
+                                             fig2_trace):
+        """``placement[i]`` is the (T, S) placement of ``plan.keys[i]``."""
+        design, mc = fig2_microcode
+        keys = fig2_trace.plan.keys
+        assert len(mc.placement) == len(keys)
+        for key, (t, cell) in zip(keys, mc.placement):
+            assert t == design.time(key.module, key.point)
+            assert cell == design.cell(key.module, key.point)
+
+    def test_records_fire_where_their_node_is_placed(self, fig2_microcode,
+                                                     fig2_trace):
+        """Every injection and operation names the plan node it produces,
+        and an operation's operands are the plan's operand tuple."""
+        _, mc = fig2_microcode
+        plan = fig2_trace.plan
+        for rec in mc.injections + mc.operations:
+            assert mc.placement[rec.node] == (rec.cycle, rec.cell)
+        for op in mc.operations:
+            assert op.operands is plan.operands[op.node]
+        assert sorted(rec.node for rec in mc.injections + mc.operations) \
+            == list(range(plan.node_count))
 
 
 class TestHopsArePhysical:
@@ -56,7 +86,7 @@ class TestHopsArePhysical:
         _, mc = fig2_microcode
         last_arrival: dict = {}
         for hop in mc.hops:
-            key = (hop.key, hop.dst)
+            key = (hop.node, hop.dst)
             last_arrival[key] = max(last_arrival.get(key, hop.cycle),
                                     hop.cycle)
         placed = mc.placement

@@ -13,7 +13,8 @@ search visits must say so by rewriting the snapshot.
 
 Every feasible case also pins its lowering: the sha256 of the allocate
 pass's ``Microcode`` (injections, operations and hops in list order,
-placement sorted by value key, ops by name), of the ``MachineStats`` of
+placement sorted by value key, ops by name, node ids rendered as the
+plan's value keys), of the ``MachineStats`` of
 ``native.lower(microcode, trace, record_events=True)`` and of that call's
 canonical structural event stream.  A change to how designs are compiled
 or lowered that is meant to be exact must leave these unchanged too.
@@ -70,18 +71,19 @@ def lowering_fingerprint(state) -> str:
     from repro.machine.native import lower
 
     mc = state.microcode
+    keys = state.plan.keys
     machine = lower(mc, SystemTrace(state.plan), record_events=True)
     body = {
-        "injections": [[repr(e.key), e.cell, e.cycle, e.input_name,
+        "injections": [[repr(keys[e.node]), e.cell, e.cycle, e.input_name,
                         e.input_index] for e in mc.injections],
-        "operations": [[repr(o.key), o.cell, o.cycle,
+        "operations": [[repr(keys[o.node]), o.cell, o.cycle,
                         None if o.op is None else o.op.name,
-                        [repr(k) for k in o.operands], o.stream]
+                        [repr(keys[nid]) for nid in o.operands], o.stream]
                        for o in mc.operations],
-        "hops": [[repr(h.key), h.src, h.dst, h.cycle, h.stream]
+        "hops": [[repr(keys[h.node]), h.src, h.dst, h.cycle, h.stream]
                  for h in mc.hops],
         "placement": sorted([k.module, k.var, k.point, t, cell]
-                            for k, (t, cell) in mc.placement.items()),
+                            for k, (t, cell) in zip(keys, mc.placement)),
         "cycles": [mc.first_cycle, mc.last_cycle],
         "stats": asdict(machine.stats),
         "events": [e.to_dict() for e in machine.events],
