@@ -16,8 +16,12 @@ tie-breaking, so the paper's optimal ``λ = (-1, 2, -1)``, ``μ = (-2, 1, 1)``,
 All per-candidate arithmetic is hoisted out of the backtracking loop: each
 module's candidate times are one ``points @ C.T`` product (only the per
 -candidate min/max survive), and each global constraint's endpoint times are
-one ``instance_points @ C.T`` product per side, so the inner loop reduces to
-integer comparisons over precomputed columns.
+one ``instance_points @ C.T`` product per side.  When the search reaches a
+module, each constraint decided there gets one vectorised verdict over all
+of that module's candidates, given the candidate fixed at the other
+endpoint (a self-constraint takes the diagonal), cached per (constraint,
+fixed candidate); the loop then visits the candidates that pass every
+verdict, in ascending order, so leaves and counts match a per-pair check.
 """
 
 from __future__ import annotations
@@ -78,15 +82,6 @@ class MultiScheduleSolution:
     candidates_examined: int
 
 
-def _candidate_arrays(candidates: Sequence[tuple[tuple[int, ...], int]]
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Split (coeffs, offset) pairs into a coefficient matrix and an offset
-    vector (both int64)."""
-    coeffs = np.array([c for c, _ in candidates], dtype=np.int64)
-    offsets = np.array([o for _, o in candidates], dtype=np.int64)
-    return coeffs, offsets
-
-
 def solve_multimodule(problems: Sequence[ModuleSchedulingProblem],
                       constraints: Sequence[GlobalConstraint],
                       bound: int = 3,
@@ -98,114 +93,105 @@ def solve_multimodule(problems: Sequence[ModuleSchedulingProblem],
     bound satisfies every local and global constraint.
     """
     order = list(problems)
-    by_name = {p.name: p for p in order}
+    position = {p.name: idx for idx, p in enumerate(order)}
     for gc in constraints:
-        if gc.dst_module not in by_name or gc.src_module not in by_name:
+        if gc.dst_module not in position or gc.src_module not in position:
             raise KeyError(f"constraint {gc.name} references unknown module")
 
-    candidate_lists = {
-        p.name: p.candidates(bound, offsets) for p in order}
-    for p in order:
-        if not candidate_lists[p.name]:
+    candidates = [p.candidates(bound, offsets) for p in order]
+    for p, cands in zip(order, candidates):
+        if not cands:
             raise NoScheduleExists(
                 f"module {p.name}: no locally valid schedule within bound "
                 f"{bound}", module=p.name, bounds=bound)
 
-    # Group constraints by the *latest* (in search order) module they touch,
-    # so each is checked as soon as it becomes decidable.
-    position = {p.name: idx for idx, p in enumerate(order)}
-    check_at: dict[int, list[GlobalConstraint]] = {}
+    # Hoisted candidate arithmetic: per module, every candidate's times
+    # over its points are one ``points @ C.T`` product, of which only the
+    # per-candidate (min, max) survive; per constraint, each endpoint's
+    # times under every candidate of its module are one product too.
+    coeffs = [np.array([c for c, _ in cands], dtype=np.int64)
+              for cands in candidates]
+    consts = [np.array([o for _, o in cands], dtype=np.int64)
+              for cands in candidates]
+    placed = [m for m, p in enumerate(order) if p.points.shape[0]]
+    tmin: dict[int, list[int]] = {}
+    tmax: dict[int, list[int]] = {}
+    for m in placed:
+        times = order[m].points @ coeffs[m].T
+        tmin[m] = (times.min(axis=0) + consts[m]).tolist()
+        tmax[m] = (times.max(axis=0) + consts[m]).tolist()
+    flats = [[c + (o,) for c, o in cands] for cands in candidates]
+
+    # A constraint is checked as soon as both endpoints are assigned (one
+    # without instances always holds), as one verdict over every candidate
+    # of the module at that depth, given the candidate fixed at the other
+    # endpoint.
+    check_at: dict[int, list[tuple[int, int, np.ndarray, np.ndarray,
+                                   int]]] = {}
     for gc in constraints:
-        at = max(position[gc.dst_module], position[gc.src_module])
-        check_at.setdefault(at, []).append(gc)
+        if gc.instances == 0:
+            continue
+        dst, src = position[gc.dst_module], position[gc.src_module]
+        dst_t = gc.dst_points @ coeffs[dst].T + consts[dst]
+        src_t = gc.src_points @ coeffs[src].T + consts[src]
+        check_at.setdefault(max(dst, src), []).append(
+            (dst, src, dst_t, src_t, gc.min_gap))
+    verdicts: dict[tuple[int, int, int], np.ndarray] = {}
 
-    # Hoisted candidate arithmetic: per-candidate (min, max) event times per
-    # module, and per-constraint endpoint time columns, each from a single
-    # matrix product.
-    cand_coeffs: dict[str, np.ndarray] = {}
-    cand_offsets: dict[str, np.ndarray] = {}
-    cand_tmin: dict[str, np.ndarray] = {}
-    cand_tmax: dict[str, np.ndarray] = {}
-    for p in order:
-        C, O = _candidate_arrays(candidate_lists[p.name])
-        cand_coeffs[p.name], cand_offsets[p.name] = C, O
-        if p.points.shape[0]:
-            times = p.points @ C.T
-            cand_tmin[p.name] = times.min(axis=0) + O
-            cand_tmax[p.name] = times.max(axis=0) + O
-
-    def endpoint_times(points: np.ndarray, name: str) -> np.ndarray:
-        """(instances, n_candidates) times of constraint endpoints under
-        every candidate of ``name``."""
-        if points.shape[0] == 0:
-            return np.zeros((0, len(candidate_lists[name])), dtype=np.int64)
-        return points @ cand_coeffs[name].T + cand_offsets[name]
-
-    gc_dst_times = {id(gc): endpoint_times(gc.dst_points, gc.dst_module)
-                    for gc in constraints}
-    gc_src_times = {id(gc): endpoint_times(gc.src_points, gc.src_module)
-                    for gc in constraints}
+    def allowed(idx: int, checks: list) -> np.ndarray:
+        """Candidates of module ``idx`` that pass every check there."""
+        ok = np.ones(len(candidates[idx]), dtype=bool)
+        for k, (dst, src, dst_t, src_t, gap) in enumerate(checks):
+            fixed = (-1 if dst == src else
+                     choice[src] if dst == idx else choice[dst])
+            verdict = verdicts.get((idx, k, fixed))
+            if verdict is None:
+                if dst == src:              # a self-constraint: diagonal
+                    diff = dst_t - src_t
+                elif dst == idx:
+                    diff = dst_t - src_t[:, fixed, None]
+                else:
+                    diff = dst_t[:, fixed, None] - src_t
+                verdict = verdicts[(idx, k, fixed)] = \
+                    (diff >= gap).all(axis=0)
+            ok &= verdict
+        return ok
 
     best_key: tuple | None = None
-    best_assignment: dict[str, int] | None = None
+    best_choice: list[int] | None = None
     examined = 0
-
-    assignment: dict[str, int] = {}     # module name -> candidate index
-
-    def global_span() -> int:
-        lo = None
-        hi = None
-        for name, ci in assignment.items():
-            if name not in cand_tmin:
-                continue
-            tmin = int(cand_tmin[name][ci])
-            tmax = int(cand_tmax[name][ci])
-            lo = tmin if lo is None else min(lo, tmin)
-            hi = tmax if hi is None else max(hi, tmax)
-        if lo is None:
-            return 0
-        return hi - lo
+    choice = [0] * len(order)           # module position -> candidate index
 
     def recurse(idx: int) -> None:
-        nonlocal best_key, best_assignment, examined
+        nonlocal best_key, best_choice, examined
         if idx == len(order):
             examined += 1
-            total = global_span()
-            flat_coeffs = tuple(
-                c for name in (p.name for p in order)
-                for c in (candidate_lists[name][assignment[name]][0]
-                          + (candidate_lists[name][assignment[name]][1],)))
-            l1 = sum(abs(c) for c in flat_coeffs)
-            key = (total, l1, flat_coeffs)
+            total = (max(tmax[m][choice[m]] for m in placed)
+                     - min(tmin[m][choice[m]] for m in placed)
+                     if placed else 0)
+            flat = tuple(c for m, ci in enumerate(choice)
+                         for c in flats[m][ci])
+            key = (total, sum(abs(c) for c in flat), flat)
             if best_key is None or key < best_key:
-                best_key = key
-                best_assignment = dict(assignment)
+                best_key, best_choice = key, list(choice)
             return
-        prob = order[idx]
-        checks = check_at.get(idx, [])
-        for ci in range(len(candidate_lists[prob.name])):
-            assignment[prob.name] = ci
-            feasible = True
-            for gc in checks:
-                dst_t = gc_dst_times[id(gc)][:, assignment[gc.dst_module]]
-                src_t = gc_src_times[id(gc)][:, assignment[gc.src_module]]
-                if not gc.timing_ok(dst_t, src_t):
-                    feasible = False
-                    break
-            if feasible:
-                recurse(idx + 1)
-        assignment.pop(prob.name, None)
+        checks = check_at.get(idx)
+        visit = (np.flatnonzero(allowed(idx, checks)).tolist() if checks
+                 else range(len(candidates[idx])))
+        for ci in visit:
+            choice[idx] = ci
+            recurse(idx + 1)
 
     recurse(0)
     TRACER.count("multimodule.assignments_examined", examined)
-    if best_assignment is None:
+    if best_choice is None:
         raise NoScheduleExists(
             "no joint schedule satisfies the global constraints "
             f"within bound {bound}", bounds=bound)
     schedules = {}
-    for name, ci in best_assignment.items():
-        coeffs, offset = candidate_lists[name][ci]
-        schedules[name] = LinearSchedule(by_name[name].dims, coeffs, offset)
+    for p, cands, ci in zip(order, candidates, best_choice):
+        c, offset = cands[ci]
+        schedules[p.name] = LinearSchedule(p.dims, c, offset)
     return MultiScheduleSolution(schedules, best_key[0], examined)
 
 

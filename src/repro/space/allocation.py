@@ -224,8 +224,9 @@ def feasible_matrices(dims: Sequence[str], label_dim: int,
                       deps: DependenceMatrix | None,
                       schedule: LinearSchedule,
                       decomposer: LinkDecomposer,
-                      bound: int = 1) -> Iterator[SpaceMap]:
-    """The offset-free maps of :func:`enumerate_space_maps`, in its order.
+                      bound: int = 1) -> np.ndarray:
+    """The offset-free matrices of :func:`enumerate_space_maps`, in its
+    order, as one int64 array of shape ``(M, label_dim, n)``.
 
     Both filters are properties of the matrix alone, so a matrix that passes
     here passes with every offset.  They run batched over chunks of the
@@ -234,7 +235,6 @@ def feasible_matrices(dims: Sequence[str], label_dim: int,
     of any domain share (time, cell) and no pointwise conflict check is
     needed.
     """
-    dims = tuple(dims)
     n = len(dims)
     total = (2 * bound + 1) ** (n * label_dim)
     TRACER.count("space.candidates_enumerated", total)
@@ -242,13 +242,14 @@ def feasible_matrices(dims: Sequence[str], label_dim: int,
     if local:
         D = deps.matrix()
         slacks = np.array(schedule.coeffs, dtype=np.int64) @ D
+    kept = []
     for start in range(0, total, _CHUNK):
         grid = _grid_chunk(n, label_dim, bound, start)
         keep = np.flatnonzero(_full_column_rank(schedule.coeffs, grid))
         if local and keep.size:
             keep = keep[_flows_ok(D, slacks, grid[keep], decomposer)]
-        for matrix in grid[keep].tolist():
-            yield SpaceMap(dims, matrix)
+        kept.append(grid[keep])
+    return np.concatenate(kept)
 
 
 def offset_vectors(offsets: Sequence[int],
@@ -274,11 +275,12 @@ def enumerate_space_maps(dims: Sequence[str], label_dim: int,
     Candidates must pass full column rank of ``[T; S]`` (conflict-freedom
     for every problem size) and flow realisability (when local deps exist).
     """
+    dims = tuple(dims)
     offs = offset_vectors(offsets, label_dim)
-    for base in feasible_matrices(dims, label_dim, deps, schedule,
-                                  decomposer, bound=bound):
+    for matrix in feasible_matrices(dims, label_dim, deps, schedule,
+                                    decomposer, bound=bound).tolist():
         for off in offs:
-            yield SpaceMap(base.dims, base.matrix, off)
+            yield SpaceMap(dims, matrix, off)
 
 
 def cells_used(space: SpaceMap, points: np.ndarray) -> set[tuple[int, ...]]:

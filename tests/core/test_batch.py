@@ -61,8 +61,19 @@ class TestSweepSmoke:
         assert sweep_table(warm.results) == sweep_table(cold.results)
         assert sweep_pareto_table(warm.pareto()) == \
             sweep_pareto_table(cold.pareto())
-        # The issue's acceptance bar: cached re-runs skip the solvers.
-        assert warm.wall_time < cold.wall_time / 10
+        # Cached re-runs skip the solvers.  The cross-check above
+        # re-synthesizes one design on purpose, so the timing bar is taken
+        # on a warm run without it.
+        solvers = ("space.assignments_examined",
+                   "multimodule.assignments_examined")
+        before = [TRACER.counters.get(name, 0) for name in solvers]
+        unchecked = _untimed_gc(
+            lambda: run_sweep(SMOKE, workers=0, cache_dir=tmp_path,
+                              cross_check=False))
+        assert [TRACER.counters.get(name, 0) for name in solvers] == before
+        assert unchecked.cache_hits == 4 and unchecked.cross_check is None
+        assert sweep_table(unchecked.results) == sweep_table(cold.results)
+        assert unchecked.wall_time < cold.wall_time / 10
 
     def test_results_sorted_deterministically(self, tmp_path):
         report = run_sweep(SMOKE, workers=2, cache_dir=tmp_path)

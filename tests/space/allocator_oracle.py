@@ -2,7 +2,10 @@
 
 This is the backtracker :func:`repro.space.solve_multimodule_space` used
 before it became a branch and bound: it visits every feasible joint
-assignment and keeps the smallest ``(cells, flat)`` key.  Its module-level
+assignment and keeps the smallest ``(cells, flat)`` key.
+:func:`solve_multimodule_space_bounded` is the branch and bound as it ran
+on per-candidate ``SpaceMap``s and cell sets, so its ``candidates_examined``
+pins the search's visiting order and cuts.  Its module-level
 enumeration and cell counting are the matching originals too (one
 ``itertools.product`` scan with a scalar rank test, a flow test and a
 conflict check per offset, and a per-element ``int()`` cell set), so the
@@ -149,15 +152,12 @@ def adjacency_ok(gc: GlobalConstraint,
     return _displacements_ok(disp, gaps.tolist(), decomposer)
 
 
-def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
-                            constraints: Sequence[GlobalConstraint],
-                            decomposer: LinkDecomposer,
-                            label_dim: int) -> MultiSpaceSolution:
-    """Find the joint allocation minimising total distinct cells.
-
-    Deterministic: candidates enumerate in a fixed order and ties break on
-    the lexicographically smallest concatenated matrices.
-    """
+def _prepared(problems: Sequence[ModuleSpaceProblem],
+              constraints: Sequence[GlobalConstraint],
+              decomposer: LinkDecomposer, label_dim: int):
+    """What both searches share: module order, per-depth constraint
+    indices, per-candidate maps, cell sets and key fragments, and a
+    memoized adjacency verdict per (constraint, candidate pair)."""
     order = list(problems)
     by_name = {p.name: p for p in order}
     position = {p.name: idx for idx, p in enumerate(order)}
@@ -223,10 +223,22 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
             disp = gc_dst_cells[gi][dst_ci] - gc_src_cells[gi][src_ci]
             verdict = _displacements_ok(disp, gc_gaps[gi], decomposer)
             adjacency_cache[key] = verdict
-        else:
-            TRACER.count("space.adjacency_cache_hits")
         return verdict
 
+    return order, check_at, candidate_lists, cand_cells, cand_key, adjacency
+
+
+def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
+                            constraints: Sequence[GlobalConstraint],
+                            decomposer: LinkDecomposer,
+                            label_dim: int) -> MultiSpaceSolution:
+    """Find the joint allocation minimising total distinct cells.
+
+    Deterministic: candidates enumerate in a fixed order and ties break on
+    the lexicographically smallest concatenated matrices.
+    """
+    order, check_at, candidate_lists, cand_cells, cand_key, adjacency = \
+        _prepared(problems, constraints, decomposer, label_dim)
     best_key: tuple | None = None
     best_assignment: dict[str, int] | None = None
     examined = 0
@@ -269,4 +281,57 @@ def solve_multimodule_space(problems: Sequence[ModuleSpaceProblem],
             "no joint space mapping satisfies the global adjacency constraints")
     maps = {name: candidate_lists[name][ci]
             for name, ci in best_assignment.items()}
+    return MultiSpaceSolution(maps, best_key[0], examined)
+
+
+def solve_multimodule_space_bounded(problems: Sequence[ModuleSpaceProblem],
+                                    constraints: Sequence[GlobalConstraint],
+                                    decomposer: LinkDecomposer,
+                                    label_dim: int, *,
+                                    below: int | None = None
+                                    ) -> MultiSpaceSolution | None:
+    """The branch and bound on per-candidate maps and cell sets.
+
+    The search of :func:`repro.space.solve_multimodule_space` (same visiting
+    order, same cut on the cell union, same ``below``), before its inner
+    loop moved to index tables and bitmasks; so it also pins
+    ``candidates_examined``."""
+    order, check_at, candidate_lists, cand_cells, cand_key, adjacency = \
+        _prepared(problems, constraints, decomposer, label_dim)
+    limit = float("inf") if below is None else below - 1
+    best_key: tuple | None = None
+    best_choice: list[int] | None = None
+    examined = 0
+    choice = [0] * len(order)
+    position = {p.name: m for m, p in enumerate(order)}
+    ends = [(position[gc.dst_module], position[gc.src_module])
+            for gc in constraints]
+
+    def recurse(idx: int, used: frozenset) -> None:
+        nonlocal limit, best_key, best_choice, examined
+        if idx == len(order):
+            examined += 1
+            flat = tuple(entry for m, ci in enumerate(choice)
+                         for entry in cand_key[order[m].name][ci])
+            key = (len(used), flat)
+            if best_key is None or key < best_key:
+                best_key, best_choice, limit = key, list(choice), key[0]
+            return
+        for ci, cells in enumerate(cand_cells[order[idx].name]):
+            union = used | cells
+            if len(union) > limit:
+                continue
+            choice[idx] = ci
+            if all(adjacency(gi, choice[ends[gi][0]], choice[ends[gi][1]])
+                   for gi in check_at.get(idx, ())):
+                recurse(idx + 1, union)
+
+    recurse(0, frozenset())
+    if best_choice is None:
+        if below is not None:
+            return None
+        raise NoSpaceMapExists(
+            "no joint space mapping satisfies the global adjacency constraints")
+    maps = {p.name: candidate_lists[p.name][best_choice[m]]
+            for m, p in enumerate(order)}
     return MultiSpaceSolution(maps, best_key[0], examined)

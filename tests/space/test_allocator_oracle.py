@@ -1,7 +1,8 @@
 """The branch-and-bound allocator against the exhaustive oracle.
 
 Every comparison asserts the same ``maps`` (order included), the same
-``total_cells`` and the same ``NoSpaceMapExists`` verdicts and messages.
+``total_cells`` and the same ``NoSpaceMapExists`` verdicts and messages,
+and the same ``candidates_examined`` as the per-candidate branch and bound.
 Allocation problems come from four places: the Fig. 1/Fig. 2 dp setups,
 every solve the pinned fuzz corpus reaches, a Hypothesis family of small
 random multi-module problems, and the pinned paper designs.
@@ -29,7 +30,12 @@ from repro.deps import DependenceMatrix, system_dependence_matrices
 from repro.fuzz import build_spec, load_corpus
 from repro.fuzz.oracle import OracleReject, evaluate
 from repro.ir.evaluate import build_execution_plan
-from repro.problems import convolution_backward, convolution_forward, dp_system
+from repro.problems import (
+    convolution_backward,
+    convolution_forward,
+    dp_spec,
+    dp_system,
+)
 from repro.schedule import (
     LinearSchedule,
     ModuleSchedulingProblem,
@@ -41,9 +47,12 @@ from repro.space import (
     LinkDecomposer,
     ModuleSpaceProblem,
     NoSpaceMapExists,
+    SpaceMap,
+    cells_used,
     enumerate_space_maps,
     solve_multimodule_space,
 )
+from repro.space.multimodule import CandidatePool
 from repro.util.errors import SynthesisError
 
 from tests.space import allocator_oracle as oracle
@@ -78,6 +87,22 @@ def assert_matches_oracle(problems, constraints, decomposer, label_dim,
             assert not isinstance(got, Exception), got
             assert list(got.maps.items()) == list(want.maps.items())
             assert got.total_cells == want.total_cells
+        assert_same_search(got, _outcome(
+            oracle.solve_multimodule_space_bounded, problems, constraints,
+            decomposer, label_dim, below=bound))
+
+
+def assert_same_search(got, ref):
+    """The solver and the per-candidate branch and bound agree on the
+    outcome and on how many joint assignments they examined."""
+    if isinstance(ref, Exception):
+        assert type(got) is type(ref) and str(got) == str(ref)
+    elif ref is None:
+        assert got is None
+    else:
+        assert list(got.maps.items()) == list(ref.maps.items())
+        assert got.total_cells == ref.total_cells
+        assert got.candidates_examined == ref.candidates_examined
 
 
 class Recorder:
@@ -302,3 +327,108 @@ def test_paper_design_space_enumerations_match_oracle(build):
                 offsets=offsets))
             assert got == want
 
+
+
+# -- the allocate pass's plans on one shared pool ------------------------------
+
+
+def scheduled(build, params, interconnect):
+    """The pipeline state the allocate pass starts from."""
+    return pipeline.run_pipeline(
+        build(), params, interconnect, SynthesisOptions(),
+        pipeline=pipeline.PassPipeline([pipeline.make_pass(name) for name in
+                                        ("decompose-chains",
+                                         "fuse-accumulators", "schedule")]))
+
+
+def plan_problems(state, offsets_for):
+    return [ModuleSpaceProblem(name, module.dims, state.deps[name],
+                               state.plan.points[name], state.schedules[name],
+                               bound=1, offsets=offsets_for(module))
+            for name, module in state.system.modules.items()]
+
+
+@pytest.mark.parametrize("build,n,interconnect", [
+    (dp_system, 6, FIG1_UNIDIRECTIONAL),
+    (dp_system, 6, FIG2_EXTENDED),
+    (dp_spec, 6, FIG2_EXTENDED),
+], ids=["dp-fig1", "dp-fig2", "dp-spec-fig2"])
+def test_offset_plans_match_oracle(build, n, interconnect):
+    """Plain, translated and escalation plans on one pool, as the allocate
+    pass runs them: offset pairs reach the adjacency memo through their
+    difference, and every verdict, cut and count matches the oracles."""
+    state = scheduled(build, {"n": n}, interconnect)
+    label_dim = interconnect.label_dim
+    decomposer = interconnect.decomposer()
+    constraints = list(state.constraints)
+    pool = CandidatePool(decomposer, label_dim)
+    plain = plan_problems(state, lambda m: (0,))
+    translated = plan_problems(
+        state, lambda m: (-1, 0, 1) if len(m.dims) <= label_dim else (0,))
+    escalation = plan_problems(state, lambda m: (-1, 0, 1))
+    first = solve_multimodule_space(plain, constraints, decomposer,
+                                    label_dim, pool=pool)
+    assert_matches_oracle(plain, constraints, decomposer, label_dim)
+    for problems, below in ((translated, first.total_cells),
+                            (translated, None), (escalation, None)):
+        got = _outcome(solve_multimodule_space, problems, constraints,
+                       decomposer, label_dim, below=below, pool=pool)
+        assert_same_search(got, _outcome(
+            oracle.solve_multimodule_space_bounded, problems, constraints,
+            decomposer, label_dim, below=below))
+    assert_matches_oracle(translated, constraints, decomposer, label_dim,
+                          below=first.total_cells)
+
+
+# -- cell bitmasks --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("interconnect", [LINEAR_BIDIR, FIG2_EXTENDED],
+                         ids=["1d", "2d"])
+def test_shared_cells_count_once(interconnect):
+    """Two modules on the same points: the union counts each shared cell
+    once, and an offset that moves one module's cells overlaps the rest.
+    One pool serves every solve; the offsets of 3 widen its frame."""
+    pts = np.array([(i, j) for i in range(3) for j in range(3)])
+    schedule = LinearSchedule(("i", "j"), (1, 1))
+    label_dim = interconnect.label_dim
+    decomposer = interconnect.decomposer()
+    pool = CandidatePool(decomposer, label_dim)
+    for offsets in ((0,), (1,), (-1, 0, 1), (3,), (-3,), (0,)):
+        problems = [
+            ModuleSpaceProblem(name, ("i", "j"), None, pts, schedule,
+                               offsets=offs)
+            for name, offs in (("a", (0,)), ("b", offsets))]
+        got = solve_multimodule_space(problems, [], decomposer, label_dim,
+                                      pool=pool)
+        a, b = (cells_used(got.maps[name], pts) for name in "ab")
+        assert got.total_cells == len(a | b) < len(a) + len(b)
+        if offsets == (0,):
+            assert a == b
+        assert_matches_oracle(problems, [], decomposer, label_dim)
+
+
+def test_one_space_map_per_module_per_solution(monkeypatch):
+    """A solve builds a ``SpaceMap`` for each module of its winner, and
+    none for the candidates that lose."""
+    built = []
+    post_init = SpaceMap.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SpaceMap, "__post_init__", counting)
+    solves = []
+
+    def solve(problems, *args, **kwargs):
+        before = len(built)
+        result = solve_multimodule_space(problems, *args, **kwargs)
+        solves.append((len(problems), result, len(built) - before))
+        return result
+
+    monkeypatch.setattr(pipeline, "solve_multimodule_space", solve)
+    synthesize(dp_system(), {"n": 6}, FIG2_EXTENDED)
+    assert solves
+    for modules, result, count in solves:
+        assert count == (0 if result is None else modules)
