@@ -56,7 +56,7 @@ from repro.problems import (
     random_inputs,
 )
 from repro.ir import SystemTrace
-from repro.machine import cell_utilization, run
+from repro.machine import cell_utilization, lower
 from repro.obs import (
     CLIProgress,
     EventLog,
@@ -266,9 +266,10 @@ def cmd_profile(args) -> int:
     """Profile one design end to end and export both views of it.
 
     Default mode force-enables the span tracer, synthesizes the requested
-    design, verifies it (adding the ``verify.*`` spans) and executes the
-    microcode the synthesis pipeline compiled once more, with an event
-    sink attached.  It writes four files: the
+    design, lowers the microcode the synthesis pipeline compiled once (with
+    its event stream), verifies the design on that machine (adding the
+    ``verify.*`` spans) and executes it once more, replaying the event
+    stream into a sink.  It writes four files: the
     machine's event log as ``<out>.events.jsonl`` (one event per line) and
     ``<out>.trace.json`` (Chrome ``trace_event``), and the span forest as
     ``<out>.collapsed`` (folded stacks — feed to flamegraph.pl or drop into
@@ -300,11 +301,15 @@ def cmd_profile(args) -> int:
     state = run_pipeline(builder(), params, _interconnect(args.interconnect),
                          SynthesisOptions())
     inputs = _random_inputs(args.problem, params, args.seed)
-    report = verify_design(state.design, inputs)
+    # Lower the pipeline's microcode once, with its event stream, and hand
+    # that machine to verification as the design's cached one.
     mc = state.microcode
+    native = lower(mc, SystemTrace(state.plan), record_events=True)
+    state.design._exec_cache.pop("microcode", None)
+    state.design._exec_cache["nmachine"] = native
+    report = verify_design(state.design, inputs)
     log = EventLog()
-    machine = run(mc, SystemTrace(state.plan), inputs, engine="native",
-                  sink=log)
+    machine = native.execute(inputs, sink=log)
 
     # Canonical order makes the exports byte-identical to the
     # interpreter's stream.

@@ -31,6 +31,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -60,9 +61,14 @@ def native_cache_dir(root: "str | os.PathLike | None" = None) -> Path:
 
 def kernel_key(source: str, toolchain: Toolchain) -> str:
     """Canonical SHA-256 key of one (source, toolchain) pair."""
+    return _kernel_key(source, toolchain.fingerprint)
+
+
+@lru_cache(maxsize=8)
+def _kernel_key(source: str, fingerprint: str) -> str:
     payload = json.dumps({
         "format": NATIVE_FORMAT_VERSION,
-        "toolchain": toolchain.fingerprint,
+        "toolchain": fingerprint,
         "material": source,
     }, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -192,19 +192,23 @@ def encode_program(program: VectorProgram) -> np.ndarray:
     """
     if program.node_count > np.iinfo(np.int32).max:
         raise ValueError(f"{program.node_count} value slots exceed int32")
-    parts = []
-    for group in program.groups:
-        if group.kind == "input":
-            continue
+    groups = [group for group in program.groups if group.kind != "input"]
+    if not groups:
+        return np.zeros(0, dtype=np.int32)
+    tags: dict[int, tuple[int, int]] = {}
+    rows = []
+    for group in groups:
         if group.kind == "copy":
             kind, (h_tag, f_tag) = _COPY, (0, 0)
         else:
-            kind, (h_tag, f_tag) = _COMPUTE, _op_tags(group.op)
-        parts.append(np.array(
-            [kind, group.width, h_tag, f_tag, len(group.operands)],
-            dtype=np.int32))
-        parts.append(group.dst.astype(np.int32))
-        parts.extend(col.astype(np.int32) for col in group.operands)
-    if not parts:
-        return np.zeros(0, dtype=np.int32)
-    return np.ascontiguousarray(np.concatenate(parts), dtype=np.int32)
+            kind = _COMPUTE
+            if id(group.op) not in tags:
+                tags[id(group.op)] = _op_tags(group.op)
+            h_tag, f_tag = tags[id(group.op)]
+        rows.append((kind, group.width, h_tag, f_tag, len(group.operands)))
+    parts = []
+    for header, group in zip(np.asarray(rows, dtype=np.int64), groups):
+        parts.append(header)
+        parts.append(group.dst)
+        parts.extend(group.operands)
+    return np.concatenate(parts).astype(np.int32)

@@ -35,10 +35,11 @@ def link_constraints(plan: ExecutionPlan) -> list[GlobalConstraint]:
     when present, otherwise ``dst_module.dst_var[rule_index]``.
     """
     groups: dict[tuple[str, str, int], list[int]] = {}
+    streams, stream_ids = plan.keys.streams, plan.keys.stream_ids
     for nid, rule in enumerate(plan.rules):
         if isinstance(rule, LinkRule):
-            key = plan.keys[nid]
-            groups.setdefault((key.module, key.var, id(rule)), []).append(nid)
+            module, var = streams[stream_ids[nid]]
+            groups.setdefault((module, var, id(rule)), []).append(nid)
     rows = np.asarray(plan.rows, dtype=np.int64)
     constraints: list[GlobalConstraint] = []
     for module_name, module in plan.system.modules.items():

@@ -21,6 +21,7 @@ every row.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -40,20 +41,33 @@ def _scaled_row(expr: AffineExpr, dims: Sequence[str],
                 params: Mapping[str, Number]) -> tuple[int, np.ndarray, int]:
     """``(L, c, c0)`` with ``L * expr(p) == p @ c + c0`` for points over
     ``dims`` (parameters folded into the constant).  ``L >= 1``."""
+    bound = tuple((name, int(params[name])) for name in expr.coeffs
+                  if name in params)
+    return _scaled_coeffs(id(expr), expr, tuple(dims), bound)
+
+
+@lru_cache(maxsize=4096)
+def _scaled_coeffs(key: int, expr: AffineExpr, dims: tuple[str, ...],
+                   bound: tuple[tuple[str, int], ...]
+                   ) -> tuple[int, np.ndarray, int]:
+    """:func:`_scaled_row` memoized on (expression, dims, the parameters
+    it reads): the rational arithmetic runs once per expression object.
+    ``key`` is the expression's ``id``, so a lookup matches by identity
+    rather than by comparing rational coefficients."""
     coeffs = expr.coeffs
     const = expr.const_term
-    unknown = set(coeffs) - set(dims) - set(params)
+    unknown = set(coeffs) - set(dims) - {name for name, _ in bound}
     if unknown:
         raise KeyError(f"unbound variable {sorted(unknown)[0]!r}")
     scale = const.denominator
     for name, c in coeffs.items():
         scale = scale * c.denominator // gcd(scale, c.denominator)
     c0 = const * scale
-    for name, c in coeffs.items():
-        if name in params:
-            c0 += c * scale * int(params[name])
+    for name, value in bound:
+        c0 += coeffs[name] * scale * value
     row = np.array([int(coeffs.get(d, 0) * scale) for d in dims],
                    dtype=np.int64)
+    row.flags.writeable = False
     return scale, row, int(c0)
 
 
@@ -99,6 +113,63 @@ def eval_index_int(expr: AffineExpr | QuasiAffineExpr, dims: Sequence[str],
     if isinstance(expr, QuasiAffineExpr):
         return eval_quasi_int(expr, dims, points, params)
     return eval_affine_int(expr, dims, points, params)
+
+
+def eval_index_columns(exprs: Sequence[AffineExpr | QuasiAffineExpr],
+                       dims: Sequence[str], points: np.ndarray,
+                       params: Mapping[str, Number]) -> np.ndarray:
+    """:func:`eval_index_int` of every expression as the columns of one
+    ``(N, len(exprs))`` array: one matmul over the point array for all of
+    them, the exact division only in the columns that need one.  Errors
+    are those of :func:`eval_index_int` on the first failing expression."""
+    pts = np.asarray(points, dtype=np.int64)
+    try:
+        scales, matrix, consts, quasi = _scaled_columns(
+            tuple(exprs), tuple(dims), tuple(params.items()))
+    except KeyError:
+        # An unbound variable: raise whatever evaluating the expressions
+        # one by one raises first.
+        for expr in exprs:
+            eval_index_int(expr, dims, pts, params)
+        raise
+    values = pts @ matrix + consts
+    for col, (expr, scale, divisor) in enumerate(zip(exprs, scales, quasi)):
+        if divisor:
+            values[:, col] //= scale * divisor
+        elif scale != 1:
+            whole, rem = np.divmod(values[:, col], scale)
+            if rem.any():
+                bad = int(np.argmax(rem != 0))
+                point = {d: int(v) for d, v in zip(dims, pts[bad])}
+                raise ValueError(
+                    f"{expr} is not integral at {point}: "
+                    f"{values[bad, col]}/{scale}")
+            values[:, col] = whole
+    return values
+
+
+@lru_cache(maxsize=1024)
+def _scaled_columns(exprs: tuple, dims: tuple[str, ...],
+                    params: tuple[tuple[str, Number], ...]
+                    ) -> tuple[list[int], np.ndarray, np.ndarray, list[int]]:
+    """Per expression its scale ``L``, its scaled coefficient column and
+    constant (the numerator's, for a quasi-affine one) and its divisor
+    (0 for an affine one), memoized on (expressions, dims, parameters)."""
+    bound = dict(params)
+    scales, columns, consts, quasi = [], [], [], []
+    for expr in exprs:
+        affine = expr.numerator if isinstance(expr, QuasiAffineExpr) else expr
+        scale, row, c0 = _scaled_row(affine, dims, bound)
+        scales.append(scale)
+        columns.append(row)
+        consts.append(c0)
+        quasi.append(expr.divisor if affine is not expr else 0)
+    matrix = (np.stack(columns, axis=1) if columns
+              else np.zeros((len(dims), 0), dtype=np.int64))
+    matrix.flags.writeable = False
+    consts_arr = np.asarray(consts, dtype=np.int64)
+    consts_arr.flags.writeable = False
+    return scales, matrix, consts_arr, quasi
 
 
 def atom_mask(atom, dims: Sequence[str], points: np.ndarray,

@@ -14,9 +14,13 @@ phases:
 
 * :func:`build_execution_plan` — resolve, for every defined value, which
   rule fires and which values it reads (vectorised first-match guard
-  selection over the enumerated domain arrays), intern every value to a
-  dense integer id, and topologically order the dependence-id graph with an
-  iterative worklist (Kahn).  The plan depends only on the system and the
+  selection over the enumerated domain arrays), give every value a dense
+  integer id (contiguous per rule group; each ``(module, var)`` has a
+  row -> id table), resolve each reference's operand ids with one gather
+  through its module's dense point -> row lookup, and topologically order
+  the dependence-id graph with an iterative worklist (Kahn) on int lists.
+  Keys are not built: ``plan.keys`` makes them on first read.  The plan
+  depends only on the system and the
   parameter binding — never on input values — so callers that execute the
   same system repeatedly (the verification engine, sweeps over random
   seeds) can build it once.
@@ -35,13 +39,13 @@ out-of-domain references raise :class:`KeyError`, cyclic systems raise
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from itertools import accumulate, chain
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.ir.arrayeval import eval_index_int, predicate_mask
+from repro.ir.arrayeval import eval_index_columns, predicate_mask
 from repro.ir.program import RecurrenceSystem
 from repro.ir.statements import ComputeRule, InputRule, LinkRule, Rule
 
@@ -62,12 +66,64 @@ class CyclicDependence(Exception):
     """The system's dependencies contain a cycle (no valid schedule exists)."""
 
 
+class KeyTable(Sequence):
+    """The :class:`ValueKey` of every node id, built on first read.
+
+    ``streams`` lists the distinct ``(module, var)`` pairs and
+    ``stream_ids[i]`` is node ``i``'s index into it: placement, routing and
+    lowering read a node's stream and module there and never build a key.
+    Keys are made (all at once) only when something indexes or iterates
+    the table — the API edge, event streams and error messages.
+    """
+
+    def __init__(self, streams: list[tuple[str, str]],
+                 stream_ids: np.ndarray, rows: list[int],
+                 points: Mapping[str, np.ndarray]):
+        self.streams = streams
+        self.stream_ids = stream_ids
+        self._rows = rows
+        self._points = points
+        self._keys: list[ValueKey] | None = None
+
+    def _list(self) -> list[ValueKey]:
+        if self._keys is None:
+            tuples = {name: list(map(tuple, pts.tolist()))
+                      for name, pts in self._points.items()}
+            made = [(module, var, tuples[module])
+                    for module, var in self.streams]
+            self._keys = [ValueKey(module, var, points[row])
+                          for (module, var, points), row in zip(
+                              map(made.__getitem__, self.stream_ids.tolist()),
+                              self._rows)]
+        return self._keys
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __len__(self) -> int:
+        return len(self.stream_ids)
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, KeyTable)):
+            return self._list() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
 @dataclass
 class ExecutionPlan:
     """Value-independent execution structure of one (system, params) pair.
 
     Parallel arrays over dense value ids: ``keys[i]`` is the value's
-    identity, ``rules[i]`` the rule that produces it, ``operands[i]`` the
+    identity (a :class:`KeyTable`, which builds the keys on first read),
+    ``rules[i]`` the rule that produces it, ``operands[i]`` the
     ids it reads (empty for inputs), ``input_calls[i]`` the pre-evaluated
     ``(input_name, index)`` for :class:`InputRule` nodes, ``rows[i]`` the
     row of the value's point in ``points[keys[i].module]`` (each module's
@@ -79,7 +135,7 @@ class ExecutionPlan:
     system: RecurrenceSystem
     params: dict[str, int]
     points: dict[str, np.ndarray]
-    keys: list[ValueKey]
+    keys: KeyTable
     rules: list[Rule]
     rows: list[int]
     operands: list[tuple[int, ...]]
@@ -111,32 +167,54 @@ class SystemTrace:
         return self.plan.params
 
 
-def _guard_rows(rule_guard, dims, pts, rows, params) -> np.ndarray:
-    """Indices (into ``pts``) of ``rows`` where the guard holds; falls back
-    to the scalar path for atom kinds the vectoriser does not know."""
+def _guard_mask(rule_guard, dims, pts, rows, params) -> np.ndarray | None:
+    """Where the guard holds over the points ``pts[rows]`` (``None``: a
+    true guard holds everywhere); falls back to the scalar path for atom
+    kinds the vectoriser does not know."""
     if rule_guard.is_true():
-        return rows
+        return None
     sub = pts[rows]
     try:
-        mask = predicate_mask(rule_guard, dims, sub, params)
+        return predicate_mask(rule_guard, dims, sub, params)
     except TypeError:
         binding = dict(params)
         mask = np.empty(len(rows), dtype=bool)
         for pos, row in enumerate(sub.tolist()):
             binding.update(zip(dims, row))
             mask[pos] = rule_guard.holds(binding)
-    return rows[mask]
+        return mask
 
 
-def _operand_points(index_exprs, dims, pts, rows, params) -> list[tuple[int, ...]]:
-    """Evaluate one reference's index expressions over the chosen rows."""
-    if len(rows) == 0:
-        return []
-    sub = pts[rows]
-    cols = [eval_index_int(e, dims, sub, params) for e in index_exprs]
-    if not cols:
-        return [() for _ in range(len(rows))]
-    return list(map(tuple, np.column_stack(cols).tolist()))
+class _RowIndex:
+    """Dense point -> row lookup of one module's domain: a mixed-radix code
+    over the domain's bounding box indexes a table of rows (-1 where the
+    box holds no domain point)."""
+
+    __slots__ = ("lo", "hi", "strides", "table")
+
+    def __init__(self, pts: np.ndarray):
+        if len(pts) == 0:
+            self.table = None
+            return
+        self.lo = pts.min(axis=0)
+        self.hi = pts.max(axis=0)
+        extent = (self.hi - self.lo + 1).tolist()
+        strides = [1] * len(extent)
+        for d in range(len(extent) - 2, -1, -1):
+            strides[d] = strides[d + 1] * extent[d + 1]
+        self.strides = np.asarray(strides, dtype=np.int64)
+        size = strides[0] * extent[0] if extent else 1
+        self.table = np.full(size, -1, dtype=np.int64)
+        self.table[(pts - self.lo) @ self.strides] = np.arange(len(pts))
+
+    def rows(self, cols: np.ndarray) -> np.ndarray:
+        """Row of every point of ``cols`` (``(count, d)``), -1 for points
+        outside the domain."""
+        if self.table is None:
+            return np.full(len(cols), -1, dtype=np.int64)
+        inside = ((cols >= self.lo) & (cols <= self.hi)).all(axis=1)
+        codes = np.where(inside[:, None], cols - self.lo, 0) @ self.strides
+        return np.where(inside, self.table[codes], -1)
 
 
 def build_execution_plan(system: RecurrenceSystem,
@@ -145,20 +223,14 @@ def build_execution_plan(system: RecurrenceSystem,
     params = dict(params)
     pts_arrays = {name: module.domain.points_array(params)
                   for name, module in system.modules.items()}
-    pt_tuples = {name: list(map(tuple, pts.tolist()))
-                 for name, pts in pts_arrays.items()}
-
-    keys: list[ValueKey] = []
-    rules: list[Rule] = []
-    node_rows: list[int] = []
-    key_ids: dict[ValueKey, int] = {}
+    row_index: dict[str, _RowIndex] = {}
 
     def scalar_error(key: ValueKey):
         """Re-raise the exact error the recursive evaluator produced for a
         reference that resolves to no computed value."""
-        if key.module not in pt_tuples:
+        if key.module not in pts_arrays:
             raise KeyError(key.module)
-        if key.point not in set(pt_tuples[key.module]):
+        if key.point not in set(map(tuple, pts_arrays[key.module].tolist())):
             raise KeyError(
                 f"reference to {key} outside the domain of module {key.module}")
         module = system.modules[key.module]
@@ -177,89 +249,127 @@ def build_execution_plan(system: RecurrenceSystem,
         dims = module.dims
         all_rows = np.arange(pts.shape[0])
         for var, eqn in module.equations.items():
-            defined = _guard_rows(eqn.where, dims, pts, all_rows, params)
-            remaining = defined
+            where = _guard_mask(eqn.where, dims, pts, all_rows, params)
+            remaining = all_rows if where is None else all_rows[where]
             for rule in eqn.rules:
                 if len(remaining) == 0:
                     break
-                chosen = _guard_rows(rule.guard, dims, pts, remaining, params)
-                if len(chosen):
-                    mask = np.ones(len(remaining), dtype=bool)
-                    mask[np.searchsorted(remaining, chosen)] = False
-                    remaining = remaining[mask]
-                    selection.append((name, var, rule, chosen))
+                hold = _guard_mask(rule.guard, dims, pts, remaining, params)
+                if hold is None:
+                    selection.append((name, var, rule, remaining))
+                    remaining = remaining[:0]
+                elif hold.any():
+                    selection.append((name, var, rule, remaining[hold]))
+                    remaining = remaining[~hold]
             if len(remaining):
                 row = pts[int(remaining[0])].tolist()
                 binding = {**params, **dict(zip(dims, row))}
                 eqn.select(binding)  # raises ValueError("no rule guard holds")
-    # Assign dense ids (per rule group, rows ascending — any order works,
-    # the worklist re-orders by dependence).
-    for name, var, rule, rows in selection:
-        points = pt_tuples[name]
-        for row in rows.tolist():
-            key = ValueKey(name, var, points[row])
-            key_ids[key] = len(keys)
-            keys.append(key)
-            rules.append(rule)
-            node_rows.append(row)
 
-    # Pass 2 — operand resolution per (rule, rows) group, vectorised over
-    # the group's point rows.
-    operands: list[tuple[int, ...]] = [()] * len(keys)
-    input_calls: list[tuple[str, tuple[int, ...]] | None] = [None] * len(keys)
-    cursor = 0
+    # Dense ids, contiguous per rule group (rows ascending — any order
+    # works, the worklist re-orders by dependence); each (module, var)
+    # gets a row -> id table, -1 where the variable is undefined.
+    rules: list[Rule] = []
+    starts: list[int] = []
+    streams: dict[tuple[str, str], int] = {}
+    stream_runs: list[int] = []
+    id_tables: dict[tuple[str, str], np.ndarray] = {}
     for name, var, rule, rows in selection:
+        start = len(rules)
+        starts.append(start)
+        table = id_tables.get((name, var))
+        if table is None:
+            table = id_tables[(name, var)] = np.full(
+                len(pts_arrays[name]), -1, dtype=np.int64)
+        table[rows] = np.arange(start, start + len(rows))
+        stream_runs.append(streams.setdefault((name, var), len(streams)))
+        rules.extend([rule] * len(rows))
+    n = len(rules)
+    sizes = [len(rows) for *_, rows in selection]
+    node_rows = (np.concatenate([rows for *_, rows in selection]).tolist()
+                 if selection else [])
+    keys = KeyTable(list(streams), np.repeat(
+        np.asarray(stream_runs, dtype=np.int64), sizes), node_rows,
+        pts_arrays)
+
+    def resolve(module: str, refs: list[tuple[str, np.ndarray]]
+                ) -> np.ndarray:
+        """Node ids of each ``(var, cols)`` reference into ``module``: one
+        row lookup for all of them, then one gather per variable; -1 where
+        no such value exists (and for points of the wrong dimension)."""
+        ids = np.full((len(refs), len(refs[0][1])), -1, dtype=np.int64)
+        if module not in pts_arrays:
+            return ids
+        index = row_index.get(module)
+        if index is None:
+            index = row_index[module] = _RowIndex(pts_arrays[module])
+        fit = [at for at, (_, cols) in enumerate(refs)
+               if cols.shape[1] == pts_arrays[module].shape[1]]
+        if not fit:
+            return ids
+        rows = index.rows(np.concatenate([refs[at][1] for at in fit]))
+        size = ids.shape[1]
+        for k, at in enumerate(fit):
+            found = rows[k * size:(k + 1) * size]
+            table = id_tables.get((module, refs[at][0]))
+            if table is not None:
+                ids[at] = np.where(found >= 0, table[found], -1)
+        return ids
+
+    # Pass 2 — operand resolution per (rule, rows) group: each reference's
+    # index columns, then one gather to node ids.  The first miss, in the
+    # scalar evaluator's node-major reference order, raises its error.
+    operands: list[tuple[int, ...]] = [()] * n
+    input_calls: list[tuple[str, tuple[int, ...]] | None] = [None] * n
+    for (name, var, rule, rows), start in zip(selection, starts):
         module = system.modules[name]
         dims = module.dims
-        pts = pts_arrays[name]
+        sub = pts_arrays[name][rows]
         count = len(rows)
-        ids = range(cursor, cursor + count)
-        cursor += count
         if isinstance(rule, InputRule):
-            idx_rows = _operand_points(rule.index, dims, pts, rows, params)
-            for nid, idx in zip(ids, idx_rows):
-                input_calls[nid] = (rule.input_name, idx)
+            idx_rows = map(tuple, eval_index_columns(rule.index, dims, sub,
+                                                     params).tolist())
+            input_calls[start:start + count] = [(rule.input_name, idx)
+                                                for idx in idx_rows]
             continue
         if isinstance(rule, LinkRule):
-            src = rule.source
-            src_rows = _operand_points(src.index, dims, pts, rows, params)
-            for nid, sp in zip(ids, src_rows):
-                src_key = ValueKey(src.module, src.var, sp)
-                src_id = key_ids.get(src_key)
-                if src_id is None:
-                    scalar_error(src_key)
-                operands[nid] = (src_id,)
+            target = rule.source.module
+            refs = [(rule.source.var, rule.source.index)]
+        else:  # ComputeRule: operands live in the rule's own module
+            target = name
+            refs = [(ref.var, ref.index) for ref in rule.operands]
+        if not refs:
             continue
-        # ComputeRule
-        per_ref = [(_operand_points(ref.index, dims, pts, rows, params),
-                    ref.var) for ref in rule.operands]
-        for pos, nid in enumerate(ids):
-            op_ids = []
-            for ref_rows, ref_var in per_ref:
-                op_key = ValueKey(name, ref_var, ref_rows[pos])
-                op_id = key_ids.get(op_key)
-                if op_id is None:
-                    scalar_error(op_key)
-                op_ids.append(op_id)
-            operands[nid] = tuple(op_ids)
+        every = eval_index_columns([expr for _, index in refs
+                                    for expr in index], dims, sub, params)
+        ends = list(accumulate(len(index) for _, index in refs))
+        cols = [every[:, a:b] for a, b in zip([0] + ends, ends)]
+        ids = resolve(target, [(ref_var, ref_cols) for (ref_var, _), ref_cols
+                               in zip(refs, cols)])
+        missing = ids < 0
+        if missing.any():
+            pos = int(np.argmax(missing.any(axis=0)))
+            ref = int(np.argmax(missing[:, pos]))
+            scalar_error(ValueKey(target, refs[ref][0],
+                                  tuple(cols[ref][pos].tolist())))
+        operands[start:start + count] = zip(*ids.tolist())
 
-    # Pass 3 — iterative worklist (Kahn) over the dependence-id graph.
-    n = len(keys)
-    indegree = [0] * n
-    consumers: list[list[int]] = [[] for _ in range(n)]
-    for nid, ops in enumerate(operands):
-        indegree[nid] = len(ops)
-        for op_id in ops:
-            consumers[op_id].append(nid)
-    ready = deque(nid for nid in range(n) if indegree[nid] == 0)
-    order: list[int] = []
-    while ready:
-        nid = ready.popleft()
-        order.append(nid)
-        for consumer in consumers[nid]:
+    # Pass 3 — iterative worklist (Kahn) over the dependence-id graph; a
+    # node's consumers in ascending id (and operand position) order.
+    indegree = list(map(len, operands))
+    src = np.fromiter(chain.from_iterable(operands), np.int64,
+                      sum(indegree))
+    by_src = np.argsort(src, kind="stable")
+    consumers = np.repeat(np.arange(n), indegree)[by_src].tolist()
+    bounds = np.searchsorted(src[by_src], np.arange(n + 1)).tolist()
+    # ``order`` is the FIFO queue itself: ids are appended as they become
+    # ready and read back in turn.
+    order = [nid for nid in range(n) if indegree[nid] == 0]
+    for nid in order:
+        for consumer in consumers[bounds[nid]:bounds[nid + 1]]:
             indegree[consumer] -= 1
             if indegree[consumer] == 0:
-                ready.append(consumer)
+                order.append(consumer)
     if len(order) < n:
         stuck = next(nid for nid in range(n) if indegree[nid] > 0)
         raise CyclicDependence(f"cycle through {keys[stuck]}")
@@ -267,17 +377,14 @@ def build_execution_plan(system: RecurrenceSystem,
     outputs: list[tuple[tuple[int, ...], int]] = []
     for out in system.outputs:
         arr = out.domain.points_array(params)
-        host_cols = [eval_index_int(e, out.domain.dims, arr, params)
-                     for e in out.key]
-        out_pts = list(map(tuple, arr.tolist()))
-        host_rows = (list(map(tuple, np.column_stack(host_cols).tolist()))
-                     if host_cols else [() for _ in out_pts])
-        for p, host_key in zip(out_pts, host_rows):
-            key = ValueKey(out.module, out.var, p)
-            nid = key_ids.get(key)
-            if nid is None:
-                scalar_error(key)
-            outputs.append((host_key, nid))
+        host_rows = map(tuple, eval_index_columns(out.key, out.domain.dims,
+                                                  arr, params).tolist())
+        ids = resolve(out.module, [(out.var, arr)])[0]
+        if (ids < 0).any():
+            bad = int(np.argmax(ids < 0))
+            scalar_error(ValueKey(out.module, out.var,
+                                  tuple(arr[bad].tolist())))
+        outputs.extend(zip(host_rows, ids.tolist()))
 
     return ExecutionPlan(system=system, params=params, points=pts_arrays,
                          keys=keys, rules=rules, rows=node_rows,

@@ -51,7 +51,8 @@ Kernel-level work reports through the span tracer as ``vector.lower``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import chain, starmap
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -229,17 +230,6 @@ class VectorProgram:
         return self._gather
 
 
-class _GroupBuilder:
-    __slots__ = ("level", "kind", "op", "dst", "operands")
-
-    def __init__(self, level: int, kind: str, op: Op | None, arity: int):
-        self.level = level
-        self.kind = kind
-        self.op = op
-        self.dst: list[int] = []
-        self.operands: list[list[int]] = [[] for _ in range(arity)]
-
-
 def build_program(node_count: int,
                   entries: Iterable[tuple[int, Op | None, tuple[int, ...]]],
                   input_entries: Iterable[tuple[int, str, tuple[int, ...]]],
@@ -250,6 +240,11 @@ def build_program(node_count: int,
     that is valid to execute one node at a time in order (``op=None`` is a
     copy); ``input_entries`` are host fetches ``(dst id, input name,
     pre-evaluated index)``.  Ids must be dense in ``[0, node_count)``.
+
+    A group is one (level, rule shape) pair: all copies, or one op by
+    (name, arity, fn).  Groups run by ascending level, a level's groups in
+    the order their first entries come, and each group holds its entries
+    in entry order; its op is its first entry's.
     """
     with TRACER.span("vector.lower"):
         # Current value's producer level, and the latest level reading it —
@@ -264,11 +259,36 @@ def build_program(node_count: int,
             dsts.append(dst)
             idxs.append(tuple(idx))
 
-        builders: dict[tuple, _GroupBuilder] = {}
-        order: list[_GroupBuilder] = []
-        int_ok = True
-        max_level = 0
-        for dst, op, ops in entries:
+        entries = list(entries)
+        entry_ops = list(map(itemgetter(1), entries))
+        reads = list(map(itemgetter(2), entries))
+        # Per distinct op object: its shape id (0 is the copy shape) and
+        # its exact int64 kernel (``None``: the program is not int-exact);
+        # per shape, the object-array kernel.
+        shape_ids: dict[tuple, int] = {("copy",): 0}
+        shape_of: dict[int, int] = {}
+        int_kernels: dict[int, Callable | None] = {}
+        obj_kernels: dict[int, Callable] = {}
+        for key, op in dict(zip(map(id, entry_ops), entry_ops)).items():
+            if op is None or (op == IDENTITY and op.fn is IDENTITY.fn):
+                shape_of[key] = 0
+                continue
+            shape = shape_of[key] = shape_ids.setdefault(
+                (op.name, op.arity, id(op.fn)), len(shape_ids))
+            stock = _INT_KERNELS.get(op)
+            int_kernels[key] = (stock[1] if stock is not None
+                                and stock[0] is op.fn else op.int_kernel)
+            if shape not in obj_kernels:
+                obj_kernels[shape] = np.frompyfunc(op.fn, op.arity, 1)
+        # Each entry's level, and its group: one per (level, shape), numbered
+        # in the order the groups' first entries come.
+        shapes = len(shape_ids)
+        entry_shape = map(shape_of.__getitem__, map(id, entry_ops))
+        group_ids: dict[int, int] = {}
+        heads: list[int] = []
+        entry_group: list[int] = []
+        for dst, ops, shape in zip(map(itemgetter(0), entries), reads,
+                                   entry_shape):
             level = 1
             for o in ops:
                 if value_level[o] >= level:
@@ -278,29 +298,15 @@ def build_program(node_count: int,
             if value_level[dst] >= level:
                 level = value_level[dst] + 1
             for o in ops:
-                if level > last_read[o]:
+                if last_read[o] < level:
                     last_read[o] = level
             value_level[dst] = level
-            if level > max_level:
-                max_level = level
-
-            if op is None or (op == IDENTITY and op.fn is IDENTITY.fn):
-                key = (level, "copy")
-                builder = builders.get(key)
-                if builder is None:
-                    builder = builders[key] = _GroupBuilder(
-                        level, "copy", None, 1)
-                    order.append(builder)
-            else:
-                key = (level, "compute", op.name, op.arity, id(op.fn))
-                builder = builders.get(key)
-                if builder is None:
-                    builder = builders[key] = _GroupBuilder(
-                        level, "compute", op, op.arity)
-                    order.append(builder)
-            builder.dst.append(dst)
-            for pos, o in enumerate(ops[:len(builder.operands)]):
-                builder.operands[pos].append(o)
+            code = level * shapes + shape
+            group = group_ids.get(code)
+            if group is None:
+                group = group_ids[code] = len(heads)
+                heads.append(len(entry_group))
+            entry_group.append(group)
 
         groups: list[KernelGroup] = []
         for name in sorted(input_groups):
@@ -308,26 +314,51 @@ def build_program(node_count: int,
             groups.append(KernelGroup(
                 level=0, kind="input", dst=np.asarray(dsts, dtype=np.intp),
                 input_name=name, dst_py=tuple(dsts), indices=tuple(idxs)))
-        for builder in sorted(order, key=lambda b: b.level):
-            kernel = None
-            obj_kernel = None
-            if builder.kind == "compute":
-                stock = _INT_KERNELS.get(builder.op)
-                if stock is not None and stock[0] is builder.op.fn:
-                    kernel = stock[1]
-                elif builder.op.int_kernel is not None:
-                    kernel = builder.op.int_kernel
-                else:
-                    int_ok = False
-                obj_kernel = np.frompyfunc(builder.op.fn, builder.op.arity, 1)
+        if not entries:
+            return VectorProgram(node_count=node_count, groups=groups,
+                                 level_count=1, int_ok=True)
+
+        # Groups run by level, a level's groups by first entry; one stable
+        # sort of the entries by their group's rank forms every group.
+        codes = list(group_ids)
+        order = sorted(range(len(heads)),
+                       key=lambda group: (codes[group] // shapes, group))
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        entry_group = np.asarray(entry_group, dtype=np.intp)
+        perm = np.argsort(rank[entry_group], kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(
+            np.bincount(entry_group)[order]))).tolist()
+        # Operand position ``pos`` of every entry, in group order (entries
+        # narrower than ``pos`` read a neighbour's slot, which only a wider
+        # group's kernel would use).
+        widths = np.fromiter(map(len, reads), np.intp, len(reads))
+        flat = np.fromiter(chain.from_iterable(reads), np.intp,
+                           int(widths.sum()))
+        firsts = (np.cumsum(widths) - widths)[perm]
+        columns = [flat[np.minimum(firsts + pos, len(flat) - 1)]
+                   for pos in range(int(widths.max()))]
+        dst_sorted = np.fromiter(map(itemgetter(0), entries), np.intp,
+                                 len(entries))[perm]
+
+        int_ok = True
+        for (lo, hi), group in zip(zip(bounds, bounds[1:]), order):
+            level, shape = divmod(codes[group], shapes)
+            if shape == 0:
+                groups.append(KernelGroup(
+                    level=level, kind="copy", dst=dst_sorted[lo:hi],
+                    operands=(columns[0][lo:hi],)))
+                continue
+            op = entry_ops[heads[group]]
+            kernel = int_kernels[id(op)]
+            int_ok = int_ok and kernel is not None
             groups.append(KernelGroup(
-                level=builder.level, kind=builder.kind,
-                dst=np.asarray(builder.dst, dtype=np.intp),
-                operands=tuple(np.asarray(col, dtype=np.intp)
-                               for col in builder.operands),
-                op=builder.op, int_kernel=kernel, obj_kernel=obj_kernel))
+                level=level, kind="compute", dst=dst_sorted[lo:hi],
+                operands=tuple([col[lo:hi] for col in columns[:op.arity]]),
+                op=op, int_kernel=kernel, obj_kernel=obj_kernels[shape]))
         return VectorProgram(node_count=node_count, groups=groups,
-                             level_count=max_level + 1, int_ok=int_ok)
+                             level_count=max(codes) // shapes + 1,
+                             int_ok=int_ok)
 
 
 # -- execution ----------------------------------------------------------------

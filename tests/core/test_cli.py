@@ -267,6 +267,29 @@ class TestProfile:
         # the interpreter's canonical stream of an independent compile.
         assert jsonl.read_text() == interpreted_jsonl(7, tmp_path)
 
+    def test_microcode_is_lowered_once(self, tmp_path, monkeypatch):
+        """Verification reuses the machine the profile lowers with its
+        event stream: one ``lower`` call per profile, not two."""
+        from repro import cli
+        from repro.core import verify
+        from repro.machine import native
+
+        calls = []
+        real = native.lower
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("record_events", False))
+            return real(*args, **kwargs)
+
+        for module in (cli, verify, native):
+            monkeypatch.setattr(module, "lower", counting)
+        out_base = str(tmp_path / "once")
+        assert main(["profile", "--problem", "dp", "--interconnect", "fig1",
+                     "--n", "7", "--out", out_base]) == 0
+        assert calls == [True]
+        assert (tmp_path / "once.events.jsonl").read_text() \
+            == interpreted_jsonl(7, tmp_path)
+
     def test_failed_verification_exits_1(self, tmp_path, capsys,
                                          monkeypatch):
         from repro import cli
